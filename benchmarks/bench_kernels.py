@@ -1,8 +1,11 @@
-"""Benchmark the hot kernels under numba against the pure-numpy fallback.
+"""Time the hot kernels: Bessel triplets, the radial determinant grid, the
+LAPACK-backed generalized eigensolve, and a short curve sweep.
 
 Run directly:  python benchmarks/bench_kernels.py
-The script times the current process's mode, then re-executes itself with
-TEIG_NO_NUMBA=1 and prints a combined table with speedups.
+With numba installed, the script times the JIT-compiled kernels, re-executes
+itself with TEIG_NO_NUMBA=1 and prints both columns with speedups.  Without
+numba (or with TEIG_NO_NUMBA set) JIT is unavailable: it says so and prints
+the interpreted timings alone.
 """
 
 import argparse
@@ -104,12 +107,16 @@ def main():
     from teig._accel import JIT_ENABLED
 
     here = run_benchmarks(args.repeat)
-    env = dict(os.environ)
-    other_mode = "numpy fallback" if JIT_ENABLED else "numba"
-    if JIT_ENABLED:
-        env["TEIG_NO_NUMBA"] = "1"
-    else:
-        env.pop("TEIG_NO_NUMBA", None)
+    width = max(len(k) for k in here)
+    if not JIT_ENABLED:
+        print("JIT unavailable (numba not installed or TEIG_NO_NUMBA set): "
+              "timings are the interpreted numpy fallback")
+        print(f"{'kernel':<{width}}  {'numpy fallback':>14}")
+        for name, mine in here.items():
+            print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms")
+        return
+
+    env = dict(os.environ, TEIG_NO_NUMBA="1")
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--inner", "--repeat", str(args.repeat)],
         capture_output=True,
@@ -117,15 +124,12 @@ def main():
         env=env,
     )
     other = json.loads(proc.stdout) if proc.returncode == 0 else {}
-
-    this_mode = "numba" if JIT_ENABLED else "numpy fallback"
-    width = max(len(k) for k in here)
-    print(f"{'kernel':<{width}}  {this_mode:>14}  {other_mode:>14}  {'ratio':>7}")
+    print(f"{'kernel':<{width}}  {'numba':>14}  {'numpy fallback':>14}  {'ratio':>7}")
     for name, mine in here.items():
         theirs = other.get(name)
         if theirs:
-            ratio = theirs / mine if JIT_ENABLED else mine / theirs
-            print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms  {theirs * 1e3:>11.3f} ms  {ratio:>6.1f}x")
+            print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms  {theirs * 1e3:>11.3f} ms  "
+                  f"{theirs / mine:>6.1f}x")
         else:
             print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms  {'n/a':>14}")
 

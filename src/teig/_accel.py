@@ -25,8 +25,3 @@ except ImportError:
     def jit(func):
         """Fallback: leave the kernel as a plain Python function."""
         return func
-
-
-def py_func(kernel):
-    """Return the uncompiled version of a kernel (itself when not jitted)."""
-    return getattr(kernel, "py_func", kernel)

@@ -244,6 +244,10 @@ class FormMatrices:
     S    = int (1/V) b_i'' b_j''      C = int (1/V)(b_i'' b_j + b_i b_j'')
     K    = int b_i' b_j'              M = int b_i b_j
     Minv = int (1/V) b_i b_j          Mw = int w b_i b_j
+
+    Basis functions on different intervals have disjoint supports, so all
+    six are block-diagonal with ``block_size`` rows per interval block
+    (None: one block spanning the whole matrix).
     """
 
     S: np.ndarray
@@ -252,6 +256,7 @@ class FormMatrices:
     M: np.ndarray
     Minv: np.ndarray
     Mw: np.ndarray
+    block_size: int | None = None
 
     @property
     def dim(self):
@@ -326,6 +331,7 @@ def assemble(basis, potential, weight, quad):
         M=_check_symmetrize("M", M),
         Minv=_check_symmetrize("Minv", Minv),
         Mw=_check_symmetrize("Mw", Mw),
+        block_size=basis.per_interval,
     )
 
 

@@ -5,6 +5,9 @@ over a uniform lambda grid; sign changes of each sorted-index curve are
 bracketed, refined by bisection in lambda, clustered, and reported.
 Sorted-index curves may permute branches at intersections, but they are
 continuous, so sign changes are genuine zero crossings either way.
+
+A(lambda) and Mw are block-diagonal with one block per interval, so every
+eigenvalue query solves each block on its own and merges the lowest values.
 """
 
 from dataclasses import dataclass
@@ -60,16 +63,35 @@ def prepare_matrices(problem):
     return basis, quad, matrices
 
 
+def _mass_blocks(matrices):
+    """(index range, Mw block) for each interval block of the matrices."""
+    size = matrices.block_size or matrices.dim
+    blocks = [slice(i, i + size) for i in range(0, matrices.dim, size)]
+    return [(s, matrices.Mw[s, s]) for s in blocks]
+
+
+def _identity_blocks(matrices):
+    return [(s, np.eye(mass.shape[0])) for s, mass in _mass_blocks(matrices)]
+
+
+def _lowest_by_block(A, mass_blocks, k):
+    """The k smallest eigenvalues of (A, B), both block-diagonal with the
+    given (index range, B block) pairs, merged from per-block solves."""
+    vals = [lowest_k(A[s, s], mass, k).eigenvalues for s, mass in mass_blocks]
+    return np.sort(np.concatenate(vals))[:k]
+
+
 def sweep(problem, matrices, sweepcfg=None):
     """Lowest-K curve table over the sweep grid (grid order, deterministic)."""
     cfg = sweepcfg if sweepcfg is not None else problem.sweep
     k = problem.discretization.num_curves
     lambdas = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
     values = np.empty((cfg.steps, k))
+    mass_blocks = _mass_blocks(matrices)
     for i, lam in enumerate(lambdas):
         A = assemble_A(matrices, problem.kind, lam)
         try:
-            values[i] = lowest_k(A, matrices.Mw, k).eigenvalues
+            values[i] = _lowest_by_block(A, mass_blocks, k)
         except Exception as exc:
             raise type(exc)(f"at lambda = {lam}: {exc}") from exc
     return CurveTable(lambdas=lambdas, values=values)
@@ -104,7 +126,7 @@ def find_crossings(table):
 
 def _curve_value(problem, matrices, nu, lam):
     A = assemble_A(matrices, problem.kind, lam)
-    return lowest_k(A, matrices.Mw, nu).eigenvalues[nu - 1]
+    return _lowest_by_block(A, _mass_blocks(matrices), nu)[nu - 1]
 
 
 def _crossing_indicator(problem, matrices, nu, lam):
@@ -117,7 +139,7 @@ def _crossing_indicator(problem, matrices, nu, lam):
     that).
     """
     A = assemble_A(matrices, problem.kind, lam)
-    return lowest_k(A, np.eye(A.shape[0]), nu).eigenvalues[nu - 1]
+    return _lowest_by_block(A, _identity_blocks(matrices), nu)[nu - 1]
 
 
 def refine(problem, matrices, bracket, refine_tol):

@@ -1,182 +1,21 @@
 """Dense symmetric generalized eigensolver A v = mu B v with B positive
-definite: Cholesky reduction to standard form, Householder
-tridiagonalization, implicit-shift QL iteration.
+definite, on numpy/LAPACK: Cholesky reduction to the standard problem
+C = L^-1 A L^-T, then LAPACK's symmetric eigensolver.
 
 Only eigenvalues are part of the public contract; the vector-producing
-path exists for residual checks in the test suite.  Everything is
-deterministic: no randomized starts, fixed sweep order.  The kernels are
-written against contiguous rows/submatrices so they compile cleanly under
-numba and stay vectorized on the plain-numpy fallback path.
+path exists for residual checks in the test suite.  Failures at the LAPACK
+boundary come back as typed errors: non-finite input, a LAPACK error or a
+non-finite result raise NoConvergence, and a Cholesky pivot at or below
+1e-13 times the largest diagonal entry of B raises NotPositiveDefinite.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit
 from .errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 CHOLESKY_PIVOT_TOL = 1e-13
-QL_MAX_SWEEPS = 50
-
-
-@jit
-def _cholesky_kernel(B):
-    """Upper factor U = L^T by the outer-product form; row access only.
-
-    Returns (U, 0) or (garbage, j+1) on a pivot failure at row j
-    (pivot <= 1e-13 * max diagonal).
-    """
-    n = B.shape[0]
-    W = B.copy()
-    U = np.zeros((n, n))
-    maxd = 0.0
-    for i in range(n):
-        if W[i, i] > maxd:
-            maxd = W[i, i]
-    tol = CHOLESKY_PIVOT_TOL * maxd
-    for j in range(n):
-        piv = W[j, j]
-        if piv <= tol:
-            return U, j + 1
-        d = math.sqrt(piv)
-        U[j, j] = d
-        if j + 1 < n:
-            row = W[j, j + 1 :] / d
-            U[j, j + 1 :] = row
-            W[j + 1 :, j + 1 :] = W[j + 1 :, j + 1 :] - np.outer(row, row)
-    return U, 0
-
-
-@jit
-def _forward_rows(L, RHS):
-    """Solve L Y = RHS for Y with L lower triangular (rows of Y in turn)."""
-    n = L.shape[0]
-    Y = np.empty_like(RHS)
-    Y[0] = RHS[0] / L[0, 0]
-    for i in range(1, n):
-        Y[i] = (RHS[i] - np.dot(L[i, :i], Y[:i])) / L[i, i]
-    return Y
-
-
-@jit
-def _reduce_standard(A, U):
-    """C = L^-1 A L^-T from the upper Cholesky factor U = L^T."""
-    L = U.T.copy()
-    Y = _forward_rows(L, A)
-    C = _forward_rows(L, Y.T.copy())
-    return 0.5 * (C + C.T)
-
-
-@jit
-def _tridiagonalize(C, want_q):
-    """Householder reduction to tridiagonal (d, e); optionally accumulates
-    the orthogonal transform Q (else returns the identity)."""
-    n = C.shape[0]
-    W = C.copy()
-    d = np.zeros(n)
-    e = np.zeros(n)
-    vs = np.zeros((n, n))  # reflector k lives in vs[k, k+1:]
-    hs = np.zeros(n)
-    for k in range(n - 2):
-        x = W[k, k + 1 :].copy()  # symmetric row stands in for the column
-        norm2 = np.dot(x, x)
-        if norm2 == 0.0:
-            e[k] = 0.0
-            continue
-        norm = math.sqrt(norm2)
-        if x[0] < 0.0:
-            norm = -norm
-        h = norm2 + x[0] * norm
-        v = x.copy()
-        v[0] += norm
-        vs[k, k + 1 :] = v
-        hs[k] = h
-        sub = W[k + 1 :, k + 1 :].copy()
-        p = np.dot(sub, v) / h
-        kap = np.dot(v, p) / (2.0 * h)
-        p -= kap * v
-        sub -= np.outer(p, v) + np.outer(v, p)
-        W[k + 1 :, k + 1 :] = sub
-        e[k] = -norm
-        W[k, k + 1] = -norm
-        W[k + 1, k] = -norm
-    if n >= 2:
-        e[n - 2] = W[n - 2, n - 1]
-    for i in range(n):
-        d[i] = W[i, i]
-    Q = np.eye(n)
-    if want_q:
-        for k in range(n - 3, -1, -1):
-            if hs[k] == 0.0:
-                continue
-            v = vs[k, k + 1 :]
-            t = np.dot(v, Q[k + 1 :, :].copy()) / hs[k]
-            Q[k + 1 :, :] -= np.outer(v, t)
-    return d, e, Q
-
-
-@jit
-def _ql_implicit(d, e, Z, want_vectors, max_sweeps):
-    """Implicit-shift QL on a symmetric tridiagonal (d modified in place).
-
-    Rotations go into the columns of Z when want_vectors.  Returns 0 on
-    success, l+1 if eigenvalue l exceeded max_sweeps.
-    """
-    n = d.shape[0]
-    eoff = np.zeros(n)
-    for i in range(n - 1):
-        eoff[i] = e[i]
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(eoff[m]) <= 2.3e-16 * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                return l + 1
-            g = (d[l + 1] - d[l]) / (2.0 * eoff[l])
-            r = math.hypot(g, 1.0)
-            sgn = r if g >= 0.0 else -r
-            g = d[m] - d[l] + eoff[l] / (g + sgn)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            i = m - 1
-            while i >= l:
-                f = s * eoff[i]
-                b = c * eoff[i]
-                r = math.hypot(f, g)
-                eoff[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    eoff[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if want_vectors:
-                    col1 = Z[:, i + 1].copy()
-                    col0 = Z[:, i].copy()
-                    Z[:, i + 1] = s * col0 + c * col1
-                    Z[:, i] = c * col0 - s * col1
-                i -= 1
-            else:
-                d[l] -= p
-                eoff[l] = g
-                eoff[m] = 0.0
-    return 0
 
 
 def cholesky(B):
@@ -184,10 +23,16 @@ def cholesky(B):
     B = np.ascontiguousarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValidationError("cholesky requires a square matrix")
-    U, status = _cholesky_kernel(B)
-    if status:
-        raise NotPositiveDefinite(f"pivot failure at row {status - 1}")
-    return np.ascontiguousarray(U.T)
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+    # the outer-product pivots are L[j, j]^2; NaN pivots fail too
+    tol = CHOLESKY_PIVOT_TOL * np.max(np.diag(B), initial=0.0)
+    failed = np.flatnonzero(~(np.diag(L) ** 2 > tol))
+    if failed.size:
+        raise NotPositiveDefinite(f"pivot failure at row {failed[0]}")
+    return L
 
 
 @dataclass(frozen=True)
@@ -198,44 +43,42 @@ class SpectrumSlice:
     dimension: int
 
 
-def _standard_eigen(C, want_vectors=False):
-    d, e, Q = _tridiagonalize(np.ascontiguousarray(C), want_vectors)
-    d = np.asarray(d, dtype=float)
-    Z = np.ascontiguousarray(Q) if want_vectors else np.eye(1)
-    status = _ql_implicit(d, np.asarray(e, dtype=float), Z, want_vectors, QL_MAX_SWEEPS)
-    if status:
-        raise NoConvergence(f"QL failed for eigenvalue index {status - 1}")
-    if want_vectors:
-        order = np.argsort(d, kind="stable")
-        return d[order], Z[:, order]
-    return np.sort(d), None
-
-
-def lowest_k(A, B, K):
-    """Lowest K eigenvalues of A v = mu B v (values only, sorted)."""
+def _checked(A, B):
     A = np.ascontiguousarray(A, dtype=float)
     B = np.ascontiguousarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("lowest_k requires matching square matrices")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise NoConvergence("matrix has non-finite entries")
+    return A, B
+
+
+def _solve(A, B, vectors):
+    """Ascending eigenvalues of (A, B) and, if ``vectors``, the B-orthonormal
+    eigenvectors as columns (else None)."""
+    L = cholesky(B)
+    try:
+        Linv = np.linalg.inv(L)
+        C = Linv @ A @ Linv.T
+        C = 0.5 * (C + C.T)
+        vals, Z = np.linalg.eigh(C) if vectors else (np.linalg.eigvalsh(C), None)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise NoConvergence("eigensolver returned non-finite values")
+    return vals, (Linv.T @ Z if vectors else None)  # back-transform v = L^-T z
+
+
+def lowest_k(A, B, K):
+    """Lowest K eigenvalues of A v = mu B v (values only, sorted)."""
+    A, B = _checked(A, B)
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
-    U, status = _cholesky_kernel(B)
-    if status:
-        raise NotPositiveDefinite(f"pivot failure at row {status - 1}")
-    C = _reduce_standard(A, U)
-    vals, _ = _standard_eigen(np.asarray(C))
+    vals, _ = _solve(A, B, vectors=False)
     k = min(K, A.shape[0])
     return SpectrumSlice(eigenvalues=tuple(float(v) for v in vals[:k]), dimension=A.shape[0])
 
 
 def _solve_with_vectors(A, B):
     """All eigenpairs of (A, B); internal, for residual tests only."""
-    A = np.ascontiguousarray(A, dtype=float)
-    B = np.ascontiguousarray(B, dtype=float)
-    U, status = _cholesky_kernel(B)
-    if status:
-        raise NotPositiveDefinite(f"pivot failure at row {status - 1}")
-    C = _reduce_standard(A, U)
-    vals, Z = _standard_eigen(np.asarray(C), want_vectors=True)
-    V = np.linalg.solve(np.asarray(U), Z)  # back-transform v = L^-T z
-    return vals, V
+    return _solve(*_checked(A, B), vectors=True)

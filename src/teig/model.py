@@ -6,6 +6,7 @@ problem (chains materialized, intervals sorted) or raises a typed
 ValidationError whose ``code`` names the violated rule.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -191,6 +192,8 @@ def validate_problem(spec):
     if not intervals:
         raise ValidationError("domain has no intervals")
     for a, b in intervals:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValidationError(f"interval ({a}, {b}) has a non-finite endpoint")
         if not a < b:
             raise OverlappingIntervals(f"interval ({a}, {b}) is empty or reversed")
     for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
@@ -199,9 +202,11 @@ def validate_problem(spec):
 
     pot = spec.potential
     if isinstance(pot, Constant):
+        _check_finite(v0=pot.v0)
         if not pot.v0 > 0:
             raise NonPositivePotential(f"constant potential must be > 0, got {pot.v0}")
     elif isinstance(pot, PowerDecay):
+        _check_finite(c=pot.c, alpha=pot.alpha)
         if not pot.c > 0:
             raise NonPositivePotential(f"power-decay coefficient must be > 0, got {pot.c}")
         if unbounded_model and not pot.alpha > 3.0:
@@ -220,8 +225,10 @@ def validate_problem(spec):
     weight = spec.weight
     if isinstance(weight, str):  # JSON-level spelling
         weight = _resolve_weight(weight, pot)
-    if isinstance(weight, Agmon) and not weight.alpha > 0:
-        raise ValidationError(f"Agmon weight exponent must be > 0, got {weight.alpha}")
+    if isinstance(weight, Agmon):
+        _check_finite(weight_alpha=weight.alpha)
+        if not weight.alpha > 0:
+            raise ValidationError(f"Agmon weight exponent must be > 0, got {weight.alpha}")
     if not isinstance(weight, (Agmon, Unweighted)):
         raise ValidationError(f"unknown weight type {type(weight).__name__}")
 
@@ -237,6 +244,12 @@ def validate_problem(spec):
         )
 
     sw = spec.sweep
+    _check_finite(
+        lambda_min=sw.lambda_min,
+        lambda_max=sw.lambda_max,
+        refine_tol=sw.refine_tol,
+        cluster_tol=sw.cluster_tol,
+    )
     if not sw.lambda_max > sw.lambda_min:
         raise ValidationError("sweep requires lambda_max > lambda_min")
     if sw.steps < 2:
@@ -254,6 +267,12 @@ def validate_problem(spec):
         discretization=disc,
         sweep=sw,
     )
+
+
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def _resolve_weight(name, potential):

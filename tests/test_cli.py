@@ -56,6 +56,26 @@ class TestExitCodes:
         parsed = json.loads(out.stderr)
         assert "error" in parsed and "message" in parsed
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c["potential"].update(v0=math.inf),
+            lambda c: c["sweep"].update(lambda_max=math.inf),
+            lambda c: c["domain"].update(intervals=[[-math.pi, math.nan]]),
+        ],
+        ids=["v0-inf", "lambda_max-inf", "interval-nan"],
+    )
+    def test_non_finite_config_values_exit_two(self, tmp_path, mutate):
+        # json writes and reads these as the literals Infinity and NaN
+        config = json.loads(json.dumps(CONFIG))
+        mutate(config)
+        path = write_config(tmp_path, config)
+        out_path = tmp_path / "r.json"
+        out = run_cli("find", "--config", str(path), "--out", str(out_path))
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "ValidationError"
+        assert not out_path.exists()
+
     def test_not_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from teig import curves
-from teig.assembly import FormMatrices
+from teig.assembly import FormMatrices, assemble_A
 from teig.curves import Bracket, CurveTable, find_crossings, refine, report, run_pipeline, sweep
+from teig.eigensolve import lowest_k
 from teig.errors import BracketInvalid
 from teig.model import (
     Constant,
     DiscretizationConfig,
     IntervalUnion,
+    PowerDecay,
     ProblemKind,
     ProblemSpec,
+    ShrinkingChain,
     SweepConfig,
     Unweighted,
     validate_problem,
@@ -67,6 +70,58 @@ class TestSweep:
         _, _, m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         assert table.values[0].min() > 0
+
+
+def chain_problem():
+    """The six-interval shrinking chain of the truncation study (dim 186)."""
+    spec = ProblemSpec(
+        kind=ProblemKind.SCHRODINGER,
+        domain=ShrinkingChain(6, 0.0, 1.0, math.pi, 0.5),
+        potential=PowerDecay(60.0, 4.0),
+        weight="agmon",
+        discretization=DiscretizationConfig(32, 8, 16),
+        sweep=SweepConfig(0.5, 50.0, 250, 1e-8, 1e-6),
+    )
+    return validate_problem(spec)
+
+
+class TestBlockSolves:
+    """Per-interval block solves against whole-matrix routes on the chain."""
+
+    @classmethod
+    def setup_class(cls):
+        cls.prob = chain_problem()
+        _, _, cls.m = curves.prepare_matrices(cls.prob)
+        # the chain's two crossings lie near 4.14 and 38.48
+        cls.table = sweep(cls.prob, cls.m, SweepConfig(0.5, 50.0, 34))
+
+    def test_blocks_come_from_the_basis(self):
+        assert self.m.block_size == 31
+        assert self.m.dim == 6 * 31
+
+    def test_per_block_matches_whole_matrix(self):
+        for lam, row in zip(self.table.lambdas, self.table.values):
+            A = assemble_A(self.m, self.prob.kind, lam)
+            whole = np.array(lowest_k(A, self.m.Mw, 16).eigenvalues)
+            scale = np.max(np.abs(whole))
+            assert np.max(np.abs(row - whole)) <= 1e-10 * scale, lam
+
+    def test_identity_indicator_has_the_curve_sign(self):
+        # Sylvester's law of inertia: (A, Mw) and (A, I) have equally many
+        # negative eigenvalues, so the nu-th values share their sign
+        checked = 0
+        negative = 0
+        for lam, row in zip(self.table.lambdas, self.table.values):
+            scale = np.max(np.abs(row))
+            for nu in range(1, 17):
+                if abs(row[nu - 1]) < 1e-8 * scale:
+                    continue
+                indicator = curves._crossing_indicator(self.prob, self.m, nu, lam)
+                assert (indicator < 0.0) == (row[nu - 1] < 0.0), (lam, nu)
+                checked += 1
+                negative += row[nu - 1] < 0.0
+        assert checked == 34 * 16
+        assert negative > 0
 
 
 class TestFindCrossings:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from teig.eigensolve import SpectrumSlice, _solve_with_vectors, cholesky, lowest_k
-from teig.errors import NotPositiveDefinite, ValidationError
+from teig.errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,78 @@ class TestLowestK:
         s = lowest_k(np.eye(4), np.eye(4), 2)
         assert isinstance(s, SpectrumSlice)
         assert s.dimension == 4
+
+
+class TestLapackBoundary:
+    """LAPACK returns NaN for NaN input without an error; every failure at
+    that boundary must come back as a typed error instead."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_a_rejected(self, bad):
+        A, B = random_problem(np.random.default_rng(5), 4)
+        A[1, 2] = A[2, 1] = bad
+        with pytest.raises(NoConvergence):
+            lowest_k(A, B, 2)
+        with pytest.raises(NoConvergence):
+            _solve_with_vectors(A, B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        A, B = random_problem(np.random.default_rng(6), 4)
+        B[3, 3] = bad
+        with pytest.raises(NoConvergence):
+            lowest_k(A, B, 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_reduction_rejected(self):
+        # finite input whose standard form overflows to inf
+        A = np.full((2, 2), 1e300)
+        with pytest.raises(NoConvergence):
+            lowest_k(A, np.diag([1e-20, 1e-20]), 1)
+
+    def test_cholesky_linalg_error_is_not_positive_definite(self):
+        with pytest.raises(NotPositiveDefinite):
+            lowest_k(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+
+    def test_relative_pivot_tolerance(self):
+        # positive definite for LAPACK, but the last pivot is below
+        # 1e-13 times the largest diagonal entry
+        B = np.diag([1.0, 1e-14])
+        assert np.all(np.linalg.eigvalsh(B) > 0)
+        with pytest.raises(NotPositiveDefinite, match="row 1"):
+            cholesky(B)
+        with pytest.raises(NotPositiveDefinite):
+            lowest_k(np.eye(2), B, 1)
+
+    def test_eigensolver_linalg_error_is_no_convergence(self, monkeypatch):
+        def fail(C):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence):
+            lowest_k(np.eye(3), np.eye(3), 1)
+
+    def test_cli_exits_two_on_solver_failure(self, monkeypatch, tmp_path, capsys):
+        from teig import cli, curves
+
+        def poisoned(A, B, K):
+            A = np.array(A, dtype=float)
+            A[0, 0] = np.nan
+            return lowest_k(A, B, K)
+
+        monkeypatch.setattr(curves, "lowest_k", poisoned)
+        config = tmp_path / "problem.json"
+        config.write_text(
+            '{"problem": "helmholtz",'
+            ' "domain": {"type": "interval_union", "intervals": [[-3.0, 3.0]]},'
+            ' "potential": {"type": "constant", "v0": 0.75},'
+            ' "discretization": {"cells_per_interval": 8, "num_curves": 2},'
+            ' "sweep": {"lambda_min": 3.0, "lambda_max": 5.0, "steps": 4}}'
+        )
+        code = cli.main(["find", "--config", str(config), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert '"NoConvergence"' in capsys.readouterr().err
 
 
 class TestInvariances:

@@ -141,6 +141,25 @@ class TestValidation:
         prob = validate_problem(spec)
         assert prob.intervals == ((0.0, 1.0), (2.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(potential=Constant(math.inf)),
+            dict(potential=Constant(math.nan)),
+            dict(potential=PowerDecay(1.0, math.inf)),
+            dict(weight=Agmon(math.inf)),
+            dict(domain=IntervalUnion([(0.0, math.inf)])),
+            dict(domain=ShrinkingChain(2, 0.0, math.inf, 1.0, 0.5)),
+            dict(sweep=SweepConfig(0.5, math.inf, 10)),
+            dict(sweep=SweepConfig(0.5, 5.0, 10, refine_tol=math.nan)),
+        ],
+        ids=["v0-inf", "v0-nan", "alpha-inf", "agmon-inf", "interval-inf", "gap-inf",
+             "lambda_max-inf", "refine_tol-nan"],
+    )
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValidationError, match="finite"):
+            validate_problem(make_spec(**kw))
+
     def test_potential_positive_everywhere(self):
         prob = validate_problem(make_spec(potential=PowerDecay(2.0, 5.0)))
         for a, b in prob.intervals:
