@@ -2,18 +2,11 @@
 LAPACK-backed generalized eigensolve, and a short curve sweep.
 
 Run directly:  python benchmarks/bench_kernels.py
-With numba installed, the script times the JIT-compiled kernels, re-executes
-itself with TEIG_NO_NUMBA=1 and prints both columns with speedups.  Without
-numba (or with TEIG_NO_NUMBA set) JIT is unavailable: it says so and prints
-the interpreted timings alone.
+Prints the best of --repeat runs for each kernel.
 """
 
 import argparse
-import json
 import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -49,7 +42,7 @@ def run_benchmarks(repeat):
     lambdas = np.linspace(1e-6, 400.0, 2000)
 
     def det_grid():
-        return radial._det_grid(radial._HELMHOLTZ, 3, math.pi, 0.75, 12, lambdas)
+        return radial._det_grid(ProblemKind.HELMHOLTZ, 3, math.pi, 0.75, 12, lambdas)
 
     timings["determinant grid x2000 (n=3, ell=12)"] = _bench(det_grid, repeat)
 
@@ -97,41 +90,13 @@ def run_benchmarks(repeat):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--inner", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    if args.inner:
-        print(json.dumps(run_benchmarks(args.repeat)))
-        return
-
-    from teig._accel import JIT_ENABLED
-
-    here = run_benchmarks(args.repeat)
-    width = max(len(k) for k in here)
-    if not JIT_ENABLED:
-        print("JIT unavailable (numba not installed or TEIG_NO_NUMBA set): "
-              "timings are the interpreted numpy fallback")
-        print(f"{'kernel':<{width}}  {'numpy fallback':>14}")
-        for name, mine in here.items():
-            print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms")
-        return
-
-    env = dict(os.environ, TEIG_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--inner", "--repeat", str(args.repeat)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    other = json.loads(proc.stdout) if proc.returncode == 0 else {}
-    print(f"{'kernel':<{width}}  {'numba':>14}  {'numpy fallback':>14}  {'ratio':>7}")
-    for name, mine in here.items():
-        theirs = other.get(name)
-        if theirs:
-            print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms  {theirs * 1e3:>11.3f} ms  "
-                  f"{theirs / mine:>6.1f}x")
-        else:
-            print(f"{name:<{width}}  {mine * 1e3:>11.3f} ms  {'n/a':>14}")
+    timings = run_benchmarks(args.repeat)
+    width = max(len(k) for k in timings)
+    print(f"{'kernel':<{width}}  {'best':>14}")
+    for name, best in timings.items():
+        print(f"{name:<{width}}  {best * 1e3:>11.3f} ms")
 
 
 if __name__ == "__main__":

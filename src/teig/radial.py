@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit
 from .errors import (
     ArgumentOutOfRange,
     DegenerateInterior,
@@ -28,9 +27,6 @@ from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, Branch, _radial_wave_ev
 DEGENERATE_KAPPA_SQ = 1e-14
 LAMBDA_FLOOR = 1e-6
 EXACT_HIT_TOL = 1e-13
-
-_SCHRODINGER = 0
-_HELMHOLTZ = 1
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,10 @@ class RadialProblem:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise UnsupportedDimension(f"dim must be 1, 2 or 3, got {self.dim}")
+        if not (math.isfinite(self.radius) and math.isfinite(self.v0)):
+            raise ValidationError(
+                f"radius and v0 must be finite, got radius={self.radius}, v0={self.v0}"
+            )
         if not self.radius > 0:
             raise ValidationError(f"radius must be > 0, got {self.radius}")
         if not self.v0 > 0:
@@ -57,18 +57,22 @@ class RadialProblem:
             raise HelmholtzContrastDegenerate("v0 = 1 gives a degenerate Helmholtz contrast")
 
 
+def _kappa_sq(kind, v0, lam):
+    """Squared interior wavenumber: lambda - v0 (Schrodinger) or
+    lambda(1 - v0) (Helmholtz)."""
+    if kind is ProblemKind.SCHRODINGER:
+        return lam - v0
+    return lam * (1.0 - v0)
+
+
 def interior_wavenumber(kind, v0, lam):
     """Wavenumber and branch of the perturbed interior radial equation.
 
-    Schrodinger: kappa^2 = lambda - v0.  Helmholtz: kappa^2 = lambda(1-v0).
     Oscillatory when kappa^2 > 0, evanescent otherwise.
     """
     if not lam > 0:
         raise ArgumentOutOfRange(f"lambda must be > 0, got {lam}")
-    if kind is ProblemKind.SCHRODINGER:
-        ksq = lam - v0
-    else:
-        ksq = lam * (1.0 - v0)
+    ksq = _kappa_sq(kind, v0, lam)
     if abs(ksq) < DEGENERATE_KAPPA_SQ:
         raise DegenerateInterior(f"interior wavenumber degenerates at lambda = {lam}")
     if ksq > 0:
@@ -76,31 +80,44 @@ def interior_wavenumber(kind, v0, lam):
     return math.sqrt(-ksq), Branch.EVANESCENT
 
 
-@jit
-def _det_scalar(kind_code, n, radius, v0, ell, lam):
+def _check_window(kind, radius, v0, lam):
+    """Raise ArgumentOutOfRange when a Bessel argument at lambda leaves its
+    validity window: sqrt(lambda) R <= 200 outside, |kappa| R <= 200 inside
+    on the oscillatory branch and <= 60 on the evanescent one."""
+    x_ext = math.sqrt(lam) * radius
+    if not x_ext <= BESSEL_J_MAX_ARG:
+        raise ArgumentOutOfRange(
+            f"exterior Bessel argument {x_ext} exceeds {BESSEL_J_MAX_ARG} at lambda = {lam}"
+            f" (radius {radius})"
+        )
+    ksq = _kappa_sq(kind, v0, lam)
+    x_int = math.sqrt(abs(ksq)) * radius
+    x_max = BESSEL_J_MAX_ARG if ksq > 0.0 else BESSEL_I_MAX_ARG
+    if not x_int <= x_max:
+        raise ArgumentOutOfRange(
+            f"interior Bessel argument {x_int} exceeds {x_max} at lambda = {lam}"
+            f" (radius {radius})"
+        )
+
+
+def _det_scalar(kind, n, radius, v0, ell, lam):
     """Normalized matching determinant at a single lambda.
 
     Returns NaN at degenerate interior wavenumbers and when an argument
     leaves the Bessel validity window (scan callers skip such points).
     """
     if lam <= 0.0:
-        return np.nan
+        return math.nan
     k_ext = math.sqrt(lam)
-    if kind_code == _SCHRODINGER:
-        ksq = lam - v0
-    else:
-        ksq = lam * (1.0 - v0)
+    ksq = _kappa_sq(kind, v0, lam)
     if abs(ksq) < DEGENERATE_KAPPA_SQ:
-        return np.nan
+        return math.nan
     oscillatory = ksq > 0.0
     k_int = math.sqrt(abs(ksq))
     if k_ext * radius > BESSEL_J_MAX_ARG:
-        return np.nan
-    if oscillatory:
-        if k_int * radius > BESSEL_J_MAX_ARG:
-            return np.nan
-    elif k_int * radius > BESSEL_I_MAX_ARG:
-        return np.nan
+        return math.nan
+    if k_int * radius > (BESSEL_J_MAX_ARG if oscillatory else BESSEL_I_MAX_ARG):
+        return math.nan
 
     p = 0.5 * (2 - n)
     nu = 0.5 * (n - 2) + ell
@@ -109,16 +126,12 @@ def _det_scalar(kind_code, n, radius, v0, ell, lam):
     se = max(abs(ye), abs(dye))
     si = max(abs(yi), abs(dyi))
     if se == 0.0 or si == 0.0:
-        return np.nan
+        return math.nan
     return (ye / se) * (dyi / si) - (yi / si) * (dye / se)
 
 
-@jit
-def _det_grid(kind_code, n, radius, v0, ell, lambdas):
-    out = np.empty(lambdas.shape[0])
-    for i in range(lambdas.shape[0]):
-        out[i] = _det_scalar(kind_code, n, radius, v0, ell, lambdas[i])
-    return out
+def _det_grid(kind, n, radius, v0, ell, lambdas):
+    return np.array([_det_scalar(kind, n, radius, v0, ell, lam) for lam in lambdas])
 
 
 def characteristic_determinant(problem, lam):
@@ -126,22 +139,14 @@ def characteristic_determinant(problem, lam):
     angular order ell; columns are amplitude-normalized, zeros preserved."""
     if not lam > 0:
         raise ArgumentOutOfRange(f"lambda must be > 0, got {lam}")
-    code = _SCHRODINGER if problem.kind is ProblemKind.SCHRODINGER else _HELMHOLTZ
-    val = float(
-        _det_scalar(code, problem.dim, problem.radius, problem.v0, problem.ell, float(lam))
-    )
+    lam = float(lam)
+    val = _det_scalar(problem.kind, problem.dim, problem.radius, problem.v0, problem.ell, lam)
     if math.isnan(val):
-        # distinguish the two NaN sources for a meaningful error
-        ksq = (
-            lam - problem.v0
-            if problem.kind is ProblemKind.SCHRODINGER
-            else lam * (1.0 - problem.v0)
-        )
-        if abs(ksq) < DEGENERATE_KAPPA_SQ:
+        # distinguish the NaN sources for a meaningful error
+        if abs(_kappa_sq(problem.kind, problem.v0, lam)) < DEGENERATE_KAPPA_SQ:
             raise DegenerateInterior(f"lambda = {lam} sits on the branch boundary")
-        raise ArgumentOutOfRange(
-            f"Bessel argument window exceeded at lambda = {lam} (radius {problem.radius})"
-        )
+        _check_window(problem.kind, problem.radius, problem.v0, lam)
+        raise ArgumentOutOfRange(f"matching determinant has a zero column at lambda = {lam}")
     return val
 
 
@@ -298,15 +303,16 @@ def _scan_determinant(kind, n, radius, v0, ell, lo, hi, steps, tol):
     """Sign scan of the determinant with one automatic grid doubling when
     two roots land within 5 cells of each other (alias guard); every root
     is polished against odd-order degeneracy before being reported."""
-    code = _SCHRODINGER if kind is ProblemKind.SCHRODINGER else _HELMHOLTZ
+    _check_window(kind, radius, v0, lo)
+    _check_window(kind, radius, v0, hi)
 
     def f(lam):
-        return float(_det_scalar(code, n, radius, v0, ell, lam))
+        return _det_scalar(kind, n, radius, v0, ell, lam)
 
     current = steps
     for _pass in range(2):
         grid = np.linspace(lo, hi, current)
-        values = np.asarray(_det_grid(code, n, radius, v0, ell, grid), dtype=float)
+        values = _det_grid(kind, n, radius, v0, ell, grid)
         roots = scan_roots(f, lo, hi, current, tol, values=values)
         spacing = (hi - lo) / (current - 1)
         close = any(

@@ -1,7 +1,7 @@
 """Real-argument special functions for the radial solver.
 
-Gamma via the Lanczos approximation, Bessel J/I of real order >= -1/2, and
-the n-dimensional radial wave value/derivative built from them.
+Bessel J/I of real order >= -1/2 and the n-dimensional radial wave
+value/derivative built from them.  Gamma comes from the standard library.
 
 All Bessel evaluations run internally in "prefactor units": the routines
 return F_nu(x) divided by P = (x/2)^nu / Gamma(nu+1), which keeps every
@@ -20,71 +20,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from ._accel import jit
 from .errors import ArgumentOutOfRange, NonPositiveArgument
 
 BESSEL_J_MAX_ARG = 200.0
 BESSEL_I_MAX_ARG = 60.0
 
-# Lanczos g=7, n=9 coefficient set (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _SERIES_CUTOFF = 1e-18  # term-ratio stopping rule for all series below
 _TINY_START = 1e-30  # trial seed for the backward recurrence
 
 
-@jit
-def _gamma_core(z):
-    """Lanczos evaluation for z >= 0.5; exp/log form avoids t**z overflow."""
-    z = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t)
-
-
-@jit
-def _gamma_any(x):
-    """Gamma for any real non-pole argument (reflection below 0.5)."""
-    if x >= 0.5:
-        return _gamma_core(x)
-    return math.pi / (math.sin(math.pi * x) * _gamma_core(1.0 - x))
-
-
-@jit
-def _lgamma_pos(x):
-    """log Gamma(x) for x > 0, same Lanczos data in log form."""
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - _lgamma_pos(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.918938533204672742 + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-@jit
 def _log_prefactor(nu, x):
     """log of P = (x/2)^nu / Gamma(nu+1) for x > 0, nu > -1."""
-    return nu * math.log(0.5 * x) - _lgamma_pos(nu + 1.0)
+    return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
 
 
-@jit
 def _series_triplet(nu, x, sign):
     """(F_{nu-1}, F_nu, F_{nu+1}) / P by direct series.
 
@@ -126,7 +75,6 @@ def _series_triplet(nu, x, sign):
     return fm1, f0, fp1
 
 
-@jit
 def _miller_triplet(nu, x, n_extra):
     """(J_{nu-1}, J_nu, J_{nu+1}) / P by backward recurrence.
 
@@ -136,18 +84,15 @@ def _miller_triplet(nu, x, n_extra):
     ladder overflows.
     """
     m_top = int(x + n_extra + max(0.0, nu - x)) + 2
-    f = np.empty(m_top + 2)
+    f = [0.0] * (m_top + 2)
     seed = _TINY_START
     for _attempt in range(4):
-        f[m_top + 1] = 0.0
         f[m_top] = seed
-        ok = True
         for j in range(m_top - 1, -1, -1):
             f[j] = (2.0 * (nu + j + 1.0) / x) * f[j + 1] - f[j + 2]
             if not math.isfinite(f[j]):
-                ok = False
                 break
-        if ok:
+        else:
             break
         seed *= 1e-60
     # normalization sum over even order offsets
@@ -162,7 +107,6 @@ def _miller_triplet(nu, x, n_extra):
     return fm1, f0, fp1
 
 
-@jit
 def _j_triplet(nu, x):
     """(J_{nu-1}, J_nu, J_{nu+1}) / P with automatic series/Miller switch."""
     if x <= 8.0 or x * x <= 2.0 * (nu + 1.0):
@@ -171,13 +115,11 @@ def _j_triplet(nu, x):
     return _miller_triplet(nu, x, extra)
 
 
-@jit
 def _i_triplet(nu, x):
     """(I_{nu-1}, I_nu, I_{nu+1}) / P; all-positive series, no cancellation."""
     return _series_triplet(nu, x, 1.0)
 
 
-@jit
 def _radial_wave_eval(p, nu, k, r, oscillatory, scaled):
     """Value and radial derivative of r^p F_nu(kr), divided by the Bessel
     prefactor when ``scaled`` is nonzero.
@@ -227,10 +169,13 @@ class RadialWave:
 
 
 def gamma_real(x):
-    """Gamma function for x > 0 (relative accuracy ~1e-13)."""
+    """Gamma function for x > 0, from the standard library."""
     if not x > 0.0:
         raise NonPositiveArgument(f"gamma_real requires x > 0, got {x}")
-    return float(_gamma_any(float(x)))
+    try:
+        return math.gamma(float(x))
+    except OverflowError:
+        raise ArgumentOutOfRange(f"gamma_real({x}) overflows a double") from None
 
 
 def _check_bessel_args(nu, x, x_max, name):

@@ -10,7 +10,8 @@ from teig.model import ProblemKind
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure steady state."""
+    """Run the radial scan and the eigensolve once so timed tests measure
+    steady state."""
     radial._scan_determinant(ProblemKind.HELMHOLTZ, 1, math.pi, 0.75, 0, 0.5, 5.0, 50, 1e-6)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))

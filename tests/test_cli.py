@@ -136,6 +136,33 @@ class TestRadial:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "HelmholtzContrastDegenerate"
 
+    @pytest.mark.parametrize("flag", ["--radius", "--v0"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_radius_or_v0_exits_two(self, flag, value):
+        args = {"--radius": "3.14", "--v0": "0.75", flag: value}
+        res = run_cli(
+            "radial", "--problem", "helmholtz", "--dim", "1",
+            "--radius", args["--radius"], "--v0", args["--v0"],
+            "--lmax", "0", "--lambda-max", "5",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "radius, lambda_max",
+        [("1e9", "5"), ("20", "400")],  # every cell / the top of the scan past the window
+    )
+    def test_scan_past_bessel_window_exits_two(self, radius, lambda_max):
+        res = run_cli(
+            "radial", "--problem", "helmholtz", "--dim", "3",
+            "--radius", radius, "--v0", "0.75",
+            "--lmax", "0", "--lambda-max", lambda_max,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ArgumentOutOfRange"
+
 
 class TestExperimentCommands:
     def test_scaling_pass_exit_zero(self, tmp_path):

@@ -7,10 +7,12 @@ from teig.errors import (
     DegenerateInterior,
     HelmholtzContrastDegenerate,
     UnsupportedDimension,
+    ValidationError,
 )
 from teig.model import ProblemKind
 from teig.radial import (
     RadialProblem,
+    _scan_determinant,
     characteristic_determinant,
     first_te,
     harmonic_multiplicity,
@@ -85,6 +87,37 @@ class TestCharacteristicDeterminant:
         p = RadialProblem(H, 1, math.pi, 0.75, 0)
         with pytest.raises(ArgumentOutOfRange):
             characteristic_determinant(p, 0.0)
+
+    @pytest.mark.parametrize("radius, v0", [(math.inf, 0.75), (math.nan, 0.75),
+                                            (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_inputs_rejected(self, radius, v0):
+        with pytest.raises(ValidationError):
+            RadialProblem(H, 1, radius, v0, 0)
+
+    def test_outside_window_raises(self):
+        p = RadialProblem(H, 3, 20.0, 0.75, 0)
+        assert math.isfinite(characteristic_determinant(p, 90.0))
+        with pytest.raises(ArgumentOutOfRange):
+            characteristic_determinant(p, 101.0)  # sqrt(lambda) R > 200
+
+
+class TestBesselWindow:
+    """A scan whose window ends leave the Bessel window fails before scanning
+    (the exterior limit is covered by the CLI tests)."""
+
+    def test_interior_oscillatory_past_window(self):
+        # Schrodinger with v0 < 0 is not a ball problem, but kappa R > 200
+        # at the top with sqrt(lambda) R < 200 needs kappa^2 > lambda
+        with pytest.raises(ArgumentOutOfRange, match="interior"):
+            _scan_determinant(S, 1, 10.0, -200.0, 0, 1e-6, 300.0, 50, 1e-8)
+
+    def test_interior_evanescent_past_window(self):
+        # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
+        with pytest.raises(ArgumentOutOfRange, match="interior"):
+            _scan_determinant(S, 1, 1.0, 4000.0, 0, 1e-6, 10.0, 50, 1e-8)
+        # Helmholtz with v0 > 1: |kappa| R = sqrt(lambda (v0 - 1)) R > 60 at the top
+        with pytest.raises(ArgumentOutOfRange, match="interior"):
+            _scan_determinant(H, 1, 1.0, 5.0, 0, 1e-6, 1000.0, 50, 1e-8)
 
 
 class TestScanRoots:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from teig.errors import ArgumentOutOfRange, NonPositiveArgument
-from teig.specfun import Branch, RadialWave, bessel_i, bessel_j, gamma_real
+from teig.specfun import (
+    Branch,
+    RadialWave,
+    _miller_triplet,
+    _series_triplet,
+    bessel_i,
+    bessel_j,
+    gamma_real,
+)
 
 
 def j_half_closed(x):
@@ -34,6 +42,11 @@ class TestGamma:
             gamma_real(0.0)
         with pytest.raises(NonPositiveArgument):
             gamma_real(-1.5)
+
+    def test_overflow_is_typed(self):
+        assert math.isfinite(gamma_real(171.0))
+        with pytest.raises(ArgumentOutOfRange):
+            gamma_real(172.0)
 
 
 class TestBesselJ:
@@ -91,6 +104,16 @@ class TestBesselJ:
                 )
                 exact = x**nu * bessel_j(nu - 1.0, x)
                 assert fd == pytest.approx(exact, rel=1e-8, abs=1e-8)
+
+    def test_miller_retry_matches_series(self):
+        # at (nu=300, x=50) the trial ladder from the first seed overflows, so
+        # the backward recurrence only succeeds on a retry with a smaller seed;
+        # the series converges there (x^2 < 2(nu+1)) and serves as reference
+        nu, x = 300.0, 50.0
+        miller = _miller_triplet(nu, x, 14.0 + 6.0 * x ** (1.0 / 3.0))
+        series = _series_triplet(nu, x, -1.0)
+        for m, s in zip(miller, series):
+            assert m == pytest.approx(s, rel=1e-13)
 
     def test_window_enforced(self):
         with pytest.raises(ArgumentOutOfRange):
