@@ -1,5 +1,6 @@
 """Time the hot kernels: Bessel triplets, the radial determinant grid, the
-LAPACK-backed generalized eigensolve, and a short curve sweep.
+LAPACK-backed generalized eigensolve, Galerkin assembly of the six-interval
+shrinking chain, and a short curve sweep.
 
 Run directly:  python benchmarks/bench_kernels.py
 Prints the best of --repeat runs for each kernel.
@@ -62,11 +63,29 @@ def run_benchmarks(repeat):
         Constant,
         DiscretizationConfig,
         IntervalUnion,
+        PowerDecay,
         ProblemSpec,
+        ShrinkingChain,
         SweepConfig,
         Unweighted,
         validate_problem,
     )
+
+    chain = validate_problem(
+        ProblemSpec(
+            kind=ProblemKind.SCHRODINGER,
+            domain=ShrinkingChain(6, 0.0, 1.0, math.pi, 0.5),
+            potential=PowerDecay(60.0, 4.0),
+            weight="agmon",
+            discretization=DiscretizationConfig(32, 8, 16),
+            sweep=SweepConfig(0.5, 50.0, 250),
+        )
+    )
+
+    def assemble_chain():
+        return curves.prepare_matrices(chain)
+
+    timings["assembly, 6-interval chain (6 blocks of 31)"] = _bench(assemble_chain, repeat)
 
     problem = validate_problem(
         ProblemSpec(

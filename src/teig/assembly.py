@@ -1,14 +1,13 @@
 """Galerkin machinery on interval unions: clamped cubic B-spline basis,
-Gauss-Legendre quadrature, the six symmetric form matrices, and the
-lambda-dependent combination A(lambda) together with its unexpanded
-quadratic-form oracle.
+Gauss-Legendre quadrature, the six symmetric form matrices per interval,
+and the lambda-dependent combination A(lambda) together with its
+unexpanded quadratic-form oracle.
 
 Basis functions and both end derivatives vanish at every interval
 endpoint, so the discrete space conforms to the doubly-vanishing boundary
 class; functions living on different intervals have disjoint supports.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,39 +41,10 @@ class QuadratureRule:
 
 
 def gauss_legendre(q):
-    """Gauss-Legendre rule of order q (exact through degree 2q-1).
-
-    Roots of P_q by Newton iteration from Chebyshev initial guesses;
-    weights 2 / ((1-x^2) P_q'(x)^2); node set exactly symmetric about 0.
-    """
+    """Gauss-Legendre rule of order q (exact through degree 2q-1)."""
     if q < 1 or q > 64:
         raise OrderOutOfRange(f"quadrature order must lie in [1, 64], got {q}")
-    nodes = np.empty(q)
-    weights = np.empty(q)
-    for i in range((q + 1) // 2):
-        x = math.cos(math.pi * (i + 0.75) / (q + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for k in range(2, q + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            if q == 1:
-                p1, p0 = x, 1.0
-            dp = q * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        p0, p1 = 1.0, x
-        for k in range(2, q + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        if q == 1:
-            p1, p0 = x, 1.0
-        dp = q * (x * p1 - p0) / (x * x - 1.0)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        nodes[i], weights[i] = -abs(x), w
-        nodes[q - 1 - i], weights[q - 1 - i] = abs(x), w
-    if q % 2 == 1:
-        nodes[q // 2] = 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(q)
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
@@ -239,15 +209,15 @@ def build_basis(intervals, cells_per_interval):
 
 @dataclass(frozen=True)
 class FormMatrices:
-    """The six symmetric Galerkin matrices generating A(lambda):
+    """The six symmetric Galerkin matrices of one interval:
 
     S    = int (1/V) b_i'' b_j''      C = int (1/V)(b_i'' b_j + b_i b_j'')
     K    = int b_i' b_j'              M = int b_i b_j
     Minv = int (1/V) b_i b_j          Mw = int w b_i b_j
 
-    Basis functions on different intervals have disjoint supports, so all
-    six are block-diagonal with ``block_size`` rows per interval block
-    (None: one block spanning the whole matrix).
+    Basis functions on different intervals have disjoint supports, so the
+    matrices of an interval union are block-diagonal with one such block
+    per interval.
     """
 
     S: np.ndarray
@@ -256,7 +226,6 @@ class FormMatrices:
     M: np.ndarray
     Minv: np.ndarray
     Mw: np.ndarray
-    block_size: int | None = None
 
     @property
     def dim(self):
@@ -270,69 +239,49 @@ def _check_symmetrize(name, mat):
     return 0.5 * (mat + mat.T)
 
 
+def _cell_blocks(coef, Ba, Bb):
+    """Per-cell 4x4 blocks of int coef Ba_a Bb_b, symmetrised so that the
+    assembled matrix is symmetric to the last bit (np.add.at adds the cells
+    in order, so entries (i, j) and (j, i) receive equal sums)."""
+    L = np.einsum("cq,cqa,cqb->cab", coef, Ba, Bb)
+    return 0.5 * (L + L.transpose(0, 2, 1))
+
+
+def _scatter(blocks, local, n):
+    """Sum per-cell 4x4 blocks into an n x n matrix at the block-local
+    indices ``local``; index -1 (a clamped function) lands in a padding row
+    and column that is dropped."""
+    out = np.zeros((n + 1, n + 1))
+    np.add.at(out, (local[:, :, None], local[:, None, :]), blocks)
+    return out[:n, :n]
+
+
 def assemble(basis, potential, weight, quad):
-    """Assemble the six matrices by per-cell Gauss quadrature."""
-    dim = basis.dim
-    S = np.zeros((dim, dim))
-    E = np.zeros((dim, dim))  # int (1/V) b_i'' b_j ; C = E + E^T
-    K = np.zeros((dim, dim))
-    M = np.zeros((dim, dim))
-    Minv = np.zeros((dim, dim))
-    Mw = np.zeros((dim, dim))
-    for entry in basis.tables(quad):
-        ncells = entry["x"].shape[0]
-        for c in range(ncells):
-            xs = entry["x"][c]
-            ws = entry["w"][c]
-            vinv = np.array([1.0 / potential_value(potential, x) for x in xs])
-            wvals = np.array([weight_value(weight, x) for x in xs])
-            B0 = entry["val"][c]
-            B1 = entry["d1"][c]
-            B2 = entry["d2"][c]
-            gi = entry["gidx"][c]
-            # symmetric blocks share one accumulation per (a, b) pair, so
-            # assembled matrices are symmetric to the last bit
-            sym_blocks = (
-                (S, ws * vinv, B2),
-                (K, ws, B1),
-                (M, ws, B0),
-                (Minv, ws * vinv, B0),
-                (Mw, ws * wvals, B0),
-            )
-            for target, coef, Bq in sym_blocks:
-                for a in range(4):
-                    ga = gi[a]
-                    if ga < 0:
-                        continue
-                    ca = coef * Bq[:, a]
-                    for b in range(a, 4):
-                        gb = gi[b]
-                        if gb < 0:
-                            continue
-                        val = float(np.dot(ca, Bq[:, b]))
-                        target[ga, gb] += val
-                        if gb != ga:
-                            target[gb, ga] += val
-            coef = ws * vinv
-            for a in range(4):
-                ga = gi[a]
-                if ga < 0:
-                    continue
-                ca = coef * B2[:, a]
-                for b in range(4):
-                    gb = gi[b]
-                    if gb >= 0:
-                        E[ga, gb] += float(np.dot(ca, B0[:, b]))
-    C = E + E.T
-    return FormMatrices(
-        S=_check_symmetrize("S", S),
-        C=_check_symmetrize("C", C),
-        K=_check_symmetrize("K", K),
-        M=_check_symmetrize("M", M),
-        Minv=_check_symmetrize("Minv", Minv),
-        Mw=_check_symmetrize("Mw", Mw),
-        block_size=basis.per_interval,
-    )
+    """The six matrices of each interval by per-cell Gauss quadrature:
+    a tuple with one FormMatrices of size cells - 1 per interval."""
+    n = basis.per_interval
+    out = []
+    for iv, entry in enumerate(basis.tables(quad)):
+        gidx = entry["gidx"]
+        local = np.where(gidx >= 0, gidx - iv * n, -1)
+        x, w = entry["x"], entry["w"]
+        B0, B1, B2 = entry["val"], entry["d1"], entry["d2"]
+        wv = w / potential_value(potential, x)
+        cells = {
+            "S": _cell_blocks(wv, B2, B2),
+            # C = E + E^T with E = int (1/V) b_i'' b_j; doubling is exact
+            "C": 2.0 * _cell_blocks(wv, B2, B0),
+            "K": _cell_blocks(w, B1, B1),
+            "M": _cell_blocks(w, B0, B0),
+            "Minv": _cell_blocks(wv, B0, B0),
+            "Mw": _cell_blocks(w * weight_value(weight, x), B0, B0),
+        }
+        mats = {
+            name: _check_symmetrize(name, _scatter(blocks, local, n))
+            for name, blocks in cells.items()
+        }
+        out.append(FormMatrices(**mats))
+    return tuple(out)
 
 
 def assemble_A(m, kind, lam):

@@ -127,17 +127,13 @@ def _finish_experiment(result, out):
 def _cmd_sweep(args):
     config, spec = load_problem(args.config)
     problem = validate_problem(spec)
-    _, _, matrices = curves.prepare_matrices(problem)
-    table = curves.sweep(problem, matrices)
-    serialize.write_text(args.out_curves, table.to_csv())
     if args.out_report:
-        brackets = curves.find_crossings(table)
-        refined = [
-            (curves.refine(problem, matrices, b, problem.sweep.refine_tol), b.index)
-            for b in brackets
-        ]
-        rep = curves.report(problem, refined, problem.sweep.cluster_tol, matrices=matrices)
+        table, rep = curves.run_pipeline(problem)
         _emit(rep.to_json_obj(), args.out_report)
+    else:
+        _, _, matrices = curves.prepare_matrices(problem)
+        table = curves.sweep(problem, matrices)
+    serialize.write_text(args.out_curves, table.to_csv())
     return 0
 
 

@@ -6,8 +6,9 @@ bracketed, refined by bisection in lambda, clustered, and reported.
 Sorted-index curves may permute branches at intersections, but they are
 continuous, so sign changes are genuine zero crossings either way.
 
-A(lambda) and Mw are block-diagonal with one block per interval, so every
-eigenvalue query solves each block on its own and merges the lowest values.
+A(lambda) and Mw are block-diagonal with one block per interval; the form
+matrices come as one FormMatrices per interval, and every eigenvalue query
+solves each block on its own and merges the lowest values.
 """
 
 from dataclasses import dataclass
@@ -56,28 +57,21 @@ class TEReport:
 
 
 def prepare_matrices(problem):
-    """Basis, quadrature, and the six form matrices for a validated problem."""
+    """Basis, quadrature, and the per-interval form matrices for a
+    validated problem."""
     basis = build_basis(problem.intervals, problem.discretization.cells_per_interval)
     quad = gauss_legendre(problem.discretization.quad_points)
     matrices = assemble(basis, problem.potential, problem.weight, quad)
     return basis, quad, matrices
 
 
-def _mass_blocks(matrices):
-    """(index range, Mw block) for each interval block of the matrices."""
-    size = matrices.block_size or matrices.dim
-    blocks = [slice(i, i + size) for i in range(0, matrices.dim, size)]
-    return [(s, matrices.Mw[s, s]) for s in blocks]
-
-
-def _identity_blocks(matrices):
-    return [(s, np.eye(mass.shape[0])) for s, mass in _mass_blocks(matrices)]
-
-
-def _lowest_by_block(A, mass_blocks, k):
-    """The k smallest eigenvalues of (A, B), both block-diagonal with the
-    given (index range, B block) pairs, merged from per-block solves."""
-    vals = [lowest_k(A[s, s], mass, k).eigenvalues for s, mass in mass_blocks]
+def _lowest(kind, matrices, lam, k, identity=False):
+    """The k smallest eigenvalues of (A(lambda), Mw), or of A(lambda)
+    against the identity, merged from one solve per interval block."""
+    vals = []
+    for m in matrices:
+        mass = np.eye(m.dim) if identity else m.Mw
+        vals.append(lowest_k(assemble_A(m, kind, lam), mass, k).eigenvalues)
     return np.sort(np.concatenate(vals))[:k]
 
 
@@ -87,11 +81,9 @@ def sweep(problem, matrices, sweepcfg=None):
     k = problem.discretization.num_curves
     lambdas = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
     values = np.empty((cfg.steps, k))
-    mass_blocks = _mass_blocks(matrices)
     for i, lam in enumerate(lambdas):
-        A = assemble_A(matrices, problem.kind, lam)
         try:
-            values[i] = _lowest_by_block(A, mass_blocks, k)
+            values[i] = _lowest(problem.kind, matrices, lam, k)
         except Exception as exc:
             raise type(exc)(f"at lambda = {lam}: {exc}") from exc
     return CurveTable(lambdas=lambdas, values=values)
@@ -125,8 +117,7 @@ def find_crossings(table):
 
 
 def _curve_value(problem, matrices, nu, lam):
-    A = assemble_A(matrices, problem.kind, lam)
-    return _lowest_by_block(A, _mass_blocks(matrices), nu)[nu - 1]
+    return _lowest(problem.kind, matrices, lam, nu)[nu - 1]
 
 
 def _crossing_indicator(problem, matrices, nu, lam):
@@ -138,8 +129,7 @@ def _crossing_indicator(problem, matrices, nu, lam):
     weight to the last bit (the weight-invariance property relies on
     that).
     """
-    A = assemble_A(matrices, problem.kind, lam)
-    return _lowest_by_block(A, _identity_blocks(matrices), nu)[nu - 1]
+    return _lowest(problem.kind, matrices, lam, nu, identity=True)[nu - 1]
 
 
 def refine(problem, matrices, bracket, refine_tol):
@@ -170,7 +160,7 @@ def refine(problem, matrices, bracket, refine_tol):
     return 0.5 * (a + b)
 
 
-def report(problem, refined, cluster_tol, matrices=None):
+def report(problem, refined, cluster_tol, matrices):
     """Cluster refined crossings into a TEReport.
 
     ``refined`` is a list of (lambda, curve_index).  Crossings within
@@ -186,8 +176,6 @@ def report(problem, refined, cluster_tol, matrices=None):
             clusters[-1].append((lam, nu))
         else:
             clusters.append([(lam, nu)])
-    if matrices is None:
-        _, _, matrices = prepare_matrices(problem)
     entries = []
     for members in clusters:
         lam = sum(m[0] for m in members) / len(members)

@@ -109,10 +109,11 @@ def test_criterion_3_expanded_form_identity():
             mats = assemble(basis, pot, Unweighted(), quad)
             for kind in (S, H):
                 for lam in (-1.0, 0.0, 0.7, 3.2):
-                    A = assemble_A(mats, kind, lam)
+                    A = [assemble_A(m, kind, lam) for m in mats]
                     for _ in range(7):
                         u = rng.standard_normal(basis.dim)
-                        lhs = float(u @ A @ u)
+                        ub = u.reshape(len(mats), -1)
+                        lhs = sum(float(v @ Ab @ v) for v, Ab in zip(ub, A))
                         rhs = direct_form_value(basis, pot, kind, u, lam, quad)
                         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
                         checks += 1
@@ -135,7 +136,7 @@ def test_criterion_4_sign_constraints():
         table = curves.sweep(prob, mats)
         assert table.values.min() > 0, "Schrodinger curve dipped at lambda <= 0"
         helm = reference_problem(cells=32, num_curves=8)
-        _, _, hm = curves.prepare_matrices(helm)
+        _, _, (hm,) = curves.prepare_matrices(helm)
         a0 = assemble_A(hm, H, 0.0)
         low = lowest_k(a0, hm.Mw, 1).eigenvalues[0]
         assert low > 0, "Helmholtz A(0) not positive"

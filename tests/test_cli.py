@@ -105,6 +105,15 @@ class TestFindAndSweep:
         assert len(lines) == 3  # header + 2 grid rows
         assert lines[0] == "lambda,mu_1,mu_2,mu_3"
 
+    def test_sweep_report_matches_find(self, tmp_path):
+        path = write_config(tmp_path)
+        res = run_cli("sweep", "--config", str(path), "--out-curves", str(tmp_path / "c.csv"),
+                      "--out-report", str(tmp_path / "sweep.json"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("find", "--config", str(path), "--out", str(tmp_path / "find.json"))
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "sweep.json").read_bytes() == (tmp_path / "find.json").read_bytes()
+
     def test_find_deterministic_bytes(self, tmp_path):
         path = write_config(tmp_path)
         outs = []

@@ -41,7 +41,7 @@ def affine_matrices():
     """1x1 synthetic system whose Schrodinger curve is mu(lambda) = lambda - 1."""
     one = np.array([[1.0]])
     zero = np.array([[0.0]])
-    return FormMatrices(S=-one, C=one, K=zero, M=zero, Minv=zero, Mw=one)
+    return (FormMatrices(S=-one, C=one, K=zero, M=zero, Minv=zero, Mw=one),)
 
 
 class TestSweep:
@@ -85,6 +85,17 @@ def chain_problem():
     return validate_problem(spec)
 
 
+def block_diagonal(blocks):
+    """The dense block-diagonal matrix with the given square blocks."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        out[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
 class TestBlockSolves:
     """Per-interval block solves against whole-matrix routes on the chain."""
 
@@ -96,13 +107,13 @@ class TestBlockSolves:
         cls.table = sweep(cls.prob, cls.m, SweepConfig(0.5, 50.0, 34))
 
     def test_blocks_come_from_the_basis(self):
-        assert self.m.block_size == 31
-        assert self.m.dim == 6 * 31
+        assert [b.dim for b in self.m] == [31] * 6
 
     def test_per_block_matches_whole_matrix(self):
         for lam, row in zip(self.table.lambdas, self.table.values):
-            A = assemble_A(self.m, self.prob.kind, lam)
-            whole = np.array(lowest_k(A, self.m.Mw, 16).eigenvalues)
+            A = block_diagonal([assemble_A(b, self.prob.kind, lam) for b in self.m])
+            Mw = block_diagonal([b.Mw for b in self.m])
+            whole = np.array(lowest_k(A, Mw, 16).eigenvalues)
             scale = np.max(np.abs(whole))
             assert np.max(np.abs(row - whole)) <= 1e-10 * scale, lam
 
