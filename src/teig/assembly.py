@@ -34,11 +34,6 @@ class QuadratureRule:
     def order(self):
         return len(self.nodes)
 
-    def mapped(self, a, b):
-        """Affinely mapped nodes and weights for the cell [a, b]."""
-        half = 0.5 * (b - a)
-        return a + half * (self.nodes + 1.0), half * self.weights
-
 
 def gauss_legendre(q):
     """Gauss-Legendre rule of order q (exact through degree 2q-1)."""
@@ -52,54 +47,41 @@ def gauss_legendre(q):
 # clamped cubic B-spline basis
 
 
-def _ders_basis_funs(span, u, knots, nders=2):
-    """Nonzero B-spline basis functions and derivatives at u (Cox-de Boor).
+def _ratio(num, den):
+    """num / den elementwise, with x / 0 taken as 0 (a repeated knot)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
-    Returns ders[k][j], k = 0..nders, j = 0..degree: the k-th derivative of
-    basis function N_{span-degree+j} at u.
+
+def bspline_ders(knots, span, u):
+    """The four nonzero cubic B-splines N_{span-3..span} and their first two
+    derivatives at the points u: shape (3, len(u), 4).
+
+    Cox-de Boor on arrays: N_{i,d} = (u - t_i) N_{i,d-1} / (t_{i+d} - t_i)
+    + (t_{i+d+1} - u) N_{i+1,d-1} / (t_{i+d+1} - t_{i+1}); a derivative is
+    the same two-term combination with numerators d and -d.  ``span`` (a
+    scalar or one per point) picks the knot cell [t_span, t_span+1) whose
+    polynomial pieces are evaluated.
     """
-    p = SPLINE_DEGREE
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.zeros((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nders + 1):
-            dval = 0.0
-            rk, pk = r - k, p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                dval = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                dval += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                dval += a[s2, k] * ndu[r, pk]
-            ders[k, r] = dval
-            s1, s2 = s2, s1
-    rfact = 1.0
-    for k in range(1, nders + 1):
-        rfact *= p - k + 1
-        ders[k, :] *= rfact
-    return ders
+    u = np.asarray(u, dtype=float)[:, None]
+    i = np.asarray(span)[..., None] + np.arange(-SPLINE_DEGREE, 1)
+
+    def step(N, d, left, right):
+        shifted = np.concatenate([N[:, 1:], np.zeros_like(N[:, :1])], axis=1)
+        return _ratio(left * N, knots[i + d] - knots[i]) + _ratio(
+            right * shifted, knots[i + d + 1] - knots[i + 1]
+        )
+
+    def value(N, d):
+        return step(N, d, u - knots[i], knots[i + d + 1] - u)
+
+    def deriv(N, d):
+        return step(N, d, d, -d)
+
+    N0 = np.zeros((len(u), SPLINE_DEGREE + 1))
+    N0[:, -1] = 1.0
+    N1 = value(N0, 1)
+    N2 = value(N1, 2)
+    return np.stack([value(N2, 3), deriv(N2, 3), deriv(deriv(N1, 2), 3)])
 
 
 class ClampedBasis:
@@ -108,7 +90,9 @@ class ClampedBasis:
     Per interval: an open uniform knot vector with ``cells`` cells; the two
     first and two last B-splines are dropped (their coefficients clamped to
     zero), which enforces u = u' = 0 at both endpoints and leaves
-    cells - 1 free functions per interval.
+    cells - 1 free functions per interval.  Every interval carries the
+    affine image of the same spline space on the reference knots
+    ``knots`` = 0, 0, 0, 0, 1, ..., cells, cells, cells, cells.
     """
 
     def __init__(self, intervals, cells_per_interval):
@@ -120,78 +104,40 @@ class ClampedBasis:
         self.cells = int(cells_per_interval)
         self.per_interval = self.cells - 1
         self.dim = self.per_interval * len(self.intervals)
-        self._knots = []
-        for a, b in self.intervals:
-            inner = np.linspace(a, b, self.cells + 1)
-            knots = np.concatenate([[a] * SPLINE_DEGREE, inner, [b] * SPLINE_DEGREE])
-            self._knots.append(knots)
-        self._tables = {}
-
-    def n_local(self):
-        """Number of B-splines per interval, constrained ones included."""
-        return self.cells + SPLINE_DEGREE
-
-    def global_index(self, interval, local):
-        """Global index of a local B-spline, or -1 if it is clamped away."""
-        if 2 <= local <= self.cells:
-            return interval * self.per_interval + (local - 2)
-        return -1
+        inner = np.arange(self.cells + 1.0)
+        self.knots = np.concatenate([[0.0] * SPLINE_DEGREE, inner, [inner[-1]] * SPLINE_DEGREE])
 
     def tables(self, quad):
         """Per-cell evaluation tables at the quadrature nodes.
 
         Returns a list over intervals of dicts with arrays of shape
         (cells, q): ``x``, ``w``; shape (cells, q, 4): ``val``, ``d1``,
-        ``d2``; and (cells, 4) ``gidx`` of global indices (-1 = clamped).
-        The same tables drive assembly, the form-value oracle, and tests,
-        so both routes share one set of basis evaluations.
+        ``d2``; and (cells, 4) ``local``, the block-local index of each
+        cell's four B-splines (-1 = clamped), the same for every interval.
+        The reference cells are evaluated once; each interval's table is
+        their affine image.  The same tables drive assembly, the form-value
+        oracle, and tests, so both routes share one set of basis evaluations.
         """
-        key = (quad.order, tuple(quad.nodes))
-        if key in self._tables:
-            return self._tables[key]
+        cell = np.arange(self.cells)
+        t = cell[:, None] + 0.5 * (quad.nodes + 1.0)
+        span = np.repeat(cell + SPLINE_DEGREE, quad.order)
+        val, d1, d2 = bspline_ders(self.knots, span, t.ravel()).reshape(3, *t.shape, 4)
+        k = cell[:, None] + np.arange(SPLINE_DEGREE + 1)
+        local = np.where((k >= 2) & (k <= self.cells), k - 2, -1)
         out = []
-        q = quad.order
-        for iv, (a, b) in enumerate(self.intervals):
-            knots = self._knots[iv]
+        for a, b in self.intervals:
             h = (b - a) / self.cells
-            x = np.empty((self.cells, q))
-            w = np.empty((self.cells, q))
-            val = np.empty((self.cells, q, 4))
-            d1 = np.empty((self.cells, q, 4))
-            d2 = np.empty((self.cells, q, 4))
-            gidx = np.empty((self.cells, 4), dtype=np.int64)
-            for c in range(self.cells):
-                ca, cb = a + c * h, a + (c + 1) * h
-                xs, ws = quad.mapped(ca, cb)
-                x[c], w[c] = xs, ws
-                span = c + SPLINE_DEGREE
-                for k in range(4):
-                    gidx[c, k] = self.global_index(iv, c + k)
-                for j, u in enumerate(xs):
-                    ders = _ders_basis_funs(span, u, knots)
-                    val[c, j] = ders[0]
-                    d1[c, j] = ders[1]
-                    d2[c, j] = ders[2]
-            out.append({"x": x, "w": w, "val": val, "d1": d1, "d2": d2, "gidx": gidx})
-        self._tables[key] = out
+            w = np.broadcast_to(0.5 * h * quad.weights, t.shape)
+            out.append(
+                {"x": a + h * t, "w": w, "local": local, "val": val, "d1": d1 / h, "d2": d2 / h**2}
+            )
         return out
 
-    def evaluate_all(self, interval, u, nders=2):
-        """All local B-splines (clamped included) and derivatives at u."""
-        a, b = self.intervals[interval]
-        knots = self._knots[interval]
-        h = (b - a) / self.cells
-        c = min(int((u - a) / h), self.cells - 1)
-        span = c + SPLINE_DEGREE
-        ders = _ders_basis_funs(span, u, knots, nders)
-        full = np.zeros((nders + 1, self.n_local()))
-        full[:, c : c + 4] = ders
-        return full
-
     def reconstruct(self, coeffs, table_entry):
-        """u, u', u'' at the table's quadrature nodes from coefficients."""
-        gidx = table_entry["gidx"]
-        cm = np.where(gidx >= 0, coeffs[gidx], 0.0)
+        """u, u', u'' at the table's quadrature nodes from the coefficients
+        of the table's interval block."""
+        local = table_entry["local"]
+        cm = np.where(local >= 0, coeffs[local], 0.0)
         uval = np.einsum("cqk,ck->cq", table_entry["val"], cm)
         ud1 = np.einsum("cqk,ck->cq", table_entry["d1"], cm)
         ud2 = np.einsum("cqk,ck->cq", table_entry["d2"], cm)
@@ -261,9 +207,7 @@ def assemble(basis, potential, weight, quad):
     a tuple with one FormMatrices of size cells - 1 per interval."""
     n = basis.per_interval
     out = []
-    for iv, entry in enumerate(basis.tables(quad)):
-        gidx = entry["gidx"]
-        local = np.where(gidx >= 0, gidx - iv * n, -1)
+    for entry in basis.tables(quad):
         x, w = entry["x"], entry["w"]
         B0, B1, B2 = entry["val"], entry["d1"], entry["d2"]
         wv = w / potential_value(potential, x)
@@ -277,7 +221,7 @@ def assemble(basis, potential, weight, quad):
             "Mw": _cell_blocks(w * weight_value(weight, x), B0, B0),
         }
         mats = {
-            name: _check_symmetrize(name, _scatter(blocks, local, n))
+            name: _check_symmetrize(name, _scatter(blocks, entry["local"], n))
             for name, blocks in cells.items()
         }
         out.append(FormMatrices(**mats))
@@ -305,12 +249,11 @@ def direct_form_value(basis, potential, kind, coeffs, lam, quad):
     Helmholtz replaces V by lambda V in the first factor.  Serves as the
     independent oracle for the expanded S/C/K/M combination in assemble_A.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    blocks = np.asarray(coeffs, dtype=float).reshape(len(basis.intervals), basis.per_interval)
     total = 0.0
-    for entry in basis.tables(quad):
-        uval, _, ud2 = basis.reconstruct(coeffs, entry)
-        xs = entry["x"]
-        vvals = np.array([[potential_value(potential, x) for x in row] for row in xs])
+    for block, entry in zip(blocks, basis.tables(quad)):
+        uval, _, ud2 = basis.reconstruct(block, entry)
+        vvals = potential_value(potential, entry["x"])
         if kind is ProblemKind.SCHRODINGER:
             first = -ud2 + (vvals - lam) * uval
         else:

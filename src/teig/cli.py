@@ -195,8 +195,9 @@ def _cmd_packing(args):
 
 
 def _cmd_truncation(args):
+    counts = experiments.check_counts(args.counts)
     chain = ShrinkingChain(
-        count=max(args.counts),
+        count=counts[-1],
         start=args.start,
         gap=args.gap,
         first_length=args.first_length,
@@ -204,7 +205,7 @@ def _cmd_truncation(args):
     )
     result = experiments.truncation_stability(
         chain,
-        args.counts,
+        counts,
         tuple(args.window),
         PowerDecay(args.c, args.alpha),
         kind=ProblemKind(args.problem),

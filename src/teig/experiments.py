@@ -103,6 +103,8 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
     """
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
+    if not epsilons:
+        raise ValidationError("epsilons must be a non-empty list")
     lam_base = first_te(ProblemKind.HELMHOLTZ, n, radius, v0, ell_values=(0,))
     rows = []
     worst = 0.0
@@ -279,6 +281,14 @@ def _hausdorff(left, right):
     return worst
 
 
+def check_counts(counts):
+    """The chain truncation counts as ints; they must be non-empty and ascending."""
+    counts = [int(c) for c in counts]
+    if counts != sorted(counts) or not counts:
+        raise ValidationError("counts must be a non-empty ascending list")
+    return counts
+
+
 def truncation_stability(
     chain,
     counts,
@@ -299,9 +309,7 @@ def truncation_stability(
     """
     if not isinstance(potential, PowerDecay) or potential.alpha <= 3.0:
         raise ValidationError("truncation study requires a PowerDecay potential, alpha > 3")
-    counts = [int(c) for c in counts]
-    if counts != sorted(counts) or not counts:
-        raise ValidationError("counts must be a non-empty ascending list")
+    counts = check_counts(counts)
     lo, hi = float(window[0]), float(window[1])
     te_lists = []
     list_rows = []
@@ -370,6 +378,8 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
     RadialProblem(ProblemKind.SCHRODINGER, n, radius, v0)  # validates inputs
     if not lambda_max > LAMBDA_FLOOR:
         raise ValidationError(f"lambda_max must exceed {LAMBDA_FLOOR}")
+    if ell_max < 0:
+        raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
     rows = []
     for ell in range(ell_max + 1):
         roots = _scan_determinant(

@@ -336,6 +336,8 @@ def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS, tol=None):
     """
     if not x > 0:
         raise ArgumentOutOfRange(f"x must be > 0, got {x}")
+    if ell_max < 0:
+        raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
     if tol is None:
         tol = 1e-10 * max(1.0, x)
     entries = []

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,10 @@ import pytest
 from teig import radial
 from teig.eigensolve import lowest_k
 from teig.model import ProblemKind
+
+# CLI tests run `python -m teig` in subprocesses; they import this checkout too
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session", autouse=True)

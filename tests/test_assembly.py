@@ -6,6 +6,7 @@ import pytest
 from teig.assembly import (
     assemble,
     assemble_A,
+    bspline_ders,
     build_basis,
     direct_form_value,
     gauss_legendre,
@@ -29,12 +30,14 @@ class TestGaussLegendre:
         assert rule.weights == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_monomial_exactness(self):
-        xs, ws = gauss_legendre(4).mapped(-1.0, 1.0)
+        rule = gauss_legendre(4)
+        xs, ws = rule.nodes, rule.weights
         assert np.sum(ws * xs**6) == pytest.approx(2.0 / 7.0, abs=1e-14)
 
     @pytest.mark.parametrize("q", [3, 5, 8, 16])
     def test_exact_through_degree_2q_minus_1(self, q):
-        xs, ws = gauss_legendre(q).mapped(-1.0, 1.0)
+        rule = gauss_legendre(q)
+        xs, ws = rule.nodes, rule.weights
         for deg in range(0, 2 * q):
             exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
             assert np.sum(ws * xs**deg) == pytest.approx(exact, abs=1e-12)
@@ -70,43 +73,45 @@ class TestClampedBasis:
         # every cubic B-spline integrates to (t_{i+4} - t_i) / 4
         basis = build_basis([(0.0, 1.0)], 8)
         entry = basis.tables(QUAD)[0]
-        n_local = basis.n_local()
-        integrals = np.zeros(n_local)
+        knots = basis.knots / basis.cells  # the interval (0, 1)
+        n_splines = len(knots) - 4
+        integrals = np.zeros(n_splines)
         for c in range(basis.cells):
             for k in range(4):
                 integrals[c + k] += np.sum(entry["w"][c] * entry["val"][c][:, k])
-        knots = basis._knots[0]
-        analytic = np.array([(knots[i + 4] - knots[i]) / 4.0 for i in range(n_local)])
+        analytic = np.array([(knots[i + 4] - knots[i]) / 4.0 for i in range(n_splines)])
         assert np.max(np.abs(integrals - analytic)) < 1e-13
 
     def test_clamped_end_conditions(self):
         basis = build_basis([(0.0, 2.0)], 12)
-        for x in (0.0, 2.0):
-            full = basis.evaluate_all(0, x)
-            for local in range(basis.n_local()):
-                if basis.global_index(0, local) >= 0:
-                    assert abs(full[0][local]) < 1e-13
-                    assert abs(full[1][local]) < 1e-13
+        knots = basis.knots * (2.0 / 12)
+        local = basis.tables(QUAD)[0]["local"]
+        for x, cell in ((0.0, 0), (2.0, 11)):
+            ders = bspline_ders(knots, cell + 3, np.array([x]))[:, 0]
+            for k in range(4):
+                if local[cell, k] >= 0:
+                    assert abs(ders[0][k]) < 1e-13
+                    assert abs(ders[1][k]) < 1e-13
 
     def test_c2_continuity_at_knots(self):
         basis = build_basis([(0.0, 1.0)], 8)
         h = 1.0 / 8
+        knots = basis.knots * h  # physical units on (0, 1)
         for cell_boundary in range(1, 8):
             x = cell_boundary * h
-            left = basis.evaluate_all(0, x - 1e-12)
-            right = basis.evaluate_all(0, x + 1e-12)
+            # splines cell_boundary - 1 .. cell_boundary + 3 around the knot
+            left = np.zeros((3, 5))
+            right = np.zeros((3, 5))
+            left[:, :4] = bspline_ders(knots, cell_boundary + 2, np.array([x - 1e-12]))[:, 0]
+            right[:, 1:] = bspline_ders(knots, cell_boundary + 3, np.array([x + 1e-12]))[:, 0]
             assert np.max(np.abs(left - right)) < 1e-7  # value, d1, d2 all continuous
 
     def test_disjoint_interval_supports(self):
         basis = build_basis([(0.0, 1.0), (2.0, 3.0)], 6)
-        for entry_i, entry in enumerate(basis.tables(QUAD)):
-            owners = {
-                int(g) // basis.per_interval
-                for row in entry["gidx"]
-                for g in row
-                if g >= 0
-            }
-            assert owners == {entry_i}
+        for entry in basis.tables(QUAD):
+            local = entry["local"]
+            assert local.min() >= -1 and local.max() < basis.per_interval
+            assert set(local[local >= 0].tolist()) == set(range(basis.per_interval))
 
 
 class TestAssemble:
@@ -233,7 +238,7 @@ class TestRefinementConvergence:
             for entry in basis.tables(QUAD):
                 for c in range(entry["x"].shape[0]):
                     for k in range(4):
-                        g = entry["gidx"][c][k]
+                        g = entry["local"][c][k]
                         if g >= 0:
                             fx = np.array([smooth(x) for x in entry["x"][c]])
                             rhs[g] += np.sum(entry["w"][c] * fx * entry["val"][c][:, k])

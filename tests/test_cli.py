@@ -172,6 +172,16 @@ class TestRadial:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "ArgumentOutOfRange"
 
+    def test_negative_lmax_exits_two(self):
+        res = run_cli(
+            "radial", "--problem", "helmholtz", "--dim", "1",
+            "--radius", "3.141592653589793", "--v0", "0.75",
+            "--lmax", "-1", "--lambda-max", "5",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ValidationError"
+
 
 class TestExperimentCommands:
     def test_scaling_pass_exit_zero(self, tmp_path):
@@ -189,6 +199,21 @@ class TestExperimentCommands:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["verdict"] == "Report-only"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("truncation", "--counts", ","),
+            ("hypothesis", "--lmax", "-1", "--lambda-max", "5", "--steps", "100"),
+            ("scaling", "--epsilons", ","),
+        ],
+        ids=["truncation-empty-counts", "hypothesis-negative-lmax", "scaling-empty-epsilons"],
+    )
+    def test_empty_or_negative_input_exits_two(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ValidationError"
 
     def test_count_insufficient_is_config_error(self):
         res = run_cli("count", "--dim", "1", "--x-values", "2,3")
