@@ -2,14 +2,17 @@
 
 Subcommands: sweep, find, radial, scaling, count, packing, truncation,
 hypothesis.  Exit status 0 for Pass/Report-only, 1 for a failed
-experimental check, 2 for configuration errors (with a machine-readable
-JSON object on stderr).  There is no --seed anywhere: every code path is
-deterministic, so identical invocations produce byte-identical outputs.
+experimental check, 2 for configuration errors and 3 for an internal error
+(a fault in teig itself), each of the last two with a machine-readable JSON
+object on stderr; an internal error also writes its traceback there.
+There is no --seed anywhere: every code path is deterministic, so
+identical invocations produce byte-identical outputs.
 """
 
 import argparse
 import math
 import sys
+import traceback
 
 from . import curves, experiments, serialize
 from .errors import TeigError
@@ -246,6 +249,11 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(serialize.dumps({"error": "OSError", "message": str(exc)}))
         return 2
+    except Exception as exc:  # a fault in teig, never a failed check (exit 1)
+        message = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(serialize.dumps({"error": "InternalError", "message": message}))
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 run_cli = main

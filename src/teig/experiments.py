@@ -380,20 +380,22 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
         raise ValidationError(f"lambda_max must exceed {LAMBDA_FLOOR}")
     if ell_max < 0:
         raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-    rows = []
-    for ell in range(ell_max + 1):
-        roots = _scan_determinant(
-            ProblemKind.SCHRODINGER,
-            n,
-            radius,
-            v0,
-            ell,
-            LAMBDA_FLOOR,
-            float(lambda_max),
-            steps,
-            1e-10 * max(1.0, lambda_max),
-        )
-        rows.extend((root, left, right, ell) for root, (left, right) in roots)
+    per_order = _scan_determinant(
+        ProblemKind.SCHRODINGER,
+        n,
+        radius,
+        v0,
+        range(ell_max + 1),
+        LAMBDA_FLOOR,
+        float(lambda_max),
+        steps,
+        1e-10 * max(1.0, lambda_max),
+    )
+    rows = [
+        (root, left, right, ell)
+        for ell, roots in enumerate(per_order)
+        for root, (left, right) in roots
+    ]
     rows.sort(key=lambda r: r[0])
     return ExperimentResult(
         name="hypothesis",

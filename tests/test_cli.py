@@ -183,6 +183,17 @@ class TestRadial:
         assert json.loads(res.stderr)["error"] == "ValidationError"
 
 
+    def test_negative_steps_exits_two(self):
+        res = run_cli(
+            "radial", "--problem", "helmholtz", "--dim", "1",
+            "--radius", "3.141592653589793", "--v0", "0.75",
+            "--lmax", "0", "--lambda-max", "5", "--steps", "-1",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ValidationError"
+
+
 class TestExperimentCommands:
     def test_scaling_pass_exit_zero(self, tmp_path):
         out_path = tmp_path / "scaling.json"
@@ -215,6 +226,21 @@ class TestExperimentCommands:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("scaling", "--dim", "0", "--epsilons", "0.5"), "UnsupportedDimension"),
+            (("scaling", "--dim", "1", "--radius", "-1"), "ValidationError"),
+            (("scaling", "--dim", "4"), "UnsupportedDimension"),
+        ],
+        ids=["dim-0", "negative-radius", "dim-4"],
+    )
+    def test_scaling_bad_ball_exits_two(self, argv, error):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == error
+
     def test_count_insufficient_is_config_error(self):
         res = run_cli("count", "--dim", "1", "--x-values", "2,3")
         assert res.returncode == 2
@@ -235,3 +261,23 @@ class TestInProcessEntryPoint:
         assert any(
             abs(e["lambda"] - 4.0) < 1e-8 for e in payload["transmission_eigenvalues"]
         )
+
+    def test_internal_error_exits_three(self, monkeypatch, capsys):
+        from teig import cli
+
+        def broken(args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setitem(cli._DISPATCH, "radial", broken)
+        code = cli.main(
+            ["radial", "--problem", "helmholtz", "--dim", "1", "--radius", "1",
+             "--v0", "0.75", "--lmax", "0", "--lambda-max", "5"]
+        )
+        assert code == 3  # not 1, the code of a failed experimental check
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, rest = captured.err.split("\n", 1)
+        assert json.loads(first) == {
+            "error": "InternalError", "message": "RuntimeError: kernel fault"
+        }
+        assert rest.startswith("Traceback") and "kernel fault" in rest

@@ -40,6 +40,11 @@ class TestCounting:
         assert r.verdict == "Pass"
         assert abs(r.margins["slope"] - 0.5) <= 0.2
 
+    def test_dim3_counts_pinned(self):
+        r = ex.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        assert [row[1] for row in r.tables[0]["rows"]] == [481, 1437, 4472, 13371]
+        assert r.verdict == "Pass"
+
     def test_rows_monotone(self):
         r = ex.counting_experiment(1, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
         counts = [row[1] for row in r.tables[0]["rows"]]

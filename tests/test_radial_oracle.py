@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from teig.errors import (
@@ -12,15 +13,19 @@ from teig.errors import (
 from teig.model import ProblemKind
 from teig.radial import (
     RadialProblem,
+    _bisect_brackets,
+    _det_grid,
     _scan_determinant,
+    _sign_brackets,
     characteristic_determinant,
     first_te,
     harmonic_multiplicity,
     interior_wavenumber,
-    scan_roots,
     te_list_up_to,
 )
 from teig.specfun import Branch
+
+import scalar_oracle
 
 H = ProblemKind.HELMHOLTZ
 S = ProblemKind.SCHRODINGER
@@ -109,44 +114,144 @@ class TestBesselWindow:
         # Schrodinger with v0 < 0 is not a ball problem, but kappa R > 200
         # at the top with sqrt(lambda) R < 200 needs kappa^2 > lambda
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(S, 1, 10.0, -200.0, 0, 1e-6, 300.0, 50, 1e-8)
+            _scan_determinant(S, 1, 10.0, -200.0, (0,), 1e-6, 300.0, 50, 1e-8)
 
     def test_interior_evanescent_past_window(self):
         # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(S, 1, 1.0, 4000.0, 0, 1e-6, 10.0, 50, 1e-8)
+            _scan_determinant(S, 1, 1.0, 4000.0, (0,), 1e-6, 10.0, 50, 1e-8)
         # Helmholtz with v0 > 1: |kappa| R = sqrt(lambda (v0 - 1)) R > 60 at the top
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(H, 1, 1.0, 5.0, 0, 1e-6, 1000.0, 50, 1e-8)
+            _scan_determinant(H, 1, 1.0, 5.0, (0,), 1e-6, 1000.0, 50, 1e-8)
+
+
+# (kind, v0, radius, largest lambda): Helmholtz with an oscillatory (v0 < 1)
+# and an evanescent (v0 > 1) interior, Schrodinger on both sides of v0, and
+# exterior arguments up to the window edge sqrt(lambda) R = 200
+DET_CASES = [
+    (H, 0.75, math.pi, 400.0),
+    (H, 0.75, 10.0, 400.0),
+    (H, 3.0, 2.0, 400.0),
+    (S, 30.0, 1.0, 400.0),
+]
+
+
+class TestArrayDeterminant:
+    """The array determinant against the scalar reference implementation."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind, v0, radius, top", DET_CASES)
+    def test_matches_scalar_reference(self, dim, kind, v0, radius, top):
+        ells = np.array([0, 1, 2, 3, 7, 16, 31, 47, 64])
+        lambdas = np.concatenate([[1e-6, 0.37], np.linspace(0.5, top, 37)])
+        if kind is S:
+            lambdas = np.append(lambdas, [v0, v0 - 1e-3, v0 + 1e-3])  # NaN on the boundary
+        ell_grid, lam_grid = (g.ravel() for g in np.meshgrid(ells, lambdas, indexing="ij"))
+        got = _det_grid(kind, dim, radius, v0, ell_grid, lam_grid)
+        want = np.array(
+            [
+                scalar_oracle.det_scalar(kind, dim, radius, v0, int(ell), float(lam))
+                for ell, lam in zip(ell_grid, lam_grid)
+            ]
+        )
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isfinite(want).sum() > 0.9 * want.size
+        finite = np.isfinite(want)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-11
+
+    def test_scalar_wrapper_is_the_array_value(self):
+        p = RadialProblem(H, 3, math.pi, 0.75, 5)
+        lams = np.linspace(1.0, 60.0, 7)
+        grid = _det_grid(H, 3, math.pi, 0.75, 5, lams)
+        assert [characteristic_determinant(p, lam) for lam in lams] == grid.tolist()
+
+    def test_value_does_not_depend_on_the_batch(self):
+        lams = np.linspace(0.5, 300.0, 50)
+        alone = _det_grid(H, 3, math.pi, 0.75, 40, lams)
+        mixed = _det_grid(
+            H, 3, math.pi, 0.75, np.r_[np.zeros(50), np.full(50, 40.0)], np.r_[lams, lams]
+        )
+        assert np.array_equal(alone, mixed[50:])
 
 
 class TestScanRoots:
+    """The batched bracket finder on synthetic value rows, the batched
+    bisection, and the multi-order determinant scan."""
+
     def test_affine(self):
-        roots = scan_roots(lambda x: x - 2.0, 0.0, 5.0, 10, 1e-9)
-        assert len(roots) == 1
-        assert roots[0][0] == pytest.approx(2.0, abs=1e-9)
+        grid = np.linspace(0.0, 5.0, 10)
+        hits, cells = _sign_brackets([grid - 2.0])
+        assert not hits.any()
+        (cell,) = np.flatnonzero(cells[0])
+        root = _bisect_brackets(
+            lambda ells, lam: lam - 2.0,
+            np.zeros(1),
+            grid[[cell]],
+            grid[[cell + 1]],
+            grid[[cell]] - 2.0,
+            1e-9,
+        )
+        assert root[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_determinant_contains_four(self):
-        p = RadialProblem(H, 1, math.pi, 0.75, 0)
-        roots = scan_roots(
-            lambda lam: characteristic_determinant(p, lam), 0.5, 5.0, 400, 1e-10
-        )
+        (roots,) = _scan_determinant(H, 1, math.pi, 0.75, (0,), 0.5, 5.0, 400, 1e-10)
         assert any(abs(r - 4.0) < 1e-8 for r, _ in roots)
 
     def test_no_roots(self):
-        assert scan_roots(lambda x: x * x + 1.0, -3.0, 3.0, 50, 1e-9) == []
+        grid = np.linspace(-3.0, 3.0, 50)
+        hits, cells = _sign_brackets([grid * grid + 1.0, -(grid * grid) - 1.0])
+        assert not hits.any() and not cells.any()
 
     def test_exact_grid_hit(self):
-        roots = scan_roots(lambda x: x, -1.0, 1.0, 21, 1e-9)
-        assert len(roots) == 1
-        root, (left, right) = roots[0]
-        assert root == 0.0 and left == right == 0.0
+        grid = np.linspace(-1.0, 1.0, 21)
+        hits, cells = _sign_brackets([grid])
+        assert np.flatnonzero(hits[0]).tolist() == [10]
+        assert not cells.any()  # both cells next to the hit are excluded
+
+    def test_nan_cells_skipped(self):
+        row = np.array([1.0, np.nan, -1.0, 2.0, -2.0, np.nan])
+        hits, cells = _sign_brackets([row, -row])
+        assert not hits.any()
+        assert np.flatnonzero(cells[0]).tolist() == [2, 3]
+        assert np.array_equal(cells[0], cells[1])
 
     def test_rejects_bad_window(self):
-        from teig.errors import ValidationError
-
         with pytest.raises(ValidationError):
-            scan_roots(lambda x: x, 1.0, 0.0, 10, 1e-9)
+            _scan_determinant(H, 1, math.pi, 0.75, (0,), 1.0, 0.5, 10, 1e-9)
+
+    def test_rejects_too_few_steps(self):
+        with pytest.raises(ValidationError, match="steps"):
+            _scan_determinant(H, 1, math.pi, 0.75, (0,), 0.5, 1.0, 1, 1e-9)
+
+    def test_bisection_replays_scalar_decisions(self):
+        # NaN midpoints (nudged), exact zeros and ordinary halvings, several
+        # bracket widths: every root equals the scalar bisection's bit for bit
+        def f(lam):
+            lam = np.asarray(lam, dtype=float)
+            out = np.sin(lam)
+            out[np.abs(lam - 9.375) < 0.1] = np.nan
+            out[lam == 3.0] = 0.0
+            return out
+
+        def scalar(lam):
+            return float(f(np.array([lam]))[0])
+
+        a = np.array([3.0, 2.0, 6.0, 9.0, 0.5, 2.5])
+        b = np.array([3.5, 4.0, 6.5, 9.75, 1.5, 4.0])
+        fa = np.array([1.0, scalar(2.0), scalar(6.0), scalar(9.0), 1.0, scalar(2.5)])
+        got = _bisect_brackets(lambda ells, lam: f(lam), np.zeros(a.size), a, b, fa, 1e-10)
+        want = [scalar_oracle.bisect(scalar, *args, 1e-10) for args in zip(a, b, fa)]
+        assert got.tolist() == want
+
+    def test_multi_order_scan_matches_one_order_per_call(self):
+        ells = range(13)
+        together = _scan_determinant(H, 3, math.pi, 0.75, ells, 1e-6, 60.0, 400, 6e-9)
+        alone = [
+            _scan_determinant(H, 3, math.pi, 0.75, (ell,), 1e-6, 60.0, 400, 6e-9)[0]
+            for ell in ells
+        ]
+        assert together == alone
+        assert sum(len(roots) for roots in together) > 20
 
 
 class TestHarmonicMultiplicity:

@@ -7,12 +7,16 @@ from teig.errors import ArgumentOutOfRange, NonPositiveArgument
 from teig.specfun import (
     Branch,
     RadialWave,
+    _i_triplet,
+    _j_triplet,
     _miller_triplet,
     _series_triplet,
     bessel_i,
     bessel_j,
     gamma_real,
 )
+
+import scalar_oracle
 
 
 def j_half_closed(x):
@@ -106,14 +110,24 @@ class TestBesselJ:
                 assert fd == pytest.approx(exact, rel=1e-8, abs=1e-8)
 
     def test_miller_retry_matches_series(self):
-        # at (nu=300, x=50) the trial ladder from the first seed overflows, so
-        # the backward recurrence only succeeds on a retry with a smaller seed;
-        # the series converges there (x^2 < 2(nu+1)) and serves as reference
-        nu, x = 300.0, 50.0
-        miller = _miller_triplet(nu, x, 14.0 + 6.0 * x ** (1.0 / 3.0))
+        # at (nu=300, x=50) the trial ladder from a 1e-30 seed grows past the
+        # largest double, so it only finishes because it is rescaled as it
+        # runs; the series converges there (x^2 < 2(nu+1)) and serves as
+        # reference
+        nu, x = np.array([300.0]), np.array([50.0])
+        miller = _miller_triplet(nu, x)
         series = _series_triplet(nu, x, -1.0)
-        for m, s in zip(miller, series):
+        for m, s in zip(miller[:, 0], series[:, 0]):
             assert m == pytest.approx(s, rel=1e-13)
+
+    def test_miller_rescales_where_the_retry_loop_gave_up(self):
+        # the scalar ladder's four seeds all overflow at (nu=300, x=24.7) and
+        # it returns zeros; the rescaled ladder agrees with the series
+        nu, x = 300.0, 24.7
+        assert scalar_oracle.miller_triplet(nu, x, 14.0 + 6.0 * x ** (1.0 / 3.0)) == (0, 0, 0)
+        miller = _miller_triplet(np.array([nu]), np.array([x]))[:, 0]
+        series = scalar_oracle.series_triplet(nu, x, -1.0)
+        assert miller.tolist() == pytest.approx(series, rel=1e-13)
 
     def test_window_enforced(self):
         with pytest.raises(ArgumentOutOfRange):
@@ -122,6 +136,37 @@ class TestBesselJ:
             bessel_j(-0.75, 1.0)
         with pytest.raises(ArgumentOutOfRange):
             bessel_j(0.0, -1.0)
+
+
+class TestArrayKernels:
+    """The array triplets against the scalar reference implementation."""
+
+    NUS = (-0.5, 0.0, 0.5, 1.0, 2.5, 12.5, 31.5, 64.5, 100.0)
+
+    def test_series_is_the_scalar_series(self):
+        # the same operations in the same order at the integer and
+        # half-integer orders the oracle uses, so bit-equal
+        x = np.linspace(0.05, 12.0, 60)
+        for nu in self.NUS:
+            for sign in (-1.0, 1.0):
+                got = _series_triplet(np.full(x.shape, nu), x, sign)
+                want = [scalar_oracle.series_triplet(nu, float(v), sign) for v in x]
+                assert got.T.tolist() == [list(t) for t in want]
+
+    def test_j_triplet_matches_scalar_reference(self):
+        x = np.linspace(0.05, 200.0, 400)
+        nu = np.repeat(self.NUS, x.size)
+        xs = np.tile(x, len(self.NUS))
+        got = _j_triplet(nu, xs)
+        for i in range(xs.size):
+            want = scalar_oracle.j_triplet(float(nu[i]), float(xs[i]))
+            scale = max(abs(v) for v in want)
+            assert max(abs(g - w) for g, w in zip(got[:, i], want)) <= 1e-13 * scale
+
+    def test_i_triplet_is_the_i_series(self):
+        x = np.linspace(0.05, 60.0, 50)
+        got = _i_triplet(np.full(x.shape, 3.5), x)
+        assert np.array_equal(got, _series_triplet(np.full(x.shape, 3.5), x, 1.0))
 
 
 class TestBesselI:
