@@ -228,18 +228,23 @@ def assemble(basis, potential, weight, quad):
     return tuple(out)
 
 
-def assemble_A(m, kind, lam):
-    """A(lambda) whose generalized spectrum gives the eigenvalue curves.
+def quadratic_coefficients(m, kind):
+    """A0, A1, A2 of one block's A(lambda) = A0 + lambda A1 + lambda^2 A2.
 
-    Schrodinger: A = (S + K) + lambda (C - M) + lambda^2 Minv,
-    realizing  int (1/V)|u'' + lambda u|^2 + int |u'|^2 - lambda int |u|^2.
-    Helmholtz:  A = S + lambda (C + K) + lambda^2 (Minv - M),
-    realizing  int (1/V)|u'' + lambda u|^2 + lambda int |u'|^2
-               - lambda^2 int |u|^2.
+    Schrodinger: A0 = S + K, A1 = C - M, A2 = Minv, realizing
+    int (1/V)|u'' + lambda u|^2 + int |u'|^2 - lambda int |u|^2.
+    Helmholtz:  A0 = S, A1 = C + K, A2 = Minv - M, realizing
+    int (1/V)|u'' + lambda u|^2 + lambda int |u'|^2 - lambda^2 int |u|^2.
     """
     if kind is ProblemKind.SCHRODINGER:
-        return (m.S + m.K) + lam * (m.C - m.M) + lam * lam * m.Minv
-    return m.S + lam * (m.C + m.K) + lam * lam * (m.Minv - m.M)
+        return m.S + m.K, m.C - m.M, m.Minv
+    return m.S, m.C + m.K, m.Minv - m.M
+
+
+def assemble_A(m, kind, lam):
+    """A(lambda) whose generalized spectrum gives the eigenvalue curves."""
+    A0, A1, A2 = quadratic_coefficients(m, kind)
+    return A0 + lam * A1 + lam * lam * A2
 
 
 def direct_form_value(basis, potential, kind, coeffs, lam, quad):

@@ -71,7 +71,7 @@ def _build_parser():
     p.add_argument("--radius", type=float, default=math.pi)
     p.add_argument("--v0", type=float, default=0.75)
     p.add_argument("--epsilons", type=_float_list, default=[0.5, 0.25])
-    p.add_argument("--galerkin", action="store_true", help="repeat through the sweep pipeline")
+    p.add_argument("--galerkin", action="store_true", help="repeat through the Galerkin pipeline")
     p.add_argument("--out")
 
     p = sub.add_parser("count", help="eigenvalue counting growth against the n/2 power law")
@@ -128,23 +128,19 @@ def _finish_experiment(result, out):
 
 
 def _cmd_sweep(args):
-    config, spec = load_problem(args.config)
+    _, spec = load_problem(args.config)
     problem = validate_problem(spec)
+    _, _, matrices = curves.prepare_matrices(problem)
     if args.out_report:
-        table, rep = curves.run_pipeline(problem)
-        _emit(rep.to_json_obj(), args.out_report)
-    else:
-        _, _, matrices = curves.prepare_matrices(problem)
-        table = curves.sweep(problem, matrices)
-    serialize.write_text(args.out_curves, table.to_csv())
+        _emit(curves.run_pipeline(problem, matrices).to_json_obj(), args.out_report)
+    serialize.write_text(args.out_curves, curves.sweep(problem, matrices).to_csv())
     return 0
 
 
 def _cmd_find(args):
     _, spec = load_problem(args.config)
     problem = validate_problem(spec)
-    _, rep = curves.run_pipeline(problem)
-    _emit(rep.to_json_obj(), args.out)
+    _emit(curves.run_pipeline(problem).to_json_obj(), args.out)
     return 0
 
 

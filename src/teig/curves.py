@@ -1,27 +1,34 @@
-"""Eigenvalue curve sweeps and transmission-eigenvalue detection.
+"""Transmission-eigenvalue detection and eigenvalue curve sweeps.
 
-The sorted lowest-K generalized eigenvalues of (A(lambda), Mw) are tracked
-over a uniform lambda grid; sign changes of each sorted-index curve are
-bracketed, refined by bisection in lambda, clustered, and reported.
-Sorted-index curves may permute branches at intersections, but they are
-continuous, so sign changes are genuine zero crossings either way.
+Transmission eigenvalues (TEs) are the real lambda at which the quadratic
+matrix polynomial A(lambda) = A0 + lambda A1 + lambda^2 A2 is singular.
+A(lambda) is block-diagonal with one block per interval; the form matrices
+come as one FormMatrices per interval, and every query works block by
+block.
 
-A(lambda) and Mw are block-diagonal with one block per interval; the form
-matrices come as one FormMatrices per interval, and every eigenvalue query
-solves each block on its own and merges the lowest values.
+Detection (``run_pipeline``): the companion linearization of each block's
+quadratic eigenproblem gives all its eigenvalues at once; those inside the
+window with an exactly zero imaginary part are the candidates.  Sylvester
+inertia counts of A(lambda) at the window ends and between consecutive
+candidates check them and name the sorted curve each one crosses; every
+accepted root is polished by bisection on that curve's sign, and the
+crossings are clustered and reported.
+
+Sweep (``sweep``): the sorted lowest-K generalized eigenvalues of
+(A(lambda), Mw) over a uniform grid, written as the curve CSV.  Sorted-index
+curves may permute branches at intersections, but they are continuous, so
+their sign changes are genuine zero crossings.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import assemble, assemble_A, build_basis, gauss_legendre
+from .assembly import assemble, assemble_A, build_basis, gauss_legendre, quadratic_coefficients
 from .eigensolve import lowest_k
-from .errors import BracketInvalid, ValidationError
+from .errors import InertiaMismatch, NoConvergence
 from .model import ProblemKind, canonical_config
 from .serialize import config_hash, curve_table_csv
-
-EXACT_ZERO_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,23 +43,16 @@ class CurveTable:
 
 
 @dataclass(frozen=True)
-class Bracket:
-    """Sign change of curve ``index`` (1-based) between two grid points."""
-
-    index: int
-    lam_left: float
-    lam_right: float
-
-
-@dataclass(frozen=True)
 class TEReport:
     entries: tuple  # of dicts: lambda, curve_index, multiplicity_estimate, residual
     metadata: dict
+    diagnostics: dict = field(default_factory=dict)
 
     def to_json_obj(self):
         return {
             "transmission_eigenvalues": [dict(e) for e in self.entries],
             "metadata": self.metadata,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -65,13 +65,10 @@ def prepare_matrices(problem):
     return basis, quad, matrices
 
 
-def _lowest(kind, matrices, lam, k, identity=False):
-    """The k smallest eigenvalues of (A(lambda), Mw), or of A(lambda)
-    against the identity, merged from one solve per interval block."""
-    vals = []
-    for m in matrices:
-        mass = np.eye(m.dim) if identity else m.Mw
-        vals.append(lowest_k(assemble_A(m, kind, lam), mass, k).eigenvalues)
+def _lowest(kind, matrices, lam, k):
+    """The k smallest eigenvalues of (A(lambda), Mw), merged from one solve
+    per interval block."""
+    vals = [lowest_k(assemble_A(m, kind, lam), m.Mw, k).eigenvalues for m in matrices]
     return np.sort(np.concatenate(vals))[:k]
 
 
@@ -89,31 +86,33 @@ def sweep(problem, matrices, sweepcfg=None):
     return CurveTable(lambdas=lambdas, values=values)
 
 
-def find_crossings(table):
-    """Brackets for every sign change of every sorted-index curve.
+def _eigvalsh(A):
+    """All eigenvalues of the symmetric matrix A, ascending, with the
+    finiteness checks and typed errors of eigensolve.lowest_k."""
+    if not np.isfinite(A).all():
+        raise NoConvergence("matrix has non-finite entries")
+    try:
+        vals = np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise NoConvergence("eigensolver returned non-finite values")
+    return vals
 
-    Grid values within 1e-12 of zero (relative to the curve's scale) are
-    exact hits reported as width-zero brackets and excluded from the sign
-    logic of their neighboring cells.
+
+def _identity_spectrum(kind, matrices, lam):
+    """Ascending eigenvalues of A(lambda), all blocks merged.
+
+    Bit-identical to lowest_k(A(lambda), I, k): with an identity mass its
+    Cholesky factor and inverse are exactly I, and assemble_A is exactly
+    symmetric, so the reduction leaves A(lambda) unchanged.
     """
-    lambdas = table.lambdas
-    if len(lambdas) < 2:
-        raise ValidationError("crossing detection needs at least 2 grid points")
-    brackets = []
-    num_curves = table.values.shape[1]
-    for nu in range(num_curves):
-        col = table.values[:, nu]
-        scale = max(1.0, float(np.max(np.abs(col))))
-        exact = np.abs(col) < EXACT_ZERO_REL * scale
-        for i in np.nonzero(exact)[0]:
-            brackets.append(Bracket(nu + 1, float(lambdas[i]), float(lambdas[i])))
-        for i in range(len(lambdas) - 1):
-            if exact[i] or exact[i + 1]:
-                continue
-            if col[i] * col[i + 1] < 0.0:
-                brackets.append(Bracket(nu + 1, float(lambdas[i]), float(lambdas[i + 1])))
-    brackets.sort(key=lambda b: (b.lam_left, b.index))
-    return brackets
+    return np.sort(np.concatenate([_eigvalsh(assemble_A(m, kind, lam)) for m in matrices]))
+
+
+def _inertia(kind, matrices, lam):
+    """Number of negative eigenvalues of A(lambda)."""
+    return int(np.count_nonzero(_identity_spectrum(kind, matrices, lam) < 0.0))
 
 
 def _curve_value(problem, matrices, nu, lam):
@@ -127,37 +126,83 @@ def _crossing_indicator(problem, matrices, nu, lam):
     (A, Mw) for every positive definite mass matrix, so bisecting on it
     finds the same crossing while making the iteration independent of the
     weight to the last bit (the weight-invariance property relies on
-    that).
+    that).  It is negative exactly when the inertia count is at least nu.
     """
-    return _lowest(problem.kind, matrices, lam, nu, identity=True)[nu - 1]
+    return _identity_spectrum(problem.kind, matrices, lam)[nu - 1]
 
 
-def refine(problem, matrices, bracket, refine_tol):
-    """Bisect the bracketed sign change of the sorted nu-th curve until the
-    bracket is narrower than refine_tol; returns the midpoint."""
-    a, b = bracket.lam_left, bracket.lam_right
-    if a == b:
-        return a
-    fa = _crossing_indicator(problem, matrices, bracket.index, a)
-    fb = _crossing_indicator(problem, matrices, bracket.index, b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise BracketInvalid(
-            f"curve {bracket.index} has equal signs at [{a}, {b}]; re-sweep finer"
-        )
-    while b - a > refine_tol:
-        mid = 0.5 * (a + b)
-        fm = _crossing_indicator(problem, matrices, bracket.index, mid)
+def _qep_eigenvalues(m, kind):
+    """All 2 dim eigenvalues of one block's quadratic pencil A(lambda).
+
+    A2 is nonsingular, so A(lambda) x = 0 is the standard eigenproblem of
+    the companion matrix [[0, I], [-A2^-1 A0, -A2^-1 A1]] acting on
+    (x, lambda x) (Tisseur & Meerbergen, SIAM Rev. 43 (2001), section 3).
+    """
+    A0, A1, A2 = quadratic_coefficients(m, kind)
+    n = m.dim
+    try:
+        B = np.linalg.solve(A2, np.hstack([A0, A1]))
+        companion = np.block([[np.zeros((n, n)), np.eye(n)], [-B[:, :n], -B[:, n:]]])
+        vals = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"quadratic eigenproblem failed: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise NoConvergence("quadratic eigenproblem returned non-finite eigenvalues")
+    return vals
+
+
+def refine(problem, matrices, nu, guess, window, left_negative, refine_tol):
+    """Polish the sign change of the nu-th crossing indicator near ``guess``.
+
+    The indicator's signs differ at the two ends of ``window`` (it is
+    negative at the left end iff ``left_negative``).  A bracket from the
+    guess toward the end whose sign differs from the guess's, first
+    refine_tol wide, is doubled until it holds a sign change, capped at
+    that end, then bisected until narrower than refine_tol.  Returns the
+    final midpoint, the number of bisection steps and the final bracket.
+    """
+    f_guess = _crossing_indicator(problem, matrices, nu, guess)
+    if f_guess == 0.0:
+        return guess, 0, (guess, guess)
+    negative = f_guess < 0.0
+    end = window[1] if negative == left_negative else window[0]
+    inner, outer = guess, end
+    step = refine_tol
+    while abs(end - inner) > step:
+        probe = inner + step if end > inner else inner - step
+        fp = _crossing_indicator(problem, matrices, nu, probe)
+        if fp == 0.0:
+            return probe, 0, (probe, probe)
+        if (fp < 0.0) != negative:
+            outer = probe
+            break
+        inner = probe
+        step *= 2.0
+    steps = 0
+    while abs(outer - inner) > refine_tol:
+        mid = 0.5 * (inner + outer)
+        fm = _crossing_indicator(problem, matrices, nu, mid)
+        steps += 1
         if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
+            return mid, steps, (mid, mid)
+        if (fm < 0.0) == negative:
+            inner = mid
         else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+            outer = mid
+    a, b = sorted((inner, outer))
+    return 0.5 * (a + b), steps, (a, b)
+
+
+def _runs(items, tol, key):
+    """Items, ascending in key, split into runs whose neighbours' keys are
+    within tol of each other."""
+    runs = []
+    for item in items:
+        if runs and key(item) - key(runs[-1][-1]) <= tol:
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+    return runs
 
 
 def report(problem, refined, cluster_tol, matrices):
@@ -169,13 +214,7 @@ def report(problem, refined, cluster_tol, matrices):
     its curve index the smallest member index.  Helmholtz entries with
     |lambda| < cluster_tol are dropped (lambda = 0 is excluded there).
     """
-    ordered = sorted(refined, key=lambda t: (t[0], t[1]))
-    clusters = []
-    for lam, nu in ordered:
-        if clusters and lam - clusters[-1][-1][0] <= cluster_tol:
-            clusters[-1].append((lam, nu))
-        else:
-            clusters.append([(lam, nu)])
+    clusters = _runs(sorted(refined, key=lambda t: (t[0], t[1])), cluster_tol, lambda t: t[0])
     entries = []
     for members in clusters:
         lam = sum(m[0] for m in members) / len(members)
@@ -215,14 +254,77 @@ def _metadata(problem):
     }
 
 
-def run_pipeline(problem):
-    """Sweep, detect, refine, report; returns (CurveTable, TEReport)."""
-    _, _, matrices = prepare_matrices(problem)
-    table = sweep(problem, matrices)
-    brackets = find_crossings(table)
-    refined = []
-    for bracket in brackets:
-        lam = refine(problem, matrices, bracket, problem.sweep.refine_tol)
-        refined.append((lam, bracket.index))
-    te_report = report(problem, refined, problem.sweep.cluster_tol, matrices=matrices)
-    return table, te_report
+def run_pipeline(problem, matrices=None):
+    """The TEs of a validated problem in [lambda_min, lambda_max]: detect,
+    check, polish and report; returns a TEReport with its diagnostics.
+
+    Real candidates closer than refine_tol form one group, since no
+    inertia count between them is reliable.  Across each group the count
+    changes by at most the group's size; otherwise a root was missed and
+    InertiaMismatch is raised.  A group whose count changes by c accepts
+    its first c members, on curves min(left, right) + 1, ..., and drops
+    the rest as tangential; a root on a curve above num_curves is dropped
+    too, as the curve table would not show it.
+    """
+    if matrices is None:
+        _, _, matrices = prepare_matrices(problem)
+    cfg = problem.sweep
+    kind = problem.kind
+    vals = np.concatenate([_qep_eigenvalues(m, kind) for m in matrices])
+    inside = (vals.real >= cfg.lambda_min) & (vals.real <= cfg.lambda_max)
+    nonreal = np.abs(vals.imag[inside & (vals.imag != 0.0)])
+    real = np.sort(vals.real[inside & (vals.imag == 0.0)]).tolist()
+    groups = _runs(real, cfg.refine_tol, lambda lam: lam)
+    cuts = [0.5 * (g[-1] + h[0]) for g, h in zip(groups, groups[1:])]
+    points = [cfg.lambda_min, *cuts, cfg.lambda_max]
+    counts = [_inertia(kind, matrices, lam) for lam in points]
+
+    refined, accepted, dropped = [], [], []
+    for i, group in enumerate(groups or [[]]):
+        left, right = counts[i], counts[i + 1]
+        crossings = abs(right - left)
+        if crossings > len(group):
+            raise InertiaMismatch(
+                f"the inertia of A(lambda) goes from {left} to {right} over "
+                f"[{points[i]}, {points[i + 1]}], which holds {len(group)} real root(s)"
+            )
+        for j, candidate in enumerate(group):
+            nu = min(left, right) + 1 + j
+            if j >= crossings:
+                dropped.append({"candidate": candidate, "reason": "tangential"})
+            elif nu > problem.discretization.num_curves:
+                dropped.append(
+                    {"candidate": candidate, "reason": "above_num_curves", "curve_index": nu}
+                )
+            else:
+                lam, steps, (a, b) = refine(
+                    problem, matrices, nu, candidate, (points[i], points[i + 1]),
+                    left >= nu, cfg.refine_tol,
+                )
+                refined.append((lam, nu))
+                accepted.append(
+                    {
+                        "candidate": candidate,
+                        "lambda": lam,
+                        "curve_index": nu,
+                        "bisection_steps": steps,
+                        "bracket": [a, b],
+                        "bracket_width": b - a,
+                    }
+                )
+    diagnostics = {
+        "accepted": accepted,
+        "dropped": dropped,
+        "nonreal_in_window": {
+            "count": int(nonreal.size),
+            "min_abs_imag": float(nonreal.min()) if nonreal.size else None,
+        },
+        "inertia": {
+            "at_lambda_min": counts[0],
+            "at_lambda_max": counts[-1],
+            "points_checked": len(points),
+            "check": "consistent",
+        },
+    }
+    te_report = report(problem, refined, cfg.cluster_tol, matrices=matrices)
+    return replace(te_report, diagnostics=diagnostics)

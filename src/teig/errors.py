@@ -41,6 +41,10 @@ class TooFewCells(ValidationError):
     pass
 
 
+class ProblemTooLarge(ValidationError):
+    pass
+
+
 class NonPositiveArgument(TeigError, ValueError):
     pass
 
@@ -73,7 +77,7 @@ class NoConvergence(TeigError, ArithmeticError):
     pass
 
 
-class BracketInvalid(TeigError, ValueError):
+class InertiaMismatch(TeigError, ArithmeticError):
     pass
 
 

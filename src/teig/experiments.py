@@ -86,7 +86,7 @@ def _galerkin_te_near(radius, v0, target, cells=48, k=8, rel_window=0.5, steps=1
             (1.0 - rel_window) * target, (1.0 + rel_window) * target, steps, 1e-10, 1e-8
         ),
     )
-    _, rep = curves.run_pipeline(validate_problem(spec))
+    rep = curves.run_pipeline(validate_problem(spec))
     if not rep.entries:
         raise ValidationError(f"no Galerkin TE found near {target}")
     return min((e["lambda"] for e in rep.entries), key=lambda lam: abs(lam - target))
@@ -99,7 +99,7 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
     The first TE is taken over angular order 0 for both radii (the same
     rule on both sides, so the ratio comparison is exact regardless of
     whether a higher-order mode dips lower).  With ``galerkin`` the check
-    is repeated through the sweep pipeline on (-R, R), dimension 1 only.
+    is repeated through the Galerkin pipeline on (-R, R), dimension 1 only.
     """
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
@@ -241,7 +241,7 @@ def packing_bound_check(length, v0, x, cells=96, num_curves=16, steps=400):
         discretization=DiscretizationConfig(cells, 8, num_curves),
         sweep=SweepConfig(1e-3 * x, float(x), steps, 1e-8, 1e-6),
     )
-    _, rep = curves.run_pipeline(validate_problem(spec))
+    rep = curves.run_pipeline(validate_problem(spec))
     observed = sum(e["multiplicity_estimate"] for e in rep.entries if e["lambda"] <= x)
     required = PACKING_SLACK * prediction
     verdict = PASS if observed >= required - 1e-9 else FAIL
@@ -323,7 +323,7 @@ def truncation_stability(
             discretization=DiscretizationConfig(cells, 8, num_curves),
             sweep=SweepConfig(lo, hi, steps, 1e-8, 1e-6),
         )
-        _, rep = curves.run_pipeline(validate_problem(spec))
+        rep = curves.run_pipeline(validate_problem(spec))
         lams = [e["lambda"] for e in rep.entries if lo <= e["lambda"] <= hi]
         te_lists.append(lams)
         count_rows.append((count, len(lams)))

@@ -16,10 +16,15 @@ from .errors import (
     HelmholtzContrastDegenerate,
     NonPositivePotential,
     OverlappingIntervals,
+    ProblemTooLarge,
     ValidationError,
 )
 
 HELMHOLTZ_CONTRAST_TOL = 1e-12
+# Largest dense storage a problem may need, in bytes: the six form matrices
+# of every interval block plus one block's companion matrix, or the curve
+# table with its CSV text.
+MEMORY_BUDGET_BYTES = 1 << 30
 
 
 class ProblemKind(Enum):
@@ -181,9 +186,11 @@ def validate_problem(spec):
         raise BallGivenToGalerkin("ball domains are served by the radial oracle only")
 
     if isinstance(spec.domain, ShrinkingChain):
+        _check_storage(spec.domain.count, spec.discretization, spec.sweep)
         intervals = materialize_domain(spec.domain)
         unbounded_model = True
     elif isinstance(spec.domain, IntervalUnion):
+        _check_storage(len(spec.domain.intervals), spec.discretization, spec.sweep)
         intervals = sorted(spec.domain.intervals)
         unbounded_model = False
     else:
@@ -267,6 +274,25 @@ def validate_problem(spec):
         discretization=disc,
         sweep=sw,
     )
+
+
+def _check_storage(blocks, disc, sw):
+    """Reject, before anything is allocated, a problem whose float64 arrays
+    would exceed MEMORY_BUDGET_BYTES."""
+    n = max(disc.cells_per_interval - 1, 0)
+    forms = 8 * (6 * blocks * n * n + (2 * n) ** 2)
+    if forms > MEMORY_BUDGET_BYTES:
+        raise ProblemTooLarge(
+            f"{blocks} interval block(s) of dimension {n} need {forms} bytes of dense "
+            f"matrices, over the budget of {MEMORY_BUDGET_BYTES}"
+        )
+    # each value is a float64 and up to 24 characters of CSV text
+    table = 32 * max(sw.steps, 0) * (max(disc.num_curves, 0) + 1)
+    if table > MEMORY_BUDGET_BYTES:
+        raise ProblemTooLarge(
+            f"a curve table of {sw.steps} x {disc.num_curves} needs {table} bytes, "
+            f"over the budget of {MEMORY_BUDGET_BYTES}"
+        )
 
 
 def _check_finite(**values):

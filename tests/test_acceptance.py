@@ -82,7 +82,7 @@ def test_criterion_1_radial_oracle_exactness():
 def test_criterion_2_oracle_galerkin_agreement():
     with _Timer(2, 60.0):
         problem = reference_problem()
-        _, report = curves.run_pipeline(problem)
+        report = curves.run_pipeline(problem)
         assert report.entries, "no transmission eigenvalues reported"
         oracle = te_list_up_to(RadialProblem(H, 1, math.pi, 0.75), 9.5, 1)
         oracle_lams = [lam for lam, _, _ in oracle.entries]
@@ -170,7 +170,7 @@ def test_criterion_8_weight_invariance():
         locations = {}
         for name, weight in (("agmon", Agmon(4.0)), ("unweighted", Unweighted())):
             problem = reference_problem(refine_tol=1e-8, cluster_tol=1e-6, weight=weight)
-            _, report = curves.run_pipeline(problem)
+            report = curves.run_pipeline(problem)
             locations[name] = sorted(e["lambda"] for e in report.entries)
         assert len(locations["agmon"]) == len(locations["unweighted"]) > 0
         worst = max(

@@ -76,6 +76,14 @@ class TestExitCodes:
         assert json.loads(out.stderr)["error"] == "ValidationError"
         assert not out_path.exists()
 
+    def test_problem_past_memory_budget_exits_two(self, tmp_path):
+        config = json.loads(json.dumps(CONFIG))
+        config["discretization"]["cells_per_interval"] = 100_000
+        path = write_config(tmp_path, config)
+        out = run_cli("find", "--config", str(path), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "ProblemTooLarge"
+
     def test_not_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

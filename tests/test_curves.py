@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from teig import curves
+from teig import cli, curves
 from teig.assembly import FormMatrices, assemble_A
-from teig.curves import Bracket, CurveTable, find_crossings, refine, report, run_pipeline, sweep
+from teig.curves import CurveTable, refine, report, run_pipeline, sweep
 from teig.eigensolve import lowest_k
-from teig.errors import BracketInvalid
+from teig.errors import InertiaMismatch
 from teig.model import (
     Constant,
     DiscretizationConfig,
@@ -37,11 +37,11 @@ def helmholtz_problem(cells=32, k=8, lo=0.5, hi=10.0, steps=120, refine_tol=1e-8
     return validate_problem(spec)
 
 
-def affine_matrices():
-    """1x1 synthetic system whose Schrodinger curve is mu(lambda) = lambda - 1."""
-    one = np.array([[1.0]])
-    zero = np.array([[0.0]])
-    return (FormMatrices(S=-one, C=one, K=zero, M=zero, Minv=zero, Mw=one),)
+def scalar_matrices(s, c, minv):
+    """1x1 synthetic Schrodinger system with A(lambda) = s + c lambda + minv lambda^2
+    and Mw = 1."""
+    one, zero = np.array([[1.0]]), np.array([[0.0]])
+    return (FormMatrices(S=s * one, C=c * one, K=zero, M=zero, Minv=minv * one, Mw=one),)
 
 
 class TestSweep:
@@ -135,51 +135,175 @@ class TestBlockSolves:
         assert negative > 0
 
 
-class TestFindCrossings:
+    def test_identity_spectrum_bit_identical_to_lowest_k(self):
+        for prob in (self.prob, helmholtz_problem(cells=64, k=12)):
+            _, _, m = curves.prepare_matrices(prob)
+            k = prob.discretization.num_curves
+            for lam in (0.5, 4.0000148, 17.25, 49.0):
+                via_lowest_k = np.sort(np.concatenate([
+                    lowest_k(assemble_A(b, prob.kind, lam), np.eye(b.dim), k).eigenvalues
+                    for b in m
+                ]))[:k]
+                direct = curves._identity_spectrum(prob.kind, m, lam)[:k]
+                assert np.array_equal(direct, via_lowest_k), lam
+
+
+def packing_problem():
+    """The packing check's problem: (0, 4 pi), 96 cells, x = 16."""
+    spec = ProblemSpec(
+        kind=ProblemKind.HELMHOLTZ,
+        domain=IntervalUnion([(0.0, 4 * math.pi)]),
+        potential=Constant(0.75),
+        discretization=DiscretizationConfig(96, 8, 16),
+        sweep=SweepConfig(0.016, 16.0, 400, 1e-8, 1e-6),
+    )
+    return validate_problem(spec)
+
+
+def sweep_sign_changes(table):
+    """(curve index, cell) for every strict sign change of the curve table."""
+    v = table.values
+    cells, curves_ = np.nonzero(v[:-1] * v[1:] < 0.0)
+    return sorted(zip((curves_ + 1).tolist(), cells.tolist()))
+
+
+class TestCrossCheck:
+    """The quadratic-eigenproblem roots against the sign changes of the
+    independent curve sweep, which solves (A(lambda), Mw) on a grid."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: helmholtz_problem(cells=64, k=12, steps=400), chain_problem, packing_problem],
+        ids=["reference", "chain", "packing"],
+    )
+    def test_every_sweep_sign_change_has_a_root(self, make):
+        prob = make()
+        _, _, m = curves.prepare_matrices(prob)
+        table = sweep(prob, m)
+        accepted = run_pipeline(prob, m).diagnostics["accepted"]
+        tol = prob.sweep.refine_tol
+        changes = sweep_sign_changes(table)
+        assert changes
+        for nu, i in changes:
+            lo, hi = table.lambdas[i] - tol, table.lambdas[i + 1] + tol
+            assert any(
+                a["curve_index"] == nu and lo <= a["lambda"] <= hi for a in accepted
+            ), (nu, table.lambdas[i])
+        assert len(accepted) == len(changes)
+
+    def test_near_axis_pair_not_reported(self):
+        # the reference spectrum has a genuine pair at 3.9789 +- 0.036i
+        rep = run_pipeline(helmholtz_problem(cells=64, k=12, cluster=1e-6))
+        nonreal = rep.diagnostics["nonreal_in_window"]
+        assert nonreal["count"] >= 2
+        assert nonreal["min_abs_imag"] == pytest.approx(0.0359, abs=1e-3)
+        reported = [e["lambda"] for e in rep.entries]
+        reported += [a["candidate"] for a in rep.diagnostics["accepted"]]
+        reported += [d["candidate"] for d in rep.diagnostics["dropped"]]
+        assert reported and all(abs(lam - 3.9789) > 0.02 for lam in reported)
+
+    def test_forced_inertia_mismatch_raises(self, monkeypatch, tmp_path, capsys):
+        eigvals = np.linalg.eigvals
+
+        def drop_first_real_root(a):
+            vals = eigvals(a)
+            real = np.flatnonzero((vals.imag == 0.0) & (vals.real > 3.0) & (vals.real < 5.0))
+            return np.delete(vals, real[:1])
+
+        monkeypatch.setattr(np.linalg, "eigvals", drop_first_real_root)
+        prob = helmholtz_problem(cells=32, k=6, lo=3.0, hi=5.0)
+        with pytest.raises(InertiaMismatch):
+            run_pipeline(prob)
+
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({
+            "problem": "helmholtz",
+            "domain": {"type": "interval_union", "intervals": [[-math.pi, math.pi]]},
+            "potential": {"type": "constant", "v0": 0.75},
+            "discretization": {"cells_per_interval": 32, "quad_points": 8, "num_curves": 6},
+            "sweep": {"lambda_min": 3.0, "lambda_max": 5.0, "steps": 120},
+        }))
+        assert cli.main(["find", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InertiaMismatch"
+
+
+class TestDetection:
+    """The quadratic-eigenproblem route on synthetic and small problems."""
+
     def test_all_positive(self):
-        table = CurveTable(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]))
-        assert find_crossings(table) == []
+        # no transmission eigenvalue lies in (0.5, 3) on the reference interval
+        rep = run_pipeline(helmholtz_problem(cells=16, k=6, lo=0.5, hi=3.0))
+        assert rep.entries == ()
+        inertia = rep.diagnostics["inertia"]
+        assert inertia["at_lambda_min"] == inertia["at_lambda_max"] == 0
 
     def test_single_sign_change(self):
-        table = CurveTable(np.array([3.0, 5.0]), np.array([[4.0], [-1.0]]))
-        assert find_crossings(table) == [Bracket(1, 3.0, 5.0)]
+        # A(lambda) = lambda^2 - 1: curve 1 changes sign once in (0, 2)
+        prob = helmholtz_problem(lo=0.0, hi=2.0, k=1, kind=ProblemKind.SCHRODINGER)
+        rep = run_pipeline(prob, scalar_matrices(-1.0, 0.0, 1.0))
+        assert [(e["curve_index"], e["multiplicity_estimate"]) for e in rep.entries] == [(1, 1)]
+        assert rep.entries[0]["lambda"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_tangential_root_dropped(self):
+        # A(lambda) = (lambda - 1)^2 touches zero without changing sign
+        prob = helmholtz_problem(lo=0.0, hi=2.0, k=1, kind=ProblemKind.SCHRODINGER)
+        rep = run_pipeline(prob, scalar_matrices(1.0, -2.0, 1.0))
+        assert rep.entries == ()
+        assert [d["reason"] for d in rep.diagnostics["dropped"]] == ["tangential"] * 2
 
     def test_two_indices_same_cell(self):
-        table = CurveTable(
-            np.array([0.0, 1.0]), np.array([[1.0, 2.0], [-1.0, -2.0]])
+        # two equal intervals: bit-identical blocks, so every root is double
+        spec = ProblemSpec(
+            kind=ProblemKind.HELMHOLTZ,
+            domain=IntervalUnion([(0.0, 2 * math.pi), (8.0, 8.0 + 2 * math.pi)]),
+            potential=Constant(0.75),
+            discretization=DiscretizationConfig(24, 8, 6),
+            sweep=SweepConfig(3.0, 5.0, 40, 1e-8, 1e-6),
         )
-        brackets = find_crossings(table)
-        assert {b.index for b in brackets} == {1, 2}
+        prob = validate_problem(spec)
+        rep = run_pipeline(prob)
+        assert rep.entries
+        for entry in rep.entries:
+            assert entry["multiplicity_estimate"] == 2
+        accepted = rep.diagnostics["accepted"]
+        assert [a["curve_index"] for a in accepted] == list(range(1, len(accepted) + 1))
+        table = sweep(prob, curves.prepare_matrices(prob)[2])
+        signs = np.sign(table.values)
+        changed = {nu + 1 for nu in range(6) if np.any(signs[1:, nu] != signs[:-1, nu])}
+        assert changed == {a["curve_index"] for a in accepted}
 
-    def test_exact_zero_width_zero_bracket(self):
-        table = CurveTable(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [0.0], [-1.0]]))
-        brackets = find_crossings(table)
-        assert brackets == [Bracket(1, 1.0, 1.0)]
+    def test_curve_above_num_curves_dropped(self):
+        prob = helmholtz_problem(cells=32, k=1, lo=3.0, hi=5.0)
+        rep = run_pipeline(prob)
+        assert [a["curve_index"] for a in rep.diagnostics["accepted"]] == [1]
+        dropped = rep.diagnostics["dropped"]
+        assert [(d["reason"], d["curve_index"]) for d in dropped] == [("above_num_curves", 2)]
+        assert [e["curve_index"] for e in rep.entries] == [1]
 
 
 class TestRefine:
     def test_synthetic_affine(self):
         prob = helmholtz_problem(kind=ProblemKind.SCHRODINGER)
-        lam = refine(prob, affine_matrices(), Bracket(1, 0.0, 2.0), 1e-9)
+        m = scalar_matrices(-1.0, 0.0, 1.0)
+        lam, steps, (a, b) = refine(prob, m, 1, 1.3, (0.0, 2.0), True, 1e-9)
         assert lam == pytest.approx(1.0, abs=1e-9)
-
-    def test_bracket_invalid(self):
-        prob = helmholtz_problem(kind=ProblemKind.SCHRODINGER)
-        with pytest.raises(BracketInvalid):
-            refine(prob, affine_matrices(), Bracket(1, 2.0, 3.0), 1e-9)
+        assert b - a <= 1e-9 and steps > 0
 
     def test_width_zero_passthrough(self):
+        # an exact zero of the indicator at the guess is returned as is
         prob = helmholtz_problem(kind=ProblemKind.SCHRODINGER)
-        assert refine(prob, affine_matrices(), Bracket(1, 1.0, 1.0), 1e-9) == 1.0
+        m = scalar_matrices(-1.0, 0.0, 1.0)
+        assert refine(prob, m, 1, 1.0, (0.0, 2.0), True, 1e-9) == (1.0, 0, (1.0, 1.0))
 
     def test_real_crossing_near_four(self):
         prob = helmholtz_problem(cells=32, k=6, lo=3.0, hi=5.0, steps=40)
         _, _, m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        brackets = find_crossings(table)
-        assert brackets
-        lam = refine(prob, m, brackets[0], 1e-8)
+        accepted = run_pipeline(prob, m).diagnostics["accepted"]
+        assert accepted
+        lam, _, _ = refine(prob, m, accepted[0]["curve_index"], 3.9, (3.0, 4.02), False, 1e-8)
         assert lam == pytest.approx(4.0, abs=1e-2)
+        assert lam == pytest.approx(accepted[0]["lambda"], abs=1e-8)
 
 
 class TestReport:
@@ -221,7 +345,7 @@ class TestPipelineProperties:
         for name, weight in (("agmon", Agmon(4.0)), ("plain", Unweighted())):
             prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=60,
                                      refine_tol=1e-8, weight=weight)
-            _, rep = run_pipeline(prob)
+            rep = run_pipeline(prob)
             lams[name] = sorted(e["lambda"] for e in rep.entries)
         assert len(lams["agmon"]) == len(lams["plain"]) > 0
         for a, b in zip(lams["agmon"], lams["plain"]):
@@ -230,7 +354,7 @@ class TestPipelineProperties:
     def test_no_crossings_at_nonpositive_lambda(self):
         prob = helmholtz_problem(cells=16, k=6, lo=-2.0, hi=0.5, steps=40,
                                  kind=ProblemKind.SCHRODINGER)
-        _, rep = run_pipeline(prob)
+        rep = run_pipeline(prob)
         assert all(e["lambda"] > 0 for e in rep.entries)
 
     def test_grid_doubling_stability(self):
@@ -238,7 +362,7 @@ class TestPipelineProperties:
         for steps in (60, 120):
             prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=steps,
                                      refine_tol=1e-8)
-            _, rep = run_pipeline(prob)
+            rep = run_pipeline(prob)
             results.append(sorted(e["lambda"] for e in rep.entries))
         assert len(results[0]) == len(results[1])
         for a, b in zip(*results):
@@ -246,12 +370,14 @@ class TestPipelineProperties:
 
     def test_refined_brackets_disjoint(self):
         prob = helmholtz_problem(cells=32, k=8, lo=0.5, hi=10.0, steps=200)
-        _, _, m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        brackets = find_crossings(table)
-        spans = sorted((b.lam_left, b.lam_right) for b in brackets)
+        accepted = run_pipeline(prob).diagnostics["accepted"]
+        assert len(accepted) >= 2
+        spans = sorted(tuple(a["bracket"]) for a in accepted)
         for (l0, r0), (l1, r1) in zip(spans, spans[1:]):
             assert r0 <= l1
+        for a in accepted:
+            assert a["bracket"][0] <= a["lambda"] <= a["bracket"][1]
+            assert a["bracket_width"] <= 1e-8
 
     def test_mesh_refinement_contracts(self):
         # crossing near 4: successive mesh errors shrink by at least 2x
@@ -259,7 +385,7 @@ class TestPipelineProperties:
         for cells in (16, 32, 64):
             prob = helmholtz_problem(cells=cells, k=4, lo=3.5, hi=4.5, steps=40,
                                      refine_tol=1e-10)
-            _, rep = run_pipeline(prob)
+            rep = run_pipeline(prob)
             lam = min((e["lambda"] for e in rep.entries), key=lambda v: abs(v - 4.0))
             reported.append(lam)
         d1 = abs(reported[0] - reported[1])
@@ -270,12 +396,11 @@ class TestPipelineProperties:
         prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=60, refine_tol=1e-8)
         _, _, m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
-        brackets = find_crossings(table)
-        refined = [(refine(prob, m, b, 1e-8), b.index) for b in brackets]
-        rep = report(prob, refined, 1e-6, matrices=m)
-        for entry, bracket in zip(rep.entries, brackets):
-            col = table.values[:, bracket.index - 1]
-            i = np.searchsorted(table.lambdas, bracket.lam_left)
+        rep = run_pipeline(prob, m)
+        assert rep.entries
+        for entry in rep.entries:
+            col = table.values[:, entry["curve_index"] - 1]
+            i = np.searchsorted(table.lambdas, entry["lambda"]) - 1
             slope = abs(col[i + 1] - col[i]) / (table.lambdas[i + 1] - table.lambdas[i])
             assert entry["residual"] <= 10 * 1e-8 * max(slope, 1.0)
 

@@ -8,6 +8,7 @@ from teig.errors import (
     HelmholtzContrastDegenerate,
     NonPositivePotential,
     OverlappingIntervals,
+    ProblemTooLarge,
     ValidationError,
 )
 from teig.model import (
@@ -158,6 +159,23 @@ class TestValidation:
     )
     def test_non_finite_rejected(self, kw):
         with pytest.raises(ValidationError, match="finite"):
+            validate_problem(make_spec(**kw))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(discretization=DiscretizationConfig(12_000, 8, 4)),
+            dict(domain=IntervalUnion([(2.0 * i, 2.0 * i + 1.0) for i in range(10_000)]),
+                 discretization=DiscretizationConfig(64, 8, 4)),
+            dict(domain=ShrinkingChain(10**12, 0.0, 1.0, 1.0, 0.5),
+                 potential=PowerDecay(1.0, 4.0)),
+            dict(sweep=SweepConfig(0.5, 5.0, 10**8)),
+        ],
+        ids=["cells", "intervals", "chain-count", "steps"],
+    )
+    def test_past_memory_budget_rejected(self, kw):
+        # rejected from the sizes alone: a 10^12-link chain is never laid out
+        with pytest.raises(ProblemTooLarge, match="budget"):
             validate_problem(make_spec(**kw))
 
     def test_potential_positive_everywhere(self):
