@@ -17,7 +17,9 @@ crossings are clustered and reported.
 Sweep (``sweep``): the sorted lowest-K generalized eigenvalues of
 (A(lambda), Mw) over a uniform grid, written as the curve CSV.  Sorted-index
 curves may permute branches at intersections, but they are continuous, so
-their sign changes are genuine zero crossings.
+their sign changes are genuine zero crossings.  Each block is reduced to
+standard form once, and the grid is solved in stacked chunks; the report
+residuals come from the same evaluator.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import assemble, assemble_A, build_basis, gauss_legendre, quadratic_coefficients
-from .eigensolve import lowest_k
+from .eigensolve import cholesky
 from .errors import InertiaMismatch, NoConvergence
-from .model import ProblemKind, canonical_config
+from .model import SWEEP_CHUNK_BYTES, ProblemKind, canonical_config
 from .serialize import config_hash, curve_table_csv
 
 
@@ -65,58 +67,93 @@ def prepare_matrices(problem):
     return basis, quad, matrices
 
 
-def _lowest(kind, matrices, lam, k):
-    """The k smallest eigenvalues of (A(lambda), Mw), merged from one solve
-    per interval block."""
-    vals = [lowest_k(assemble_A(m, kind, lam), m.Mw, k).eigenvalues for m in matrices]
-    return np.sort(np.concatenate(vals))[:k]
+def _reduced_coefficients(kind, matrices):
+    """C0, C1, C2 as one (3, blocks, n, n) array: per block, with
+    Mw = L L^T, C_i = L^-1 A_i L^-T (symmetrised) for the coefficients of
+    A(lambda) = A0 + lambda A1 + lambda^2 A2."""
+    reduced = []
+    for m in matrices:
+        try:
+            Linv = np.linalg.inv(cholesky(m.Mw))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"LAPACK inverse failed: {exc}") from None
+        C = Linv @ np.stack(quadratic_coefficients(m, kind)) @ Linv.T
+        reduced.append(0.5 * (C + C.transpose(0, 2, 1)))
+    return np.stack(reduced, axis=1)
+
+
+def _stacked_eigvalsh(c, lams):
+    """eigvalsh of c, one (blocks, n, n) stack per lambda in ``lams``; a
+    failure raises NoConvergence naming the first lambda at fault."""
+    bad = ~np.isfinite(c).all(axis=(1, 2, 3))
+    if bad.any():
+        raise NoConvergence(f"at lambda = {lams[bad.argmax()]}: matrix has non-finite entries")
+    try:
+        vals = np.linalg.eigvalsh(c)
+    except np.linalg.LinAlgError as exc:
+        if lams.size > 1:  # find the point at fault
+            for i in range(lams.size):
+                _stacked_eigvalsh(c[i : i + 1], lams[i : i + 1])
+        raise NoConvergence(f"at lambda = {lams[0]}: LAPACK eigensolver failed: {exc}") from None
+    bad = ~np.isfinite(vals).all(axis=(1, 2))
+    if bad.any():
+        raise NoConvergence(
+            f"at lambda = {lams[bad.argmax()]}: eigensolver returned non-finite values"
+        )
+    return vals
+
+
+def _curves(kind, matrices, lambdas, k):
+    """The k smallest eigenvalues of (A(lambda), Mw), all blocks merged, at
+    each of ``lambdas``: a (len(lambdas), k) array, rows ascending.
+
+    Mw does not depend on lambda, so every block is reduced once and
+    C(lambda) = C0 + lambda C1 + lambda^2 C2 has the eigenvalues of
+    (A(lambda), Mw).  All blocks have one dimension, so the grid is solved
+    in chunks of at most SWEEP_CHUNK_BYTES of C(lambda) stacks, one eigvalsh
+    call each.  A row does not depend on the chunk it falls in.
+    """
+    C0, C1, C2 = _reduced_coefficients(kind, matrices)
+    lambdas = np.asarray(lambdas, dtype=float)
+    size = max(1, SWEEP_CHUNK_BYTES // C0.nbytes)
+    buf = np.empty((min(size, lambdas.size), *C0.shape))
+    values = np.empty((lambdas.size, k))
+    for start in range(0, lambdas.size, size):
+        lams = lambdas[start : start + size]
+        c = buf[: lams.size]
+        x = lams[:, None, None, None]
+        np.multiply(x, C2, out=c)  # Horner, in place: (lambda C2 + C1) lambda + C0
+        c += C1
+        c *= x
+        c += C0
+        vals = _stacked_eigvalsh(c, lams).reshape(lams.size, -1)
+        values[start : start + lams.size] = np.sort(vals, axis=1)[:, :k]
+    return values
 
 
 def sweep(problem, matrices, sweepcfg=None):
     """Lowest-K curve table over the sweep grid (grid order, deterministic)."""
     cfg = sweepcfg if sweepcfg is not None else problem.sweep
-    k = problem.discretization.num_curves
     lambdas = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
-    values = np.empty((cfg.steps, k))
-    for i, lam in enumerate(lambdas):
-        try:
-            values[i] = _lowest(problem.kind, matrices, lam, k)
-        except Exception as exc:
-            raise type(exc)(f"at lambda = {lam}: {exc}") from exc
+    values = _curves(problem.kind, matrices, lambdas, problem.discretization.num_curves)
     return CurveTable(lambdas=lambdas, values=values)
-
-
-def _eigvalsh(A):
-    """All eigenvalues of the symmetric matrix A, ascending, with the
-    finiteness checks and typed errors of eigensolve.lowest_k."""
-    if not np.isfinite(A).all():
-        raise NoConvergence("matrix has non-finite entries")
-    try:
-        vals = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from None
-    if not np.isfinite(vals).all():
-        raise NoConvergence("eigensolver returned non-finite values")
-    return vals
 
 
 def _identity_spectrum(kind, matrices, lam):
     """Ascending eigenvalues of A(lambda), all blocks merged.
 
-    Bit-identical to lowest_k(A(lambda), I, k): with an identity mass its
-    Cholesky factor and inverse are exactly I, and assemble_A is exactly
-    symmetric, so the reduction leaves A(lambda) unchanged.
+    Bit-identical to the generalized eigensolver with an identity mass
+    (eigensolve's Cholesky reduction): its Cholesky factor and inverse are
+    exactly I, and assemble_A is exactly symmetric, so the reduction leaves
+    A(lambda) unchanged.
     """
-    return np.sort(np.concatenate([_eigvalsh(assemble_A(m, kind, lam)) for m in matrices]))
+    A = np.stack([assemble_A(m, kind, lam) for m in matrices])
+    return np.sort(_stacked_eigvalsh(A[None], np.array([lam])), axis=None)
 
 
 def _inertia(kind, matrices, lam):
     """Number of negative eigenvalues of A(lambda)."""
     return int(np.count_nonzero(_identity_spectrum(kind, matrices, lam) < 0.0))
-
-
-def _curve_value(problem, matrices, nu, lam):
-    return _lowest(problem.kind, matrices, lam, nu)[nu - 1]
 
 
 def _crossing_indicator(problem, matrices, nu, lam):
@@ -215,22 +252,22 @@ def report(problem, refined, cluster_tol, matrices):
     |lambda| < cluster_tol are dropped (lambda = 0 is excluded there).
     """
     clusters = _runs(sorted(refined, key=lambda t: (t[0], t[1])), cluster_tol, lambda t: t[0])
-    entries = []
+    kept = []
     for members in clusters:
         lam = sum(m[0] for m in members) / len(members)
-        if problem.kind is ProblemKind.HELMHOLTZ and abs(lam) < cluster_tol:
-            continue
-        residual = max(
-            abs(_curve_value(problem, matrices, nu, lam)) for _, nu in members
-        )
-        entries.append(
-            {
-                "lambda": float(lam),
-                "curve_index": int(min(nu for _, nu in members)),
-                "multiplicity_estimate": len(members),
-                "residual": float(residual),
-            }
-        )
+        if not (problem.kind is ProblemKind.HELMHOLTZ and abs(lam) < cluster_tol):
+            kept.append((lam, members))
+    k = max((nu for _, members in kept for _, nu in members), default=1)
+    values = _curves(problem.kind, matrices, [lam for lam, _ in kept], k)
+    entries = [
+        {
+            "lambda": float(lam),
+            "curve_index": int(min(nu for _, nu in members)),
+            "multiplicity_estimate": len(members),
+            "residual": float(max(abs(row[nu - 1]) for _, nu in members)),
+        }
+        for (lam, members), row in zip(kept, values)
+    ]
     entries.sort(key=lambda e: e["lambda"])
     return TEReport(entries=tuple(entries), metadata=_metadata(problem))
 

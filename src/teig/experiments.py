@@ -73,7 +73,7 @@ def _table(label, columns, rows):
 # dilation scaling
 
 
-def _galerkin_te_near(radius, v0, target, cells=48, k=8, rel_window=0.5, steps=150):
+def _galerkin_te_near(radius, v0, target, cells=48, k=8, rel_window=0.5):
     """Nearest Galerkin-reported TE to ``target`` on the interval
     (-radius, radius) with constant potential v0 (Helmholtz)."""
     spec = ProblemSpec(
@@ -82,8 +82,9 @@ def _galerkin_te_near(radius, v0, target, cells=48, k=8, rel_window=0.5, steps=1
         potential=Constant(v0),
         weight=Unweighted(),
         discretization=DiscretizationConfig(cells, 8, k),
+        # run_pipeline reads no sweep grid: steps is the smallest valid value
         sweep=SweepConfig(
-            (1.0 - rel_window) * target, (1.0 + rel_window) * target, steps, 1e-10, 1e-8
+            (1.0 - rel_window) * target, (1.0 + rel_window) * target, 2, 1e-10, 1e-8
         ),
     )
     rep = curves.run_pipeline(validate_problem(spec))
@@ -223,7 +224,7 @@ def packing_prediction(length, v0, x):
     return int(math.floor(length / width + 1e-9)), lam1, eps
 
 
-def packing_bound_check(length, v0, x, cells=96, num_curves=16, steps=400):
+def packing_bound_check(length, v0, x, cells=96, num_curves=16):
     """Mini-max packing bound: the Galerkin count of eigenvalues of the
     interval (0, length) up to x must reach at least 80% of the packing
     prediction (the continuum bound is one-sided; the slack absorbs
@@ -239,7 +240,8 @@ def packing_bound_check(length, v0, x, cells=96, num_curves=16, steps=400):
         potential=Constant(v0),
         weight=Unweighted(),
         discretization=DiscretizationConfig(cells, 8, num_curves),
-        sweep=SweepConfig(1e-3 * x, float(x), steps, 1e-8, 1e-6),
+        # run_pipeline reads no sweep grid: steps is the smallest valid value
+        sweep=SweepConfig(1e-3 * x, float(x), 2, 1e-8, 1e-6),
     )
     rep = curves.run_pipeline(validate_problem(spec))
     observed = sum(e["multiplicity_estimate"] for e in rep.entries if e["lambda"] <= x)
@@ -297,7 +299,6 @@ def truncation_stability(
     kind=ProblemKind.SCHRODINGER,
     cells=16,
     num_curves=12,
-    steps=200,
 ):
     """Run the full pipeline at increasing chain truncations and report the
     drift of the in-window eigenvalue lists between consecutive counts.
@@ -321,7 +322,8 @@ def truncation_stability(
             potential=potential,
             weight="agmon",
             discretization=DiscretizationConfig(cells, 8, num_curves),
-            sweep=SweepConfig(lo, hi, steps, 1e-8, 1e-6),
+            # run_pipeline reads no sweep grid: steps is the smallest valid value
+            sweep=SweepConfig(lo, hi, 2, 1e-8, 1e-6),
         )
         rep = curves.run_pipeline(validate_problem(spec))
         lams = [e["lambda"] for e in rep.entries if lo <= e["lambda"] <= hi]

@@ -22,9 +22,12 @@ from .errors import (
 
 HELMHOLTZ_CONTRAST_TOL = 1e-12
 # Largest dense storage a problem may need, in bytes: the six form matrices
-# of every interval block plus one block's companion matrix, or the curve
-# table with its CSV text.
+# of every interval block plus the larger of one block's companion matrix
+# and the curve sweep's working set, or the curve table with its CSV text.
 MEMORY_BUDGET_BYTES = 1 << 30
+# Most bytes of reduced matrices one stacked eigensolve of the curve sweep
+# holds; a chunk holds at least one grid point whatever its size.
+SWEEP_CHUNK_BYTES = 1 << 18
 
 
 class ProblemKind(Enum):
@@ -280,10 +283,13 @@ def _check_storage(blocks, disc, sw):
     """Reject, before anything is allocated, a problem whose float64 arrays
     would exceed MEMORY_BUDGET_BYTES."""
     n = max(disc.cells_per_interval - 1, 0)
-    forms = 8 * (6 * blocks * n * n + (2 * n) ** 2)
-    if forms > MEMORY_BUDGET_BYTES:
+    # the sweep's working set: three reduced coefficient stacks, one block's
+    # inverse Cholesky factor and one chunk of C(lambda)
+    sweep = 3 * blocks * n * n + n * n + max(SWEEP_CHUNK_BYTES // 8, blocks * n * n)
+    dense = 8 * (6 * blocks * n * n + max((2 * n) ** 2, sweep))
+    if dense > MEMORY_BUDGET_BYTES:
         raise ProblemTooLarge(
-            f"{blocks} interval block(s) of dimension {n} need {forms} bytes of dense "
+            f"{blocks} interval block(s) of dimension {n} need {dense} bytes of dense "
             f"matrices, over the budget of {MEMORY_BUDGET_BYTES}"
         )
     # each value is a float64 and up to 24 characters of CSV text
@@ -330,9 +336,7 @@ def parse_problem(config):
 
     domain = _parse_domain(_require(config, "domain"))
     potential = _parse_potential(_require(config, "potential"))
-    weight = config.get("weight", "unweighted")
-    if not isinstance(weight, str):
-        raise ValidationError("weight must be the string 'agmon' or 'unweighted'")
+    weight = _parse_weight(config.get("weight", "unweighted"))
 
     disc_cfg = config.get("discretization", {})
     sweep_cfg = config.get("sweep")
@@ -403,6 +407,22 @@ def _parse_potential(cfg):
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed potential: {exc}") from None
     raise ValidationError(f"unknown potential type {kind!r}")
+
+
+def _parse_weight(cfg):
+    """The string spelling ('agmon', 'unweighted') passes through to
+    validation; the object spelling of canonical_config is built here."""
+    if isinstance(cfg, str):
+        return cfg
+    kind = _require(cfg, "type")
+    try:
+        if kind == "unweighted":
+            return Unweighted()
+        if kind == "agmon":
+            return Agmon(alpha=float(cfg["alpha"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed weight: {exc}") from None
+    raise ValidationError(f"unknown weight type {kind!r}")
 
 
 def load_problem(path):

@@ -231,7 +231,7 @@ def test_criterion_11_truncation_stability_report():
                                first_length=math.pi, decay_ratio=0.5)
         result = experiments.truncation_stability(
             chain, [2, 4, 6], (0.5, 50.0), PowerDecay(60.0, 4.0), kind=S,
-            cells=32, num_curves=16, steps=250,
+            cells=32, num_curves=16,
         )
         assert result.verdict == "Report-only"
         drift_rows = result.tables[2]["rows"]

@@ -84,6 +84,16 @@ class TestExitCodes:
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "ProblemTooLarge"
 
+    def test_sweep_working_set_past_memory_budget_exits_two(self, tmp_path):
+        # the forms and one companion matrix fit the budget; the forms and
+        # the sweep's reduced coefficient stacks do not
+        config = json.loads(json.dumps(CONFIG))
+        config["discretization"]["cells_per_interval"] = 3601
+        path = write_config(tmp_path, config)
+        out = run_cli("sweep", "--config", str(path), "--out-curves", str(tmp_path / "c.csv"))
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "ProblemTooLarge"
+
     def test_not_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -253,6 +263,50 @@ class TestExperimentCommands:
         res = run_cli("count", "--dim", "1", "--x-values", "2,3")
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "InsufficientCounts"
+
+
+REFERENCE_CONFIG = {
+    "problem": "helmholtz",
+    "domain": {"type": "interval_union", "intervals": [[-math.pi, math.pi]]},
+    "potential": {"type": "constant", "v0": 0.75},
+    "weight": "unweighted",
+    "discretization": {"cells_per_interval": 64, "quad_points": 8, "num_curves": 12},
+    "sweep": {"lambda_min": 0.5, "lambda_max": 10.0, "steps": 400},
+}
+
+CHAIN_CONFIG = {
+    "problem": "schrodinger",
+    "domain": {"type": "shrinking_chain", "count": 6, "start": 0.0, "gap": 1.0,
+               "first_length": math.pi, "decay_ratio": 0.5},
+    "potential": {"type": "power_decay", "c": 60.0, "alpha": 4.0},
+    "weight": "agmon",
+    "discretization": {"cells_per_interval": 32, "quad_points": 8, "num_curves": 16},
+    "sweep": {"lambda_min": 0.5, "lambda_max": 50.0, "steps": 250},
+}
+
+
+class TestCanonicalConfig:
+    @pytest.mark.parametrize(
+        "config",
+        [REFERENCE_CONFIG, CHAIN_CONFIG, dict(CONFIG, weight="agmon")],
+        ids=["reference", "chain", "agmon-constant"],
+    )
+    def test_canonical_config_reads_back(self, tmp_path, config):
+        from teig import cli
+        from teig.model import canonical_config, parse_problem, validate_problem
+        from teig.serialize import config_hash, dumps
+
+        canonical = canonical_config(validate_problem(parse_problem(config)))
+        again = canonical_config(validate_problem(parse_problem(canonical)))
+        assert config_hash(again) == config_hash(canonical)
+        reports = []
+        for name, cfg in (("original", json.dumps(config)), ("canonical", dumps(canonical))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(cfg)
+            out = tmp_path / f"{name}.report.json"
+            assert cli.main(["find", "--config", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestInProcessEntryPoint:

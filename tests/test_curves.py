@@ -8,7 +8,7 @@ from teig import cli, curves
 from teig.assembly import FormMatrices, assemble_A
 from teig.curves import CurveTable, refine, report, run_pipeline, sweep
 from teig.eigensolve import lowest_k
-from teig.errors import InertiaMismatch
+from teig.errors import InertiaMismatch, NoConvergence
 from teig.model import (
     Constant,
     DiscretizationConfig,
@@ -158,6 +158,63 @@ def packing_problem():
         sweep=SweepConfig(0.016, 16.0, 400, 1e-8, 1e-6),
     )
     return validate_problem(spec)
+
+
+class TestStackedEvaluator:
+    """The sweep reduces each block once and solves the grid in stacked
+    chunks; its table must match per-point generalized solves."""
+
+    @pytest.mark.parametrize("points", [1, 3], ids=["one-point", "uneven"])
+    def test_table_independent_of_chunking(self, monkeypatch, points):
+        prob = chain_problem()
+        _, _, m = curves.prepare_matrices(prob)
+        grid = SweepConfig(0.5, 50.0, 34)
+        default = sweep(prob, m, grid)
+        point_bytes = 8 * sum(b.dim ** 2 for b in m)
+        monkeypatch.setattr(curves, "SWEEP_CHUNK_BYTES", points * point_bytes)
+        assert np.array_equal(sweep(prob, m, grid).values, default.values)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: helmholtz_problem(cells=64, k=12), packing_problem],
+        ids=["reference", "packing"],
+    )
+    def test_matches_per_point_generalized_solve(self, make):
+        prob = make()
+        _, _, m = curves.prepare_matrices(prob)
+        k = prob.discretization.num_curves
+        table = sweep(prob, m, SweepConfig(prob.sweep.lambda_min, prob.sweep.lambda_max, 34))
+        for lam, row in zip(table.lambdas, table.values):
+            A = block_diagonal([assemble_A(b, prob.kind, lam) for b in m])
+            Mw = block_diagonal([b.Mw for b in m])
+            whole = np.array(lowest_k(A, Mw, k).eigenvalues)
+            scale = np.max(np.abs(whole))
+            assert np.max(np.abs(row - whole)) <= 1e-10 * scale, lam
+
+    def test_non_finite_coefficient_names_a_lambda(self):
+        prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
+        with pytest.raises(NoConvergence, match=r"at lambda = 0\.0: .*non-finite"):
+            sweep(prob, scalar_matrices(np.nan, 0.0, 1.0), SweepConfig(0.0, 4.0, 5))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_names_the_first_lambda_at_fault(self):
+        # C(lambda) = 1 + 1e300 lambda^2 overflows from lambda = 2e4 on
+        prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
+        with pytest.raises(NoConvergence, match=r"at lambda = 20000\.0: .*non-finite"):
+            sweep(prob, scalar_matrices(1.0, 0.0, 1e300), SweepConfig(0.0, 3e4, 4))
+
+    def test_lapack_failure_names_the_lambda_at_fault(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def fail_past_four(a):
+            if a.max() > 4.0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_past_four)
+        # C(lambda) = 1 + lambda^2 passes 4 first at lambda = 2
+        prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
+        with pytest.raises(NoConvergence, match=r"at lambda = 2\.0: LAPACK"):
+            sweep(prob, scalar_matrices(1.0, 0.0, 1.0), SweepConfig(0.0, 4.0, 5))
 
 
 def sweep_sign_changes(table):

@@ -174,14 +174,17 @@ class TestLapackBoundary:
             lowest_k(np.eye(3), np.eye(3), 1)
 
     def test_cli_exits_two_on_solver_failure(self, monkeypatch, tmp_path, capsys):
-        from teig import cli, curves
+        from teig import cli
 
-        def poisoned(A, B, K):
-            A = np.array(A, dtype=float)
-            A[0, 0] = np.nan
-            return lowest_k(A, B, K)
+        eigvalsh = np.linalg.eigvalsh
 
-        monkeypatch.setattr(curves, "lowest_k", poisoned)
+        def poisoned(a):
+            vals = eigvalsh(a)
+            if a.ndim == 4:  # the curve evaluator's stacked call
+                vals[..., 0] = np.nan
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
         config = tmp_path / "problem.json"
         config.write_text(
             '{"problem": "helmholtz",'
@@ -190,7 +193,9 @@ class TestLapackBoundary:
             ' "discretization": {"cells_per_interval": 8, "num_curves": 2},'
             ' "sweep": {"lambda_min": 3.0, "lambda_max": 5.0, "steps": 4}}'
         )
-        code = cli.main(["find", "--config", str(config), "--out", str(tmp_path / "r.json")])
+        code = cli.main(
+            ["sweep", "--config", str(config), "--out-curves", str(tmp_path / "c.csv")]
+        )
         assert code == 2
         assert '"NoConvergence"' in capsys.readouterr().err
 

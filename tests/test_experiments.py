@@ -78,14 +78,14 @@ class TestTruncation:
 
     def test_repeat_counts_zero_drift(self):
         r = ex.truncation_stability(
-            self.chain(), [2, 2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16, steps=60
+            self.chain(), [2, 2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16
         )
         assert r.verdict == "Report-only"
         assert r.tables[2]["rows"][0][2] == 0.0
 
     def test_single_count_no_drift_rows(self):
         r = ex.truncation_stability(
-            self.chain(), [2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16, steps=60
+            self.chain(), [2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16
         )
         assert r.tables[2]["rows"] == []
 
@@ -95,7 +95,7 @@ class TestTruncation:
 
     def test_drift_finite(self):
         r = ex.truncation_stability(
-            self.chain(), [2, 4], (0.5, 30.0), PowerDecay(60.0, 4.0), cells=16, steps=80
+            self.chain(), [2, 4], (0.5, 30.0), PowerDecay(60.0, 4.0), cells=16
         )
         drift = r.tables[2]["rows"]
         assert len(drift) == 1

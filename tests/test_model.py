@@ -170,8 +170,14 @@ class TestValidation:
             dict(domain=ShrinkingChain(10**12, 0.0, 1.0, 1.0, 0.5),
                  potential=PowerDecay(1.0, 4.0)),
             dict(sweep=SweepConfig(0.5, 5.0, 10**8)),
+            # forms plus a companion matrix fit; forms plus the sweep's
+            # reduced stacks and chunk do not
+            dict(discretization=DiscretizationConfig(3601, 8, 4)),
+            dict(domain=IntervalUnion([(2.0 * i, 2.0 * i + 1.0) for i in range(6)]),
+                 discretization=DiscretizationConfig(1601, 8, 4)),
         ],
-        ids=["cells", "intervals", "chain-count", "steps"],
+        ids=["cells", "intervals", "chain-count", "steps", "sweep-one-block",
+             "sweep-six-blocks"],
     )
     def test_past_memory_budget_rejected(self, kw):
         # rejected from the sizes alone: a 10^12-link chain is never laid out
@@ -233,6 +239,9 @@ class TestParseProblem:
             lambda c: c.pop("sweep"),
             lambda c: c["sweep"].pop("steps"),
             lambda c: c.update(weight=17),
+            lambda c: c.update(weight={"type": "agmon"}),
+            lambda c: c.update(weight={"type": "agmon", "alpha": "steep"}),
+            lambda c: c.update(weight={"type": "gaussian"}),
             lambda c: c["potential"].update(type="unknown"),
         ],
     )
