@@ -18,8 +18,9 @@ Sweep (``sweep``): the sorted lowest-K generalized eigenvalues of
 (A(lambda), Mw) over a uniform grid, written as the curve CSV.  Sorted-index
 curves may permute branches at intersections, but they are continuous, so
 their sign changes are genuine zero crossings.  Each block is reduced to
-standard form once, and the grid is solved in stacked chunks; the report
-residuals come from the same evaluator.
+standard form once by ``eigensolve.reduce``, and the grid is solved in
+stacked chunks by ``eigensolve.eigvalsh``, the solver behind ``lowest_k``;
+the report residuals come from the same evaluator.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import assemble, assemble_A, build_basis, gauss_legendre, quadratic_coefficients
-from .eigensolve import cholesky
+from .eigensolve import eigvalsh, reduce
 from .errors import InertiaMismatch, NoConvergence
 from .model import SWEEP_CHUNK_BYTES, ProblemKind, canonical_config
 from .serialize import config_hash, curve_table_csv
@@ -67,42 +68,6 @@ def prepare_matrices(problem):
     return basis, quad, matrices
 
 
-def _reduced_coefficients(kind, matrices):
-    """C0, C1, C2 as one (3, blocks, n, n) array: per block, with
-    Mw = L L^T, C_i = L^-1 A_i L^-T (symmetrised) for the coefficients of
-    A(lambda) = A0 + lambda A1 + lambda^2 A2."""
-    reduced = []
-    for m in matrices:
-        try:
-            Linv = np.linalg.inv(cholesky(m.Mw))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"LAPACK inverse failed: {exc}") from None
-        C = Linv @ np.stack(quadratic_coefficients(m, kind)) @ Linv.T
-        reduced.append(0.5 * (C + C.transpose(0, 2, 1)))
-    return np.stack(reduced, axis=1)
-
-
-def _stacked_eigvalsh(c, lams):
-    """eigvalsh of c, one (blocks, n, n) stack per lambda in ``lams``; a
-    failure raises NoConvergence naming the first lambda at fault."""
-    bad = ~np.isfinite(c).all(axis=(1, 2, 3))
-    if bad.any():
-        raise NoConvergence(f"at lambda = {lams[bad.argmax()]}: matrix has non-finite entries")
-    try:
-        vals = np.linalg.eigvalsh(c)
-    except np.linalg.LinAlgError as exc:
-        if lams.size > 1:  # find the point at fault
-            for i in range(lams.size):
-                _stacked_eigvalsh(c[i : i + 1], lams[i : i + 1])
-        raise NoConvergence(f"at lambda = {lams[0]}: LAPACK eigensolver failed: {exc}") from None
-    bad = ~np.isfinite(vals).all(axis=(1, 2))
-    if bad.any():
-        raise NoConvergence(
-            f"at lambda = {lams[bad.argmax()]}: eigensolver returned non-finite values"
-        )
-    return vals
-
-
 def _curves(kind, matrices, lambdas, k):
     """The k smallest eigenvalues of (A(lambda), Mw), all blocks merged, at
     each of ``lambdas``: a (len(lambdas), k) array, rows ascending.
@@ -113,7 +78,9 @@ def _curves(kind, matrices, lambdas, k):
     in chunks of at most SWEEP_CHUNK_BYTES of C(lambda) stacks, one eigvalsh
     call each.  A row does not depend on the chunk it falls in.
     """
-    C0, C1, C2 = _reduced_coefficients(kind, matrices)
+    C0, C1, C2 = np.stack(
+        [reduce(np.stack(quadratic_coefficients(m, kind)), m.Mw) for m in matrices], axis=1
+    )
     lambdas = np.asarray(lambdas, dtype=float)
     size = max(1, SWEEP_CHUNK_BYTES // C0.nbytes)
     buf = np.empty((min(size, lambdas.size), *C0.shape))
@@ -126,7 +93,7 @@ def _curves(kind, matrices, lambdas, k):
         c += C1
         c *= x
         c += C0
-        vals = _stacked_eigvalsh(c, lams).reshape(lams.size, -1)
+        vals = eigvalsh(c, [f"at lambda = {lam}" for lam in lams]).reshape(lams.size, -1)
         values[start : start + lams.size] = np.sort(vals, axis=1)[:, :k]
     return values
 
@@ -142,13 +109,12 @@ def sweep(problem, matrices, sweepcfg=None):
 def _identity_spectrum(kind, matrices, lam):
     """Ascending eigenvalues of A(lambda), all blocks merged.
 
-    Bit-identical to the generalized eigensolver with an identity mass
-    (eigensolve's Cholesky reduction): its Cholesky factor and inverse are
-    exactly I, and assemble_A is exactly symmetric, so the reduction leaves
-    A(lambda) unchanged.
+    Bit-identical to lowest_k with an identity mass: the Cholesky factor
+    and inverse in eigensolve.reduce are exactly I, and assemble_A is
+    exactly symmetric, so the reduction leaves A(lambda) unchanged.
     """
     A = np.stack([assemble_A(m, kind, lam) for m in matrices])
-    return np.sort(_stacked_eigvalsh(A[None], np.array([lam])), axis=None)
+    return np.sort(eigvalsh(A[None], [f"at lambda = {lam}"]), axis=None)
 
 
 def _inertia(kind, matrices, lam):

@@ -2,11 +2,13 @@
 definite, on numpy/LAPACK: Cholesky reduction to the standard problem
 C = L^-1 A L^-T, then LAPACK's symmetric eigensolver.
 
-Only eigenvalues are part of the public contract; the vector-producing
-path exists for residual checks in the test suite.  Failures at the LAPACK
-boundary come back as typed errors: non-finite input, a LAPACK error or a
-non-finite result raise NoConvergence, and a Cholesky pivot at or below
-1e-13 times the largest diagonal entry of B raises NotPositiveDefinite.
+``reduce`` and ``eigvalsh`` are the one implementation of both steps: the
+curve sweep and the report residuals in ``curves`` run them on stacks of
+matrices, and ``lowest_k`` is their one-point case.  Only eigenvalues are
+computed.  Failures at the LAPACK boundary come back as typed errors:
+non-finite input, a LAPACK error or a non-finite result raise
+NoConvergence, and a Cholesky pivot at or below 1e-13 times the largest
+diagonal entry of B raises NotPositiveDefinite.
 """
 
 from dataclasses import dataclass
@@ -53,20 +55,36 @@ def _checked(A, B):
     return A, B
 
 
-def _solve(A, B, vectors):
-    """Ascending eigenvalues of (A, B) and, if ``vectors``, the B-orthonormal
-    eigenvectors as columns (else None)."""
+def reduce(mats, B):
+    """L^-1 A L^-T, symmetrised, for every A in the stack ``mats`` of shape
+    (..., n, n), where B = L L^T."""
     L = cholesky(B)
     try:
         Linv = np.linalg.inv(L)
-        C = Linv @ A @ Linv.T
-        C = 0.5 * (C + C.T)
-        vals, Z = np.linalg.eigh(C) if vectors else (np.linalg.eigvalsh(C), None)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from None
-    if not np.isfinite(vals).all():
-        raise NoConvergence("eigensolver returned non-finite values")
-    return vals, (Linv.T @ Z if vectors else None)  # back-transform v = L^-T z
+        raise NoConvergence(f"LAPACK inverse failed: {exc}") from None
+    C = Linv @ mats @ Linv.T
+    return 0.5 * (C + np.swapaxes(C, -1, -2))
+
+
+def eigvalsh(c, labels):
+    """Ascending eigenvalues of every symmetric matrix in the stack ``c``;
+    ``labels`` names each index of its leading axis.  A failure raises
+    NoConvergence naming the first label at fault."""
+    bad = ~np.isfinite(c).reshape(len(labels), -1).all(axis=1)
+    if bad.any():
+        raise NoConvergence(f"{labels[bad.argmax()]}: matrix has non-finite entries")
+    try:
+        vals = np.linalg.eigvalsh(c)
+    except np.linalg.LinAlgError as exc:
+        if len(labels) > 1:  # find the point at fault
+            for i in range(len(labels)):
+                eigvalsh(c[i : i + 1], labels[i : i + 1])
+        raise NoConvergence(f"{labels[0]}: LAPACK eigensolver failed: {exc}") from None
+    bad = ~np.isfinite(vals).reshape(len(labels), -1).all(axis=1)
+    if bad.any():
+        raise NoConvergence(f"{labels[bad.argmax()]}: eigensolver returned non-finite values")
+    return vals
 
 
 def lowest_k(A, B, K):
@@ -74,11 +92,6 @@ def lowest_k(A, B, K):
     A, B = _checked(A, B)
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
-    vals, _ = _solve(A, B, vectors=False)
+    vals = eigvalsh(reduce(A[None], B), ["lowest_k"])[0]
     k = min(K, A.shape[0])
     return SpectrumSlice(eigenvalues=tuple(float(v) for v in vals[:k]), dimension=A.shape[0])
-
-
-def _solve_with_vectors(A, B):
-    """All eigenpairs of (A, B); internal, for residual tests only."""
-    return _solve(*_checked(A, B), vectors=True)

@@ -339,6 +339,8 @@ def parse_problem(config):
     weight = _parse_weight(config.get("weight", "unweighted"))
 
     disc_cfg = config.get("discretization", {})
+    if not isinstance(disc_cfg, dict):
+        raise ValidationError("discretization must be a JSON object")
     sweep_cfg = config.get("sweep")
     try:
         disc = DiscretizationConfig(

@@ -45,6 +45,7 @@ class TestExitCodes:
             lambda c: c["sweep"].update(steps=1),
             lambda c: c["domain"].update(intervals=[[0.0, 2.0], [1.0, 3.0]]),
             lambda c: c["discretization"].update(cells_per_interval=2),
+            lambda c: c.update(discretization="coarse"),
         ],
     )
     def test_invalid_configs_exit_two_with_json(self, tmp_path, mutate):

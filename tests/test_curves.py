@@ -22,6 +22,7 @@ from teig.model import (
     validate_problem,
 )
 from teig.serialize import dumps
+from test_eigensolve import sturm_all_eigenvalues
 
 
 def helmholtz_problem(cells=32, k=8, lo=0.5, hi=10.0, steps=120, refine_tol=1e-8, cluster=1e-6,
@@ -189,6 +190,24 @@ class TestStackedEvaluator:
             whole = np.array(lowest_k(A, Mw, k).eigenvalues)
             scale = np.max(np.abs(whole))
             assert np.max(np.abs(row - whole)) <= 1e-10 * scale, lam
+
+    @pytest.mark.parametrize(
+        "make, lambdas",
+        [(lambda: helmholtz_problem(cells=64, k=12), (0.5, 3.98, 9.0)),
+         (chain_problem, (0.5, 4.14, 38.5))],
+        ids=["reference", "chain"],
+    )
+    def test_matches_sturm_oracle(self, make, lambdas):
+        prob = make()
+        _, _, m = curves.prepare_matrices(prob)
+        k = prob.discretization.num_curves
+        values = curves._curves(prob.kind, m, lambdas, k)
+        for lam, row in zip(lambdas, values):
+            oracle = np.sort(np.concatenate([
+                sturm_all_eigenvalues(assemble_A(b, prob.kind, lam), b.Mw) for b in m
+            ]))[:k]
+            bound = 1e-10 * max(1.0, np.max(np.abs(oracle)))
+            assert np.max(np.abs(row - oracle)) <= bound, lam
 
     def test_non_finite_coefficient_names_a_lambda(self):
         prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)

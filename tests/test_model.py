@@ -243,6 +243,9 @@ class TestParseProblem:
             lambda c: c.update(weight={"type": "agmon", "alpha": "steep"}),
             lambda c: c.update(weight={"type": "gaussian"}),
             lambda c: c["potential"].update(type="unknown"),
+            lambda c: c.update(discretization="coarse"),
+            lambda c: c.update(discretization=[]),
+            lambda c: c.update(discretization=5),
         ],
     )
     def test_malformed_rejected(self, mutate):
