@@ -161,8 +161,9 @@ def refine(problem, matrices, nu, guess, window, left_negative, refine_tol):
     negative at the left end iff ``left_negative``).  A bracket from the
     guess toward the end whose sign differs from the guess's, first
     refine_tol wide, is doubled until it holds a sign change, capped at
-    that end, then bisected until narrower than refine_tol.  Returns the
-    final midpoint, the number of bisection steps and the final bracket.
+    that end, then bisected until narrower than refine_tol or down to two
+    adjacent floats.  Returns the final midpoint, the number of bisection
+    steps and the final bracket.
     """
     f_guess = _crossing_indicator(problem, matrices, nu, guess)
     if f_guess == 0.0:
@@ -184,6 +185,8 @@ def refine(problem, matrices, nu, guess, window, left_negative, refine_tol):
     steps = 0
     while abs(outer - inner) > refine_tol:
         mid = 0.5 * (inner + outer)
+        if mid == inner or mid == outer:  # the ends are adjacent floats
+            break
         fm = _crossing_indicator(problem, matrices, nu, mid)
         steps += 1
         if fm == 0.0:

@@ -30,7 +30,7 @@ from .radial import (
     _scan_determinant,
     adaptive_ell_max,
     first_te,
-    te_list_up_to,
+    te_lists_up_to,
 )
 
 PASS = "Pass"
@@ -176,11 +176,13 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
     xs = sorted(float(x) for x in x_values)
     if len(xs) < 2:
         raise ValidationError("counting needs at least two x values")
+    ell_maxes = [
+        adaptive_ell_max(n, radius, v0, x) if ell_max is None else int(ell_max) for x in xs
+    ]
+    lists = te_lists_up_to(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0), xs, ell_maxes)
     rows = []
     counts = []
-    for x in xs:
-        lm = adaptive_ell_max(n, radius, v0, x) if ell_max is None else int(ell_max)
-        tl = te_list_up_to(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0), x, lm)
+    for x, lm, tl in zip(xs, ell_maxes, lists):
         nx = tl.weighted_count(x)
         if nx < 5:
             raise InsufficientCounts(

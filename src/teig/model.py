@@ -28,6 +28,9 @@ MEMORY_BUDGET_BYTES = 1 << 30
 # Most bytes of reduced matrices one stacked eigensolve of the curve sweep
 # holds; a chunk holds at least one grid point whatever its size.
 SWEEP_CHUNK_BYTES = 1 << 18
+# Smallest refine_tol, in float spacings at the sweep window's larger |end|;
+# bisection cannot resolve a finer one.
+REFINE_TOL_ULPS = 4
 
 
 class ProblemKind(Enum):
@@ -266,6 +269,12 @@ def validate_problem(spec):
         raise ValidationError(f"sweep steps must be >= 2, got {sw.steps}")
     if not sw.refine_tol > 0:
         raise ValidationError("refine_tol must be > 0")
+    floor = REFINE_TOL_ULPS * math.ulp(max(abs(sw.lambda_min), abs(sw.lambda_max)))
+    if sw.refine_tol < floor:
+        raise ValidationError(
+            f"refine_tol {sw.refine_tol} is below {REFINE_TOL_ULPS} float spacings ({floor}) "
+            "at the sweep window's largest |lambda|, finer than bisection can resolve"
+        )
     if not sw.cluster_tol > 0:
         raise ValidationError("cluster_tol must be > 0")
 
@@ -344,16 +353,16 @@ def parse_problem(config):
     sweep_cfg = config.get("sweep")
     try:
         disc = DiscretizationConfig(
-            cells_per_interval=int(disc_cfg.get("cells_per_interval", 64)),
-            quad_points=int(disc_cfg.get("quad_points", 8)),
-            num_curves=int(disc_cfg.get("num_curves", 12)),
+            cells_per_interval=_count(disc_cfg.get("cells_per_interval", 64), "cells_per_interval"),
+            quad_points=_count(disc_cfg.get("quad_points", 8), "quad_points"),
+            num_curves=_count(disc_cfg.get("num_curves", 12), "num_curves"),
         )
         if sweep_cfg is None:
             raise ValidationError("missing 'sweep' section")
         sweep = SweepConfig(
             lambda_min=float(sweep_cfg["lambda_min"]),
             lambda_max=float(sweep_cfg["lambda_max"]),
-            steps=int(sweep_cfg["steps"]),
+            steps=_count(sweep_cfg["steps"], "steps"),
             refine_tol=float(sweep_cfg.get("refine_tol", 1e-8)),
             cluster_tol=float(sweep_cfg.get("cluster_tol", 1e-6)),
         )
@@ -372,6 +381,17 @@ def parse_problem(config):
     )
 
 
+def _count(value, name):
+    """A count from the configuration: integers and integral floats (64 or
+    64.0) give an int; any other number (4.7, NaN, inf) is rejected."""
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _require(config, key):
     try:
         return config[key]
@@ -386,14 +406,14 @@ def _parse_domain(cfg):
             return IntervalUnion(intervals=[(float(a), float(b)) for a, b in cfg["intervals"]])
         if kind == "shrinking_chain":
             return ShrinkingChain(
-                count=int(cfg["count"]),
+                count=_count(cfg["count"], "count"),
                 start=float(cfg["start"]),
                 gap=float(cfg["gap"]),
                 first_length=float(cfg["first_length"]),
                 decay_ratio=float(cfg["decay_ratio"]),
             )
         if kind == "ball":
-            return Ball(dim=int(cfg["dim"]), radius=float(cfg["radius"]))
+            return Ball(dim=_count(cfg["dim"], "dim"), radius=float(cfg["radius"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed domain: {exc}") from None
     raise ValidationError(f"unknown domain type {kind!r}")

@@ -2,12 +2,13 @@
 constant potential, characterized as zeros of the value/derivative matching
 determinant between the regular interior and exterior radial waves.
 
-The determinant is evaluated with each column in prefactor-normalized units
-(leading Bessel amplitude divided out) and additionally rescaled to unit sup
-per column at every lambda, so zero sets survive the extreme dynamic range
-of high-order Bessel functions.  It is evaluated on arrays of (order,
-lambda) points, and a scan hands all angular orders of its window to each
-call.
+Each column of the determinant is rescaled to unit sup at every lambda, so
+zero sets survive the extreme dynamic range of high-order Bessel functions
+and the positive scale the Bessel kernels leave on each column cancels.
+It is evaluated on arrays of (order, lambda) points.  A scan lists each
+lambda's orders together, so one Bessel ladder per (lambda, block of 16
+orders) serves the whole grid; the windows of one problem are scanned
+together and share every determinant call.
 """
 
 import math
@@ -111,8 +112,8 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
     ``ells`` and ``lambdas`` are 1-D and broadcast against each other.  The
     value is NaN at degenerate interior wavenumbers, at lambda <= 0 and
     where an argument leaves the Bessel validity window (scan callers skip
-    such points).  Points are evaluated in chunks of at most _DET_CHUNK.
-    """
+    such points).  Points go in chunks of at most _DET_CHUNK; consecutive
+    points at one lambda share Bessel ladders, which saves time only."""
     ells, lambdas = np.broadcast_arrays(
         np.asarray(ells, dtype=float), np.asarray(lambdas, dtype=float)
     )
@@ -141,11 +142,11 @@ def _det_chunk(kind, n, radius, v0, ell, lam):
     if not ok.all():
         ell, k_ext, k_int, oscillatory = ell[ok], k_ext[ok], k_int[ok], oscillatory[ok]
     m = ell.size
-    nu = 0.5 * (n - 2) + ell
     # exterior and interior waves in one call: the exterior one is always J
     val, der = _radial_wave_eval(
         0.5 * (2 - n),
-        np.concatenate((nu, nu)),
+        0.5 * (n - 2),
+        np.concatenate((ell, ell)),
         np.concatenate((k_ext, k_int)),
         radius,
         np.concatenate((np.ones(m, dtype=bool), oscillatory)),
@@ -195,8 +196,9 @@ def _sign_brackets(values):
 
 
 def _bisect_brackets(det, ells, a, b, fa, tol):
-    """Bisect every bracket [a_i, b_i] of order ells[i] down to width tol,
-    all brackets sharing one determinant call per halving.
+    """Bisect every bracket [a_i, b_i] of order ells[i] down to width tol
+    (a scalar or one width per bracket), all brackets sharing one
+    determinant call per halving.
 
     ``det(ells, lambdas)`` evaluates D on arrays; fa_i = D(a_i) is nonzero
     and D(b_i) has the opposite sign.  Each bracket makes the decisions of
@@ -205,6 +207,7 @@ def _bisect_brackets(det, ells, a, b, fa, tol):
     midpoint; an exact zero is the root.
     """
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
+    tol = np.broadcast_to(tol, a.shape)
     live = np.flatnonzero(b - a > tol)
     while live.size:
         mid = 0.5 * (a[live] + b[live])
@@ -223,7 +226,7 @@ def _bisect_brackets(det, ells, a, b, fa, tol):
         a[live[to_a]] = mid[to_a]
         fa[live[to_a]] = fm[to_a]
         live = live[go]
-        live = live[b[live] - a[live] > tol]
+        live = live[b[live] - a[live] > tol[live]]
     return 0.5 * (a + b)
 
 
@@ -352,85 +355,93 @@ def _close_pair(roots, spacing):
     )
 
 
-def _scan_pass(det, ells, lo, hi, steps, tol):
-    """One sign scan of every order on linspace(lo, hi, steps): exact grid
-    hits plus one bisected root per sign-change cell, sorted per order."""
-    grid = np.linspace(lo, hi, steps)
-    values = det(np.repeat(ells, steps), np.tile(grid, ells.size)).reshape(ells.size, steps)
-    hits, cells = _sign_brackets(values)
-    order, cell = np.nonzero(cells)
-    a, b = grid[cell], grid[cell + 1]
-    found = _bisect_brackets(det, ells[order], a, b, values[order, cell], tol)
+def _scan_pass(det, ells, lo, hi, tol, steps):
+    """One sign scan of every row r (order ells[r] on linspace(lo[r], hi[r],
+    steps)), lambda-major so a window's rows share ladders: exact grid hits
+    plus one bisected root per sign-change cell, sorted per row."""
+    grid = np.linspace(lo, hi, steps)  # (steps, rows)
+    values = det(np.tile(ells, steps), grid.ravel()).reshape(grid.shape)
+    hits, cells = _sign_brackets(values.T)
+    row, cell = np.nonzero(cells)
+    a, b = grid[cell, row], grid[cell + 1, row]
+    found = _bisect_brackets(det, ells[row], a, b, values[cell, row], tol[row])
     roots = [[] for _ in ells]
-    for o, i in zip(*np.nonzero(hits)):
-        roots[o].append((float(grid[i]), (float(grid[i]), float(grid[i]))))
-    for o, root, left, right in zip(order.tolist(), found.tolist(), a.tolist(), b.tolist()):
-        roots[o].append((root, (left, right)))
-    for per_order in roots:
-        per_order.sort(key=lambda item: item[0])
+    for r, i in zip(*np.nonzero(hits)):
+        roots[r].append((float(grid[i, r]), (float(grid[i, r]), float(grid[i, r]))))
+    for r, root, left, right in zip(row.tolist(), found.tolist(), a.tolist(), b.tolist()):
+        roots[r].append((root, (left, right)))
+    for per_row in roots:
+        per_row.sort(key=lambda item: item[0])
     return roots
 
 
 def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
-    """Sign scan of the determinant on [lo, hi] for every angular order in
-    ``ells``; returns one list of (root, (a, b)) per order, sorted by root.
+    """Sign scan of the determinant, one row per order in ``ells`` on its
+    window [lo, hi] bisected to width tol (lo, hi and tol broadcast against
+    ells, so rows may span several windows of one problem); returns one
+    list of (root, (a, b)) per row, sorted by root.
 
-    All orders share each array determinant call: the (order x lambda)
-    grid, every halving of every bracket and the polish stencils.  An order
-    with two roots within 5 cells of each other is re-scanned once at twice
-    the steps (alias guard); every root is polished against odd-order
-    degeneracy before being reported.
+    All rows share each determinant call: the grids, every halving of every
+    bracket and the polish stencils.  A row with two roots within 5 cells
+    is re-scanned once at twice the steps (alias guard); every root is
+    polished against odd-order degeneracy.  Values do not depend on the
+    batch and each bracket decides alone, so rows scan as if alone.
     """
-    if not lo < hi:
-        raise ValidationError(f"scan needs lo < hi, got [{lo}, {hi}]")
+    ells = np.array(ells, dtype=float)
+    lo, hi, tol = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape) for v in (lo, hi, tol))
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
-    _check_window(kind, radius, v0, lo)
-    _check_window(kind, radius, v0, hi)
+    for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
+        if not a < b:
+            raise ValidationError(f"scan needs lo < hi, got [{a}, {b}]")
+        _check_window(kind, radius, v0, a)
+        _check_window(kind, radius, v0, b)
 
     def det(ell, lam):
         return _det_grid(kind, n, radius, v0, ell, lam)
 
-    ells = np.array(ells, dtype=float)
-    roots = _scan_pass(det, ells, lo, hi, steps, tol)
+    roots = _scan_pass(det, ells, lo, hi, tol, steps)
     spacing = (hi - lo) / (steps - 1)
-    close = [i for i, per_order in enumerate(roots) if _close_pair(per_order, spacing)]
+    close = [r for r, per_row in enumerate(roots) if _close_pair(per_row, spacing[r])]
     if close:
-        for i, per_order in zip(close, _scan_pass(det, ells[close], lo, hi, 2 * steps, tol)):
-            roots[i] = per_order
-    flat = [(i, root, bracket) for i, per_order in enumerate(roots) for root, bracket in per_order]
-    owner = np.array([i for i, _, _ in flat], dtype=int)
+        again = _scan_pass(det, ells[close], lo[close], hi[close], tol[close], 2 * steps)
+        for r, per_row in zip(close, again):
+            roots[r] = per_row
+    flat = [(r, root, bracket) for r, per_row in enumerate(roots) for root, bracket in per_row]
+    owner = np.array([r for r, _, _ in flat], dtype=int)
     polished = _polish_roots(det, ells[owner], [root for _, root, _ in flat])
     out = [[] for _ in roots]
-    for (i, _, bracket), lam in zip(flat, polished.tolist()):
-        out[i].append((lam, bracket))
+    for (r, _, bracket), lam in zip(flat, polished.tolist()):
+        out[r].append((lam, bracket))
     return out
 
 
-def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS, tol=None):
-    """All transmission eigenvalues of the ball up to x for ell <= ell_max.
-
-    ``base`` is a RadialProblem whose ell field is ignored.  Orders with no
-    root in the window contribute nothing but do not stop the sweep; roots
-    are not monotone in ell.
-    """
-    if not x > 0:
-        raise ArgumentOutOfRange(f"x must be > 0, got {x}")
-    if ell_max < 0:
-        raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-    if tol is None:
-        tol = 1e-10 * max(1.0, x)
-    ells = [ell for ell in range(ell_max + 1) if harmonic_multiplicity(base.dim, ell)]
+def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
+    """One TEList per (x, ell_max): all transmission eigenvalues of the ball
+    up to x for ell <= ell_max, the windows scanned together, each bisected
+    to 1e-10 max(1, x).  ``base``'s ell field is ignored.  Orders with no
+    root do not stop the sweep; roots are not monotone in ell."""
+    rows = []  # (window, ell) per scanned row
+    for w, (x, ell_max) in enumerate(zip(xs, ell_maxes)):
+        if not x > 0:
+            raise ArgumentOutOfRange(f"x must be > 0, got {x}")
+        if ell_max < 0:
+            raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
+        rows += [(w, ell) for ell in range(ell_max + 1) if harmonic_multiplicity(base.dim, ell)]
+    ells, his = [ell for _, ell in rows], np.array([xs[w] for w, _ in rows], dtype=float)
+    tols = 1e-10 * np.maximum(1.0, his)
     roots = _scan_determinant(
-        base.kind, base.dim, base.radius, base.v0, ells, LAMBDA_FLOOR, x, steps, tol
+        base.kind, base.dim, base.radius, base.v0, ells, LAMBDA_FLOOR, his, steps, tols
     )
-    entries = [
-        (root, ell, harmonic_multiplicity(base.dim, ell))
-        for ell, per_order in zip(ells, roots)
-        for root, _ in per_order
-    ]
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return TEList(entries=tuple(entries))
+    entries = [[] for _ in xs]
+    for (w, ell), per_row in zip(rows, roots):
+        entries[w] += [(root, ell, harmonic_multiplicity(base.dim, ell)) for root, _ in per_row]
+    return [TEList(entries=tuple(sorted(e, key=lambda t: (t[0], t[1])))) for e in entries]
+
+
+def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
+    """te_lists_up_to on the one window (x, ell_max)."""
+    return te_lists_up_to(base, [x], [ell_max], steps)[0]
 
 
 def adaptive_ell_max(n, radius, v0, x, kind=ProblemKind.HELMHOLTZ):

@@ -1,23 +1,13 @@
-"""Real-argument special functions for the radial solver.
-
-Bessel J/I of real order >= -1/2 and the n-dimensional radial wave
-value/derivative built from them.  Gamma comes from the standard library.
-
-All Bessel evaluations run internally in "prefactor units": the routines
-return F_nu(x) divided by P = (x/2)^nu / Gamma(nu+1), which keeps every
-intermediate O(1) even when the actual function value under- or overflows
-for large order or tiny argument.  The public entry points multiply the
-prefactor back in.
-
-J is summed by its power series only while the alternating terms cannot
-cancel catastrophically (small argument, or terms decaying from the first
-one); elsewhere it switches to Miller's backward recurrence with the
-standard (x/2)^nu normalization sum.  I has all-positive terms, so its
-series is used on the whole admissible window.
-
-The kernels run on numpy arrays of (order, argument) points, and a point's
-value does not depend on the other points of the array.  The scalar entry
-points bessel_j, bessel_i and radial_wave are thin wrappers over them.
+"""Real-argument special functions for the radial solver: Bessel J/I of
+real order >= -1/2 and the n-dimensional radial wave value/derivative built
+from them.  Gamma comes from the standard library.  J comes from Miller's
+backward recurrence for every order and argument: one ladder per argument
+and block of 16 orders serves the whole block, in units of P = (x/2)^nu0 /
+Gamma(nu0+1) of its base order, rescaled by exact powers of two so nothing
+under- or overflows.  A ladder's start depends only on its argument and
+block, so a point's value does not depend on the rest of the array.  I is
+its all-positive power series, in units of P at the point's own order.
+bessel_j, bessel_i and radial_wave wrap the array kernels at one point.
 """
 
 import math
@@ -34,6 +24,7 @@ BESSEL_I_MAX_ARG = 60.0
 _SERIES_CUTOFF = 1e-18  # term-ratio stopping rule for all series below
 _TINY_START = 1e-30  # trial seed for the backward recurrence
 _RESCALE = 2.0**500  # ladder values past this are scaled down by it, exactly
+_BLOCK = 16  # orders per ladder block; a ladder starts from its argument and block alone
 
 
 def _log_prefactor(nu, x):
@@ -64,35 +55,55 @@ def _series_triplet(nu, x, sign):
     return np.array((2.0 / x * total[2], total[0], x / (2.0 * (nu + 1.0)) * total[1]))
 
 
-def _miller_triplet(nu, x):
-    """(J_{nu-1}, J_nu, J_{nu+1}) / P by backward recurrence, on arrays.
+def _groups(keys):
+    """(order, {key: slice of order}) grouping non-negative ints by value."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys)).tolist()
+    return order, {k: slice(a, b) for k, (a, b) in enumerate(zip([0, *ends], ends)) if b > a}
 
-    Each point recurses downward from its own order nu + M, M = max(nu, x)
-    + 14 + 6 x^(1/3), with trial values, then rescales with the
-    normalization sum  sum_k d_k f_{2k} = s  for which J_{nu+j} = f_j P / s.
-    One ladder runs to the largest M of the call; a point enters it at its
-    own M, so its value does not depend on the rest of the array.  The sum
-    is accumulated by Horner's rule on the way down, and the ladder is
-    scaled by an exact power of two wherever it grows past 2^500.
+
+def _j_triplet(nu0, ell, x):
+    """(triplet, shift) on arrays, with triplet * 2^(-500 shift) equal to
+    (J_{nu-1}, J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell.
+
+    Each run of consecutive points with equal x and order block b = ell //
+    16 shares one ladder, which recurs downward with trial values from rung
+    max(x, 16b + 16) + 14 + 6 x^(1/3) + 2 to rung -1.  A point reads rungs
+    ell - 1, ell and ell + 1 as soon as all three are known, at one scale.
+    The normalization sum  sum_k d_k f_{2k} = s  (J_{nu0+j} = f_j P / s)
+    is accumulated by Horner's rule on the way down.  Every 8 rungs a
+    ladder grown past 2^500 is scaled by exactly 2^-500; a point's shift
+    counts the rescalings after its read.
     """
-    m_tops = (x + (14.0 + 6.0 * x ** (1.0 / 3.0)) + np.maximum(0.0, nu - x)).astype(int) + 2
-    order = np.argsort(-m_tops, kind="stable")
-    nu, x, m_tops = nu[order], x[order], m_tops[order]
-    neg_tops, firsts = np.unique(-m_tops, return_index=True)
-    entries = {  # ladder step -> the points that enter the ladder there
-        -int(t): slice(a, b) for t, a, b in zip(neg_tops, firsts, [*firsts[1:], len(x)])
-    }
-    nu2 = 2.0 * nu
-    f_hi = np.zeros_like(x)  # f_{j+1}
-    f_hi2 = np.zeros_like(x)  # f_{j+2}
-    acc = np.zeros_like(x)  # sum over k >= j/2 of (nu + 2k) (d_k / d_{j/2}) f_{2k}
-    for j in range(int(m_tops[0]), -1, -1):
-        f = (nu2 + 2.0 * (j + 1)) / x * f_hi - f_hi2
+    rung = ell.astype(int)
+    block = rung // _BLOCK
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (block[1:] != block[:-1])
+    ladder = np.cumsum(new) - 1
+    xs = x[new]
+    tops = np.maximum(xs, _BLOCK * (block[new] + 1.0)) + 14.0 + 6.0 * xs ** (1.0 / 3.0)
+    by_top, entries = _groups(tops.astype(int) + 2)  # ladders by start rung
+    by_rung, reads = _groups(rung)  # points by the rung they read
+    read_ladder = ladder[by_rung]
+    got = np.empty((3, x.size))  # triplets, in by_rung order
+    got_count = np.empty(x.size, dtype=np.int16)
+    two_over_x = 2.0 / xs
+    count = np.zeros(xs.size, dtype=np.int16)  # rescalings so far
+    f_hi = np.zeros_like(xs)  # f_{j+1}
+    f_hi2 = np.zeros_like(xs)  # f_{j+2}
+    acc = np.zeros_like(xs)  # sum over k >= j/2 of (nu0 + 2k) (d_k / d_{j/2}) f_{2k}
+    for j in range(max(entries), -2, -1):
+        f = (nu0 + j + 1.0) * two_over_x * f_hi - f_hi2
         if j in entries:
-            f[entries[j]] = _TINY_START
+            f[by_top[entries[j]]] = _TINY_START
+        if j + 1 in reads:
+            at = reads[j + 1]
+            lad = read_ladder[at]
+            got[0, at], got[1, at], got[2, at] = f[lad], f_hi[lad], f_hi2[lad]
+            got_count[at] = count[lad]
         if j >= 2 and j % 2 == 0:
             k = j // 2
-            acc = (nu + j) * f + (nu + k) / (k + 1.0) * acc
+            acc = (nu0 + j) * f + (nu0 + k) / (k + 1.0) * acc
         if j % 8 == 0:
             big = np.maximum(np.abs(f), np.abs(acc)) > _RESCALE
             if big.any():
@@ -100,37 +111,15 @@ def _miller_triplet(nu, x):
                 f *= shrink
                 f_hi *= shrink
                 acc *= shrink
+                count += big
+        if j == 0:
+            s = f + acc  # d_0 = 1
         f_hi, f_hi2 = f, f_hi
-    s = f_hi + acc  # d_0 = 1
-    f0 = f_hi / s
-    fp1 = f_hi2 / s
-    out = np.empty((3,) + x.shape)
-    out[:, order] = ((2.0 * nu / x) * f0 - fp1, f0, fp1)
-    return out
-
-
-def _split(mask, nu, x, on_true, on_false):
-    """Triplets from ``on_true`` where ``mask`` holds and ``on_false``
-    elsewhere, each evaluated only on its own points."""
-    if mask.all():
-        return on_true(nu, x)
-    if not mask.any():
-        return on_false(nu, x)
-    out = np.empty((3,) + x.shape)
-    out[:, mask] = on_true(nu[mask], x[mask])
-    out[:, ~mask] = on_false(nu[~mask], x[~mask])
-    return out
-
-
-def _j_series(nu, x):
-    return _series_triplet(nu, x, -1.0)
-
-
-def _j_triplet(nu, x):
-    """(J_{nu-1}, J_nu, J_{nu+1}) / P on arrays, with the series/Miller
-    switch made per point."""
-    series = (x <= 8.0) | (x * x <= 2.0 * (nu + 1.0))
-    return _split(series, nu, x, _j_series, _miller_triplet)
+    trip = np.empty_like(got)
+    trip[:, by_rung] = got / s[read_ladder]
+    shift = np.empty_like(got_count)
+    shift[by_rung] = count[read_ladder] - got_count
+    return trip, shift
 
 
 def _i_triplet(nu, x):
@@ -138,16 +127,19 @@ def _i_triplet(nu, x):
     return _series_triplet(nu, x, 1.0)
 
 
-def _radial_wave_eval(p, nu, k, r, oscillatory):
-    """Value and radial derivative of r^p F_nu(kr) divided by the Bessel
-    prefactor, on arrays of orders ``nu``, wavenumbers ``k`` and branch
-    flags ``oscillatory`` at the scalar radius ``r``.
-
-    p = (2-n)/2; F = J on the oscillatory branch, I on the evanescent one.
-    F' comes from the symmetric two-order recurrences (J_{nu-1}-J_{nu+1})/2
-    and (I_{nu-1}+I_{nu+1})/2.
-    """
-    fm1, f0, fp1 = _split(oscillatory, nu, k * r, _j_triplet, _i_triplet)
+def _radial_wave_eval(p, nu0, ell, k, r, oscillatory):
+    """Value and radial derivative of r^p F_nu(kr), nu = nu0 + ell, up to a
+    positive factor per point, on arrays of orders, wavenumbers and branch
+    flags at the scalar radius r.  p = (2-n)/2; F = J (ladders) where
+    ``oscillatory``, else I (series); F' = (J_{nu-1}-J_{nu+1})/2 or
+    (I_{nu-1}+I_{nu+1})/2."""
+    x = k * r
+    trip = np.empty((3,) + x.shape)
+    if oscillatory.any():
+        trip[:, oscillatory] = _j_triplet(nu0, ell[oscillatory], x[oscillatory])[0]
+    if not oscillatory.all():
+        trip[:, ~oscillatory] = _i_triplet(nu0 + ell[~oscillatory], x[~oscillatory])
+    fm1, f0, fp1 = trip
     fprime = 0.5 * np.where(oscillatory, fm1 - fp1, fm1 + fp1)
     rp = r**p
     return rp * f0, rp * (p / r * f0 + k * fprime)
@@ -187,45 +179,41 @@ def gamma_real(x):
         raise ArgumentOutOfRange(f"gamma_real({x}) overflows a double") from None
 
 
-def _check_bessel_args(nu, x, x_max, name):
+def _bessel_triplet(nu, x, oscillatory, name):
+    """(F_{nu-1}, F_nu, F_{nu+1})(x) at one point 0 <= x <= the window of F
+    (only F_nu at x = 0): J (oscillatory) from a ladder on nu0 = nu -
+    floor(nu + 1/2), else I from its series."""
+    x_max = BESSEL_J_MAX_ARG if oscillatory else BESSEL_I_MAX_ARG
     if nu < -0.5:
         raise ArgumentOutOfRange(f"{name}: order must be >= -1/2, got {nu}")
     if not 0.0 <= x <= x_max:
         raise ArgumentOutOfRange(f"{name}: argument {x} outside [0, {x_max}]")
+    if x == 0.0:
+        return None, 1.0 if nu == 0.0 else 0.0, None
+    if not oscillatory:
+        pref = math.exp(_log_prefactor(nu, x))
+        return [v * pref for v in _i_triplet(np.array([nu]), np.array([x]))[:, 0].tolist()]
+    ell = math.floor(nu + 0.5)
+    trip, shift = _j_triplet(nu - ell, np.array([float(ell)]), np.array([x]))
+    pref = math.exp(_log_prefactor(nu - ell, x))
+    return [math.ldexp(v, -500 * int(shift[0])) * pref for v in trip[:, 0].tolist()]
 
 
 def bessel_j(nu, x):
     """Bessel J_nu(x) for nu >= -1/2, 0 <= x <= 200."""
-    nu = float(nu)
-    x = float(x)
-    _check_bessel_args(nu, x, BESSEL_J_MAX_ARG, "bessel_j")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    _, f0, _ = _j_triplet(np.array([nu]), np.array([x]))
-    return float(f0[0] * math.exp(_log_prefactor(nu, x)))
+    return _bessel_triplet(float(nu), float(x), True, "bessel_j")[1]
 
 
 def bessel_i(nu, x):
     """Modified Bessel I_nu(x) for nu >= -1/2, 0 <= x <= 60."""
-    nu = float(nu)
-    x = float(x)
-    _check_bessel_args(nu, x, BESSEL_I_MAX_ARG, "bessel_i")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    _, f0, _ = _i_triplet(np.array([nu]), np.array([x]))
-    return float(f0[0] * math.exp(_log_prefactor(nu, x)))
+    return _bessel_triplet(float(nu), float(x), False, "bessel_i")[1]
 
 
 def radial_wave(w, k, r):
     """Evaluate y(r) = r^{(2-n)/2} F_nu(kr) and y'(r) for k, r > 0."""
     if not (k > 0.0 and r > 0.0):
         raise ArgumentOutOfRange("radial_wave requires k > 0 and r > 0")
-    nu = w.order
-    x = k * r
     osc = w.branch is Branch.OSCILLATORY
-    x_max = BESSEL_J_MAX_ARG if osc else BESSEL_I_MAX_ARG
-    _check_bessel_args(nu, x, x_max, "radial_wave")
+    fm1, f0, fp1 = _bessel_triplet(w.order, float(k * r), osc, "radial_wave")
     p = 0.5 * (2 - w.dim)
-    val, der = _radial_wave_eval(p, np.array([nu]), np.array([float(k)]), float(r), np.array([osc]))
-    pref = math.exp(_log_prefactor(nu, x))
-    return float(val[0] * pref), float(der[0] * pref)
+    return r**p * f0, r**p * (p / r * f0 + 0.5 * k * (fm1 - fp1 if osc else fm1 + fp1))

@@ -95,6 +95,62 @@ class TestExitCodes:
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "ProblemTooLarge"
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c["sweep"].update(steps=4.7),
+            lambda c: c["discretization"].update(cells_per_interval=8.9),
+        ],
+        ids=["steps", "cells_per_interval"],
+    )
+    def test_non_integral_count_exits_two(self, tmp_path, mutate):
+        config = json.loads(json.dumps(CONFIG))
+        mutate(config)
+        path = write_config(tmp_path, config)
+        out = run_cli("sweep", "--config", str(path), "--out-curves", str(tmp_path / "c.csv"))
+        assert out.returncode == 2
+        assert "must be an integer" in json.loads(out.stderr)["message"]
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_refine_tol_below_float_spacing_exits_two(self, tmp_path):
+        # the refine bisection could never get this narrow at lambda ~ 4; it
+        # used to run until killed
+        config = json.loads(json.dumps(CONFIG))
+        config["sweep"]["refine_tol"] = 1e-17
+        path = write_config(tmp_path, config)
+        out = subprocess.run(
+            [sys.executable, "-m", "teig", "find", "--config", str(path),
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "refine_tol" in json.loads(out.stderr)["message"]
+
+    def test_refine_stops_at_adjacent_floats(self):
+        # past the validation, a refine_tol below the float spacing ends the
+        # polish bisection once its bracket is two adjacent floats
+        code = (
+            "import dataclasses\n"
+            "from teig.curves import run_pipeline\n"
+            "from teig.model import *\n"
+            "spec = ProblemSpec(ProblemKind.HELMHOLTZ, IntervalUnion([(-3.0, 3.0)]),\n"
+            "    Constant(0.75), discretization=DiscretizationConfig(8, 8, 4),\n"
+            "    sweep=SweepConfig(1.0, 5.0, 20))\n"
+            "problem = validate_problem(spec)\n"
+            "sweep = dataclasses.replace(problem.sweep, refine_tol=1e-300)\n"
+            "problem = dataclasses.replace(problem, sweep=sweep)\n"
+            "for entry in run_pipeline(problem).diagnostics['accepted']:\n"
+            "    print(*map(repr, entry['bracket']))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        brackets = [[float(v) for v in line.split()] for line in out.stdout.splitlines()]
+        assert brackets
+        for a, b in brackets:
+            assert 0.0 < b - a <= math.ulp(b)
+
     def test_not_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

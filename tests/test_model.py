@@ -161,6 +161,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             validate_problem(make_spec(**kw))
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 5.0), (-1e6, 2.0), (100.0, 1e3)])
+    def test_refine_tol_below_float_spacing_rejected(self, lo, hi):
+        # the refine bisection cannot narrow a bracket past adjacent floats
+        spacing = math.ulp(max(abs(lo), abs(hi)))
+        validate_problem(make_spec(sweep=SweepConfig(lo, hi, 10, refine_tol=4 * spacing)))
+        with pytest.raises(ValidationError, match="refine_tol"):
+            validate_problem(make_spec(sweep=SweepConfig(lo, hi, 10, refine_tol=3 * spacing)))
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -253,3 +261,43 @@ class TestParseProblem:
         mutate(cfg)
         with pytest.raises(ValidationError):
             parse_problem(cfg)
+
+    CHAIN = {"type": "shrinking_chain", "count": 2, "start": 0.0, "gap": 1.0,
+             "first_length": 1.0, "decay_ratio": 0.5}
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sweep", "steps", 4.7),
+            ("discretization", "cells_per_interval", 8.9),
+            ("discretization", "quad_points", 8.5),
+            ("discretization", "num_curves", 6.000001),
+            ("domain", "count", 2.5),
+            ("domain", "dim", 2.5),
+            ("sweep", "steps", math.nan),
+            ("sweep", "steps", math.inf),
+        ],
+    )
+    def test_non_integral_count_rejected(self, section, key, value):
+        cfg = self.config()
+        if key == "count":
+            cfg["domain"] = dict(self.CHAIN)
+        if key == "dim":
+            cfg["domain"] = {"type": "ball", "dim": 3, "radius": 1.0}
+        cfg[section][key] = value
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            parse_problem(cfg)
+
+    def test_integral_float_counts_accepted(self):
+        # counts written as floats (64.0) are read as the integers they equal
+        cfg = self.config()
+        cfg["sweep"]["steps"] = 50.0
+        cfg["discretization"] = {"cells_per_interval": 16.0, "quad_points": 8.0,
+                                 "num_curves": 6.0}
+        spec = parse_problem(cfg)
+        assert spec == parse_problem(self.config())
+        assert type(spec.sweep.steps) is int and type(spec.discretization.num_curves) is int
+        cfg["domain"] = dict(self.CHAIN, count=2.0)
+        assert parse_problem(cfg).domain.count == 2
+        cfg["domain"] = {"type": "ball", "dim": 3.0, "radius": 1.0}
+        assert parse_problem(cfg).domain == Ball(dim=3, radius=1.0)

@@ -10,6 +10,7 @@ from teig.errors import (
     UnsupportedDimension,
     ValidationError,
 )
+from teig import experiments, radial
 from teig.model import ProblemKind
 from teig.radial import (
     RadialProblem,
@@ -22,6 +23,7 @@ from teig.radial import (
     harmonic_multiplicity,
     interior_wavenumber,
     te_list_up_to,
+    te_lists_up_to,
 )
 from teig.specfun import Branch
 
@@ -252,6 +254,38 @@ class TestScanRoots:
         ]
         assert together == alone
         assert sum(len(roots) for roots in together) > 20
+
+
+class TestSharedWindows:
+    """Windows of one problem scanned together give the roots of scanning
+    each alone, in fewer determinant calls."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_batched_windows_equal_separate_scans(self, dim):
+        base = RadialProblem(H, dim, math.pi, 0.75)
+        xs = [50.0, 100.0, 200.0, 400.0]
+        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, 0.75, x) for x in xs]
+        together = te_lists_up_to(base, xs, ell_maxes)
+        alone = [te_list_up_to(base, x, lm) for x, lm in zip(xs, ell_maxes)]
+        assert together == alone
+        assert all(tl.entries for tl in together)
+
+    def test_count_run_shares_determinant_calls(self, monkeypatch):
+        # teig count --dim 3 --x-values 50,100,200,400 made 112 determinant
+        # calls with one scan per window: 4 grids, 100 halvings, 8 polish rounds
+        calls = []
+        det_grid = radial._det_grid
+
+        def counted(*args):
+            calls.append(len(args[5]))
+            return det_grid(*args)
+
+        monkeypatch.setattr(radial, "_det_grid", counted)
+        experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        assert len(calls) <= 35
+        assert calls[0] == 400 * sum(
+            radial.adaptive_ell_max(3, math.pi, 0.75, x) + 1 for x in (50, 100, 200, 400)
+        )
 
 
 class TestHarmonicMultiplicity:

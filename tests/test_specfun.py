@@ -9,7 +9,6 @@ from teig.specfun import (
     RadialWave,
     _i_triplet,
     _j_triplet,
-    _miller_triplet,
     _series_triplet,
     bessel_i,
     bessel_j,
@@ -109,25 +108,26 @@ class TestBesselJ:
                 exact = x**nu * bessel_j(nu - 1.0, x)
                 assert fd == pytest.approx(exact, rel=1e-8, abs=1e-8)
 
-    def test_miller_retry_matches_series(self):
+    def test_ladder_rescales_past_the_largest_double(self):
         # at (nu=300, x=50) the trial ladder from a 1e-30 seed grows past the
         # largest double, so it only finishes because it is rescaled as it
         # runs; the series converges there (x^2 < 2(nu+1)) and serves as
-        # reference
-        nu, x = np.array([300.0]), np.array([50.0])
-        miller = _miller_triplet(nu, x)
-        series = _series_triplet(nu, x, -1.0)
-        for m, s in zip(miller[:, 0], series[:, 0]):
+        # reference.  The two carry different positive scales, so their
+        # ratios to J_nu are compared.
+        ladder, _ = _j_triplet(0.0, np.array([300.0]), np.array([50.0]))
+        series = _series_triplet(np.array([300.0]), np.array([50.0]), -1.0)
+        for m, s in zip(ladder[:, 0] / ladder[1, 0], series[:, 0] / series[1, 0]):
             assert m == pytest.approx(s, rel=1e-13)
 
-    def test_miller_rescales_where_the_retry_loop_gave_up(self):
+    def test_ladder_rescales_where_the_retry_loop_gave_up(self):
         # the scalar ladder's four seeds all overflow at (nu=300, x=24.7) and
         # it returns zeros; the rescaled ladder agrees with the series
         nu, x = 300.0, 24.7
         assert scalar_oracle.miller_triplet(nu, x, 14.0 + 6.0 * x ** (1.0 / 3.0)) == (0, 0, 0)
-        miller = _miller_triplet(np.array([nu]), np.array([x]))[:, 0]
+        ladder, _ = _j_triplet(0.0, np.array([nu]), np.array([x]))
         series = scalar_oracle.series_triplet(nu, x, -1.0)
-        assert miller.tolist() == pytest.approx(series, rel=1e-13)
+        got = (ladder[:, 0] / ladder[1, 0]).tolist()
+        assert got == pytest.approx([v / series[1] for v in series], rel=1e-13)
 
     def test_window_enforced(self):
         with pytest.raises(ArgumentOutOfRange):
@@ -153,15 +153,50 @@ class TestArrayKernels:
                 want = [scalar_oracle.series_triplet(nu, float(v), sign) for v in x]
                 assert got.T.tolist() == [list(t) for t in want]
 
+    @staticmethod
+    def unit_sup(triplets):
+        """Triplets (3, points) scaled to unit sup per point."""
+        t = np.asarray(triplets, dtype=float)
+        return t / np.abs(t).max(axis=0)
+
     def test_j_triplet_matches_scalar_reference(self):
+        # the ladder carries a positive scale of its own, so triplets are
+        # compared at unit sup, to 1e-13 of it as before
         x = np.linspace(0.05, 200.0, 400)
-        nu = np.repeat(self.NUS, x.size)
-        xs = np.tile(x, len(self.NUS))
-        got = _j_triplet(nu, xs)
-        for i in range(xs.size):
-            want = scalar_oracle.j_triplet(float(nu[i]), float(xs[i]))
-            scale = max(abs(v) for v in want)
-            assert max(abs(g - w) for g, w in zip(got[:, i], want)) <= 1e-13 * scale
+        for nu in self.NUS:
+            ell = math.floor(nu + 0.5)
+            got, _ = _j_triplet(nu - ell, np.full(x.size, float(ell)), x)
+            want = [scalar_oracle.j_triplet(nu, float(v)) for v in x]
+            assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ladder_matches_series_across_the_old_switch(self, dim):
+        # the retired series/Miller switch sat at x <= 8 or x^2 <= 2(nu + 1):
+        # on the series side the ladder matches the series, on the other the
+        # scalar Miller ladder, to 1e-13 of the triplet's sup
+        nu0 = 0.5 * (dim - 2)
+        ells = np.arange(0.0, 81.0)
+        xs = np.concatenate([np.geomspace(1e-4, 7.9, 25), np.linspace(8.0, 8.2, 5)])
+        xs = np.concatenate([xs, np.sqrt(2.0 * (nu0 + ells[::8] + 1.0)) + 0.05])
+        ell, x = (g.ravel() for g in np.meshgrid(ells, np.unique(xs), indexing="ij"))
+        got, _ = _j_triplet(nu0, ell, x)
+        want = [scalar_oracle.j_triplet(nu0 + e, v) for e, v in zip(ell.tolist(), x.tolist())]
+        series = (x <= 8.0) | (x * x <= 2.0 * (nu0 + ell + 1.0))
+        assert series.sum() > 0.5 * x.size and (~series).sum() > 0.05 * x.size
+        assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
+
+    def test_j_triplet_does_not_depend_on_the_batch(self):
+        # grid rows (one ladder per argument and order block) and lone points
+        # give the same bits, and the batch's other points change nothing
+        x = np.linspace(0.5, 120.0, 31)
+        ells = np.arange(0.0, 40.0)
+        grid, grid_shift = _j_triplet(0.5, np.tile(ells, x.size), np.repeat(x, ells.size))
+        for i in (0, 7, 23):
+            for ell in (0, 15, 16, 39):
+                alone, shift = _j_triplet(0.5, np.array([ell]), x[[i]])
+                k = i * ells.size + int(ell)
+                assert alone[:, 0].tolist() == grid[:, k].tolist()
+                assert shift[0] == grid_shift[k]
 
     def test_i_triplet_is_the_i_series(self):
         x = np.linspace(0.05, 60.0, 50)
