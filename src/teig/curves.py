@@ -20,7 +20,12 @@ curves may permute branches at intersections, but they are continuous, so
 their sign changes are genuine zero crossings.  Each block is reduced to
 standard form once by ``eigensolve.reduce``, and the grid is solved in
 stacked chunks by ``eigensolve.eigvalsh``, the solver behind ``lowest_k``;
-the report residuals come from the same evaluator.
+the report residuals come from the same evaluator.  A chunk solves only
+the blocks that can reach its lowest K values: the blocks that reached
+them in the chunk before, plus any other block that
+``eigensolve.above`` cannot certify to lie wholly above the candidate
+K-th value.  The skipped blocks hold none of the K smallest values, so
+the table is bit for bit that of solving every block.
 """
 
 from dataclasses import dataclass, field, replace
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import assemble, assemble_A, build_basis, gauss_legendre, quadratic_coefficients
-from .eigensolve import eigvalsh, reduce
+from .eigensolve import above, eigvalsh, reduce
 from .errors import InertiaMismatch, NoConvergence
 from .model import SWEEP_CHUNK_BYTES, ProblemKind, canonical_config
 from .serialize import config_hash, curve_table_csv
@@ -74,9 +79,11 @@ def _curves(kind, matrices, lambdas, k):
 
     Mw does not depend on lambda, so every block is reduced once and
     C(lambda) = C0 + lambda C1 + lambda^2 C2 has the eigenvalues of
-    (A(lambda), Mw).  All blocks have one dimension, so the grid is solved
-    in chunks of at most SWEEP_CHUNK_BYTES of C(lambda) stacks, one eigvalsh
-    call each.  A row does not depend on the chunk it falls in.
+    (A(lambda), Mw).  All blocks have one dimension, so the grid is built
+    in chunks of at most SWEEP_CHUNK_BYTES of C(lambda) stacks and each
+    chunk is solved by _lowest, first the blocks that reached the lowest k
+    in the chunk before (every block in the first chunk).  A row does not
+    depend on the chunk it falls in or on the blocks skipped.
     """
     C0, C1, C2 = np.stack(
         [reduce(np.stack(quadratic_coefficients(m, kind)), m.Mw) for m in matrices], axis=1
@@ -85,6 +92,7 @@ def _curves(kind, matrices, lambdas, k):
     size = max(1, SWEEP_CHUNK_BYTES // C0.nbytes)
     buf = np.empty((min(size, lambdas.size), *C0.shape))
     values = np.empty((lambdas.size, k))
+    first = list(range(len(matrices)))
     for start in range(0, lambdas.size, size):
         lams = lambdas[start : start + size]
         c = buf[: lams.size]
@@ -93,9 +101,41 @@ def _curves(kind, matrices, lambdas, k):
         c += C1
         c *= x
         c += C0
-        vals = eigvalsh(c, [f"at lambda = {lam}" for lam in lams]).reshape(lams.size, -1)
-        values[start : start + lams.size] = np.sort(vals, axis=1)[:, :k]
+        labels = [f"at lambda = {lam}" for lam in lams]
+        values[start : start + lams.size], first = _lowest(c, k, first, labels)
     return values
+
+
+def _lowest(c, k, first, labels):
+    """The k smallest eigenvalues of the blocks c[:, b] merged, per point,
+    and the blocks whose lowest eigenvalue is among them at some point.
+
+    The blocks in ``first`` are solved by one eigvalsh call, which gives a
+    candidate k-th value mu per point.  Every other block is skipped where
+    eigensolve.above certifies that all its eigenvalues lie above mu, one
+    call for all of them; if that fails, block by block, and a block that
+    fails is solved and merged.  Merging only lowers mu, so an earlier skip
+    stays valid.  A skipped block holds none of the k smallest values, so
+    the rows are the floats of solving every block, bit for bit.
+    """
+    vals = eigvalsh(c if len(first) == c.shape[1] else c[:, first], labels)
+    solved, lows = list(first), [vals[:, :, 0]]
+    merged = np.sort(vals.reshape(len(labels), -1), axis=1)
+    rest = [b for b in range(c.shape[1]) if b not in solved]
+
+    def certified(blocks):
+        return merged.shape[1] >= k and above(c[:, blocks], merged[:, k - 1, None], labels)
+
+    if rest and not certified(rest):
+        for b in rest:
+            if not certified([b]):
+                vals = eigvalsh(c[:, b], labels)
+                solved.append(b)
+                lows.append(vals[:, :1])
+                merged = np.sort(np.concatenate([merged, vals], axis=1), axis=1)
+    lowest = merged[:, :k]
+    reached = (np.concatenate(lows, axis=1) <= lowest[:, -1:]).any(axis=0)
+    return lowest, sorted(b for b, hit in zip(solved, reached.tolist()) if hit)
 
 
 def sweep(problem, matrices, sweepcfg=None):

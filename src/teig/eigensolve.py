@@ -5,10 +5,12 @@ C = L^-1 A L^-T, then LAPACK's symmetric eigensolver.
 ``reduce`` and ``eigvalsh`` are the one implementation of both steps: the
 curve sweep and the report residuals in ``curves`` run them on stacks of
 matrices, and ``lowest_k`` is their one-point case.  Only eigenvalues are
-computed.  Failures at the LAPACK boundary come back as typed errors:
-non-finite input, a LAPACK error or a non-finite result raise
-NoConvergence, and a Cholesky pivot at or below 1e-13 times the largest
-diagonal entry of B raises NotPositiveDefinite.
+computed.  ``above`` proves from a shifted Cholesky factorization that a
+stack has no eigenvalue at or below a bound, which lets the sweep skip the
+blocks that cannot reach its lowest curves.  Failures at the LAPACK
+boundary come back as typed errors: non-finite input, a LAPACK error or a
+non-finite result raise NoConvergence, and a Cholesky pivot at or below
+1e-13 times the largest diagonal entry of B raises NotPositiveDefinite.
 """
 
 from dataclasses import dataclass
@@ -85,6 +87,33 @@ def eigvalsh(c, labels):
     if bad.any():
         raise NoConvergence(f"{labels[bad.argmax()]}: eigensolver returned non-finite values")
     return vals
+
+
+def above(c, mu, labels):
+    """True when a Cholesky factorization of c - (mu + delta) I succeeds for
+    every symmetric matrix in the stack ``c`` (``mu`` broadcasts against its
+    leading axes, ``labels`` names each index of the first one).
+
+    By Sylvester inertia every eigenvalue of such a matrix then exceeds
+    mu + delta, up to the factorization's backward error.  The margin
+    delta = 4 n^2 eps (||c||_F + |mu|) bounds that error and the one of
+    eigvalsh together, so every eigenvalue eigvalsh would return for the
+    matrix lies above mu; a rounding-level tie gives False.  Non-finite
+    matrices raise NoConvergence naming the first label at fault.
+    """
+    bad = ~np.isfinite(c).reshape(len(labels), -1).all(axis=1)
+    if bad.any():
+        raise NoConvergence(f"{labels[bad.argmax()]}: matrix has non-finite entries")
+    n = c.shape[-1]
+    frobenius = np.sqrt(np.einsum("...ij,...ij->...", c, c))
+    shift = mu + 4.0 * n * n * np.finfo(float).eps * (frobenius + np.abs(mu))
+    shifted = np.array(c, dtype=float)
+    shifted.reshape(*c.shape[:-2], n * n)[..., :: n + 1] -= shift[..., None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def lowest_k(A, B, K):

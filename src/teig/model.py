@@ -293,8 +293,9 @@ def _check_storage(blocks, disc, sw):
     would exceed MEMORY_BUDGET_BYTES."""
     n = max(disc.cells_per_interval - 1, 0)
     # the sweep's working set: three reduced coefficient stacks, one block's
-    # inverse Cholesky factor and one chunk of C(lambda)
-    sweep = 3 * blocks * n * n + n * n + max(SWEEP_CHUNK_BYTES // 8, blocks * n * n)
+    # inverse Cholesky factor and three chunks of C(lambda): the chunk, the
+    # copies of its solved and skipped blocks, and the shifted skipped ones
+    sweep = 3 * blocks * n * n + n * n + 3 * max(SWEEP_CHUNK_BYTES // 8, blocks * n * n)
     dense = 8 * (6 * blocks * n * n + max((2 * n) ** 2, sweep))
     if dense > MEMORY_BUDGET_BYTES:
         raise ProblemTooLarge(

@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import (
     ArgumentOutOfRange,
-    DegenerateInterior,
     HelmholtzContrastDegenerate,
     NonPositivePotential,
     UnsupportedDimension,
     ValidationError,
 )
 from .model import HELMHOLTZ_CONTRAST_TOL, ProblemKind
-from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, Branch, _radial_wave_eval
+from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _radial_wave_eval
 
 DEGENERATE_KAPPA_SQ = 1e-14
 LAMBDA_FLOOR = 1e-6
@@ -66,21 +65,6 @@ def _kappa_sq(kind, v0, lam):
     if kind is ProblemKind.SCHRODINGER:
         return lam - v0
     return lam * (1.0 - v0)
-
-
-def interior_wavenumber(kind, v0, lam):
-    """Wavenumber and branch of the perturbed interior radial equation.
-
-    Oscillatory when kappa^2 > 0, evanescent otherwise.
-    """
-    if not lam > 0:
-        raise ArgumentOutOfRange(f"lambda must be > 0, got {lam}")
-    ksq = _kappa_sq(kind, v0, lam)
-    if abs(ksq) < DEGENERATE_KAPPA_SQ:
-        raise DegenerateInterior(f"interior wavenumber degenerates at lambda = {lam}")
-    if ksq > 0:
-        return math.sqrt(ksq), Branch.OSCILLATORY
-    return math.sqrt(-ksq), Branch.EVANESCENT
 
 
 def _check_window(kind, radius, v0, lam):
@@ -157,24 +141,6 @@ def _det_chunk(kind, n, radius, v0, ell, lam):
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives NaN
         out[ok] = (ye / se) * (dyi / si) - (yi / si) * (dye / se)
     return out
-
-
-def characteristic_determinant(problem, lam):
-    """D(lambda) whose positive zeros are the transmission eigenvalues of
-    angular order ell; columns are amplitude-normalized, zeros preserved."""
-    if not lam > 0:
-        raise ArgumentOutOfRange(f"lambda must be > 0, got {lam}")
-    lam = float(lam)
-    val = _det_grid(
-        problem.kind, problem.dim, problem.radius, problem.v0, problem.ell, [lam]
-    )[0]
-    if math.isnan(val):
-        # distinguish the NaN sources for a meaningful error
-        if abs(_kappa_sq(problem.kind, problem.v0, lam)) < DEGENERATE_KAPPA_SQ:
-            raise DegenerateInterior(f"lambda = {lam} sits on the branch boundary")
-        _check_window(problem.kind, problem.radius, problem.v0, lam)
-        raise ArgumentOutOfRange(f"matching determinant has a zero column at lambda = {lam}")
-    return float(val)
 
 
 def _sign_brackets(values):
@@ -257,6 +223,7 @@ _CLEAN_DET = 1e-11  # samples below this are inside the fp noise band
 
 
 _POLISH_STENCIL = tuple(j for j in range(-8, 9) if j != 0)
+_PRESCREEN = (-2, -1, 1, 2)  # the stencil's inner offsets, sampled first
 
 
 def _estimate_multiplicity(samples):
@@ -277,6 +244,23 @@ def _estimate_multiplicity(samples):
     if m < 3 or m % 2 == 0 or any(abs(g - m) > 0.45 for g in logs):
         return 1
     return m
+
+
+def _surely_simple(samples):
+    """Per row of clean samples of D at offsets -2h, -h, h, 2h: True where
+    _estimate_multiplicity on the full stencil at h must return 1.
+
+    It returns 1 with no sign change across the root, with a non-positive
+    ratio D(2h)/D(h) on either side, or with log2 of one below 2.55, since
+    every log2 ratio must lie within 0.45 of an odd m >= 3.  Rows with a
+    non-finite sample or one below _CLEAN_DET are never simple here.
+    """
+    s = np.asarray(samples, dtype=float)
+    clean = np.isfinite(s).all(axis=1) & (np.abs(s).min(axis=1) >= _CLEAN_DET)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unclean rows only
+        ratios = np.stack((s[:, 0] / s[:, 1], s[:, 3] / s[:, 2]), axis=1)
+        low = (ratios <= 0.0) | (np.log2(np.abs(ratios)) < 2.55)
+    return clean & ((s[:, 1] * s[:, 2] >= 0.0) | low.any(axis=1))
 
 
 def _fit_root(samples, h, m):
@@ -306,15 +290,19 @@ def _polish_roots(det, ells, lams):
     Each root gets up to two rounds.  A round samples D on a 16-point
     stencil of spacing h, doubling h (at most 11 times) until the innermost
     samples clear the noise band; h starts at 2e-3 max(1, |lambda|) and
-    shrinks by 0.35 after each fit.  The stencils of all pending roots
-    share one determinant call.
+    shrinks by 0.35 after each fit.  The first round starts from the four
+    inner samples at +-h and +-2h alone, and a root they show simple
+    (_surely_simple) is left untouched without the other twelve.  The
+    samples of all pending roots share one determinant call per step.
     """
     lam = np.array(lams, dtype=float)
     h = 2e-3 * np.maximum(1.0, np.abs(lam))
     rounds = np.zeros(lam.size, dtype=int)
     grows = np.zeros(lam.size, dtype=int)
     stencil = np.array(_POLISH_STENCIL, dtype=float)
-    todo = np.arange(lam.size)
+    points = lam[:, None] + np.array(_PRESCREEN, dtype=float) * h[:, None]
+    samples = det(np.repeat(ells, len(_PRESCREEN)), points.ravel()).reshape(points.shape)
+    todo = np.flatnonzero(~_surely_simple(samples))
     while todo.size:
         points = lam[todo, None] + stencil * h[todo, None]
         samples = det(np.repeat(ells[todo], stencil.size), points.ravel())

@@ -1,22 +1,16 @@
-"""Real-argument special functions for the radial solver: Bessel J/I of
-real order >= -1/2 and the n-dimensional radial wave value/derivative built
-from them.  Gamma comes from the standard library.  J comes from Miller's
-backward recurrence for every order and argument: one ladder per argument
-and block of 16 orders serves the whole block, in units of P = (x/2)^nu0 /
-Gamma(nu0+1) of its base order, rescaled by exact powers of two so nothing
-under- or overflows.  A ladder's start depends only on its argument and
-block, so a point's value does not depend on the rest of the array.  I is
-its all-positive power series, in units of P at the point's own order.
-bessel_j, bessel_i and radial_wave wrap the array kernels at one point.
+"""Real-argument special functions for the radial solver, on arrays:
+Bessel J/I of real order >= -1/2 and the n-dimensional radial wave
+value/derivative built from them, each up to a positive scale per point.
+J comes from Miller's backward recurrence for every order and argument:
+one ladder per argument and block of 16 orders serves the whole block, in
+units of P = (x/2)^nu0 / Gamma(nu0+1) of its base order, rescaled by exact
+powers of two so nothing under- or overflows.  A ladder's start depends
+only on its argument and block, so a point's value does not depend on the
+rest of the array.  I is its all-positive power series, in units of P at
+the point's own order.
 """
 
-import math
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
-
-from .errors import ArgumentOutOfRange, NonPositiveArgument
 
 BESSEL_J_MAX_ARG = 200.0
 BESSEL_I_MAX_ARG = 60.0
@@ -25,11 +19,6 @@ _SERIES_CUTOFF = 1e-18  # term-ratio stopping rule for all series below
 _TINY_START = 1e-30  # trial seed for the backward recurrence
 _RESCALE = 2.0**500  # ladder values past this are scaled down by it, exactly
 _BLOCK = 16  # orders per ladder block; a ladder starts from its argument and block alone
-
-
-def _log_prefactor(nu, x):
-    """log of P = (x/2)^nu / Gamma(nu+1) for x > 0, nu > -1."""
-    return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
 
 
 def _series_triplet(nu, x, sign):
@@ -143,77 +132,3 @@ def _radial_wave_eval(p, nu0, ell, k, r, oscillatory):
     fprime = 0.5 * np.where(oscillatory, fm1 - fp1, fm1 + fp1)
     rp = r**p
     return rp * f0, rp * (p / r * f0 + k * fprime)
-
-
-class Branch(Enum):
-    OSCILLATORY = "oscillatory"
-    EVANESCENT = "evanescent"
-
-
-@dataclass(frozen=True)
-class RadialWave:
-    """Radial factor r^{(2-n)/2} F_nu(kr) with nu = (n-2)/2 + ell."""
-
-    dim: int
-    ell: int
-    branch: Branch = Branch.OSCILLATORY
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ArgumentOutOfRange(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.ell < 0:
-            raise ArgumentOutOfRange(f"ell must be >= 0, got {self.ell}")
-
-    @property
-    def order(self):
-        return 0.5 * (self.dim - 2) + self.ell
-
-
-def gamma_real(x):
-    """Gamma function for x > 0, from the standard library."""
-    if not x > 0.0:
-        raise NonPositiveArgument(f"gamma_real requires x > 0, got {x}")
-    try:
-        return math.gamma(float(x))
-    except OverflowError:
-        raise ArgumentOutOfRange(f"gamma_real({x}) overflows a double") from None
-
-
-def _bessel_triplet(nu, x, oscillatory, name):
-    """(F_{nu-1}, F_nu, F_{nu+1})(x) at one point 0 <= x <= the window of F
-    (only F_nu at x = 0): J (oscillatory) from a ladder on nu0 = nu -
-    floor(nu + 1/2), else I from its series."""
-    x_max = BESSEL_J_MAX_ARG if oscillatory else BESSEL_I_MAX_ARG
-    if nu < -0.5:
-        raise ArgumentOutOfRange(f"{name}: order must be >= -1/2, got {nu}")
-    if not 0.0 <= x <= x_max:
-        raise ArgumentOutOfRange(f"{name}: argument {x} outside [0, {x_max}]")
-    if x == 0.0:
-        return None, 1.0 if nu == 0.0 else 0.0, None
-    if not oscillatory:
-        pref = math.exp(_log_prefactor(nu, x))
-        return [v * pref for v in _i_triplet(np.array([nu]), np.array([x]))[:, 0].tolist()]
-    ell = math.floor(nu + 0.5)
-    trip, shift = _j_triplet(nu - ell, np.array([float(ell)]), np.array([x]))
-    pref = math.exp(_log_prefactor(nu - ell, x))
-    return [math.ldexp(v, -500 * int(shift[0])) * pref for v in trip[:, 0].tolist()]
-
-
-def bessel_j(nu, x):
-    """Bessel J_nu(x) for nu >= -1/2, 0 <= x <= 200."""
-    return _bessel_triplet(float(nu), float(x), True, "bessel_j")[1]
-
-
-def bessel_i(nu, x):
-    """Modified Bessel I_nu(x) for nu >= -1/2, 0 <= x <= 60."""
-    return _bessel_triplet(float(nu), float(x), False, "bessel_i")[1]
-
-
-def radial_wave(w, k, r):
-    """Evaluate y(r) = r^{(2-n)/2} F_nu(kr) and y'(r) for k, r > 0."""
-    if not (k > 0.0 and r > 0.0):
-        raise ArgumentOutOfRange("radial_wave requires k > 0 and r > 0")
-    osc = w.branch is Branch.OSCILLATORY
-    fm1, f0, fp1 = _bessel_triplet(w.order, float(k * r), osc, "radial_wave")
-    p = 0.5 * (2 - w.dim)
-    return r**p * f0, r**p * (p / r * f0 + 0.5 * k * (fm1 - fp1 if osc else fm1 + fp1))

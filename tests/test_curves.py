@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from teig import cli, curves
-from teig.assembly import FormMatrices, assemble_A
+from teig.assembly import FormMatrices, assemble_A, quadratic_coefficients
 from teig.curves import CurveTable, refine, report, run_pipeline, sweep
-from teig.eigensolve import lowest_k
+from teig.eigensolve import eigvalsh, lowest_k, reduce
 from teig.errors import InertiaMismatch, NoConvergence
 from teig.model import (
     Constant,
@@ -234,6 +234,113 @@ class TestStackedEvaluator:
         prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
         with pytest.raises(NoConvergence, match=r"at lambda = 2\.0: LAPACK"):
             sweep(prob, scalar_matrices(1.0, 0.0, 1.0), SweepConfig(0.0, 4.0, 5))
+
+
+def every_block_rows(kind, matrices, lambdas, k):
+    """The rows of _curves from solving every block at every point: each
+    block reduced by eigensolve.reduce, C(lambda) by the sweep's Horner
+    steps, one eigvalsh over all blocks, merged and cut at k."""
+    C0, C1, C2 = np.stack(
+        [reduce(np.stack(quadratic_coefficients(m, kind)), m.Mw) for m in matrices], axis=1
+    )
+    rows = []
+    for lam in lambdas:
+        c = (lam * C2 + C1) * lam + C0
+        rows.append(np.sort(eigvalsh(c[None], ["every block"]), axis=None)[:k])
+    return np.array(rows)
+
+
+def equal_intervals_problem():
+    """Three equal intervals: every TE is a triple one, tied across blocks."""
+    spec = ProblemSpec(
+        kind=ProblemKind.SCHRODINGER,
+        domain=IntervalUnion([(0.0, 2.0), (3.0, 5.0), (6.0, 8.0)]),
+        potential=Constant(20.0),
+        discretization=DiscretizationConfig(16, 8, 12),
+        sweep=SweepConfig(0.5, 60.0, 120, 1e-8, 1e-6),
+    )
+    return validate_problem(spec)
+
+
+def helmholtz_chain_problem():
+    spec = ProblemSpec(
+        kind=ProblemKind.HELMHOLTZ,
+        domain=ShrinkingChain(6, 0.0, 1.0, math.pi, 0.5),
+        potential=Constant(0.75),
+        weight="agmon",
+        discretization=DiscretizationConfig(32, 8, 16),
+        sweep=SweepConfig(0.5, 60.0, 120, 1e-8, 1e-6),
+    )
+    return validate_problem(spec)
+
+
+class TestBlockSkipping:
+    """After its first chunk the sweep solves only the blocks that reached
+    the lowest k and skips the rest on a shifted-Cholesky certificate; its
+    rows must be those of solving every block, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, ks",
+        [(chain_problem, (1, 16, 31, 186)),
+         (equal_intervals_problem, (1, 12, 15, 45)),
+         (helmholtz_chain_problem, (1, 16, 31, 186))],
+        ids=["chain", "equal-intervals", "helmholtz-chain"],
+    )
+    def test_rows_equal_solving_every_block(self, make, ks):
+        prob = make()
+        _, _, m = curves.prepare_matrices(prob)
+        lambdas = np.linspace(prob.sweep.lambda_min, prob.sweep.lambda_max, prob.sweep.steps)
+        for k in ks:
+            want = every_block_rows(prob.kind, m, lambdas, k)
+            assert np.array_equal(curves._curves(prob.kind, m, lambdas, k), want), k
+
+    def test_failed_group_certificate_falls_back_block_by_block(self, monkeypatch):
+        prob = chain_problem()
+        _, _, m = curves.prepare_matrices(prob)
+        lambdas = np.linspace(0.5, 50.0, 40)
+        above_, calls = curves.above, []
+
+        def only_single_blocks(c, mu, labels):
+            calls.append(c.shape[1])
+            return c.shape[1] == 1 and above_(c, mu, labels)
+
+        monkeypatch.setattr(curves, "above", only_single_blocks)
+        values = curves._curves(prob.kind, m, lambdas, 16)
+        assert np.array_equal(values, every_block_rows(prob.kind, m, lambdas, 16))
+        assert calls == [3, 1, 1, 1] * 7
+
+    def test_chain_solves_only_the_three_longest_intervals(self, monkeypatch):
+        # the chain's 16th curve stays below 228 on the grid, while the
+        # spectra of blocks 3, 4 and 5 start above 258, 5.1e3 and 8.7e4
+        prob = chain_problem()
+        _, _, m = curves.prepare_matrices(prob)
+        C0, C1, C2 = np.stack(
+            [reduce(np.stack(quadratic_coefficients(b, prob.kind)), b.Mw) for b in m], axis=1
+        )
+        solved, certified = [], []
+        eigvalsh_, above_ = curves.eigvalsh, curves.above
+
+        def counted_eigvalsh(c, labels):
+            lam = float(labels[0].removeprefix("at lambda = "))
+            blocks = (lam * C2 + C1) * lam + C0
+            stack = c[0] if c.ndim == 4 else c[:1]
+            solved.append([
+                next(b for b in range(len(m)) if np.array_equal(x, blocks[b])) for x in stack
+            ])
+            return eigvalsh_(c, labels)
+
+        def counted_above(c, mu, labels):
+            certified.append(above_(c, mu, labels))
+            return certified[-1]
+
+        monkeypatch.setattr(curves, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(curves, "above", counted_above)
+        values = sweep(prob, m).values
+        chunks = -(-prob.sweep.steps // (curves.SWEEP_CHUNK_BYTES // C0.nbytes))
+        assert solved[0] == [0, 1, 2, 3, 4, 5]
+        assert solved[1:] == [[0, 1, 2]] * (chunks - 1)
+        assert certified == [True] * (chunks - 1)
+        assert values.max() < 228.0
 
 
 def sweep_sign_changes(table):

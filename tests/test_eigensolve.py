@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from teig.eigensolve import SpectrumSlice, cholesky, lowest_k
+from teig.eigensolve import SpectrumSlice, above, cholesky, lowest_k
 from teig.errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 
@@ -121,6 +121,42 @@ class TestLowestK:
         s = lowest_k(np.eye(4), np.eye(4), 2)
         assert isinstance(s, SpectrumSlice)
         assert s.dimension == 4
+
+
+class TestAbove:
+    """The shifted-Cholesky certificate that every eigenvalue lies above a
+    bound, with margin delta = 4 n^2 eps (||C||_F + |mu|)."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(31)
+        c = np.stack([random_problem(rng, 6)[0] for _ in range(4)])
+        return c, np.linalg.eigvalsh(c)
+
+    def test_true_below_the_spectrum(self):
+        c, vals = self.stack()
+        assert above(c, vals[:, 0] - 1e-6, list("abcd"))
+        assert above(c[None], vals[:, 0] - 1e-6, ["one point"])
+
+    def test_false_when_one_matrix_reaches_the_bound(self):
+        c, vals = self.stack()
+        mu = vals[:, 0] - 1e-6
+        mu[2] = vals[2, 1]
+        assert not above(c, mu, list("abcd"))
+
+    def test_false_within_the_margin_of_an_eigenvalue(self):
+        c = np.diag([1.0, 2.0, 3.0])
+        delta = 4 * 9 * np.finfo(float).eps * (np.sqrt(14.0) + 1.0)
+        assert not above(c[None], 1.0, ["tie"])
+        assert not above(c[None], 1.0 - 0.5 * delta, ["within delta"])
+        assert above(c[None], 1.0 - 2.0 * delta, ["past delta"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        c, vals = self.stack()
+        c[1, 2, 3] = c[1, 3, 2] = bad
+        with pytest.raises(NoConvergence, match="b: matrix has non-finite entries"):
+            above(c, vals[:, 0] - 1.0, list("abcd"))
 
 
 class TestLapackBoundary:

@@ -1,0 +1,84 @@
+"""Source-level rules the package keeps: numpy.linalg is called only from
+``eigensolve.py``, the one generalized eigensolver, so every factorization
+and eigensolve goes through its checked, typed-error boundary."""
+
+import ast
+from pathlib import Path
+
+import teig
+
+SRC = Path(teig.__file__).resolve().parent
+
+# (module, function, attribute) uses of numpy.linalg outside eigensolve.py:
+# the companion linearization of a block's quadratic pencil is a
+# non-symmetric problem, which the symmetric eigensolver does not cover
+ALLOWED = {
+    ("curves.py", "_qep_eigenvalues", "solve"),
+    ("curves.py", "_qep_eigenvalues", "eigvals"),
+    ("curves.py", "_qep_eigenvalues", "LinAlgError"),
+}
+
+
+def linalg_uses(path):
+    """(function, attribute, line) for every numpy.linalg reference in a
+    module, with the name of the enclosing top-level function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.startswith("numpy.linalg") or (
+                    node.module == "numpy" and any(a.name == "linalg" for a in node.names)
+                ):
+                    uses.append((owner, "import", node.lineno))
+            elif isinstance(node, ast.Import):
+                if any(a.name.startswith("numpy.linalg") for a in node.names):
+                    uses.append((owner, "import", node.lineno))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")
+            ):
+                uses.append((owner, node.attr, node.lineno))
+    return uses
+
+
+def test_linalg_only_in_the_eigensolver():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "eigensolve.py":
+            continue
+        for owner, attr, line in linalg_uses(path):
+            if (path.name, owner, attr) not in ALLOWED:
+                found.append(f"{path.name}:{line} {owner} uses numpy.linalg.{attr}")
+    assert found == []
+
+
+def test_the_guard_sees_every_form_of_use():
+    # the allow-list entries exist, so the guard is looking at real code
+    seen = {
+        (path.name, owner, attr)
+        for path in SRC.glob("*.py")
+        for owner, attr, _ in linalg_uses(path)
+    }
+    assert ALLOWED <= seen
+    assert {attr for name, _, attr in seen if name == "eigensolve.py"} >= {
+        "cholesky", "inv", "eigvalsh", "LinAlgError"
+    }
+
+
+def test_the_guard_flags_imports_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "from numpy import linalg\n"
+        "def f(a):\n"
+        "    return np.linalg.svd(a)\n"
+    )
+    assert linalg_uses(probe) == [
+        ("<module>", "import", 2), ("<module>", "import", 3), ("f", "svd", 5)
+    ]

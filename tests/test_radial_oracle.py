@@ -18,16 +18,13 @@ from teig.radial import (
     _det_grid,
     _scan_determinant,
     _sign_brackets,
-    characteristic_determinant,
     first_te,
     harmonic_multiplicity,
-    interior_wavenumber,
     te_list_up_to,
     te_lists_up_to,
 )
-from teig.specfun import Branch
-
 import scalar_oracle
+from one_point import Branch, characteristic_determinant, interior_wavenumber
 
 H = ProblemKind.HELMHOLTZ
 S = ProblemKind.SCHRODINGER
@@ -286,6 +283,40 @@ class TestSharedWindows:
         assert calls[0] == 400 * sum(
             radial.adaptive_ell_max(3, math.pi, 0.75, x) + 1 for x in (50, 100, 200, 400)
         )
+
+
+class TestPolishPrescreen:
+    """The four inner stencil samples decide simple roots alone; the
+    decision must be the full 16-point stencil's at the same h."""
+
+    @pytest.mark.parametrize("dim, not_simple", [(1, 25), (2, 0), (3, 25)])
+    def test_matches_the_full_stencil_on_every_root(self, dim, not_simple):
+        base = RadialProblem(H, dim, math.pi, 0.75)
+        xs = [50.0, 100.0, 200.0, 400.0]
+        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, 0.75, x) for x in xs]
+        roots = sorted(
+            {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, _ in tl.entries}
+        )
+        lam = np.array([r for r, _ in roots])
+        ells = np.array([ell for _, ell in roots], dtype=float)
+        h = 2e-3 * np.maximum(1.0, np.abs(lam))
+        stencil = np.array(radial._POLISH_STENCIL, dtype=float)
+        samples = _det_grid(
+            H, dim, math.pi, 0.75, np.repeat(ells, stencil.size),
+            (lam[:, None] + stencil * h[:, None]).ravel(),
+        ).reshape(lam.size, stencil.size)
+        full = [
+            bool(np.isfinite(row).all() and np.abs(row).min() >= radial._CLEAN_DET)
+            and radial._estimate_multiplicity(dict(zip(radial._POLISH_STENCIL, row.tolist()))) == 1
+            for row in samples
+        ]
+        inner = [radial._POLISH_STENCIL.index(j) for j in radial._PRESCREEN]
+        assert radial._surely_simple(samples[:, inner]).tolist() == full
+        assert full.count(False) == not_simple
+
+    def test_unclean_or_non_finite_rows_are_not_simple(self):
+        rows = np.array([[1.0, 0.5, -0.5, -1.0], [1.0, 1e-12, -0.5, -1.0], [1.0, np.nan, 2.0, 3.0]])
+        assert radial._surely_simple(rows).tolist() == [True, False, False]
 
 
 class TestHarmonicMultiplicity:

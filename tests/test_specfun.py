@@ -4,26 +4,18 @@ import numpy as np
 import pytest
 
 from teig.errors import ArgumentOutOfRange, NonPositiveArgument
-from teig.specfun import (
-    Branch,
-    RadialWave,
-    _i_triplet,
-    _j_triplet,
-    _series_triplet,
-    bessel_i,
-    bessel_j,
-    gamma_real,
-)
+from teig.specfun import _i_triplet, _j_triplet, _series_triplet
 
 import scalar_oracle
+from one_point import Branch, RadialWave, bessel_i, bessel_j, gamma_real, radial_wave
 
 
 def j_half_closed(x):
-    return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
+    return np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
 
 
 def j_minus_half_closed(x):
-    return math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
+    return np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
 
 
 class TestGamma:
@@ -85,17 +77,16 @@ class TestBesselJ:
 
     def test_closed_form_consistency_sweep(self):
         xs = np.linspace(0.1, 50.0, 500)
-        for x in xs:
-            for nu, closed in ((0.5, j_half_closed(x)), (-0.5, j_minus_half_closed(x))):
-                assert bessel_j(nu, float(x)) == pytest.approx(closed, rel=1e-9)
+        for nu, closed in ((0.5, j_half_closed(xs)), (-0.5, j_minus_half_closed(xs))):
+            assert bessel_j(nu, xs) == pytest.approx(closed, rel=1e-9)
 
     def test_three_term_recurrence(self):
+        x = np.linspace(0.5, 40.0, 120)
         for nu in (0.5, 1.0, 1.5, 2.0):
-            for x in np.linspace(0.5, 40.0, 120):
-                lhs = bessel_j(nu - 1.0, float(x)) + bessel_j(nu + 1.0, float(x))
-                rhs = 2.0 * nu / x * bessel_j(nu, float(x))
-                scale = max(abs(lhs), abs(rhs), 1e-12)
-                assert abs(lhs - rhs) <= 1e-8 * scale
+            lhs = bessel_j(nu - 1.0, x) + bessel_j(nu + 1.0, x)
+            rhs = 2.0 * nu / x * bessel_j(nu, x)
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
+            assert np.all(np.abs(lhs - rhs) <= 1e-8 * scale)
 
     def test_derivative_identity_vs_finite_differences(self):
         # d/dx [x^nu J_nu(x)] = x^nu J_{nu-1}(x)
@@ -221,9 +212,9 @@ class TestBesselI:
         assert bessel_i(0.0, 1.0) == pytest.approx(total, abs=1e-9)
 
     def test_cosh_closed_form_sweep(self):
-        for x in np.linspace(0.1, 50.0, 200):
-            closed = math.sqrt(2.0 / (math.pi * x)) * math.cosh(x)
-            assert bessel_i(-0.5, float(x)) == pytest.approx(closed, rel=1e-10)
+        x = np.linspace(0.1, 50.0, 200)
+        closed = np.sqrt(2.0 / (np.pi * x)) * np.cosh(x)
+        assert bessel_i(-0.5, x) == pytest.approx(closed, rel=1e-10)
 
     def test_window_enforced(self):
         with pytest.raises(ArgumentOutOfRange):
@@ -232,15 +223,11 @@ class TestBesselI:
 
 class TestRadialWave:
     def test_3d_node_at_pi(self):
-        from teig.specfun import radial_wave
-
         w = RadialWave(3, 0)
         val, _ = radial_wave(w, 1.0, math.pi)
         assert abs(val) < 1e-14  # proportional to sin(pi)/pi
 
     def test_1d_cosine_mode(self):
-        from teig.specfun import radial_wave
-
         w = RadialWave(1, 0)
         val, der = radial_wave(w, 2.0, math.pi)
         c = math.sqrt(2.0 / (math.pi * 2.0))
@@ -249,15 +236,11 @@ class TestRadialWave:
         assert val > 0
 
     def test_2d_origin_limit(self):
-        from teig.specfun import radial_wave
-
         w = RadialWave(2, 0)
         val, _ = radial_wave(w, 1.0, 1e-8)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_evanescent_branch(self):
-        from teig.specfun import radial_wave
-
         w = RadialWave(1, 0, Branch.EVANESCENT)
         k, r = 0.8, 2.0
         val, der = radial_wave(w, k, r)
@@ -266,8 +249,6 @@ class TestRadialWave:
         assert der == pytest.approx(c * k * math.sinh(k * r), rel=1e-12)
 
     def test_derivative_matches_finite_differences(self):
-        from teig.specfun import radial_wave
-
         h = 1e-6
         for dim, ell in ((1, 0), (1, 1), (2, 0), (2, 3), (3, 0), (3, 2)):
             w = RadialWave(dim, ell)
