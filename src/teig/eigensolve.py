@@ -108,7 +108,8 @@ def above(c, mu, labels):
     frobenius = np.sqrt(np.einsum("...ij,...ij->...", c, c))
     shift = mu + 4.0 * n * n * np.finfo(float).eps * (frobenius + np.abs(mu))
     shifted = np.array(c, dtype=float)
-    shifted.reshape(*c.shape[:-2], n * n)[..., :: n + 1] -= shift[..., None]
+    diagonal = np.arange(n)
+    shifted[..., diagonal, diagonal] -= shift[..., None]
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -253,7 +253,9 @@ def _surely_simple(samples):
     It returns 1 with no sign change across the root, with a non-positive
     ratio D(2h)/D(h) on either side, or with log2 of one below 2.55, since
     every log2 ratio must lie within 0.45 of an odd m >= 3.  Rows with a
-    non-finite sample or one below _CLEAN_DET are never simple here.
+    non-finite sample or one below _CLEAN_DET are never simple here.  The
+    twelve outer samples are not looked at: had one of them been unclean,
+    the full stencil would have widened h and looked again.
     """
     s = np.asarray(samples, dtype=float)
     clean = np.isfinite(s).all(axis=1) & (np.abs(s).min(axis=1) >= _CLEAN_DET)

@@ -263,6 +263,8 @@ def equal_intervals_problem():
 
 
 def helmholtz_chain_problem():
+    """The chain with a constant Helmholtz contrast; at k = 1 some chunks
+    need the block-by-block fallback of the skip certificate."""
     spec = ProblemSpec(
         kind=ProblemKind.HELMHOLTZ,
         domain=ShrinkingChain(6, 0.0, 1.0, math.pi, 0.5),
