@@ -128,8 +128,7 @@ def _finish_experiment(result, out):
 
 
 def _cmd_sweep(args):
-    _, spec = load_problem(args.config)
-    problem = validate_problem(spec)
+    problem = validate_problem(load_problem(args.config))
     _, _, matrices = curves.prepare_matrices(problem)
     if args.out_report:
         _emit(curves.run_pipeline(problem, matrices).to_json_obj(), args.out_report)
@@ -138,8 +137,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_find(args):
-    _, spec = load_problem(args.config)
-    problem = validate_problem(spec)
+    problem = validate_problem(load_problem(args.config))
     _emit(curves.run_pipeline(problem).to_json_obj(), args.out)
     return 0
 

@@ -173,13 +173,16 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
     least-squares slope of log N against log x (target n/2)."""
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"counting requires Helmholtz contrast v0 in (0,1), got {v0}")
+    base = RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0)  # validates the ball
     xs = sorted(float(x) for x in x_values)
-    if len(xs) < 2:
-        raise ValidationError("counting needs at least two x values")
+    if not all(math.isfinite(x) and x > 0 for x in xs):
+        raise ValidationError(f"x values must be finite and > 0, got {xs}")
+    if len(set(xs)) < 2:
+        raise ValidationError("counting needs at least two distinct x values")
     ell_maxes = [
         adaptive_ell_max(n, radius, v0, x) if ell_max is None else int(ell_max) for x in xs
     ]
-    lists = te_lists_up_to(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0), xs, ell_maxes)
+    lists = te_lists_up_to(base, xs, ell_maxes)
     rows = []
     counts = []
     for x, lm, tl in zip(xs, ell_maxes, lists):
@@ -384,7 +387,7 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
         raise ValidationError(f"lambda_max must exceed {LAMBDA_FLOOR}")
     if ell_max < 0:
         raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-    per_order = _scan_determinant(
+    ell, root, left, right = _scan_determinant(
         ProblemKind.SCHRODINGER,
         n,
         radius,
@@ -395,12 +398,8 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
         steps,
         1e-10 * max(1.0, lambda_max),
     )
-    rows = [
-        (root, left, right, ell)
-        for ell, roots in enumerate(per_order)
-        for root, (left, right) in roots
-    ]
-    rows.sort(key=lambda r: r[0])
+    table = (root.tolist(), left.tolist(), right.tolist(), ell.tolist())  # row r is order r
+    rows = sorted(zip(*table), key=lambda r: r[0])
     return ExperimentResult(
         name="hypothesis",
         inputs={

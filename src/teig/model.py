@@ -449,7 +449,7 @@ def _parse_weight(cfg):
 
 
 def load_problem(path):
-    """Read and parse a JSON problem file; returns the raw dict and spec."""
+    """Read and parse a JSON problem file into its ProblemSpec."""
     import json
 
     try:
@@ -459,7 +459,7 @@ def load_problem(path):
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
-    return config, parse_problem(config)
+    return parse_problem(config)
 
 
 def canonical_config(problem):

@@ -20,10 +20,11 @@ from .errors import (
     ArgumentOutOfRange,
     HelmholtzContrastDegenerate,
     NonPositivePotential,
+    ProblemTooLarge,
     UnsupportedDimension,
     ValidationError,
 )
-from .model import HELMHOLTZ_CONTRAST_TOL, ProblemKind
+from .model import HELMHOLTZ_CONTRAST_TOL, MEMORY_BUDGET_BYTES, ProblemKind
 from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _radial_wave_eval
 
 DEGENERATE_KAPPA_SQ = 1e-14
@@ -226,43 +227,33 @@ _POLISH_STENCIL = tuple(j for j in range(-8, 9) if j != 0)
 _PRESCREEN = (-2, -1, 1, 2)  # the stencil's inner offsets, sampled first
 
 
-def _estimate_multiplicity(samples):
-    """Odd root order from dyadic sample ratios D(2h)/D(h) ~ 2^m.
+def _multiplicity(samples, offsets):
+    """Root order per row of samples of D at ``offsets`` * h around a root.
 
-    Returns 1 unless every ratio consistently points at the same odd
-    m >= 3 with opposite signs across the root.
-    """
-    if samples[1] * samples[-1] >= 0.0:
-        return 1
-    logs = []
-    for a, b in ((1, 2), (2, 4), (4, 8), (-1, -2), (-2, -4), (-4, -8)):
-        ratio = samples[b] / samples[a]
-        if ratio <= 0.0:
-            return 1
-        logs.append(math.log2(ratio))
-    m = round(sum(logs) / len(logs))
-    if m < 3 or m % 2 == 0 or any(abs(g - m) > 0.45 for g in logs):
-        return 1
-    return m
-
-
-def _surely_simple(samples):
-    """Per row of clean samples of D at offsets -2h, -h, h, 2h: True where
-    _estimate_multiplicity on the full stencil at h must return 1.
-
-    It returns 1 with no sign change across the root, with a non-positive
-    ratio D(2h)/D(h) on either side, or with log2 of one below 2.55, since
-    every log2 ratio must lie within 0.45 of an odd m >= 3.  Rows with a
-    non-finite sample or one below _CLEAN_DET are never simple here.  The
-    twelve outer samples are not looked at: had one of them been unclean,
-    the full stencil would have widened h and looked again.
+    0 where a sample is non-finite or inside the noise band (< _CLEAN_DET);
+    otherwise the odd m >= 3 when D changes sign across the root and every
+    dyadic ratio D(2jh)/D(jh) (j = +-1, +-2, +-4, both offsets sampled) is
+    positive with log2 within 0.45 of m, the rounded mean log2; else 1.
+    On the four inner samples it is 1 wherever the full stencil's would
+    be: six log2 ratios within 0.45 of an odd m put the two inner ones
+    within 0.45 of m too.
     """
     s = np.asarray(samples, dtype=float)
+    col = list(offsets).index
+    pairs = [(col(j), col(2 * j)) for j in (1, 2, 4, -1, -2, -4) if 2 * j in offsets]
     clean = np.isfinite(s).all(axis=1) & (np.abs(s).min(axis=1) >= _CLEAN_DET)
     with np.errstate(divide="ignore", invalid="ignore"):  # unclean rows only
-        ratios = np.stack((s[:, 0] / s[:, 1], s[:, 3] / s[:, 2]), axis=1)
-        low = (ratios <= 0.0) | (np.log2(np.abs(ratios)) < 2.55)
-    return clean & ((s[:, 1] * s[:, 2] >= 0.0) | low.any(axis=1))
+        ratios = np.stack([s[:, b] / s[:, a] for a, b in pairs], axis=1)
+        logs = np.log2(ratios)
+        m = np.round(logs.sum(axis=1) / len(pairs))
+        odd = (
+            (s[:, col(1)] * s[:, col(-1)] < 0.0)
+            & (ratios > 0.0).all(axis=1)
+            & (m >= 3)
+            & (m % 2 == 1)
+            & (np.abs(logs - m[:, None]) <= 0.45).all(axis=1)
+        )
+    return np.where(clean, np.where(odd, m, 1), 0).astype(int)
 
 
 def _fit_root(samples, h, m):
@@ -294,7 +285,7 @@ def _polish_roots(det, ells, lams):
     samples clear the noise band; h starts at 2e-3 max(1, |lambda|) and
     shrinks by 0.35 after each fit.  The first round starts from the four
     inner samples at +-h and +-2h alone, and a root they show simple
-    (_surely_simple) is left untouched without the other twelve.  The
+    (_multiplicity 1) is left untouched without the other twelve.  The
     samples of all pending roots share one determinant call per step.
     """
     lam = np.array(lams, dtype=float)
@@ -304,72 +295,70 @@ def _polish_roots(det, ells, lams):
     stencil = np.array(_POLISH_STENCIL, dtype=float)
     points = lam[:, None] + np.array(_PRESCREEN, dtype=float) * h[:, None]
     samples = det(np.repeat(ells, len(_PRESCREEN)), points.ravel()).reshape(points.shape)
-    todo = np.flatnonzero(~_surely_simple(samples))
+    todo = np.flatnonzero(_multiplicity(samples, _PRESCREEN) != 1)
     while todo.size:
         points = lam[todo, None] + stencil * h[todo, None]
         samples = det(np.repeat(ells[todo], stencil.size), points.ravel())
         samples = samples.reshape(points.shape)
-        finite = np.isfinite(samples).all(axis=1)
-        clean = finite & (np.abs(samples).min(axis=1) >= _CLEAN_DET)
-        again = []
-        for i, row, ok, is_clean in zip(todo.tolist(), samples, finite, clean):
-            if not ok:
-                continue
-            if not is_clean:
-                # widen the stencil until its innermost samples clear the noise band
-                h[i] *= 2.0
-                grows[i] += 1
-                if grows[i] < 12:
-                    again.append(i)
-                continue
-            row = row.tolist()
-            m = _estimate_multiplicity(dict(zip(_POLISH_STENCIL, row)))
-            if m == 1:
-                continue
-            shift = _fit_root(row, h[i], m)
+        m = _multiplicity(samples, _POLISH_STENCIL)
+        # widen a noisy stencil until its innermost samples clear the noise band
+        noisy = (m == 0) & np.isfinite(samples).all(axis=1)
+        h[todo[noisy]] *= 2.0
+        grows[todo[noisy]] += 1
+        again = noisy & (grows[todo] < 12)
+        for k in np.flatnonzero(m > 1).tolist():
+            i = todo[k]
+            shift = _fit_root(samples[k].tolist(), h[i], int(m[k]))
             if shift is None:
                 continue
             lam[i] += shift
             h[i] *= 0.35
             rounds[i] += 1
             grows[i] = 0
-            if rounds[i] < 2:
-                again.append(i)
-        todo = np.array(again, dtype=int)
+            again[k] = rounds[i] < 2
+        todo = todo[again]
     return lam
 
 
-def _close_pair(roots, spacing):
-    return any(
-        r2 - r1 < _CLOSE_ROOT_CELLS * spacing for (r1, _), (r2, _) in zip(roots, roots[1:])
-    )
+def _check_scan_size(rows, steps):
+    """Reject a scan whose grids would pass MEMORY_BUDGET_BYTES: a pass holds
+    about 32 bytes per (row, step) cell (the grid, its tiled orders, the
+    values and their masks), and the alias re-scan may redo every row at
+    twice the steps."""
+    need = 64 * rows * steps
+    if need > MEMORY_BUDGET_BYTES:
+        raise ProblemTooLarge(
+            f"a scan of {rows} order(s) at up to {2 * steps} steps needs {need} bytes, "
+            f"over the budget of {MEMORY_BUDGET_BYTES}"
+        )
 
 
 def _scan_pass(det, ells, lo, hi, tol, steps):
     """One sign scan of every row r (order ells[r] on linspace(lo[r], hi[r],
     steps)), lambda-major so a window's rows share ladders: exact grid hits
-    plus one bisected root per sign-change cell, sorted per row."""
+    plus one bisected root per sign-change cell, as the table (row, root,
+    left, right) sorted by row then root; a hit is its own bracket."""
     grid = np.linspace(lo, hi, steps)  # (steps, rows)
     values = det(np.tile(ells, steps), grid.ravel()).reshape(grid.shape)
     hits, cells = _sign_brackets(values.T)
     row, cell = np.nonzero(cells)
     a, b = grid[cell, row], grid[cell + 1, row]
     found = _bisect_brackets(det, ells[row], a, b, values[cell, row], tol[row])
-    roots = [[] for _ in ells]
-    for r, i in zip(*np.nonzero(hits)):
-        roots[r].append((float(grid[i, r]), (float(grid[i, r]), float(grid[i, r]))))
-    for r, root, left, right in zip(row.tolist(), found.tolist(), a.tolist(), b.tolist()):
-        roots[r].append((root, (left, right)))
-    for per_row in roots:
-        per_row.sort(key=lambda item: item[0])
-    return roots
+    hit_row, hit = np.nonzero(hits)
+    at = grid[hit, hit_row]
+    row, root, left, right = (
+        np.concatenate(pair) for pair in ((hit_row, row), (at, found), (at, a), (at, b))
+    )
+    order = np.lexsort((root, row))
+    return row[order], root[order], left[order], right[order]
 
 
 def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
     """Sign scan of the determinant, one row per order in ``ells`` on its
     window [lo, hi] bisected to width tol (lo, hi and tol broadcast against
-    ells, so rows may span several windows of one problem); returns one
-    list of (root, (a, b)) per row, sorted by root.
+    ells, so rows may span several windows of one problem); returns the
+    table (row, root, left, right) of four arrays, sorted by row then by
+    the root before its polish, with [left, right] the root's bracket.
 
     All rows share each determinant call: the grids, every halving of every
     bracket and the polish stencils.  A row with two roots within 5 cells
@@ -377,10 +366,11 @@ def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
     polished against odd-order degeneracy.  Values do not depend on the
     batch and each bracket decides alone, so rows scan as if alone.
     """
-    ells = np.array(ells, dtype=float)
-    lo, hi, tol = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape) for v in (lo, hi, tol))
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
+    _check_scan_size(len(ells), steps)
+    ells = np.array(ells, dtype=float)
+    lo, hi, tol = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape) for v in (lo, hi, tol))
     for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
         if not a < b:
             raise ValidationError(f"scan needs lo < hi, got [{a}, {b}]")
@@ -390,20 +380,23 @@ def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
     def det(ell, lam):
         return _det_grid(kind, n, radius, v0, ell, lam)
 
-    roots = _scan_pass(det, ells, lo, hi, tol, steps)
+    row, root, left, right = _scan_pass(det, ells, lo, hi, tol, steps)
     spacing = (hi - lo) / (steps - 1)
-    close = [r for r, per_row in enumerate(roots) if _close_pair(per_row, spacing[r])]
-    if close:
+    near = (row[1:] == row[:-1]) & (np.diff(root) < _CLOSE_ROOT_CELLS * spacing[row[1:]])
+    close = np.zeros(ells.size, dtype=bool)
+    close[row[1:][near]] = True
+    if close.any():
         again = _scan_pass(det, ells[close], lo[close], hi[close], tol[close], 2 * steps)
-        for r, per_row in zip(close, again):
-            roots[r] = per_row
-    flat = [(r, root, bracket) for r, per_row in enumerate(roots) for root, bracket in per_row]
-    owner = np.array([r for r, _, _ in flat], dtype=int)
-    polished = _polish_roots(det, ells[owner], [root for _, root, _ in flat])
-    out = [[] for _ in roots]
-    for (r, _, bracket), lam in zip(flat, polished.tolist()):
-        out[r].append((lam, bracket))
-    return out
+        keep = ~close[row]
+        row, root, left, right = (
+            np.concatenate((old[keep], new))
+            for old, new in zip(
+                (row, root, left, right), (np.flatnonzero(close)[again[0]], *again[1:])
+            )
+        )
+        order = np.argsort(row, kind="stable")
+        row, root, left, right = row[order], root[order], left[order], right[order]
+    return row, _polish_roots(det, ells[row], root), left, right
 
 
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
@@ -411,21 +404,24 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     up to x for ell <= ell_max, the windows scanned together, each bisected
     to 1e-10 max(1, x).  ``base``'s ell field is ignored.  Orders with no
     root do not stop the sweep; roots are not monotone in ell."""
-    rows = []  # (window, ell) per scanned row
-    for w, (x, ell_max) in enumerate(zip(xs, ell_maxes)):
+    orders = []  # per window; dim 1 has orders 0 and 1 only
+    for x, ell_max in zip(xs, ell_maxes):
         if not x > 0:
             raise ArgumentOutOfRange(f"x must be > 0, got {x}")
         if ell_max < 0:
             raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-        rows += [(w, ell) for ell in range(ell_max + 1) if harmonic_multiplicity(base.dim, ell)]
+        orders.append(range((ell_max if base.dim > 1 else min(ell_max, 1)) + 1))
+    _check_scan_size(sum(map(len, orders)), steps)
+    rows = [(w, ell) for w, window in enumerate(orders) for ell in window]
     ells, his = [ell for _, ell in rows], np.array([xs[w] for w, _ in rows], dtype=float)
     tols = 1e-10 * np.maximum(1.0, his)
-    roots = _scan_determinant(
+    row, root, _, _ = _scan_determinant(
         base.kind, base.dim, base.radius, base.v0, ells, LAMBDA_FLOOR, his, steps, tols
     )
     entries = [[] for _ in xs]
-    for (w, ell), per_row in zip(rows, roots):
-        entries[w] += [(root, ell, harmonic_multiplicity(base.dim, ell)) for root, _ in per_row]
+    for r, lam in zip(row.tolist(), root.tolist()):
+        w, ell = rows[r]
+        entries[w].append((lam, ell, harmonic_multiplicity(base.dim, ell)))
     return [TEList(entries=tuple(sorted(e, key=lambda t: (t[0], t[1])))) for e in entries]
 
 
@@ -455,11 +451,10 @@ def first_te(kind, n, radius, v0, ell_values=(0, 1), cap=1e6, steps=DEFAULT_SCAN
     RadialProblem(kind, n, radius, v0)  # validates inputs
     hi = max(4.0 / radius**2, 2.0 * v0, 1.0)
     while hi <= cap:
-        roots = _scan_determinant(
+        row, root, _, _ = _scan_determinant(
             kind, n, radius, v0, ell_values, LAMBDA_FLOOR, hi, steps, 1e-12 * max(1.0, hi)
         )
-        firsts = [per_order[0][0] for per_order in roots if per_order]
-        if firsts:
-            return float(min(firsts))
+        if row.size:  # each row's first root, by its value before the polish
+            return float(root[np.r_[True, row[1:] != row[:-1]]].min())
         hi *= 2.0
     raise ArgumentOutOfRange(f"no transmission eigenvalue found below {cap}")

@@ -15,24 +15,24 @@ import numpy as np
 BESSEL_J_MAX_ARG = 200.0
 BESSEL_I_MAX_ARG = 60.0
 
-_SERIES_CUTOFF = 1e-18  # term-ratio stopping rule for all series below
+_SERIES_CUTOFF = 1e-18  # term-ratio stopping rule of the I series
 _TINY_START = 1e-30  # trial seed for the backward recurrence
 _RESCALE = 2.0**500  # ladder values past this are scaled down by it, exactly
 _BLOCK = 16  # orders per ladder block; a ladder starts from its argument and block alone
 
 
-def _series_triplet(nu, x, sign):
-    """(F_{nu-1}, F_nu, F_{nu+1}) / P by direct series, on arrays.
+def _i_triplet(nu, x):
+    """(I_{nu-1}, I_nu, I_{nu+1}) / P by the all-positive power series, on
+    arrays, with no cancellation.
 
-    sign = -1.0 gives J (alternating), +1.0 gives I.  The nu-1 sum is
-    arranged so no Gamma of a non-positive argument is ever formed; it is
-    valid down to nu = -1/2 and reproduces J_{-1} = -J_1 at integer nu.
-    The three sums run as rows of one array.  A point's term is zeroed once
-    it drops below the cutoff relative to its sum, so every point stops
-    where a series of its own would, whatever else the array holds.
+    The nu-1 sum is arranged so no Gamma of a non-positive argument is ever
+    formed; it is valid down to nu = -1/2.  The three sums run as rows of
+    one array.  A point's term is zeroed once it drops below the cutoff
+    relative to its sum, so every point stops where a series of its own
+    would, whatever else the array holds.
     """
-    q = sign * (0.25 * x * x)
-    shift = np.array((nu, nu + 1.0, nu - 1.0))  # rows F_nu, F_{nu+1}, F_{nu-1}
+    q = 0.25 * x * x
+    shift = np.array((nu, nu + 1.0, nu - 1.0))  # rows I_nu, I_{nu+1}, I_{nu-1}
     total = np.array((np.ones_like(x), np.ones_like(x), nu))
     term = np.array((q / (nu + 1), q / (shift[1] + 1), q))
     for m in range(1, 502):
@@ -109,11 +109,6 @@ def _j_triplet(nu0, ell, x):
     shift = np.empty_like(got_count)
     shift[by_rung] = count[read_ladder] - got_count
     return trip, shift
-
-
-def _i_triplet(nu, x):
-    """(I_{nu-1}, I_nu, I_{nu+1}) / P; all-positive series, no cancellation."""
-    return _series_triplet(nu, x, 1.0)
 
 
 def _radial_wave_eval(p, nu0, ell, k, r, oscillatory):

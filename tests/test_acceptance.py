@@ -74,8 +74,8 @@ def reference_problem(cells=64, num_curves=12, lo=0.5, hi=10.0, steps=400,
 def test_criterion_1_radial_oracle_exactness():
     with _Timer(1, 1.0):
         for dim in (1, 3):
-            (roots,) = _scan_determinant(H, dim, math.pi, 0.75, (0,), 1e-6, 4.5, 400, 1e-10)
-            err = min(abs(r - 4.0) for r, _ in roots)
+            _, roots, _, _ = _scan_determinant(H, dim, math.pi, 0.75, (0,), 1e-6, 4.5, 400, 1e-10)
+            err = min(abs(r - 4.0) for r in roots.tolist())
             assert err <= 1e-8, f"dim {dim}: root error {err:.2e}"
 
 

@@ -316,6 +316,40 @@ class TestExperimentCommands:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--x-values", "50,nan"),
+            ("--x-values", "50,inf"),
+            ("--x-values", "50,50"),
+            ("--radius", "inf"),
+        ],
+        ids=["nan-x", "infinite-x", "one-distinct-x", "infinite-radius"],
+    )
+    def test_count_bad_ball_or_x_values_exit_two(self, argv):
+        res = run_cli("count", "--dim", "1", *argv)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("radial", "--problem", "helmholtz", "--dim", "1", "--radius", "1", "--v0", "0.75",
+             "--lmax", "0", "--lambda-max", "5", "--steps", "1000000000"),
+            ("radial", "--problem", "helmholtz", "--dim", "3", "--radius", "1", "--v0", "0.75",
+             "--lmax", "100000000", "--lambda-max", "5"),
+            ("hypothesis", "--steps", "1000000000"),
+        ],
+        ids=["radial-steps", "radial-lmax", "hypothesis-steps"],
+    )
+    def test_scan_past_memory_budget_exits_two(self, argv):
+        # rejected before the grid is allocated, so this runs in milliseconds
+        res = run_cli(*argv)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ProblemTooLarge"
+
     def test_count_insufficient_is_config_error(self):
         res = run_cli("count", "--dim", "1", "--x-values", "2,3")
         assert res.returncode == 2

@@ -1,6 +1,8 @@
 """Source-level rules the package keeps: numpy.linalg is called only from
 ``eigensolve.py``, the one generalized eigensolver, so every factorization
-and eigensolve goes through its checked, typed-error boundary."""
+and eigensolve goes through its checked, typed-error boundary; and the
+radial oracle (``radial.py`` with its Bessel library ``specfun.py``) imports
+nothing of the Galerkin machinery, so it stays an independent check of it."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,50 @@ def test_the_guard_flags_imports_and_attributes(tmp_path):
     assert linalg_uses(probe) == [
         ("<module>", "import", 2), ("<module>", "import", 3), ("f", "svd", 5)
     ]
+
+
+ORACLE = ("radial.py", "specfun.py")
+GALERKIN = {"assembly", "curves", "eigensolve"}
+
+
+def teig_imports(path):
+    """Names of the teig modules a module imports, in any spelling:
+    ``from .m import f``, ``from . import m``, ``from teig.m import f``,
+    ``from teig import m`` and ``import teig.m``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("teig"):
+                continue
+            module = (node.module or "").removeprefix("teig").lstrip(".")
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("teig."):
+                    names.add(a.name.split(".")[1])
+    return names
+
+
+def test_the_oracle_imports_no_galerkin_module():
+    for name in ORACLE:
+        assert teig_imports(SRC / name) & GALERKIN == set(), name
+
+
+def test_the_import_guard_sees_every_spelling(tmp_path):
+    assert "curves" in teig_imports(SRC / "experiments.py")
+    assert "specfun" in teig_imports(SRC / "radial.py")
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "import teig.assembly\n"
+        "from teig import curves\n"
+        "from teig.eigensolve import lowest_k\n"
+        "from . import model\n"
+        "from .errors import TeigError\n"
+        "from .specfun import _j_triplet\n"
+    )
+    assert teig_imports(probe) == GALERKIN | {"model", "errors", "specfun"}

@@ -193,8 +193,8 @@ class TestScanRoots:
         assert root[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_determinant_contains_four(self):
-        (roots,) = _scan_determinant(H, 1, math.pi, 0.75, (0,), 0.5, 5.0, 400, 1e-10)
-        assert any(abs(r - 4.0) < 1e-8 for r, _ in roots)
+        _, roots, _, _ = _scan_determinant(H, 1, math.pi, 0.75, (0,), 0.5, 5.0, 400, 1e-10)
+        assert any(abs(r - 4.0) < 1e-8 for r in roots.tolist())
 
     def test_no_roots(self):
         grid = np.linspace(-3.0, 3.0, 50)
@@ -244,13 +244,44 @@ class TestScanRoots:
 
     def test_multi_order_scan_matches_one_order_per_call(self):
         ells = range(13)
-        together = _scan_determinant(H, 3, math.pi, 0.75, ells, 1e-6, 60.0, 400, 6e-9)
-        alone = [
-            _scan_determinant(H, 3, math.pi, 0.75, (ell,), 1e-6, 60.0, 400, 6e-9)[0]
-            for ell in ells
-        ]
-        assert together == alone
-        assert sum(len(roots) for roots in together) > 20
+        row, *together = _scan_determinant(H, 3, math.pi, 0.75, ells, 1e-6, 60.0, 400, 6e-9)
+        for ell in ells:
+            alone_row, *alone = _scan_determinant(
+                H, 3, math.pi, 0.75, (ell,), 1e-6, 60.0, 400, 6e-9
+            )
+            assert not alone_row.any()
+            assert [column[row == ell].tolist() for column in together] == [
+                column.tolist() for column in alone
+            ]
+        assert row.size > 20
+        assert np.array_equal(row, np.sort(row))
+
+    def test_alias_rescan_replaces_exactly_the_close_rows(self, monkeypatch):
+        # at 25 steps one order has two roots within 5 cells: that row, and
+        # only that, takes its roots from the pass at twice the steps
+        passes = []
+        scan_pass = radial._scan_pass
+
+        def recorded(det, ells, *args):
+            table = scan_pass(det, ells, *args)
+            passes.append((ells.tolist(), table))
+            return table
+
+        monkeypatch.setattr(radial, "_scan_pass", recorded)
+        row, _, left, right = _scan_determinant(S, 3, 1.0, 30.0, range(5), 1e-6, 100.0, 25, 1e-8)
+        (_, first), (again, second) = passes
+        f_row, f_root = first[0].tolist(), first[1].tolist()
+        spacing = (100.0 - 1e-6) / 24
+        close = sorted(
+            {r for r, s, a, b in zip(f_row, f_row[1:], f_root, f_root[1:])
+             if r == s and b - a < 5 * spacing}
+        )
+        assert again == close and 0 < len(close) < 5
+        assert np.array_equal(row, np.sort(row))
+        for r in range(5):
+            src, at = (second, close.index(r)) if r in close else (first, r)
+            assert left[row == r].tolist() == src[2][src[0] == at].tolist()
+            assert right[row == r].tolist() == src[3][src[0] == at].tolist()
 
 
 class TestSharedWindows:
@@ -305,18 +336,25 @@ class TestPolishPrescreen:
             H, dim, math.pi, 0.75, np.repeat(ells, stencil.size),
             (lam[:, None] + stencil * h[:, None]).ravel(),
         ).reshape(lam.size, stencil.size)
-        full = [
-            bool(np.isfinite(row).all() and np.abs(row).min() >= radial._CLEAN_DET)
-            and radial._estimate_multiplicity(dict(zip(radial._POLISH_STENCIL, row.tolist()))) == 1
-            for row in samples
-        ]
+        full = radial._multiplicity(samples, radial._POLISH_STENCIL) == 1
         inner = [radial._POLISH_STENCIL.index(j) for j in radial._PRESCREEN]
-        assert radial._surely_simple(samples[:, inner]).tolist() == full
-        assert full.count(False) == not_simple
+        prescreen = radial._multiplicity(samples[:, inner], radial._PRESCREEN) == 1
+        assert prescreen.tolist() == full.tolist()
+        assert full.tolist().count(False) == not_simple
 
     def test_unclean_or_non_finite_rows_are_not_simple(self):
         rows = np.array([[1.0, 0.5, -0.5, -1.0], [1.0, 1e-12, -0.5, -1.0], [1.0, np.nan, 2.0, 3.0]])
-        assert radial._surely_simple(rows).tolist() == [True, False, False]
+        assert radial._multiplicity(rows, radial._PRESCREEN).tolist() == [1, 0, 0]
+
+    def test_odd_order_from_dyadic_ratios(self):
+        # sign(t)|t|^p sampled around its root: odd p >= 3 is the order, an
+        # even p or no sign change is simple, on the stencil and the prescreen
+        t = 0.1 * np.array(radial._POLISH_STENCIL, dtype=float)
+        rows = np.array([t, t**3, t**5, np.sign(t) * t**4, t**2, -(t**3)])
+        inner = [radial._POLISH_STENCIL.index(j) for j in radial._PRESCREEN]
+        want = [1, 3, 5, 1, 1, 3]
+        assert radial._multiplicity(rows, radial._POLISH_STENCIL).tolist() == want
+        assert radial._multiplicity(rows[:, inner], radial._PRESCREEN).tolist() == want
 
 
 class TestHarmonicMultiplicity:
