@@ -129,7 +129,7 @@ def _finish_experiment(result, out):
 
 def _cmd_sweep(args):
     problem = validate_problem(load_problem(args.config))
-    _, _, matrices = curves.prepare_matrices(problem)
+    matrices = curves.prepare_matrices(problem)
     if args.out_report:
         _emit(curves.run_pipeline(problem, matrices).to_json_obj(), args.out_report)
     serialize.write_text(args.out_curves, curves.sweep(problem, matrices).to_csv())
@@ -143,13 +143,8 @@ def _cmd_find(args):
 
 
 def _cmd_radial(args):
-    base = RadialProblem(
-        kind=ProblemKind(args.problem),
-        dim=args.dim,
-        radius=args.radius,
-        v0=args.v0,
-    )
-    tl = te_list_up_to(base, args.lambda_max, args.lmax, steps=args.steps)
+    ball = RadialProblem(ProblemKind(args.problem), args.dim, args.radius, args.v0)
+    tl = te_list_up_to(ball, args.lambda_max, args.lmax, steps=args.steps)
     payload = {
         "problem": args.problem,
         "dim": args.dim,
@@ -248,9 +243,6 @@ def main(argv=None):
         sys.stderr.write(serialize.dumps({"error": "InternalError", "message": message}))
         traceback.print_exc(file=sys.stderr)
         return 3
-
-
-run_cli = main
 
 
 if __name__ == "__main__":

@@ -65,12 +65,10 @@ class TEReport:
 
 
 def prepare_matrices(problem):
-    """Basis, quadrature, and the per-interval form matrices for a
-    validated problem."""
+    """The per-interval form matrices of a validated problem."""
     basis = build_basis(problem.intervals, problem.discretization.cells_per_interval)
     quad = gauss_legendre(problem.discretization.quad_points)
-    matrices = assemble(basis, problem.potential, problem.weight, quad)
-    return basis, quad, matrices
+    return assemble(basis, problem.potential, problem.weight, quad)
 
 
 def _curves(kind, matrices, lambdas, k):
@@ -138,9 +136,9 @@ def _lowest(c, k, first, labels):
     return lowest, sorted(b for b, hit in zip(solved, reached.tolist()) if hit)
 
 
-def sweep(problem, matrices, sweepcfg=None):
+def sweep(problem, matrices):
     """Lowest-K curve table over the sweep grid (grid order, deterministic)."""
-    cfg = sweepcfg if sweepcfg is not None else problem.sweep
+    cfg = problem.sweep
     lambdas = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
     values = _curves(problem.kind, matrices, lambdas, problem.discretization.num_curves)
     return CurveTable(lambdas=lambdas, values=values)
@@ -194,17 +192,18 @@ def _qep_eigenvalues(m, kind):
     return vals
 
 
-def refine(problem, matrices, nu, guess, window, left_negative, refine_tol):
+def refine(problem, matrices, nu, guess, window, left_negative):
     """Polish the sign change of the nu-th crossing indicator near ``guess``.
 
     The indicator's signs differ at the two ends of ``window`` (it is
     negative at the left end iff ``left_negative``).  A bracket from the
     guess toward the end whose sign differs from the guess's, first
-    refine_tol wide, is doubled until it holds a sign change, capped at
-    that end, then bisected until narrower than refine_tol or down to two
-    adjacent floats.  Returns the final midpoint, the number of bisection
-    steps and the final bracket.
+    problem.sweep.refine_tol wide, is doubled until it holds a sign change,
+    capped at that end, then bisected until narrower than refine_tol or
+    down to two adjacent floats.  Returns the final midpoint, the number of
+    bisection steps and the final bracket.
     """
+    refine_tol = problem.sweep.refine_tol
     f_guess = _crossing_indicator(problem, matrices, nu, guess)
     if f_guess == 0.0:
         return guess, 0, (guess, guess)
@@ -251,15 +250,17 @@ def _runs(items, tol, key):
     return runs
 
 
-def report(problem, refined, cluster_tol, matrices):
+def report(problem, refined, matrices):
     """Cluster refined crossings into a TEReport.
 
     ``refined`` is a list of (lambda, curve_index).  Crossings within
-    cluster_tol of each other merge into one entry whose multiplicity
-    estimate is the cluster size; the entry lambda is the cluster mean and
-    its curve index the smallest member index.  Helmholtz entries with
-    |lambda| < cluster_tol are dropped (lambda = 0 is excluded there).
+    problem.sweep.cluster_tol of each other merge into one entry whose
+    multiplicity estimate is the cluster size; the entry lambda is the
+    cluster mean and its curve index the smallest member index.  Helmholtz
+    entries with |lambda| < cluster_tol are dropped (lambda = 0 is excluded
+    there).
     """
+    cluster_tol = problem.sweep.cluster_tol
     clusters = _runs(sorted(refined, key=lambda t: (t[0], t[1])), cluster_tol, lambda t: t[0])
     kept = []
     for members in clusters:
@@ -300,40 +301,67 @@ def _metadata(problem):
     }
 
 
+def _merge_groups(groups, points, counts):
+    """Merge each group whose inertia count changes by more than its size
+    with the nearer neighbour whose count changes by less than its own,
+    until no group has more crossings than candidates.  Two blocks may
+    place one near-multiple root over refine_tol apart, and the cut between
+    the two candidates then falls on the wrong side of one.  With no such
+    neighbour a root was missed: InertiaMismatch."""
+    groups, points, counts = list(groups), list(points), list(counts)
+
+    def excess(i):
+        return abs(counts[i + 1] - counts[i]) - len(groups[i])
+
+    i = 0
+    while i < len(groups):
+        if excess(i) <= 0:
+            i += 1
+            continue
+        spare = [j for j in (i - 1, i + 1) if 0 <= j < len(groups) and excess(j) < 0]
+        if not spare:
+            raise InertiaMismatch(
+                f"the inertia of A(lambda) goes from {counts[i]} to {counts[i + 1]} over "
+                f"[{points[i]}, {points[i + 1]}], which holds {len(groups[i])} real root(s)"
+            )
+        j = min(spare, key=lambda j: groups[max(i, j)][0] - groups[min(i, j)][-1])
+        i = min(i, j)
+        groups[i : i + 2] = [groups[i] + groups[i + 1]]
+        del points[i + 1], counts[i + 1]
+    return groups, points, counts
+
+
 def run_pipeline(problem, matrices=None):
     """The TEs of a validated problem in [lambda_min, lambda_max]: detect,
     check, polish and report; returns a TEReport with its diagnostics.
 
     Real candidates closer than refine_tol form one group, since no
-    inertia count between them is reliable.  Across each group the count
-    changes by at most the group's size; otherwise a root was missed and
-    InertiaMismatch is raised.  A group whose count changes by c accepts
-    its first c members, on curves min(left, right) + 1, ..., and drops
-    the rest as tangential; a root on a curve above num_curves is dropped
-    too, as the curve table would not show it.
+    inertia count between them is reliable.  Across each group, once
+    _merge_groups has run, the count changes by at most the group's size.
+    A group whose count changes by c accepts its first c members, on
+    curves min(left, right) + 1, ..., and drops the rest as tangential; a
+    root on a curve above num_curves is dropped too, as the curve table
+    would not show it.
     """
     if matrices is None:
-        _, _, matrices = prepare_matrices(problem)
+        matrices = prepare_matrices(problem)
     cfg = problem.sweep
     kind = problem.kind
     vals = np.concatenate([_qep_eigenvalues(m, kind) for m in matrices])
     inside = (vals.real >= cfg.lambda_min) & (vals.real <= cfg.lambda_max)
     nonreal = np.abs(vals.imag[inside & (vals.imag != 0.0)])
     real = np.sort(vals.real[inside & (vals.imag == 0.0)]).tolist()
-    groups = _runs(real, cfg.refine_tol, lambda lam: lam)
+    groups = _runs(real, cfg.refine_tol, lambda lam: lam) or [[]]
     cuts = [0.5 * (g[-1] + h[0]) for g, h in zip(groups, groups[1:])]
     points = [cfg.lambda_min, *cuts, cfg.lambda_max]
     counts = [_inertia(kind, matrices, lam) for lam in points]
+    checked = len(points)
+    groups, points, counts = _merge_groups(groups, points, counts)
 
     refined, accepted, dropped = [], [], []
-    for i, group in enumerate(groups or [[]]):
+    for i, group in enumerate(groups):
         left, right = counts[i], counts[i + 1]
         crossings = abs(right - left)
-        if crossings > len(group):
-            raise InertiaMismatch(
-                f"the inertia of A(lambda) goes from {left} to {right} over "
-                f"[{points[i]}, {points[i + 1]}], which holds {len(group)} real root(s)"
-            )
         for j, candidate in enumerate(group):
             nu = min(left, right) + 1 + j
             if j >= crossings:
@@ -344,8 +372,7 @@ def run_pipeline(problem, matrices=None):
                 )
             else:
                 lam, steps, (a, b) = refine(
-                    problem, matrices, nu, candidate, (points[i], points[i + 1]),
-                    left >= nu, cfg.refine_tol,
+                    problem, matrices, nu, candidate, (points[i], points[i + 1]), left >= nu
                 )
                 refined.append((lam, nu))
                 accepted.append(
@@ -368,9 +395,9 @@ def run_pipeline(problem, matrices=None):
         "inertia": {
             "at_lambda_min": counts[0],
             "at_lambda_max": counts[-1],
-            "points_checked": len(points),
+            "points_checked": checked,
             "check": "consistent",
         },
     }
-    te_report = report(problem, refined, cfg.cluster_tol, matrices=matrices)
+    te_report = report(problem, refined, matrices)
     return replace(te_report, diagnostics=diagnostics)

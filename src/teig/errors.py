@@ -29,10 +29,6 @@ class OverlappingIntervals(ValidationError):
     pass
 
 
-class BallGivenToGalerkin(ValidationError):
-    pass
-
-
 class HelmholtzContrastDegenerate(ValidationError):
     pass
 

@@ -41,6 +41,7 @@ SCALING_ORACLE_TOL = 1e-8
 SCALING_GALERKIN_TOL = 1e-3
 COUNTING_SLOPE_WINDOW = 0.3
 PACKING_SLACK = 0.8
+PACKING_CURVES = 16
 
 
 @dataclass(frozen=True)
@@ -73,19 +74,18 @@ def _table(label, columns, rows):
 # dilation scaling
 
 
-def _galerkin_te_near(radius, v0, target, cells=48, k=8, rel_window=0.5):
+def _galerkin_te_near(radius, v0, target):
     """Nearest Galerkin-reported TE to ``target`` on the interval
-    (-radius, radius) with constant potential v0 (Helmholtz)."""
+    (-radius, radius) with constant potential v0 (Helmholtz), from 48
+    cells, 8 curves and the window [target / 2, 3 target / 2]."""
     spec = ProblemSpec(
         kind=ProblemKind.HELMHOLTZ,
         domain=IntervalUnion([(-radius, radius)]),
         potential=Constant(v0),
         weight=Unweighted(),
-        discretization=DiscretizationConfig(cells, 8, k),
+        discretization=DiscretizationConfig(48, 8, 8),
         # run_pipeline reads no sweep grid: steps is the smallest valid value
-        sweep=SweepConfig(
-            (1.0 - rel_window) * target, (1.0 + rel_window) * target, 2, 1e-10, 1e-8
-        ),
+        sweep=SweepConfig(0.5 * target, 1.5 * target, 2, 1e-10, 1e-8),
     )
     rep = curves.run_pipeline(validate_problem(spec))
     if not rep.entries:
@@ -106,13 +106,13 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
     if not epsilons:
         raise ValidationError("epsilons must be a non-empty list")
-    lam_base = first_te(ProblemKind.HELMHOLTZ, n, radius, v0, ell_values=(0,))
+    lam_base = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0))
     rows = []
     worst = 0.0
     for eps in epsilons:
         if not eps > 0:
             raise ValidationError(f"epsilon must be > 0, got {eps}")
-        lam_scaled = first_te(ProblemKind.HELMHOLTZ, n, radius * eps, v0, ell_values=(0,))
+        lam_scaled = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius * eps, v0))
         expected = lam_base / (eps * eps)
         rel = abs(lam_scaled - expected) / expected
         worst = max(worst, rel)
@@ -180,7 +180,7 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
     if len(set(xs)) < 2:
         raise ValidationError("counting needs at least two distinct x values")
     ell_maxes = [
-        adaptive_ell_max(n, radius, v0, x) if ell_max is None else int(ell_max) for x in xs
+        adaptive_ell_max(n, radius, x) if ell_max is None else int(ell_max) for x in xs
     ]
     lists = te_lists_up_to(base, xs, ell_maxes)
     rows = []
@@ -223,28 +223,28 @@ def packing_prediction(length, v0, x):
     free because first TEs scale like radius^-2.
     """
     r_base = 0.25 * length
-    lam1 = first_te(ProblemKind.HELMHOLTZ, 1, r_base, v0, ell_values=(0,))
+    lam1 = first_te(RadialProblem(ProblemKind.HELMHOLTZ, 1, r_base, v0))
     eps = math.sqrt(lam1 / x)
     width = 2.0 * eps * r_base
     return int(math.floor(length / width + 1e-9)), lam1, eps
 
 
-def packing_bound_check(length, v0, x, cells=96, num_curves=16):
+def packing_bound_check(length, v0, x, cells=96):
     """Mini-max packing bound: the Galerkin count of eigenvalues of the
-    interval (0, length) up to x must reach at least 80% of the packing
-    prediction (the continuum bound is one-sided; the slack absorbs
-    discretization)."""
+    interval (0, length) up to x, on PACKING_CURVES curves, must reach at
+    least 80% of the packing prediction (the continuum bound is one-sided;
+    the slack absorbs discretization)."""
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"packing requires v0 in (0,1), got {v0}")
-    if not (length > 0 and x > 0):
-        raise ValidationError("packing requires length > 0 and x > 0")
+    if not (0 < length < math.inf and 0 < x < math.inf):
+        raise ValidationError(f"packing requires finite length > 0 and x > 0, got {length}, {x}")
     prediction, lam1, eps = packing_prediction(length, v0, x)
     spec = ProblemSpec(
         kind=ProblemKind.HELMHOLTZ,
         domain=IntervalUnion([(0.0, length)]),
         potential=Constant(v0),
         weight=Unweighted(),
-        discretization=DiscretizationConfig(cells, 8, num_curves),
+        discretization=DiscretizationConfig(cells, 8, PACKING_CURVES),
         # run_pipeline reads no sweep grid: steps is the smallest valid value
         sweep=SweepConfig(1e-3 * x, float(x), 2, 1e-8, 1e-6),
     )
@@ -255,7 +255,7 @@ def packing_bound_check(length, v0, x, cells=96, num_curves=16):
     rows = [(e["lambda"], e["curve_index"], e["multiplicity_estimate"]) for e in rep.entries]
     return ExperimentResult(
         name="packing",
-        inputs={"length": length, "v0": v0, "x": x, "cells": cells, "num_curves": num_curves},
+        inputs={"length": length, "v0": v0, "x": x, "cells": cells, "num_curves": PACKING_CURVES},
         tables=(
             _table(
                 "prediction",
@@ -382,21 +382,14 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
     verdict is always Report-only: the scan reports refined roots, or the
     explicit absence of any sign change in the window.
     """
-    RadialProblem(ProblemKind.SCHRODINGER, n, radius, v0)  # validates inputs
+    ball = RadialProblem(ProblemKind.SCHRODINGER, n, radius, v0)
     if not lambda_max > LAMBDA_FLOOR:
         raise ValidationError(f"lambda_max must exceed {LAMBDA_FLOOR}")
     if ell_max < 0:
         raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
+    tol = 1e-10 * max(1.0, lambda_max)
     ell, root, left, right = _scan_determinant(
-        ProblemKind.SCHRODINGER,
-        n,
-        radius,
-        v0,
-        range(ell_max + 1),
-        LAMBDA_FLOOR,
-        float(lambda_max),
-        steps,
-        1e-10 * max(1.0, lambda_max),
+        ball, range(ell_max + 1), LAMBDA_FLOOR, float(lambda_max), steps, tol
     )
     table = (root.tolist(), left.tolist(), right.tolist(), ell.tolist())  # row r is order r
     rows = sorted(zip(*table), key=lambda r: r[0])

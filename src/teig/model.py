@@ -12,7 +12,6 @@ from enum import Enum
 
 from .errors import (
     AlphaTooSmall,
-    BallGivenToGalerkin,
     HelmholtzContrastDegenerate,
     NonPositivePotential,
     OverlappingIntervals,
@@ -60,14 +59,6 @@ class ShrinkingChain:
     gap: float
     first_length: float
     decay_ratio: float
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Radial domain, consumed only by the radial oracle."""
-
-    dim: int
-    radius: float
 
 
 def materialize_domain(chain):
@@ -188,9 +179,6 @@ class ValidatedProblem:
 
 def validate_problem(spec):
     """Check every declared invariant and return the normalized problem."""
-    if isinstance(spec.domain, Ball):
-        raise BallGivenToGalerkin("ball domains are served by the radial oracle only")
-
     if isinstance(spec.domain, ShrinkingChain):
         _check_storage(spec.domain.count, spec.discretization, spec.sweep)
         intervals = materialize_domain(spec.domain)
@@ -413,8 +401,6 @@ def _parse_domain(cfg):
                 first_length=float(cfg["first_length"]),
                 decay_ratio=float(cfg["decay_ratio"]),
             )
-        if kind == "ball":
-            return Ball(dim=_count(cfg["dim"], "dim"), radius=float(cfg["radius"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed domain: {exc}") from None
     raise ValidationError(f"unknown domain type {kind!r}")

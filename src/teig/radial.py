@@ -34,14 +34,12 @@ EXACT_HIT_TOL = 1e-13
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Ball of given radius and dimension with constant potential v0,
-    restricted to the angular sector of order ell."""
+    """Ball of given radius and dimension with constant potential v0."""
 
     kind: ProblemKind
     dim: int
     radius: float
     v0: float
-    ell: int = 0
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -54,8 +52,6 @@ class RadialProblem:
             raise ValidationError(f"radius must be > 0, got {self.radius}")
         if not self.v0 > 0:
             raise NonPositivePotential(f"v0 must be > 0, got {self.v0}")
-        if self.ell < 0:
-            raise ValidationError(f"ell must be >= 0, got {self.ell}")
         if self.kind is ProblemKind.HELMHOLTZ and abs(self.v0 - 1.0) < HELMHOLTZ_CONTRAST_TOL:
             raise HelmholtzContrastDegenerate("v0 = 1 gives a degenerate Helmholtz contrast")
 
@@ -68,23 +64,32 @@ def _kappa_sq(kind, v0, lam):
     return lam * (1.0 - v0)
 
 
-def _check_window(kind, radius, v0, lam):
-    """Raise ArgumentOutOfRange when a Bessel argument at lambda leaves its
-    validity window: sqrt(lambda) R <= 200 outside, |kappa| R <= 200 inside
-    on the oscillatory branch and <= 60 on the evanescent one."""
-    x_ext = math.sqrt(lam) * radius
-    if not x_ext <= BESSEL_J_MAX_ARG:
-        raise ArgumentOutOfRange(
-            f"exterior Bessel argument {x_ext} exceeds {BESSEL_J_MAX_ARG} at lambda = {lam}"
-            f" (radius {radius})"
-        )
+def _bessel_window(kind, radius, v0, lam):
+    """The Bessel validity rule on an array of lambdas.  Returns kappa^2
+    and three arrays with a first axis of 2 (exterior wave, interior wave):
+    the wavenumbers k = (sqrt(lambda), |kappa|), whether the wave is a J
+    (oscillatory: the exterior one always, the interior one where kappa^2
+    > 0) rather than an I, and whether its argument k R lies in the
+    window, <= 200 for J and <= 60 for I."""
     ksq = _kappa_sq(kind, v0, lam)
-    x_int = math.sqrt(abs(ksq)) * radius
-    x_max = BESSEL_J_MAX_ARG if ksq > 0.0 else BESSEL_I_MAX_ARG
-    if not x_int <= x_max:
+    k = np.stack((np.sqrt(np.maximum(lam, 0.0)), np.sqrt(np.abs(ksq))))
+    oscillatory = np.stack((np.ones(ksq.shape, dtype=bool), ksq > 0.0))
+    x_max = np.where(oscillatory, BESSEL_J_MAX_ARG, BESSEL_I_MAX_ARG)
+    return ksq, k, oscillatory, k * radius <= x_max
+
+
+def _check_window(kind, radius, v0, lams):
+    """Raise ArgumentOutOfRange at the first of ``lams`` where a Bessel
+    argument leaves its window (_bessel_window), the exterior one first."""
+    lams = np.asarray(lams, dtype=float)
+    _, k, oscillatory, inside = _bessel_window(kind, radius, v0, lams)
+    bad = np.argwhere(~inside.T)  # (point, wave) pairs
+    if bad.size:
+        i, wave = bad[0]
+        x_max = BESSEL_J_MAX_ARG if oscillatory[wave, i] else BESSEL_I_MAX_ARG
         raise ArgumentOutOfRange(
-            f"interior Bessel argument {x_int} exceeds {x_max} at lambda = {lam}"
-            f" (radius {radius})"
+            f"{('exterior', 'interior')[wave]} Bessel argument {k[wave, i] * radius} exceeds "
+            f"{x_max} at lambda = {lams[i]} (radius {radius})"
         )
 
 
@@ -112,31 +117,17 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
 def _det_chunk(kind, n, radius, v0, ell, lam):
     """_det_grid on at most _DET_CHUNK points."""
     out = np.full(lam.shape, np.nan)
-    ksq = _kappa_sq(kind, v0, lam)
-    k_ext = np.sqrt(np.maximum(lam, 0.0))
-    k_int = np.sqrt(np.abs(ksq))
-    oscillatory = ksq > 0.0
-    ok = (
-        (lam > 0.0)
-        & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ)
-        & (k_ext * radius <= BESSEL_J_MAX_ARG)
-        & (k_int * radius <= np.where(oscillatory, BESSEL_J_MAX_ARG, BESSEL_I_MAX_ARG))
-    )
+    ksq, k, oscillatory, inside = _bessel_window(kind, radius, v0, lam)
+    ok = (lam > 0.0) & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ) & inside.all(axis=0)
     if not ok.any():
         return out
     if not ok.all():
-        ell, k_ext, k_int, oscillatory = ell[ok], k_ext[ok], k_int[ok], oscillatory[ok]
-    m = ell.size
-    # exterior and interior waves in one call: the exterior one is always J
+        ell, k, oscillatory = ell[ok], k[:, ok], oscillatory[:, ok]
+    # exterior and interior waves in one call
     val, der = _radial_wave_eval(
-        0.5 * (2 - n),
-        0.5 * (n - 2),
-        np.concatenate((ell, ell)),
-        np.concatenate((k_ext, k_int)),
-        radius,
-        np.concatenate((np.ones(m, dtype=bool), oscillatory)),
+        0.5 * (2 - n), 0.5 * (n - 2), np.tile(ell, 2), k.ravel(), radius, oscillatory.ravel()
     )
-    ye, yi, dye, dyi = val[:m], val[m:], der[:m], der[m:]
+    (ye, yi), (dye, dyi) = val.reshape(2, -1), der.reshape(2, -1)
     se = np.maximum(np.abs(ye), np.abs(dye))
     si = np.maximum(np.abs(yi), np.abs(dyi))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives NaN
@@ -214,8 +205,8 @@ class TEList:
 
     entries: tuple  # of (lambda, ell, degeneracy)
 
-    def weighted_count(self, x=None):
-        return sum(d for lam, _, d in self.entries if x is None or lam <= x)
+    def weighted_count(self, x):
+        return sum(d for lam, _, d in self.entries if lam <= x)
 
 
 DEFAULT_SCAN_STEPS = 400
@@ -336,11 +327,14 @@ def _check_scan_size(rows, steps):
 def _scan_pass(det, ells, lo, hi, tol, steps):
     """One sign scan of every row r (order ells[r] on linspace(lo[r], hi[r],
     steps)), lambda-major so a window's rows share ladders: exact grid hits
-    plus one bisected root per sign-change cell, as the table (row, root,
-    left, right) sorted by row then root; a hit is its own bracket."""
+    above LAMBDA_FLOOR plus one bisected root per sign-change cell, as the
+    table (row, root, left, right) sorted by row then root; a hit is its
+    own bracket.  D vanishes like lambda as lambda -> 0, so a hit at the
+    floor is no root."""
     grid = np.linspace(lo, hi, steps)  # (steps, rows)
     values = det(np.tile(ells, steps), grid.ravel()).reshape(grid.shape)
     hits, cells = _sign_brackets(values.T)
+    hits &= grid.T > LAMBDA_FLOOR
     row, cell = np.nonzero(cells)
     a, b = grid[cell, row], grid[cell + 1, row]
     found = _bisect_brackets(det, ells[row], a, b, values[cell, row], tol[row])
@@ -353,12 +347,13 @@ def _scan_pass(det, ells, lo, hi, tol, steps):
     return row[order], root[order], left[order], right[order]
 
 
-def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
-    """Sign scan of the determinant, one row per order in ``ells`` on its
-    window [lo, hi] bisected to width tol (lo, hi and tol broadcast against
-    ells, so rows may span several windows of one problem); returns the
-    table (row, root, left, right) of four arrays, sorted by row then by
-    the root before its polish, with [left, right] the root's bracket.
+def _scan_determinant(ball, ells, lo, hi, steps, tol):
+    """Sign scan of the determinant of the RadialProblem ``ball``, one row
+    per order in ``ells`` on its window [lo, hi] bisected to width tol (lo,
+    hi and tol broadcast against ells, so rows may span several windows of
+    one problem); returns the table (row, root, left, right) of four
+    arrays, sorted by row then by the root before its polish, with [left,
+    right] the root's bracket.
 
     All rows share each determinant call: the grids, every halving of every
     bracket and the polish stencils.  A row with two roots within 5 cells
@@ -374,11 +369,10 @@ def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
     for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
         if not a < b:
             raise ValidationError(f"scan needs lo < hi, got [{a}, {b}]")
-        _check_window(kind, radius, v0, a)
-        _check_window(kind, radius, v0, b)
+    _check_window(ball.kind, ball.radius, ball.v0, np.column_stack((lo, hi)).ravel())
 
     def det(ell, lam):
-        return _det_grid(kind, n, radius, v0, ell, lam)
+        return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
 
     row, root, left, right = _scan_pass(det, ells, lo, hi, tol, steps)
     spacing = (hi - lo) / (steps - 1)
@@ -402,8 +396,8 @@ def _scan_determinant(kind, n, radius, v0, ells, lo, hi, steps, tol):
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     """One TEList per (x, ell_max): all transmission eigenvalues of the ball
     up to x for ell <= ell_max, the windows scanned together, each bisected
-    to 1e-10 max(1, x).  ``base``'s ell field is ignored.  Orders with no
-    root do not stop the sweep; roots are not monotone in ell."""
+    to 1e-10 max(1, x).  Orders with no root do not stop the sweep; roots
+    are not monotone in ell."""
     orders = []  # per window; dim 1 has orders 0 and 1 only
     for x, ell_max in zip(xs, ell_maxes):
         if not x > 0:
@@ -415,9 +409,7 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     rows = [(w, ell) for w, window in enumerate(orders) for ell in window]
     ells, his = [ell for _, ell in rows], np.array([xs[w] for w, _ in rows], dtype=float)
     tols = 1e-10 * np.maximum(1.0, his)
-    row, root, _, _ = _scan_determinant(
-        base.kind, base.dim, base.radius, base.v0, ells, LAMBDA_FLOOR, his, steps, tols
-    )
+    row, root, _, _ = _scan_determinant(base, ells, LAMBDA_FLOOR, his, steps, tols)
     entries = [[] for _ in xs]
     for r, lam in zip(row.tolist(), root.tolist()):
         w, ell = rows[r]
@@ -430,7 +422,7 @@ def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
     return te_lists_up_to(base, [x], [ell_max], steps)[0]
 
 
-def adaptive_ell_max(n, radius, v0, x, kind=ProblemKind.HELMHOLTZ):
+def adaptive_ell_max(n, radius, x):
     """Smallest angular cutoff that provably covers all roots up to x.
 
     A determinant zero requires the exterior wave J_nu(sqrt(x) R) to have
@@ -443,18 +435,28 @@ def adaptive_ell_max(n, radius, v0, x, kind=ProblemKind.HELMHOLTZ):
     return max(ell, 0)
 
 
-def first_te(kind, n, radius, v0, ell_values=(0, 1), cap=1e6, steps=DEFAULT_SCAN_STEPS):
-    """Smallest determinant root over the given angular orders.
+FIRST_TE_CAP = 1e6
 
-    Doubles the scan window until a root appears (or the cap is reached).
+
+def first_te(ball):
+    """Smallest determinant root of angular order 0 of the RadialProblem
+    ``ball``.
+
+    The scan window [LAMBDA_FLOOR, hi] starts at hi = max(4 / R^2, 2 v0, 1)
+    and doubles until a root appears; ArgumentOutOfRange when hi passes
+    FIRST_TE_CAP first, at once when the first hi is not finite.
     """
-    RadialProblem(kind, n, radius, v0)  # validates inputs
-    hi = max(4.0 / radius**2, 2.0 * v0, 1.0)
-    while hi <= cap:
+    try:
+        hi = max(4.0 / ball.radius**2, 2.0 * ball.v0, 1.0)
+    except (ZeroDivisionError, OverflowError):  # R^2 underflows to 0 or overflows
+        hi = math.inf
+    while hi <= FIRST_TE_CAP:
         row, root, _, _ = _scan_determinant(
-            kind, n, radius, v0, ell_values, LAMBDA_FLOOR, hi, steps, 1e-12 * max(1.0, hi)
+            ball, (0,), LAMBDA_FLOOR, hi, DEFAULT_SCAN_STEPS, 1e-12 * max(1.0, hi)
         )
-        if row.size:  # each row's first root, by its value before the polish
-            return float(root[np.r_[True, row[1:] != row[:-1]]].min())
+        if row.size:  # the first root by its value before the polish
+            return float(root[0])
         hi *= 2.0
-    raise ArgumentOutOfRange(f"no transmission eigenvalue found below {cap}")
+    raise ArgumentOutOfRange(
+        f"no transmission eigenvalue of radius {ball.radius} found below {FIRST_TE_CAP}"
+    )

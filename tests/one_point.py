@@ -119,19 +119,17 @@ def interior_wavenumber(kind, v0, lam):
     return math.sqrt(-ksq), Branch.EVANESCENT
 
 
-def characteristic_determinant(problem, lam):
-    """The normalized matching determinant D(lambda) of a RadialProblem's
-    order ell at one lambda > 0; a NaN value raises the error naming its
-    source."""
+def characteristic_determinant(problem, lam, ell=0):
+    """The normalized matching determinant D(lambda) of a RadialProblem at
+    one lambda > 0 and angular order ell; a NaN value raises the error
+    naming its source."""
     if not lam > 0:
         raise ArgumentOutOfRange(f"lambda must be > 0, got {lam}")
     lam = float(lam)
-    val = _det_grid(
-        problem.kind, problem.dim, problem.radius, problem.v0, problem.ell, [lam]
-    )[0]
+    val = _det_grid(problem.kind, problem.dim, problem.radius, problem.v0, ell, [lam])[0]
     if math.isnan(val):
         if abs(_kappa_sq(problem.kind, problem.v0, lam)) < DEGENERATE_KAPPA_SQ:
             raise DegenerateInterior(f"lambda = {lam} sits on the branch boundary")
-        _check_window(problem.kind, problem.radius, problem.v0, lam)
+        _check_window(problem.kind, problem.radius, problem.v0, [lam])
         raise ArgumentOutOfRange(f"matching determinant has a zero column at lambda = {lam}")
     return float(val)

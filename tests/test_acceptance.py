@@ -74,7 +74,8 @@ def reference_problem(cells=64, num_curves=12, lo=0.5, hi=10.0, steps=400,
 def test_criterion_1_radial_oracle_exactness():
     with _Timer(1, 1.0):
         for dim in (1, 3):
-            _, roots, _, _ = _scan_determinant(H, dim, math.pi, 0.75, (0,), 1e-6, 4.5, 400, 1e-10)
+            ball = RadialProblem(H, dim, math.pi, 0.75)
+            _, roots, _, _ = _scan_determinant(ball, (0,), 1e-6, 4.5, 400, 1e-10)
             err = min(abs(r - 4.0) for r in roots.tolist())
             assert err <= 1e-8, f"dim {dim}: root error {err:.2e}"
 
@@ -132,11 +133,11 @@ def test_criterion_4_sign_constraints():
                 sweep=SweepConfig(-2.0, 0.0, 50),
             )
         )
-        _, _, mats = curves.prepare_matrices(prob)
+        mats = curves.prepare_matrices(prob)
         table = curves.sweep(prob, mats)
         assert table.values.min() > 0, "Schrodinger curve dipped at lambda <= 0"
         helm = reference_problem(cells=32, num_curves=8)
-        _, _, (hm,) = curves.prepare_matrices(helm)
+        (hm,) = curves.prepare_matrices(helm)
         a0 = assemble_A(hm, H, 0.0)
         low = lowest_k(a0, hm.Mw, 1).eigenvalues[0]
         assert low > 0, "Helmholtz A(0) not positive"

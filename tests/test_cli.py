@@ -212,6 +212,22 @@ class TestRadial:
         lams = [e["lambda"] for e in payload["transmission_eigenvalues"]]
         assert any(abs(l - 4.0) < 1e-8 for l in lams)
 
+    @pytest.mark.parametrize(
+        "dim, radius, lmax",
+        [("3", "0.1", "30"), ("2", "0.01", "3"), ("1", "1e-3", "1")],
+        ids=["dim-3", "dim-2", "dim-1"],
+    )
+    def test_small_ball_lists_no_root_at_the_lambda_floor(self, dim, radius, lmax):
+        # D vanishes like lambda as lambda -> 0, so at these radii (first TE
+        # far above 50, as TEs scale like R^-2) the scan's first grid point
+        # used to read as an exact hit at lambda = 1e-6 on high orders
+        res = run_cli(
+            "radial", "--problem", "helmholtz", "--dim", dim, "--radius", radius,
+            "--v0", "0.75", "--lmax", lmax, "--lambda-max", "50",
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["transmission_eigenvalues"] == []
+
     def test_degenerate_contrast_is_config_error(self):
         res = run_cli(
             "radial", "--problem", "helmholtz", "--dim", "1",
@@ -350,6 +366,25 @@ class TestExperimentCommands:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "ProblemTooLarge"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("packing", "--x", "inf"), "ValidationError"),
+            (("packing", "--length", "1e-300"), "ArgumentOutOfRange"),
+            (("scaling", "--radius", "1e-200"), "ArgumentOutOfRange"),
+            (("scaling", "--radius", "1e200"), "ArgumentOutOfRange"),
+        ],
+        ids=["packing-infinite-x", "packing-tiny-length", "scaling-tiny-radius",
+             "scaling-huge-radius"],
+    )
+    def test_infinite_or_extreme_sizes_exit_two(self, argv, error):
+        # a zero copy width, or an R^2 that underflows (overflows) in the
+        # first-TE window, used to end in ZeroDivisionError (OverflowError)
+        res = run_cli(*argv)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == error
+
     def test_count_insufficient_is_config_error(self):
         res = run_cli("count", "--dim", "1", "--x-values", "2,3")
         assert res.returncode == 2
@@ -401,10 +436,10 @@ class TestCanonicalConfig:
 
 
 class TestInProcessEntryPoint:
-    def test_run_cli_alias(self, capsys):
-        from teig.cli import run_cli as entry
+    def test_main_runs_in_process(self, capsys):
+        from teig.cli import main
 
-        code = entry(
+        code = main(
             ["radial", "--problem", "helmholtz", "--dim", "3",
              "--radius", "3.141592653589793", "--v0", "0.75",
              "--lmax", "0", "--lambda-max", "5"]

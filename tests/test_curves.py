@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def helmholtz_problem(cells=32, k=8, lo=0.5, hi=10.0, steps=120, refine_tol=1e-8
     return validate_problem(spec)
 
 
+def regrid(prob, lo, hi, steps):
+    """``prob`` with the sweep grid linspace(lo, hi, steps)."""
+    return replace(prob, sweep=replace(prob.sweep, lambda_min=lo, lambda_max=hi, steps=steps))
+
+
 def scalar_matrices(s, c, minv):
     """1x1 synthetic Schrodinger system with A(lambda) = s + c lambda + minv lambda^2
     and Mw = 1."""
@@ -48,27 +54,27 @@ def scalar_matrices(s, c, minv):
 class TestSweep:
     def test_shape_contract(self):
         prob = helmholtz_problem(cells=8, k=1, lo=1.0, hi=2.0, steps=2)
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         assert table.values.shape == (2, 1)
         assert list(table.lambdas) == [1.0, 2.0]
 
     def test_rows_sorted(self):
         prob = helmholtz_problem(cells=16, k=6, steps=12)
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         assert np.all(np.diff(table.values, axis=1) >= 0)
 
     def test_schrodinger_nonpositive_lambda_all_positive(self):
         prob = helmholtz_problem(cells=16, k=6, lo=-2.0, hi=0.0, steps=25,
                                  kind=ProblemKind.SCHRODINGER)
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         assert table.values.min() > 0
 
     def test_helmholtz_zero_column_positive(self):
         prob = helmholtz_problem(cells=16, k=6, lo=0.0, hi=1.0, steps=5)
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         assert table.values[0].min() > 0
 
@@ -103,9 +109,9 @@ class TestBlockSolves:
     @classmethod
     def setup_class(cls):
         cls.prob = chain_problem()
-        _, _, cls.m = curves.prepare_matrices(cls.prob)
+        cls.m = curves.prepare_matrices(cls.prob)
         # the chain's two crossings lie near 4.14 and 38.48
-        cls.table = sweep(cls.prob, cls.m, SweepConfig(0.5, 50.0, 34))
+        cls.table = sweep(regrid(cls.prob, 0.5, 50.0, 34), cls.m)
 
     def test_blocks_come_from_the_basis(self):
         assert [b.dim for b in self.m] == [31] * 6
@@ -138,7 +144,7 @@ class TestBlockSolves:
 
     def test_identity_spectrum_bit_identical_to_lowest_k(self):
         for prob in (self.prob, helmholtz_problem(cells=64, k=12)):
-            _, _, m = curves.prepare_matrices(prob)
+            m = curves.prepare_matrices(prob)
             k = prob.discretization.num_curves
             for lam in (0.5, 4.0000148, 17.25, 49.0):
                 via_lowest_k = np.sort(np.concatenate([
@@ -168,12 +174,12 @@ class TestStackedEvaluator:
     @pytest.mark.parametrize("points", [1, 3], ids=["one-point", "uneven"])
     def test_table_independent_of_chunking(self, monkeypatch, points):
         prob = chain_problem()
-        _, _, m = curves.prepare_matrices(prob)
-        grid = SweepConfig(0.5, 50.0, 34)
-        default = sweep(prob, m, grid)
+        m = curves.prepare_matrices(prob)
+        prob = regrid(prob, 0.5, 50.0, 34)
+        default = sweep(prob, m)
         point_bytes = 8 * sum(b.dim ** 2 for b in m)
         monkeypatch.setattr(curves, "SWEEP_CHUNK_BYTES", points * point_bytes)
-        assert np.array_equal(sweep(prob, m, grid).values, default.values)
+        assert np.array_equal(sweep(prob, m).values, default.values)
 
     @pytest.mark.parametrize(
         "make", [lambda: helmholtz_problem(cells=64, k=12), packing_problem],
@@ -181,9 +187,9 @@ class TestStackedEvaluator:
     )
     def test_matches_per_point_generalized_solve(self, make):
         prob = make()
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         k = prob.discretization.num_curves
-        table = sweep(prob, m, SweepConfig(prob.sweep.lambda_min, prob.sweep.lambda_max, 34))
+        table = sweep(regrid(prob, prob.sweep.lambda_min, prob.sweep.lambda_max, 34), m)
         for lam, row in zip(table.lambdas, table.values):
             A = block_diagonal([assemble_A(b, prob.kind, lam) for b in m])
             Mw = block_diagonal([b.Mw for b in m])
@@ -199,7 +205,7 @@ class TestStackedEvaluator:
     )
     def test_matches_sturm_oracle(self, make, lambdas):
         prob = make()
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         k = prob.discretization.num_curves
         values = curves._curves(prob.kind, m, lambdas, k)
         for lam, row in zip(lambdas, values):
@@ -212,14 +218,14 @@ class TestStackedEvaluator:
     def test_non_finite_coefficient_names_a_lambda(self):
         prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
         with pytest.raises(NoConvergence, match=r"at lambda = 0\.0: .*non-finite"):
-            sweep(prob, scalar_matrices(np.nan, 0.0, 1.0), SweepConfig(0.0, 4.0, 5))
+            sweep(regrid(prob, 0.0, 4.0, 5), scalar_matrices(np.nan, 0.0, 1.0))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_names_the_first_lambda_at_fault(self):
         # C(lambda) = 1 + 1e300 lambda^2 overflows from lambda = 2e4 on
         prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
         with pytest.raises(NoConvergence, match=r"at lambda = 20000\.0: .*non-finite"):
-            sweep(prob, scalar_matrices(1.0, 0.0, 1e300), SweepConfig(0.0, 3e4, 4))
+            sweep(regrid(prob, 0.0, 3e4, 4), scalar_matrices(1.0, 0.0, 1e300))
 
     def test_lapack_failure_names_the_lambda_at_fault(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
@@ -233,7 +239,7 @@ class TestStackedEvaluator:
         # C(lambda) = 1 + lambda^2 passes 4 first at lambda = 2
         prob = helmholtz_problem(cells=8, k=1, kind=ProblemKind.SCHRODINGER)
         with pytest.raises(NoConvergence, match=r"at lambda = 2\.0: LAPACK"):
-            sweep(prob, scalar_matrices(1.0, 0.0, 1.0), SweepConfig(0.0, 4.0, 5))
+            sweep(regrid(prob, 0.0, 4.0, 5), scalar_matrices(1.0, 0.0, 1.0))
 
 
 def every_block_rows(kind, matrices, lambdas, k):
@@ -290,7 +296,7 @@ class TestBlockSkipping:
     )
     def test_rows_equal_solving_every_block(self, make, ks):
         prob = make()
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         lambdas = np.linspace(prob.sweep.lambda_min, prob.sweep.lambda_max, prob.sweep.steps)
         for k in ks:
             want = every_block_rows(prob.kind, m, lambdas, k)
@@ -298,7 +304,7 @@ class TestBlockSkipping:
 
     def test_failed_group_certificate_falls_back_block_by_block(self, monkeypatch):
         prob = chain_problem()
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         lambdas = np.linspace(0.5, 50.0, 40)
         above_, calls = curves.above, []
 
@@ -315,7 +321,7 @@ class TestBlockSkipping:
         # the chain's 16th curve stays below 228 on the grid, while the
         # spectra of blocks 3, 4 and 5 start above 258, 5.1e3 and 8.7e4
         prob = chain_problem()
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         C0, C1, C2 = np.stack(
             [reduce(np.stack(quadratic_coefficients(b, prob.kind)), b.Mw) for b in m], axis=1
         )
@@ -363,7 +369,7 @@ class TestCrossCheck:
     )
     def test_every_sweep_sign_change_has_a_root(self, make):
         prob = make()
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         accepted = run_pipeline(prob, m).diagnostics["accepted"]
         tol = prob.sweep.refine_tol
@@ -453,10 +459,39 @@ class TestDetection:
             assert entry["multiplicity_estimate"] == 2
         accepted = rep.diagnostics["accepted"]
         assert [a["curve_index"] for a in accepted] == list(range(1, len(accepted) + 1))
-        table = sweep(prob, curves.prepare_matrices(prob)[2])
+        table = sweep(prob, curves.prepare_matrices(prob))
         signs = np.sign(table.values)
         changed = {nu + 1 for nu in range(6) if np.any(signs[1:, nu] != signs[:-1, nu])}
         assert changed == {a["curve_index"] for a in accepted}
+
+    def test_near_double_root_split_across_blocks(self):
+        # the interval lengths differ by 2.8e-16 relative, which moves the
+        # near-double root at 4.0422 by 3.3e-8 between the two blocks'
+        # companion solves: past refine_tol, so its candidates form two
+        # groups and the cut between them reads 0 and then 2 crossings
+        spec = ProblemSpec(
+            kind=ProblemKind.HELMHOLTZ,
+            domain=IntervalUnion([(-3.14159, 3.14159), (10.0, 16.28318)]),
+            potential=Constant(0.75),
+            discretization=DiscretizationConfig(64, 8, 12),
+            sweep=SweepConfig(0.5, 10.0, 400, 1e-8, 1e-6),
+        )
+        rep = run_pipeline(validate_problem(spec))
+        got = [(round(e["lambda"], 7), e["multiplicity_estimate"]) for e in rep.entries]
+        assert got == [(4.0000216, 2), (4.0422284, 2)]
+        assert [a["curve_index"] for a in rep.diagnostics["accepted"]] == [1, 2, 3, 4]
+        assert rep.diagnostics["dropped"] == []
+
+    def test_merge_groups(self):
+        # a group with too many crossings takes in its neighbour with too few
+        merged = curves._merge_groups([[1.0], [2.0], [5.0]], [0.0, 1.5, 3.0, 6.0], [0, 0, 2, 3])
+        assert merged == ([[1.0, 2.0], [5.0]], [0.0, 3.0, 6.0], [0, 2, 3])
+        # the nearer of two such neighbours first
+        merged = curves._merge_groups([[1.0], [2.0], [2.5]], [0.0, 1.5, 2.25, 3.0], [0, 0, 2, 2])
+        assert merged == ([[1.0], [2.0, 2.5]], [0.0, 1.5, 3.0], [0, 0, 2])
+        # no neighbour has a spare candidate: a root was missed
+        with pytest.raises(InertiaMismatch, match="goes from 1 to 3"):
+            curves._merge_groups([[1.0], [2.0]], [0.0, 1.5, 3.0], [0, 1, 3])
 
     def test_curve_above_num_curves_dropped(self):
         prob = helmholtz_problem(cells=32, k=1, lo=3.0, hi=5.0)
@@ -469,33 +504,33 @@ class TestDetection:
 
 class TestRefine:
     def test_synthetic_affine(self):
-        prob = helmholtz_problem(kind=ProblemKind.SCHRODINGER)
+        prob = helmholtz_problem(refine_tol=1e-9, kind=ProblemKind.SCHRODINGER)
         m = scalar_matrices(-1.0, 0.0, 1.0)
-        lam, steps, (a, b) = refine(prob, m, 1, 1.3, (0.0, 2.0), True, 1e-9)
+        lam, steps, (a, b) = refine(prob, m, 1, 1.3, (0.0, 2.0), True)
         assert lam == pytest.approx(1.0, abs=1e-9)
         assert b - a <= 1e-9 and steps > 0
 
     def test_width_zero_passthrough(self):
         # an exact zero of the indicator at the guess is returned as is
-        prob = helmholtz_problem(kind=ProblemKind.SCHRODINGER)
+        prob = helmholtz_problem(refine_tol=1e-9, kind=ProblemKind.SCHRODINGER)
         m = scalar_matrices(-1.0, 0.0, 1.0)
-        assert refine(prob, m, 1, 1.0, (0.0, 2.0), True, 1e-9) == (1.0, 0, (1.0, 1.0))
+        assert refine(prob, m, 1, 1.0, (0.0, 2.0), True) == (1.0, 0, (1.0, 1.0))
 
     def test_real_crossing_near_four(self):
         prob = helmholtz_problem(cells=32, k=6, lo=3.0, hi=5.0, steps=40)
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         accepted = run_pipeline(prob, m).diagnostics["accepted"]
         assert accepted
-        lam, _, _ = refine(prob, m, accepted[0]["curve_index"], 3.9, (3.0, 4.02), False, 1e-8)
+        lam, _, _ = refine(prob, m, accepted[0]["curve_index"], 3.9, (3.0, 4.02), False)
         assert lam == pytest.approx(4.0, abs=1e-2)
         assert lam == pytest.approx(accepted[0]["lambda"], abs=1e-8)
 
 
 class TestReport:
     def test_cluster_merge(self):
-        prob = helmholtz_problem(cells=16, k=6)
-        _, _, m = curves.prepare_matrices(prob)
-        rep = report(prob, [(3.0, 1), (3.0000004, 2)], 1e-5, matrices=m)
+        prob = helmholtz_problem(cells=16, k=6, cluster=1e-5)
+        m = curves.prepare_matrices(prob)
+        rep = report(prob, [(3.0, 1), (3.0000004, 2)], m)
         assert len(rep.entries) == 1
         entry = rep.entries[0]
         assert entry["multiplicity_estimate"] == 2
@@ -503,20 +538,20 @@ class TestReport:
 
     def test_singleton(self):
         prob = helmholtz_problem(cells=16, k=6)
-        _, _, m = curves.prepare_matrices(prob)
-        rep = report(prob, [(4.0, 1)], 1e-6, matrices=m)
+        m = curves.prepare_matrices(prob)
+        rep = report(prob, [(4.0, 1)], m)
         assert rep.entries[0]["multiplicity_estimate"] == 1
 
     def test_helmholtz_zero_dropped(self):
         prob = helmholtz_problem(cells=16, k=6)
-        _, _, m = curves.prepare_matrices(prob)
-        rep = report(prob, [(1e-9, 1)], 1e-6, matrices=m)
+        m = curves.prepare_matrices(prob)
+        rep = report(prob, [(1e-9, 1)], m)
         assert rep.entries == ()
 
     def test_metadata_present(self):
         prob = helmholtz_problem(cells=16, k=6)
-        _, _, m = curves.prepare_matrices(prob)
-        rep = report(prob, [(4.0, 1)], 1e-6, matrices=m)
+        m = curves.prepare_matrices(prob)
+        rep = report(prob, [(4.0, 1)], m)
         meta = rep.metadata
         assert set(meta) >= {"problem_hash", "grid", "tolerances", "kind"}
         assert len(meta["problem_hash"]) == 64
@@ -579,7 +614,7 @@ class TestPipelineProperties:
 
     def test_residual_bounded_by_refine_tol_scale(self):
         prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=60, refine_tol=1e-8)
-        _, _, m = curves.prepare_matrices(prob)
+        m = curves.prepare_matrices(prob)
         table = sweep(prob, m)
         rep = run_pipeline(prob, m)
         assert rep.entries
@@ -608,7 +643,7 @@ class TestSerialization:
 
     def test_report_json_round_trip(self):
         prob = helmholtz_problem(cells=16, k=6)
-        _, _, m = curves.prepare_matrices(prob)
-        rep = report(prob, [(4.0, 1)], 1e-6, matrices=m)
+        m = curves.prepare_matrices(prob)
+        rep = report(prob, [(4.0, 1)], m)
         parsed = json.loads(dumps(rep.to_json_obj(), indent=2))
         assert parsed["transmission_eigenvalues"][0]["curve_index"] == 1

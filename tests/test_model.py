@@ -4,7 +4,6 @@ import pytest
 
 from teig.errors import (
     AlphaTooSmall,
-    BallGivenToGalerkin,
     HelmholtzContrastDegenerate,
     NonPositivePotential,
     OverlappingIntervals,
@@ -13,7 +12,6 @@ from teig.errors import (
 )
 from teig.model import (
     Agmon,
-    Ball,
     Constant,
     DiscretizationConfig,
     IntervalUnion,
@@ -118,10 +116,6 @@ class TestValidation:
     def test_touching_intervals_allowed(self):
         spec = make_spec(domain=IntervalUnion([(0.0, 1.0), (1.0, 2.0)]))
         assert len(validate_problem(spec).intervals) == 2
-
-    def test_ball_rejected(self):
-        with pytest.raises(BallGivenToGalerkin):
-            validate_problem(make_spec(domain=Ball(3, 1.0)))
 
     def test_nonpositive_potential(self):
         with pytest.raises(NonPositivePotential):
@@ -273,7 +267,6 @@ class TestParseProblem:
             ("discretization", "quad_points", 8.5),
             ("discretization", "num_curves", 6.000001),
             ("domain", "count", 2.5),
-            ("domain", "dim", 2.5),
             ("sweep", "steps", math.nan),
             ("sweep", "steps", math.inf),
         ],
@@ -282,8 +275,6 @@ class TestParseProblem:
         cfg = self.config()
         if key == "count":
             cfg["domain"] = dict(self.CHAIN)
-        if key == "dim":
-            cfg["domain"] = {"type": "ball", "dim": 3, "radius": 1.0}
         cfg[section][key] = value
         with pytest.raises(ValidationError, match=f"{key} must be an integer"):
             parse_problem(cfg)
@@ -299,5 +290,10 @@ class TestParseProblem:
         assert type(spec.sweep.steps) is int and type(spec.discretization.num_curves) is int
         cfg["domain"] = dict(self.CHAIN, count=2.0)
         assert parse_problem(cfg).domain.count == 2
-        cfg["domain"] = {"type": "ball", "dim": 3.0, "radius": 1.0}
-        assert parse_problem(cfg).domain == Ball(dim=3, radius=1.0)
+
+    def test_ball_is_an_unknown_domain_type(self):
+        # balls are served by the radial oracle, which reads no problem file
+        cfg = self.config()
+        cfg["domain"] = {"type": "ball", "dim": 3, "radius": 1.0}
+        with pytest.raises(ValidationError, match="unknown domain type 'ball'"):
+            parse_problem(cfg)

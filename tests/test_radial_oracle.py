@@ -15,6 +15,7 @@ from teig.model import ProblemKind
 from teig.radial import (
     RadialProblem,
     _bisect_brackets,
+    _check_window,
     _det_grid,
     _scan_determinant,
     _sign_brackets,
@@ -58,37 +59,37 @@ class TestInteriorWavenumber:
 
 class TestCharacteristicDeterminant:
     def test_1d_closed_form_zero(self):
-        p = RadialProblem(H, 1, math.pi, 0.75, 0)
+        p = RadialProblem(H, 1, math.pi, 0.75)
         assert abs(characteristic_determinant(p, 4.0)) < 1e-10
 
     def test_3d_closed_form_zero(self):
-        p = RadialProblem(H, 3, math.pi, 0.75, 0)
+        p = RadialProblem(H, 3, math.pi, 0.75)
         assert abs(characteristic_determinant(p, 4.0)) < 1e-10
 
     def test_nonzero_off_eigenvalue(self):
-        p = RadialProblem(H, 1, math.pi, 0.75, 0)
+        p = RadialProblem(H, 1, math.pi, 0.75)
         assert abs(characteristic_determinant(p, 3.0)) > 1e-3
 
     def test_continuity_across_schrodinger_branch(self):
-        p = RadialProblem(S, 3, 1.0, 1.0, 0)
+        p = RadialProblem(S, 3, 1.0, 1.0)
         below = characteristic_determinant(p, 1.0 - 1e-6)
         above = characteristic_determinant(p, 1.0 + 1e-6)
         assert below == pytest.approx(above, abs=1e-4)
 
     def test_degenerate_contrast_rejected_upstream(self):
         with pytest.raises(HelmholtzContrastDegenerate):
-            RadialProblem(H, 1, 1.0, 1.0, 0)
+            RadialProblem(H, 1, 1.0, 1.0)
 
     def test_nonpositive_v0_rejected(self):
         from teig.errors import NonPositivePotential
 
         with pytest.raises(NonPositivePotential):
-            RadialProblem(H, 1, 1.0, 0.0, 0)
+            RadialProblem(H, 1, 1.0, 0.0)
         with pytest.raises(NonPositivePotential):
-            RadialProblem(S, 3, 1.0, -0.5, 0)
+            RadialProblem(S, 3, 1.0, -0.5)
 
     def test_lambda_must_be_positive(self):
-        p = RadialProblem(H, 1, math.pi, 0.75, 0)
+        p = RadialProblem(H, 1, math.pi, 0.75)
         with pytest.raises(ArgumentOutOfRange):
             characteristic_determinant(p, 0.0)
 
@@ -96,10 +97,10 @@ class TestCharacteristicDeterminant:
                                             (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_inputs_rejected(self, radius, v0):
         with pytest.raises(ValidationError):
-            RadialProblem(H, 1, radius, v0, 0)
+            RadialProblem(H, 1, radius, v0)
 
     def test_outside_window_raises(self):
-        p = RadialProblem(H, 3, 20.0, 0.75, 0)
+        p = RadialProblem(H, 3, 20.0, 0.75)
         assert math.isfinite(characteristic_determinant(p, 90.0))
         with pytest.raises(ArgumentOutOfRange):
             characteristic_determinant(p, 101.0)  # sqrt(lambda) R > 200
@@ -111,17 +112,18 @@ class TestBesselWindow:
 
     def test_interior_oscillatory_past_window(self):
         # Schrodinger with v0 < 0 is not a ball problem, but kappa R > 200
-        # at the top with sqrt(lambda) R < 200 needs kappa^2 > lambda
+        # at the top with sqrt(lambda) R < 200 needs kappa^2 > lambda, so
+        # the window rule is called on the scan's ends directly
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(S, 1, 10.0, -200.0, (0,), 1e-6, 300.0, 50, 1e-8)
+            _check_window(S, 10.0, -200.0, [1e-6, 300.0])
 
     def test_interior_evanescent_past_window(self):
         # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(S, 1, 1.0, 4000.0, (0,), 1e-6, 10.0, 50, 1e-8)
+            _scan_determinant(RadialProblem(S, 1, 1.0, 4000.0), (0,), 1e-6, 10.0, 50, 1e-8)
         # Helmholtz with v0 > 1: |kappa| R = sqrt(lambda (v0 - 1)) R > 60 at the top
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(H, 1, 1.0, 5.0, (0,), 1e-6, 1000.0, 50, 1e-8)
+            _scan_determinant(RadialProblem(H, 1, 1.0, 5.0), (0,), 1e-6, 1000.0, 50, 1e-8)
 
 
 # (kind, v0, radius, largest lambda): Helmholtz with an oscillatory (v0 < 1)
@@ -159,10 +161,10 @@ class TestArrayDeterminant:
         assert np.max(np.abs(got[finite] - want[finite])) <= 1e-11
 
     def test_scalar_wrapper_is_the_array_value(self):
-        p = RadialProblem(H, 3, math.pi, 0.75, 5)
+        p = RadialProblem(H, 3, math.pi, 0.75)
         lams = np.linspace(1.0, 60.0, 7)
         grid = _det_grid(H, 3, math.pi, 0.75, 5, lams)
-        assert [characteristic_determinant(p, lam) for lam in lams] == grid.tolist()
+        assert [characteristic_determinant(p, lam, 5) for lam in lams] == grid.tolist()
 
     def test_value_does_not_depend_on_the_batch(self):
         lams = np.linspace(0.5, 300.0, 50)
@@ -193,7 +195,8 @@ class TestScanRoots:
         assert root[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_determinant_contains_four(self):
-        _, roots, _, _ = _scan_determinant(H, 1, math.pi, 0.75, (0,), 0.5, 5.0, 400, 1e-10)
+        ball = RadialProblem(H, 1, math.pi, 0.75)
+        _, roots, _, _ = _scan_determinant(ball, (0,), 0.5, 5.0, 400, 1e-10)
         assert any(abs(r - 4.0) < 1e-8 for r in roots.tolist())
 
     def test_no_roots(self):
@@ -216,11 +219,11 @@ class TestScanRoots:
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValidationError):
-            _scan_determinant(H, 1, math.pi, 0.75, (0,), 1.0, 0.5, 10, 1e-9)
+            _scan_determinant(RadialProblem(H, 1, math.pi, 0.75), (0,), 1.0, 0.5, 10, 1e-9)
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValidationError, match="steps"):
-            _scan_determinant(H, 1, math.pi, 0.75, (0,), 0.5, 1.0, 1, 1e-9)
+            _scan_determinant(RadialProblem(H, 1, math.pi, 0.75), (0,), 0.5, 1.0, 1, 1e-9)
 
     def test_bisection_replays_scalar_decisions(self):
         # NaN midpoints (nudged), exact zeros and ordinary halvings, several
@@ -244,11 +247,10 @@ class TestScanRoots:
 
     def test_multi_order_scan_matches_one_order_per_call(self):
         ells = range(13)
-        row, *together = _scan_determinant(H, 3, math.pi, 0.75, ells, 1e-6, 60.0, 400, 6e-9)
+        ball = RadialProblem(H, 3, math.pi, 0.75)
+        row, *together = _scan_determinant(ball, ells, 1e-6, 60.0, 400, 6e-9)
         for ell in ells:
-            alone_row, *alone = _scan_determinant(
-                H, 3, math.pi, 0.75, (ell,), 1e-6, 60.0, 400, 6e-9
-            )
+            alone_row, *alone = _scan_determinant(ball, (ell,), 1e-6, 60.0, 400, 6e-9)
             assert not alone_row.any()
             assert [column[row == ell].tolist() for column in together] == [
                 column.tolist() for column in alone
@@ -268,7 +270,8 @@ class TestScanRoots:
             return table
 
         monkeypatch.setattr(radial, "_scan_pass", recorded)
-        row, _, left, right = _scan_determinant(S, 3, 1.0, 30.0, range(5), 1e-6, 100.0, 25, 1e-8)
+        ball = RadialProblem(S, 3, 1.0, 30.0)
+        row, _, left, right = _scan_determinant(ball, range(5), 1e-6, 100.0, 25, 1e-8)
         (_, first), (again, second) = passes
         f_row, f_root = first[0].tolist(), first[1].tolist()
         spacing = (100.0 - 1e-6) / 24
@@ -292,7 +295,7 @@ class TestSharedWindows:
     def test_batched_windows_equal_separate_scans(self, dim):
         base = RadialProblem(H, dim, math.pi, 0.75)
         xs = [50.0, 100.0, 200.0, 400.0]
-        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, 0.75, x) for x in xs]
+        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
         together = te_lists_up_to(base, xs, ell_maxes)
         alone = [te_list_up_to(base, x, lm) for x, lm in zip(xs, ell_maxes)]
         assert together == alone
@@ -312,7 +315,7 @@ class TestSharedWindows:
         experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
         assert len(calls) <= 35
         assert calls[0] == 400 * sum(
-            radial.adaptive_ell_max(3, math.pi, 0.75, x) + 1 for x in (50, 100, 200, 400)
+            radial.adaptive_ell_max(3, math.pi, x) + 1 for x in (50, 100, 200, 400)
         )
 
 
@@ -324,7 +327,7 @@ class TestPolishPrescreen:
     def test_matches_the_full_stencil_on_every_root(self, dim, not_simple):
         base = RadialProblem(H, dim, math.pi, 0.75)
         xs = [50.0, 100.0, 200.0, 400.0]
-        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, 0.75, x) for x in xs]
+        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
         roots = sorted(
             {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, _ in tl.entries}
         )
@@ -413,7 +416,7 @@ class TestTEList:
     def test_helmholtz_list_nonempty_when_window_large(self):
         # 100x the first-root estimate: existence of infinitely many
         for radius, v0 in ((1.0, 0.3), (2.0, 0.6), (math.pi, 0.75)):
-            lam1 = first_te(H, 1, radius, v0, ell_values=(0,))
+            lam1 = first_te(RadialProblem(H, 1, radius, v0))
             tl = te_list_up_to(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
             assert len(tl.entries) > 3
 
