@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricAssembly, OrderOutOfRange, TooFewCells
+from .errors import AsymmetricAssembly, OrderOutOfRange, TooFewCells, ValidationError
 from .model import ProblemKind, potential_value, weight_value
 
 SPLINE_DEGREE = 3
@@ -23,24 +23,12 @@ ASYMMETRY_TOL = 1e-12
 # Gauss-Legendre quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def order(self):
-        return len(self.nodes)
-
-
 def gauss_legendre(q):
-    """Gauss-Legendre rule of order q (exact through degree 2q-1)."""
+    """(nodes, weights) of the Gauss-Legendre rule of order q on [-1, 1]
+    (exact through degree 2q-1)."""
     if q < 1 or q > 64:
         raise OrderOutOfRange(f"quadrature order must lie in [1, 64], got {q}")
-    nodes, weights = np.polynomial.legendre.leggauss(q)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return np.polynomial.legendre.leggauss(q)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +96,8 @@ class ClampedBasis:
         self.knots = np.concatenate([[0.0] * SPLINE_DEGREE, inner, [inner[-1]] * SPLINE_DEGREE])
 
     def tables(self, quad):
-        """Per-cell evaluation tables at the quadrature nodes.
+        """Per-cell evaluation tables at the nodes of the rule ``quad`` =
+        (nodes, weights).
 
         Returns a list over intervals of dicts with arrays of shape
         (cells, q): ``x``, ``w``; shape (cells, q, 4): ``val``, ``d1``,
@@ -118,16 +107,17 @@ class ClampedBasis:
         their affine image.  The same tables drive assembly, the form-value
         oracle, and tests, so both routes share one set of basis evaluations.
         """
+        nodes, weights = quad
         cell = np.arange(self.cells)
-        t = cell[:, None] + 0.5 * (quad.nodes + 1.0)
-        span = np.repeat(cell + SPLINE_DEGREE, quad.order)
+        t = cell[:, None] + 0.5 * (nodes + 1.0)
+        span = np.repeat(cell + SPLINE_DEGREE, len(nodes))
         val, d1, d2 = bspline_ders(self.knots, span, t.ravel()).reshape(3, *t.shape, 4)
         k = cell[:, None] + np.arange(SPLINE_DEGREE + 1)
         local = np.where((k >= 2) & (k <= self.cells), k - 2, -1)
         out = []
         for a, b in self.intervals:
-            h = (b - a) / self.cells
-            w = np.broadcast_to(0.5 * h * quad.weights, t.shape)
+            h = np.float64((b - a) / self.cells)  # h**2 past the float range: inf, not an error
+            w = np.broadcast_to(0.5 * h * weights, t.shape)
             out.append(
                 {"x": a + h * t, "w": w, "local": local, "val": val, "d1": d1 / h, "d2": d2 / h**2}
             )
@@ -142,11 +132,6 @@ class ClampedBasis:
         ud1 = np.einsum("cqk,ck->cq", table_entry["d1"], cm)
         ud2 = np.einsum("cqk,ck->cq", table_entry["d2"], cm)
         return uval, ud1, ud2
-
-
-def build_basis(intervals, cells_per_interval):
-    """Clamped cubic B-spline basis on the given disjoint intervals."""
-    return ClampedBasis(intervals, cells_per_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +189,38 @@ def _scatter(blocks, local, n):
 
 def assemble(basis, potential, weight, quad):
     """The six matrices of each interval by per-cell Gauss quadrature:
-    a tuple with one FormMatrices of size cells - 1 per interval."""
+    a tuple with one FormMatrices of size cells - 1 per interval.
+
+    An interval too long or too short for its cells, or a potential or
+    weight that under- or overflows on it, raises ValidationError naming
+    the interval and the matrix: the matrix has a non-finite entry, or it
+    is one of the Gram matrices (all but C) and a diagonal entry, a
+    positive integral, came out <= 0 because it underflowed."""
     n = basis.per_interval
     out = []
-    for entry in basis.tables(quad):
-        x, w = entry["x"], entry["w"]
-        B0, B1, B2 = entry["val"], entry["d1"], entry["d2"]
-        wv = w / potential_value(potential, x)
-        cells = {
-            "S": _cell_blocks(wv, B2, B2),
-            # C = E + E^T with E = int (1/V) b_i'' b_j; doubling is exact
-            "C": 2.0 * _cell_blocks(wv, B2, B0),
-            "K": _cell_blocks(w, B1, B1),
-            "M": _cell_blocks(w, B0, B0),
-            "Minv": _cell_blocks(wv, B0, B0),
-            "Mw": _cell_blocks(w * weight_value(weight, x), B0, B0),
-        }
-        mats = {
-            name: _check_symmetrize(name, _scatter(blocks, entry["local"], n))
-            for name, blocks in cells.items()
-        }
-        out.append(FormMatrices(**mats))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked per matrix
+        for interval, entry in zip(basis.intervals, basis.tables(quad)):
+            x, w = entry["x"], entry["w"]
+            B0, B1, B2 = entry["val"], entry["d1"], entry["d2"]
+            wv = w / potential_value(potential, x)
+            cells = {
+                "S": _cell_blocks(wv, B2, B2),
+                # C = E + E^T with E = int (1/V) b_i'' b_j; doubling is exact
+                "C": 2.0 * _cell_blocks(wv, B2, B0),
+                "K": _cell_blocks(w, B1, B1),
+                "M": _cell_blocks(w, B0, B0),
+                "Minv": _cell_blocks(wv, B0, B0),
+                "Mw": _cell_blocks(w * weight_value(weight, x), B0, B0),
+            }
+            mats = {}
+            for name, blocks in cells.items():
+                mat = _scatter(blocks, entry["local"], n)
+                if not np.isfinite(mat).all() or (name != "C" and not (np.diag(mat) > 0).all()):
+                    raise ValidationError(
+                        f"interval {interval}: form matrix {name} is out of floating-point range"
+                    )
+                mats[name] = _check_symmetrize(name, mat)
+            out.append(FormMatrices(**mats))
     return tuple(out)
 
 

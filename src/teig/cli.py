@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: sweep, find, radial, scaling, count, packing, truncation,
-hypothesis.  Exit status 0 for Pass/Report-only, 1 for a failed
-experimental check, 2 for configuration errors and 3 for an internal error
-(a fault in teig itself), each of the last two with a machine-readable JSON
-object on stderr; an internal error also writes its traceback there.
+hypothesis.  Each writes what its library function returns: a result
+dict as JSON or the curve table as CSV.  Exit status 0 for Pass and
+Report-only, 1 for a failed experimental check (verdict Fail), 2 for
+configuration errors and 3 for an internal error (a fault in teig
+itself), each of the last two with a machine-readable JSON object on
+stderr; an internal error also writes its traceback there.
 There is no --seed anywhere: every code path is deterministic, so
 identical invocations produce byte-identical outputs.
 """
@@ -23,7 +25,7 @@ from .model import (
     load_problem,
     validate_problem,
 )
-from .radial import RadialProblem, te_list_up_to
+from .radial import RadialProblem, te_lists_up_to
 
 
 def _float_list(text):
@@ -123,28 +125,29 @@ def _emit(obj, path):
 
 
 def _finish_experiment(result, out):
-    _emit(result.to_json_obj(), out)
-    return 0 if result.passed else 1
+    _emit(result, out)
+    return 1 if result["verdict"] == experiments.FAIL else 0
 
 
 def _cmd_sweep(args):
     problem = validate_problem(load_problem(args.config))
     matrices = curves.prepare_matrices(problem)
     if args.out_report:
-        _emit(curves.run_pipeline(problem, matrices).to_json_obj(), args.out_report)
-    serialize.write_text(args.out_curves, curves.sweep(problem, matrices).to_csv())
+        _emit(curves.run_pipeline(problem, matrices), args.out_report)
+    lambdas, values = curves.sweep(problem, matrices)
+    serialize.write_text(args.out_curves, serialize.curve_table_csv(lambdas, values))
     return 0
 
 
 def _cmd_find(args):
     problem = validate_problem(load_problem(args.config))
-    _emit(curves.run_pipeline(problem).to_json_obj(), args.out)
+    _emit(curves.run_pipeline(problem), args.out)
     return 0
 
 
 def _cmd_radial(args):
     ball = RadialProblem(ProblemKind(args.problem), args.dim, args.radius, args.v0)
-    tl = te_list_up_to(ball, args.lambda_max, args.lmax, steps=args.steps)
+    entries = te_lists_up_to(ball, [args.lambda_max], [args.lmax], steps=args.steps)[0]
     payload = {
         "problem": args.problem,
         "dim": args.dim,
@@ -153,7 +156,7 @@ def _cmd_radial(args):
         "lambda_max": args.lambda_max,
         "ell_max": args.lmax,
         "transmission_eigenvalues": [
-            {"lambda": lam, "ell": ell, "degeneracy": deg} for lam, ell, deg in tl.entries
+            {"lambda": lam, "ell": ell, "degeneracy": deg} for lam, ell, deg in entries
         ],
     }
     _emit(payload, args.out)

@@ -15,7 +15,8 @@ accepted root is polished by bisection on that curve's sign, and the
 crossings are clustered and reported.
 
 Sweep (``sweep``): the sorted lowest-K generalized eigenvalues of
-(A(lambda), Mw) over a uniform grid, written as the curve CSV.  Sorted-index
+(A(lambda), Mw) over a uniform grid, returned as the arrays (lambdas,
+values) that ``serialize.curve_table_csv`` writes.  Sorted-index
 curves may permute branches at intersections, but they are continuous, so
 their sign changes are genuine zero crossings.  Each block is reduced to
 standard form once by ``eigensolve.reduce``, and the grid is solved in
@@ -28,45 +29,18 @@ K-th value.  The skipped blocks hold none of the K smallest values, so
 the table is bit for bit that of solving every block.
 """
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
-from .assembly import assemble, assemble_A, build_basis, gauss_legendre, quadratic_coefficients
+from .assembly import ClampedBasis, assemble, assemble_A, gauss_legendre, quadratic_coefficients
 from .eigensolve import above, eigvalsh, reduce
 from .errors import InertiaMismatch, NoConvergence
 from .model import SWEEP_CHUNK_BYTES, ProblemKind, canonical_config
-from .serialize import config_hash, curve_table_csv
-
-
-@dataclass(frozen=True)
-class CurveTable:
-    """mu values (grid points x K, each row ascending) over the grid."""
-
-    lambdas: np.ndarray
-    values: np.ndarray
-
-    def to_csv(self):
-        return curve_table_csv(self.lambdas, self.values)
-
-
-@dataclass(frozen=True)
-class TEReport:
-    entries: tuple  # of dicts: lambda, curve_index, multiplicity_estimate, residual
-    metadata: dict
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_json_obj(self):
-        return {
-            "transmission_eigenvalues": [dict(e) for e in self.entries],
-            "metadata": self.metadata,
-            "diagnostics": self.diagnostics,
-        }
+from .serialize import config_hash
 
 
 def prepare_matrices(problem):
     """The per-interval form matrices of a validated problem."""
-    basis = build_basis(problem.intervals, problem.discretization.cells_per_interval)
+    basis = ClampedBasis(problem.intervals, problem.discretization.cells_per_interval)
     quad = gauss_legendre(problem.discretization.quad_points)
     return assemble(basis, problem.potential, problem.weight, quad)
 
@@ -137,11 +111,11 @@ def _lowest(c, k, first, labels):
 
 
 def sweep(problem, matrices):
-    """Lowest-K curve table over the sweep grid (grid order, deterministic)."""
+    """The lowest-K curve table over the sweep grid: (lambdas, values), the
+    grid and a (steps, K) array of mu values, each row ascending."""
     cfg = problem.sweep
     lambdas = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
-    values = _curves(problem.kind, matrices, lambdas, problem.discretization.num_curves)
-    return CurveTable(lambdas=lambdas, values=values)
+    return lambdas, _curves(problem.kind, matrices, lambdas, problem.discretization.num_curves)
 
 
 def _identity_spectrum(kind, matrices, lam):
@@ -251,7 +225,9 @@ def _runs(items, tol, key):
 
 
 def report(problem, refined, matrices):
-    """Cluster refined crossings into a TEReport.
+    """Cluster refined crossings into the TE report: the dict
+    {"transmission_eigenvalues", "metadata", "diagnostics"} that ``teig
+    find`` writes, with empty diagnostics.
 
     ``refined`` is a list of (lambda, curve_index).  Crossings within
     problem.sweep.cluster_tol of each other merge into one entry whose
@@ -279,7 +255,7 @@ def report(problem, refined, matrices):
         for (lam, members), row in zip(kept, values)
     ]
     entries.sort(key=lambda e: e["lambda"])
-    return TEReport(entries=tuple(entries), metadata=_metadata(problem))
+    return {"transmission_eigenvalues": entries, "metadata": _metadata(problem), "diagnostics": {}}
 
 
 def _metadata(problem):
@@ -333,7 +309,8 @@ def _merge_groups(groups, points, counts):
 
 def run_pipeline(problem, matrices=None):
     """The TEs of a validated problem in [lambda_min, lambda_max]: detect,
-    check, polish and report; returns a TEReport with its diagnostics.
+    check, polish and report; returns the report dict of ``report`` with
+    its diagnostics filled in.
 
     Real candidates closer than refine_tol form one group, since no
     inertia count between them is reliable.  Across each group, once
@@ -400,4 +377,5 @@ def run_pipeline(problem, matrices=None):
         },
     }
     te_report = report(problem, refined, matrices)
-    return replace(te_report, diagnostics=diagnostics)
+    te_report["diagnostics"] = diagnostics
+    return te_report

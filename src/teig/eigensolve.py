@@ -13,8 +13,6 @@ non-finite result raise NoConvergence, and a Cholesky pivot at or below
 1e-13 times the largest diagonal entry of B raises NotPositiveDefinite.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, ValidationError
@@ -37,14 +35,6 @@ def cholesky(B):
     if failed.size:
         raise NotPositiveDefinite(f"pivot failure at row {failed[0]}")
     return L
-
-
-@dataclass(frozen=True)
-class SpectrumSlice:
-    """Lowest eigenvalues of a generalized symmetric problem, ascending."""
-
-    eigenvalues: tuple
-    dimension: int
 
 
 def _checked(A, B):
@@ -118,10 +108,10 @@ def above(c, mu, labels):
 
 
 def lowest_k(A, B, K):
-    """Lowest K eigenvalues of A v = mu B v (values only, sorted)."""
+    """The lowest min(K, dim) eigenvalues of A v = mu B v, an ascending
+    array."""
     A, B = _checked(A, B)
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     vals = eigvalsh(reduce(A[None], B), ["lowest_k"])[0]
-    k = min(K, A.shape[0])
-    return SpectrumSlice(eigenvalues=tuple(float(v) for v in vals[:k]), dimension=A.shape[0])
+    return vals[:K]

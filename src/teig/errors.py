@@ -41,19 +41,11 @@ class ProblemTooLarge(ValidationError):
     pass
 
 
-class NonPositiveArgument(TeigError, ValueError):
-    pass
-
-
 class ArgumentOutOfRange(TeigError, ValueError):
     pass
 
 
 class OrderOutOfRange(TeigError, ValueError):
-    pass
-
-
-class DegenerateInterior(TeigError, ArithmeticError):
     pass
 
 

@@ -2,12 +2,13 @@
 growth, the packing lower bound, truncation stability on shrinking chains,
 and the open-question scanner for Schrodinger balls.
 
-Every driver returns an ExperimentResult whose verdict cites the tolerance
-it was judged against; Report-only drivers never pass or fail.
+Every driver returns the dict {name, inputs, tables, verdict, margins}
+that its subcommand writes; the verdict cites the tolerance it was judged
+against, and Report-only drivers never pass or fail.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,30 +45,24 @@ PACKING_SLACK = 0.8
 PACKING_CURVES = 16
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    name: str
-    inputs: dict
-    tables: tuple  # of {"label", "columns", "rows"}
-    verdict: str
-    margins: dict
-
-    def to_json_obj(self):
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "tables": [dict(t) for t in self.tables],
-            "verdict": self.verdict,
-            "margins": self.margins,
-        }
-
-    @property
-    def passed(self):
-        return self.verdict in (PASS, REPORT_ONLY)
-
-
 def _table(label, columns, rows):
     return {"label": label, "columns": list(columns), "rows": [list(r) for r in rows]}
+
+
+def _galerkin_tes(kind, domain, potential, weight, cells, num_curves, window, tols):
+    """The report entries of run_pipeline on one Galerkin problem with 8
+    quadrature points, searched over ``window`` with tols = (refine_tol,
+    cluster_tol)."""
+    spec = ProblemSpec(
+        kind=kind,
+        domain=domain,
+        potential=potential,
+        weight=weight,
+        discretization=DiscretizationConfig(cells, 8, num_curves),
+        # run_pipeline reads no sweep grid: steps is the smallest valid value
+        sweep=SweepConfig(window[0], window[1], 2, *tols),
+    )
+    return curves.run_pipeline(validate_problem(spec))["transmission_eigenvalues"]
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +73,13 @@ def _galerkin_te_near(radius, v0, target):
     """Nearest Galerkin-reported TE to ``target`` on the interval
     (-radius, radius) with constant potential v0 (Helmholtz), from 48
     cells, 8 curves and the window [target / 2, 3 target / 2]."""
-    spec = ProblemSpec(
-        kind=ProblemKind.HELMHOLTZ,
-        domain=IntervalUnion([(-radius, radius)]),
-        potential=Constant(v0),
-        weight=Unweighted(),
-        discretization=DiscretizationConfig(48, 8, 8),
-        # run_pipeline reads no sweep grid: steps is the smallest valid value
-        sweep=SweepConfig(0.5 * target, 1.5 * target, 2, 1e-10, 1e-8),
+    entries = _galerkin_tes(
+        ProblemKind.HELMHOLTZ, IntervalUnion([(-radius, radius)]), Constant(v0), Unweighted(),
+        48, 8, (0.5 * target, 1.5 * target), (1e-10, 1e-8),
     )
-    rep = curves.run_pipeline(validate_problem(spec))
-    if not rep.entries:
+    if not entries:
         raise ValidationError(f"no Galerkin TE found near {target}")
-    return min((e["lambda"] for e in rep.entries), key=lambda lam: abs(lam - target))
+    return min((e["lambda"] for e in entries), key=lambda lam: abs(lam - target))
 
 
 def scaling_check(n, radius, v0, epsilons, galerkin=False):
@@ -149,19 +138,19 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
         margins["galerkin_max_rel_err"] = g_worst
         if g_worst > SCALING_GALERKIN_TOL:
             verdict = FAIL
-    return ExperimentResult(
-        name="scaling",
-        inputs={
+    return {
+        "name": "scaling",
+        "inputs": {
             "dim": n,
             "radius": radius,
             "v0": v0,
             "epsilons": list(epsilons),
             "galerkin": galerkin,
         },
-        tables=tuple(tables),
-        verdict=verdict,
-        margins=margins,
-    )
+        "tables": tables,
+        "verdict": verdict,
+        "margins": margins,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +174,8 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
     lists = te_lists_up_to(base, xs, ell_maxes)
     rows = []
     counts = []
-    for x, lm, tl in zip(xs, ell_maxes, lists):
-        nx = tl.weighted_count(x)
+    for x, lm, entries in zip(xs, ell_maxes, lists):
+        nx = sum(d for lam, _, d in entries if lam <= x)
         if nx < 5:
             raise InsufficientCounts(
                 f"N({x}) = {nx} < 5; widen the window before fitting a slope"
@@ -202,13 +191,13 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
         "intercept": float(intercept),
     }
     verdict = PASS if abs(slope - target) <= COUNTING_SLOPE_WINDOW else FAIL
-    return ExperimentResult(
-        name="counting",
-        inputs={"dim": n, "radius": radius, "v0": v0, "x_values": xs, "ell_max": ell_max},
-        tables=(_table("counts", ("x", "weighted_count", "ell_max_used"), rows),),
-        verdict=verdict,
-        margins=margins,
-    )
+    return {
+        "name": "counting",
+        "inputs": {"dim": n, "radius": radius, "v0": v0, "x_values": xs, "ell_max": ell_max},
+        "tables": [_table("counts", ("x", "weighted_count", "ell_max_used"), rows)],
+        "verdict": verdict,
+        "margins": margins,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -239,39 +228,39 @@ def packing_bound_check(length, v0, x, cells=96):
     if not (0 < length < math.inf and 0 < x < math.inf):
         raise ValidationError(f"packing requires finite length > 0 and x > 0, got {length}, {x}")
     prediction, lam1, eps = packing_prediction(length, v0, x)
-    spec = ProblemSpec(
-        kind=ProblemKind.HELMHOLTZ,
-        domain=IntervalUnion([(0.0, length)]),
-        potential=Constant(v0),
-        weight=Unweighted(),
-        discretization=DiscretizationConfig(cells, 8, PACKING_CURVES),
-        # run_pipeline reads no sweep grid: steps is the smallest valid value
-        sweep=SweepConfig(1e-3 * x, float(x), 2, 1e-8, 1e-6),
+    entries = _galerkin_tes(
+        ProblemKind.HELMHOLTZ, IntervalUnion([(0.0, length)]), Constant(v0), Unweighted(),
+        cells, PACKING_CURVES, (1e-3 * x, float(x)), (1e-8, 1e-6),
     )
-    rep = curves.run_pipeline(validate_problem(spec))
-    observed = sum(e["multiplicity_estimate"] for e in rep.entries if e["lambda"] <= x)
+    observed = sum(e["multiplicity_estimate"] for e in entries if e["lambda"] <= x)
     required = PACKING_SLACK * prediction
     verdict = PASS if observed >= required - 1e-9 else FAIL
-    rows = [(e["lambda"], e["curve_index"], e["multiplicity_estimate"]) for e in rep.entries]
-    return ExperimentResult(
-        name="packing",
-        inputs={"length": length, "v0": v0, "x": x, "cells": cells, "num_curves": PACKING_CURVES},
-        tables=(
+    rows = [(e["lambda"], e["curve_index"], e["multiplicity_estimate"]) for e in entries]
+    return {
+        "name": "packing",
+        "inputs": {
+            "length": length,
+            "v0": v0,
+            "x": x,
+            "cells": cells,
+            "num_curves": PACKING_CURVES,
+        },
+        "tables": [
             _table(
                 "prediction",
                 ("base_first_te", "epsilon", "prediction", "observed"),
                 [(lam1, eps, prediction, observed)],
             ),
             _table("galerkin_entries", ("lambda", "curve_index", "multiplicity"), rows),
-        ),
-        verdict=verdict,
-        margins={
+        ],
+        "verdict": verdict,
+        "margins": {
             "slack": PACKING_SLACK,
             "prediction": prediction,
             "observed": observed,
             "required": required,
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +310,11 @@ def truncation_stability(
     list_rows = []
     count_rows = []
     for count in counts:
-        spec = ProblemSpec(
-            kind=kind,
-            domain=replace(chain, count=count),
-            potential=potential,
-            weight="agmon",
-            discretization=DiscretizationConfig(cells, 8, num_curves),
-            # run_pipeline reads no sweep grid: steps is the smallest valid value
-            sweep=SweepConfig(lo, hi, 2, 1e-8, 1e-6),
+        entries = _galerkin_tes(
+            kind, replace(chain, count=count), potential, "agmon", cells, num_curves,
+            (lo, hi), (1e-8, 1e-6),
         )
-        rep = curves.run_pipeline(validate_problem(spec))
-        lams = [e["lambda"] for e in rep.entries if lo <= e["lambda"] <= hi]
+        lams = [e["lambda"] for e in entries if lo <= e["lambda"] <= hi]
         te_lists.append(lams)
         count_rows.append((count, len(lams)))
         for i, lam in enumerate(lams):
@@ -345,9 +328,9 @@ def truncation_stability(
         else:
             drift = _hausdorff(l0, l1)
         drift_rows.append((c0, c1, drift))
-    return ExperimentResult(
-        name="truncation",
-        inputs={
+    return {
+        "name": "truncation",
+        "inputs": {
             "chain": {
                 "start": chain.start,
                 "gap": chain.gap,
@@ -360,14 +343,14 @@ def truncation_stability(
             "kind": kind.value,
             "cells": cells,
         },
-        tables=(
+        "tables": [
             _table("te_counts", ("count", "entries_in_window"), count_rows),
             _table("te_lists", ("count", "index", "lambda"), list_rows),
             _table("drift", ("count_from", "count_to", "drift"), drift_rows),
-        ),
-        verdict=REPORT_ONLY,
-        margins={"max_drift": max((r[2] for r in drift_rows), default=0.0)},
-    )
+        ],
+        "verdict": REPORT_ONLY,
+        "margins": {"max_drift": max((r[2] for r in drift_rows), default=0.0)},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +376,9 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
     )
     table = (root.tolist(), left.tolist(), right.tolist(), ell.tolist())  # row r is order r
     rows = sorted(zip(*table), key=lambda r: r[0])
-    return ExperimentResult(
-        name="hypothesis",
-        inputs={
+    return {
+        "name": "hypothesis",
+        "inputs": {
             "dim": n,
             "radius": radius,
             "v0": v0,
@@ -403,9 +386,7 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
             "steps": steps,
             "ell_max": ell_max,
         },
-        tables=(
-            _table("sign_changes", ("root", "bracket_left", "bracket_right", "ell"), rows),
-        ),
-        verdict=REPORT_ONLY,
-        margins={"roots_found": len(rows)},
-    )
+        "tables": [_table("sign_changes", ("root", "bracket_left", "bracket_right", "ell"), rows)],
+        "verdict": REPORT_ONLY,
+        "margins": {"roots_found": len(rows)},
+    }

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .model import HELMHOLTZ_CONTRAST_TOL, MEMORY_BUDGET_BYTES, ProblemKind
-from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _radial_wave_eval
+from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _radial_wave_eval, bessel_j_min_arg
 
 DEGENERATE_KAPPA_SQ = 1e-14
 LAMBDA_FLOOR = 1e-6
@@ -64,32 +64,36 @@ def _kappa_sq(kind, v0, lam):
     return lam * (1.0 - v0)
 
 
-def _bessel_window(kind, radius, v0, lam):
-    """The Bessel validity rule on an array of lambdas.  Returns kappa^2
-    and three arrays with a first axis of 2 (exterior wave, interior wave):
-    the wavenumbers k = (sqrt(lambda), |kappa|), whether the wave is a J
-    (oscillatory: the exterior one always, the interior one where kappa^2
-    > 0) rather than an I, and whether its argument k R lies in the
-    window, <= 200 for J and <= 60 for I."""
+def _bessel_window(kind, radius, v0, ell, lam):
+    """The Bessel validity rule on arrays of orders and lambdas.  Returns
+    kappa^2 and three arrays with a first axis of 2 (exterior wave,
+    interior wave): the wavenumbers k = (sqrt(lambda), |kappa|), whether
+    the wave is a J (oscillatory: the exterior one always, the interior one
+    where kappa^2 > 0) rather than an I, and whether its argument k R lies
+    in the window, [bessel_j_min_arg(ell), 200] for J and <= 60 for I."""
     ksq = _kappa_sq(kind, v0, lam)
     k = np.stack((np.sqrt(np.maximum(lam, 0.0)), np.sqrt(np.abs(ksq))))
     oscillatory = np.stack((np.ones(ksq.shape, dtype=bool), ksq > 0.0))
-    x_max = np.where(oscillatory, BESSEL_J_MAX_ARG, BESSEL_I_MAX_ARG)
-    return ksq, k, oscillatory, k * radius <= x_max
+    x = k * radius
+    j_inside = (x >= bessel_j_min_arg(ell)) & (x <= BESSEL_J_MAX_ARG)
+    return ksq, k, oscillatory, np.where(oscillatory, j_inside, x <= BESSEL_I_MAX_ARG)
 
 
-def _check_window(kind, radius, v0, lams):
-    """Raise ArgumentOutOfRange at the first of ``lams`` where a Bessel
-    argument leaves its window (_bessel_window), the exterior one first."""
-    lams = np.asarray(lams, dtype=float)
-    _, k, oscillatory, inside = _bessel_window(kind, radius, v0, lams)
+def _check_window(kind, radius, v0, ells, lams):
+    """Raise ArgumentOutOfRange at the first point (ells[i], lams[i]) where
+    a Bessel argument leaves its window (_bessel_window), the exterior one
+    first."""
+    ells, lams = np.broadcast_arrays(np.asarray(ells, float), np.asarray(lams, float))
+    _, k, oscillatory, inside = _bessel_window(kind, radius, v0, ells, lams)
     bad = np.argwhere(~inside.T)  # (point, wave) pairs
     if bad.size:
         i, wave = bad[0]
+        x = k[wave, i] * radius
         x_max = BESSEL_J_MAX_ARG if oscillatory[wave, i] else BESSEL_I_MAX_ARG
+        limit = f"exceeds {x_max}" if x > x_max else f"is below {bessel_j_min_arg(ells[i])}"
         raise ArgumentOutOfRange(
-            f"{('exterior', 'interior')[wave]} Bessel argument {k[wave, i] * radius} exceeds "
-            f"{x_max} at lambda = {lams[i]} (radius {radius})"
+            f"{('exterior', 'interior')[wave]} Bessel argument {x} {limit} at lambda = "
+            f"{lams[i]}, order {ells[i]:g} (radius {radius})"
         )
 
 
@@ -117,7 +121,7 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
 def _det_chunk(kind, n, radius, v0, ell, lam):
     """_det_grid on at most _DET_CHUNK points."""
     out = np.full(lam.shape, np.nan)
-    ksq, k, oscillatory, inside = _bessel_window(kind, radius, v0, lam)
+    ksq, k, oscillatory, inside = _bessel_window(kind, radius, v0, ell, lam)
     ok = (lam > 0.0) & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ) & inside.all(axis=0)
     if not ok.any():
         return out
@@ -197,16 +201,6 @@ def harmonic_multiplicity(n, ell):
     first = math.comb(ell + n - 1, ell)
     second = math.comb(ell + n - 3, ell - 2) if ell >= 2 and ell + n - 3 >= 0 else 0
     return first - second
-
-
-@dataclass(frozen=True)
-class TEList:
-    """Sorted transmission eigenvalues with their angular degeneracies."""
-
-    entries: tuple  # of (lambda, ell, degeneracy)
-
-    def weighted_count(self, x):
-        return sum(d for lam, _, d in self.entries if lam <= x)
 
 
 DEFAULT_SCAN_STEPS = 400
@@ -369,7 +363,8 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
         if not a < b:
             raise ValidationError(f"scan needs lo < hi, got [{a}, {b}]")
-    _check_window(ball.kind, ball.radius, ball.v0, np.column_stack((lo, hi)).ravel())
+    ends = np.column_stack((lo, hi)).ravel()
+    _check_window(ball.kind, ball.radius, ball.v0, np.repeat(ells, 2), ends)
 
     def det(ell, lam):
         return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
@@ -394,10 +389,11 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
 
 
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
-    """One TEList per (x, ell_max): all transmission eigenvalues of the ball
-    up to x for ell <= ell_max, the windows scanned together, each bisected
-    to 1e-10 max(1, x).  Orders with no root do not stop the sweep; roots
-    are not monotone in ell."""
+    """One tuple of (lambda, ell, degeneracy) entries per (x, ell_max),
+    sorted: all transmission eigenvalues of the ball up to x for ell <=
+    ell_max, the windows scanned together, each bisected to 1e-10 max(1,
+    x).  Orders with no root do not stop the sweep; roots are not monotone
+    in ell."""
     orders = []  # per window; dim 1 has orders 0 and 1 only
     for x, ell_max in zip(xs, ell_maxes):
         if not x > 0:
@@ -414,12 +410,7 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     for r, lam in zip(row.tolist(), root.tolist()):
         w, ell = rows[r]
         entries[w].append((lam, ell, harmonic_multiplicity(base.dim, ell)))
-    return [TEList(entries=tuple(sorted(e, key=lambda t: (t[0], t[1])))) for e in entries]
-
-
-def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
-    """te_lists_up_to on the one window (x, ell_max)."""
-    return te_lists_up_to(base, [x], [ell_max], steps)[0]
+    return [tuple(sorted(e, key=lambda t: (t[0], t[1]))) for e in entries]
 
 
 def adaptive_ell_max(n, radius, x):

@@ -7,7 +7,8 @@ units of P = (x/2)^nu0 / Gamma(nu0+1) of its base order, rescaled by exact
 powers of two so nothing under- or overflows.  A ladder's start depends
 only on its argument and block, so a point's value does not depend on the
 rest of the array.  I is its all-positive power series, in units of P at
-the point's own order.
+the point's own order.  J serves arguments in [bessel_j_min_arg(ell),
+200] and I arguments up to 60.
 """
 
 import numpy as np
@@ -19,6 +20,20 @@ _SERIES_CUTOFF = 1e-18  # term-ratio stopping rule of the I series
 _TINY_START = 1e-30  # trial seed for the backward recurrence
 _RESCALE = 2.0**500  # ladder values past this are scaled down by it, exactly
 _BLOCK = 16  # orders per ladder block; a ladder starts from its argument and block alone
+_MAX_STEP = 2.0**60  # largest ladder step factor: 8 rungs grow by at most 2^480 < _RESCALE
+
+
+def bessel_j_min_arg(ell):
+    """Smallest argument x at which the J ladders of the orders nu0 + ell
+    (nu0 <= 1/2) stay finite, on arrays of ell.
+
+    The step down to rung j multiplies by 2(nu0 + j + 1)/x, and for x <= 1
+    a ladder starts at rung ell + 38 or below, so every factor is at most
+    2(ell + 40)/x.  Where that is <= 2^60, eight rungs grow by at most
+    2^480, which the 2^-500 rescale every 8 rungs absorbs; far enough
+    below, the ladder overflows to inf or NaN.
+    """
+    return 2.0 * (np.asarray(ell, dtype=float) + 40.0) / _MAX_STEP
 
 
 def _i_triplet(nu, x):

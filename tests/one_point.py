@@ -14,9 +14,17 @@ from enum import Enum
 
 import numpy as np
 
-from teig.errors import ArgumentOutOfRange, DegenerateInterior, NonPositiveArgument
+from teig.errors import ArgumentOutOfRange, TeigError
 from teig.radial import DEGENERATE_KAPPA_SQ, _check_window, _det_grid, _kappa_sq
 from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _i_triplet, _j_triplet
+
+
+class NonPositiveArgument(TeigError, ValueError):
+    pass
+
+
+class DegenerateInterior(TeigError, ArithmeticError):
+    pass
 
 
 class Branch(Enum):
@@ -130,6 +138,6 @@ def characteristic_determinant(problem, lam, ell=0):
     if math.isnan(val):
         if abs(_kappa_sq(problem.kind, problem.v0, lam)) < DEGENERATE_KAPPA_SQ:
             raise DegenerateInterior(f"lambda = {lam} sits on the branch boundary")
-        _check_window(problem.kind, problem.radius, problem.v0, [lam])
+        _check_window(problem.kind, problem.radius, problem.v0, [ell], [lam])
         raise ArgumentOutOfRange(f"matching determinant has a zero column at lambda = {lam}")
     return float(val)

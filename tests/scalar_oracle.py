@@ -11,7 +11,7 @@ import math
 
 from teig.model import ProblemKind
 from teig.radial import DEGENERATE_KAPPA_SQ
-from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG
+from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, bessel_j_min_arg
 
 _SERIES_CUTOFF = 1e-18
 _TINY_START = 1e-30
@@ -106,9 +106,12 @@ def det_scalar(kind, n, radius, v0, ell, lam):
     oscillatory = ksq > 0.0
     k_ext = math.sqrt(lam)
     k_int = math.sqrt(abs(ksq))
-    if k_ext * radius > BESSEL_J_MAX_ARG:
+    j_min = float(bessel_j_min_arg(ell))
+    if not j_min <= k_ext * radius <= BESSEL_J_MAX_ARG:
         return math.nan
-    if k_int * radius > (BESSEL_J_MAX_ARG if oscillatory else BESSEL_I_MAX_ARG):
+    if oscillatory and not j_min <= k_int * radius <= BESSEL_J_MAX_ARG:
+        return math.nan
+    if not oscillatory and k_int * radius > BESSEL_I_MAX_ARG:
         return math.nan
     p = 0.5 * (2 - n)
     nu = 0.5 * (n - 2) + ell

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from teig.assembly import (
+    ClampedBasis,
     assemble,
     assemble_A,
     bspline_ders,
-    build_basis,
     direct_form_value,
     gauss_legendre,
 )
@@ -20,32 +20,30 @@ QUAD = gauss_legendre(8)
 
 class TestGaussLegendre:
     def test_order_one(self):
-        rule = gauss_legendre(1)
-        assert rule.nodes.tolist() == [0.0]
-        assert rule.weights.tolist() == [2.0]
+        nodes, weights = gauss_legendre(1)
+        assert nodes.tolist() == [0.0]
+        assert weights.tolist() == [2.0]
 
     def test_order_two(self):
-        rule = gauss_legendre(2)
-        assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-14)
-        assert rule.weights == pytest.approx([1.0, 1.0], abs=1e-14)
+        nodes, weights = gauss_legendre(2)
+        assert nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-14)
+        assert weights == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_monomial_exactness(self):
-        rule = gauss_legendre(4)
-        xs, ws = rule.nodes, rule.weights
+        xs, ws = gauss_legendre(4)
         assert np.sum(ws * xs**6) == pytest.approx(2.0 / 7.0, abs=1e-14)
 
     @pytest.mark.parametrize("q", [3, 5, 8, 16])
     def test_exact_through_degree_2q_minus_1(self, q):
-        rule = gauss_legendre(q)
-        xs, ws = rule.nodes, rule.weights
+        xs, ws = gauss_legendre(q)
         for deg in range(0, 2 * q):
             exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
             assert np.sum(ws * xs**deg) == pytest.approx(exact, abs=1e-12)
 
     def test_symmetric(self):
-        rule = gauss_legendre(9)
-        assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=0)
-        assert np.allclose(rule.weights, rule.weights[::-1], atol=0)
+        nodes, weights = gauss_legendre(9)
+        assert np.allclose(nodes, -nodes[::-1], atol=0)
+        assert np.allclose(weights, weights[::-1], atol=0)
 
     def test_order_bounds(self):
         with pytest.raises(OrderOutOfRange):
@@ -56,22 +54,22 @@ class TestGaussLegendre:
 
 class TestClampedBasis:
     def test_dimensions(self):
-        assert build_basis([(0.0, 1.0)], 4).dim == 3
-        assert build_basis([(0.0, 1.0), (2.0, 3.0)], 8).dim == 14
+        assert ClampedBasis([(0.0, 1.0)], 4).dim == 3
+        assert ClampedBasis([(0.0, 1.0), (2.0, 3.0)], 8).dim == 14
 
     def test_too_few_cells(self):
         with pytest.raises(TooFewCells):
-            build_basis([(0.0, 1.0)], 3)
+            ClampedBasis([(0.0, 1.0)], 3)
 
     def test_partition_of_unity_at_quad_nodes(self):
-        basis = build_basis([(0.0, 2.0), (3.0, 3.5)], 8)
+        basis = ClampedBasis([(0.0, 2.0), (3.0, 3.5)], 8)
         for entry in basis.tables(QUAD):
             total = np.sum(entry["val"], axis=2)
             assert np.max(np.abs(total - 1.0)) < 1e-13
 
     def test_bspline_integrals_match_closed_form(self):
         # every cubic B-spline integrates to (t_{i+4} - t_i) / 4
-        basis = build_basis([(0.0, 1.0)], 8)
+        basis = ClampedBasis([(0.0, 1.0)], 8)
         entry = basis.tables(QUAD)[0]
         knots = basis.knots / basis.cells  # the interval (0, 1)
         n_splines = len(knots) - 4
@@ -83,7 +81,7 @@ class TestClampedBasis:
         assert np.max(np.abs(integrals - analytic)) < 1e-13
 
     def test_clamped_end_conditions(self):
-        basis = build_basis([(0.0, 2.0)], 12)
+        basis = ClampedBasis([(0.0, 2.0)], 12)
         knots = basis.knots * (2.0 / 12)
         local = basis.tables(QUAD)[0]["local"]
         for x, cell in ((0.0, 0), (2.0, 11)):
@@ -94,7 +92,7 @@ class TestClampedBasis:
                     assert abs(ders[1][k]) < 1e-13
 
     def test_c2_continuity_at_knots(self):
-        basis = build_basis([(0.0, 1.0)], 8)
+        basis = ClampedBasis([(0.0, 1.0)], 8)
         h = 1.0 / 8
         knots = basis.knots * h  # physical units on (0, 1)
         for cell_boundary in range(1, 8):
@@ -107,7 +105,7 @@ class TestClampedBasis:
             assert np.max(np.abs(left - right)) < 1e-7  # value, d1, d2 all continuous
 
     def test_disjoint_interval_supports(self):
-        basis = build_basis([(0.0, 1.0), (2.0, 3.0)], 6)
+        basis = ClampedBasis([(0.0, 1.0), (2.0, 3.0)], 6)
         for entry in basis.tables(QUAD):
             local = entry["local"]
             assert local.min() >= -1 and local.max() < basis.per_interval
@@ -116,18 +114,18 @@ class TestClampedBasis:
 
 class TestAssemble:
     def test_constant_potential_minv_scaling(self):
-        basis = build_basis([(0.0, 1.0)], 8)
+        basis = ClampedBasis([(0.0, 1.0)], 8)
         (m,) = assemble(basis, Constant(0.75), Unweighted(), QUAD)
         assert np.max(np.abs(m.Minv - m.M / 0.75)) < 1e-12
 
     def test_unweighted_mw_equals_m(self):
-        basis = build_basis([(0.0, 1.0)], 8)
+        basis = ClampedBasis([(0.0, 1.0)], 8)
         (m,) = assemble(basis, Constant(0.75), Unweighted(), QUAD)
         assert np.array_equal(m.Mw, m.M)
 
     def test_all_symmetric(self):
         for intervals in ([(-math.pi, math.pi)], [(0.0, 1.0), (2.0, 2.5)]):
-            basis = build_basis(intervals, 32)
+            basis = ClampedBasis(intervals, 32)
             for m in assemble(basis, PowerDecay(1.0, 4.0), Agmon(4.0), QUAD):
                 for mat in (m.S, m.C, m.K, m.M, m.Minv, m.Mw):
                     assert np.max(np.abs(mat - mat.T)) == 0.0
@@ -136,33 +134,33 @@ class TestAssemble:
         # block-local indexing: each block equals its interval assembled alone
         intervals = [(0.0, 1.0), (2.0, 2.5), (3.0, 3.25)]
         pot, weight = PowerDecay(1.0, 4.0), Agmon(4.0)
-        blocks = assemble(build_basis(intervals, 12), pot, weight, QUAD)
+        blocks = assemble(ClampedBasis(intervals, 12), pot, weight, QUAD)
         assert len(blocks) == 3
         for interval, block in zip(intervals, blocks):
-            (alone,) = assemble(build_basis([interval], 12), pot, weight, QUAD)
+            (alone,) = assemble(ClampedBasis([interval], 12), pot, weight, QUAD)
             assert block.dim == 11
             for name in ("S", "C", "K", "M", "Minv", "Mw"):
                 assert np.array_equal(getattr(block, name), getattr(alone, name)), name
 
     def test_positive_definite_blocks(self):
-        basis = build_basis([(-1.0, 2.0)], 16)
+        basis = ClampedBasis([(-1.0, 2.0)], 16)
         (m,) = assemble(basis, PowerDecay(2.0, 3.0), Agmon(3.0), QUAD)
         for mat in (m.S, m.K, m.M, m.Minv, m.Mw):
-            low = lowest_k(mat, np.eye(m.dim), 1).eigenvalues[0]
+            low = lowest_k(mat, np.eye(m.dim), 1)[0]
             assert low > 0
 
     def test_agmon_weight_increases_mass(self):
-        basis = build_basis([(1.0, 3.0)], 8)
+        basis = ClampedBasis([(1.0, 3.0)], 8)
         (plain,) = assemble(basis, Constant(1.0), Unweighted(), QUAD)
         (weighted,) = assemble(basis, Constant(1.0), Agmon(4.0), QUAD)
         diff = weighted.Mw - plain.M
-        low = lowest_k(diff, np.eye(plain.dim), 1).eigenvalues[0]
+        low = lowest_k(diff, np.eye(plain.dim), 1)[0]
         assert low > 0  # w > 1 away from the origin
 
 
 class TestAssembleA:
     def setup_method(self):
-        self.basis = build_basis([(-math.pi, math.pi)], 16)
+        self.basis = ClampedBasis([(-math.pi, math.pi)], 16)
         (self.m,) = assemble(self.basis, Constant(0.75), Unweighted(), QUAD)
 
     def test_schrodinger_at_zero(self):
@@ -179,7 +177,7 @@ class TestAssembleA:
             (Constant(0.75), Unweighted(), [(-math.pi, math.pi)]),
             (PowerDecay(1.0, 4.0), Agmon(4.0), [(0.0, 1.0), (2.0, 2.5)]),
         ):
-            basis = build_basis(intervals, 12)
+            basis = ClampedBasis(intervals, 12)
             blocks = assemble(basis, pot, weight, QUAD)
             for kind in (ProblemKind.SCHRODINGER, ProblemKind.HELMHOLTZ):
                 for lam in (-1.0, 0.0, 0.7, 3.2):
@@ -194,25 +192,25 @@ class TestAssembleA:
     def test_schrodinger_positive_for_nonpositive_lambda(self):
         for lam in (-2.0, -0.5, 0.0):
             A = assemble_A(self.m, ProblemKind.SCHRODINGER, lam)
-            low = lowest_k(A, np.eye(self.m.dim), 1).eigenvalues[0]
+            low = lowest_k(A, np.eye(self.m.dim), 1)[0]
             assert low > 0
 
     def test_helmholtz_positive_at_zero(self):
         A = assemble_A(self.m, ProblemKind.HELMHOLTZ, 0.0)
-        low = lowest_k(A, np.eye(self.m.dim), 1).eigenvalues[0]
+        low = lowest_k(A, np.eye(self.m.dim), 1)[0]
         assert low > 0
 
 
 class TestDirectFormValue:
     def test_zero_vector(self):
-        basis = build_basis([(0.0, 1.0)], 8)
+        basis = ClampedBasis([(0.0, 1.0)], 8)
         val = direct_form_value(
             basis, Constant(1.0), ProblemKind.SCHRODINGER, np.zeros(basis.dim), 1.0, QUAD
         )
         assert val == 0.0
 
     def test_quadratic_homogeneity(self):
-        basis = build_basis([(0.0, 1.0)], 8)
+        basis = ClampedBasis([(0.0, 1.0)], 8)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(basis.dim)
         v1 = direct_form_value(basis, Constant(0.5), ProblemKind.HELMHOLTZ, u, 2.0, QUAD)
@@ -231,7 +229,7 @@ class TestRefinementConvergence:
             return (math.sin(x) ** 2) * (math.pi**2 - x**2) ** 2 / 40.0
 
         def energy(cells):
-            basis = build_basis([(-math.pi, math.pi)], cells)
+            basis = ClampedBasis([(-math.pi, math.pi)], cells)
             (m,) = assemble(basis, pot, Unweighted(), QUAD)
             # L2 projection of the smooth target onto the clamped space
             rhs = np.zeros(basis.dim)

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from teig import cli, curves, experiments, serialize
+from teig.model import PowerDecay, ShrinkingChain, load_problem, validate_problem
+
 CONFIG = {
     "problem": "helmholtz",
     "domain": {"type": "interval_union", "intervals": [[-math.pi, math.pi]]},
@@ -77,6 +80,39 @@ class TestExitCodes:
         assert json.loads(out.stderr)["error"] == "ValidationError"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "mutate, interval, matrix",
+        [
+            (lambda c: c["domain"].update(intervals=[[0.0, 1e300]]), "(0.0, 1e+300)", "S"),
+            (lambda c: c["domain"].update(intervals=[[0.0, 1e-300]]), "(0.0, 1e-300)", "S"),
+            (
+                lambda c: c.update(potential={"type": "power_decay", "c": 1.0, "alpha": 1000.0}),
+                f"({-math.pi!r}, {math.pi!r})",
+                "S",
+            ),
+            (
+                lambda c: c.update(weight={"type": "agmon", "alpha": 1000.0}),
+                f"({-math.pi!r}, {math.pi!r})",
+                "Mw",
+            ),
+        ],
+        ids=["interval-1e300", "interval-1e-300", "power-decay-alpha-1000", "agmon-alpha-1000"],
+    )
+    def test_form_matrices_out_of_range_exit_two(self, tmp_path, mutate, interval, matrix):
+        # h^2 overflows or underflows, or V or w leaves the float range on
+        # the interval: a typed error naming both, and no RuntimeWarning
+        # ahead of the JSON on stderr
+        config = json.loads(json.dumps(CONFIG))
+        mutate(config)
+        path = write_config(tmp_path, config)
+        out_path = tmp_path / "r.json"
+        out = run_cli("find", "--config", str(path), "--out", str(out_path))
+        assert out.returncode == 2, out.stderr
+        err = json.loads(out.stderr)
+        assert err["error"] == "ValidationError"
+        assert f"interval {interval}: form matrix {matrix} " in err["message"]
+        assert not out_path.exists()
+
     def test_problem_past_memory_budget_exits_two(self, tmp_path):
         config = json.loads(json.dumps(CONFIG))
         config["discretization"]["cells_per_interval"] = 100_000
@@ -139,7 +175,7 @@ class TestExitCodes:
             "problem = validate_problem(spec)\n"
             "sweep = dataclasses.replace(problem.sweep, refine_tol=1e-300)\n"
             "problem = dataclasses.replace(problem, sweep=sweep)\n"
-            "for entry in run_pipeline(problem).diagnostics['accepted']:\n"
+            "for entry in run_pipeline(problem)['diagnostics']['accepted']:\n"
             "    print(*map(repr, entry['bracket']))\n"
         )
         out = subprocess.run(
@@ -301,6 +337,16 @@ class TestExperimentCommands:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["verdict"] == "Report-only"
+
+    def test_hypothesis_below_the_bessel_ladder_floor_exits_two(self):
+        # sqrt(1e-6) * 1e-200 lies far below the smallest J argument whose
+        # Miller ladder stays finite
+        res = run_cli("hypothesis", "--radius", "1e-200")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "ArgumentOutOfRange"
+        assert "is below" in err["message"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -469,3 +515,57 @@ class TestInProcessEntryPoint:
             "error": "InternalError", "message": "RuntimeError: kernel fault"
         }
         assert rest.startswith("Traceback") and "kernel fault" in rest
+
+
+class TestLibraryMatchesCli:
+    """A subcommand writes exactly serialize.dumps(result, indent=2) of the
+    dict its library function returns for the same input."""
+
+    def test_find_and_sweep_write_the_pipeline_report(self, tmp_path):
+        path = write_config(tmp_path)
+        problem = validate_problem(load_problem(path))
+        expected = serialize.dumps(curves.run_pipeline(problem), indent=2)
+        assert cli.main(["find", "--config", str(path), "--out", str(tmp_path / "f.json")]) == 0
+        assert (tmp_path / "f.json").read_text() == expected
+        argv = ["sweep", "--config", str(path), "--out-curves", str(tmp_path / "c.csv"),
+                "--out-report", str(tmp_path / "s.json")]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "s.json").read_text() == expected
+        table = curves.sweep(problem, curves.prepare_matrices(problem))
+        assert (tmp_path / "c.csv").read_text() == serialize.curve_table_csv(*table)
+
+    @pytest.mark.parametrize(
+        "argv, run",
+        [
+            (
+                ["scaling", "--dim", "1", "--epsilons", "0.5"],
+                lambda: experiments.scaling_check(1, math.pi, 0.75, [0.5]),
+            ),
+            (
+                ["count", "--dim", "1", "--x-values", "50,100"],
+                lambda: experiments.counting_experiment(1, math.pi, 0.75, [50.0, 100.0]),
+            ),
+            (
+                ["packing", "--x", "8", "--cells", "48"],
+                lambda: experiments.packing_bound_check(4 * math.pi, 0.75, 8.0, cells=48),
+            ),
+            (
+                ["truncation", "--counts", "1,2", "--cells", "16"],
+                lambda: experiments.truncation_stability(
+                    ShrinkingChain(2, 0.0, 1.0, math.pi, 0.5), [1, 2], (0.5, 50.0),
+                    PowerDecay(60.0, 4.0), cells=16,
+                ),
+            ),
+            (
+                ["hypothesis", "--v0", "2.0", "--lambda-max", "5", "--steps", "100"],
+                lambda: experiments.hypothesis_scan(1, 0.5, 2.0, 5.0, steps=100),
+            ),
+        ],
+        ids=["scaling", "count", "packing", "truncation", "hypothesis"],
+    )
+    def test_experiment_writes_the_driver_result(self, tmp_path, argv, run):
+        out_path = tmp_path / "result.json"
+        code = cli.main([*argv, "--out", str(out_path)])
+        result = run()
+        assert out_path.read_text() == serialize.dumps(result, indent=2)
+        assert code == (1 if result["verdict"] == "Fail" else 0)

@@ -7,7 +7,7 @@ import pytest
 
 from teig import cli, curves
 from teig.assembly import FormMatrices, assemble_A, quadratic_coefficients
-from teig.curves import CurveTable, refine, report, run_pipeline, sweep
+from teig.curves import refine, report, run_pipeline, sweep
 from teig.eigensolve import eigvalsh, lowest_k, reduce
 from teig.errors import InertiaMismatch, NoConvergence
 from teig.model import (
@@ -22,7 +22,7 @@ from teig.model import (
     Unweighted,
     validate_problem,
 )
-from teig.serialize import dumps
+from teig.serialize import curve_table_csv, dumps
 from test_eigensolve import sturm_all_eigenvalues
 
 
@@ -55,28 +55,28 @@ class TestSweep:
     def test_shape_contract(self):
         prob = helmholtz_problem(cells=8, k=1, lo=1.0, hi=2.0, steps=2)
         m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        assert table.values.shape == (2, 1)
-        assert list(table.lambdas) == [1.0, 2.0]
+        lambdas, values = sweep(prob, m)
+        assert values.shape == (2, 1)
+        assert list(lambdas) == [1.0, 2.0]
 
     def test_rows_sorted(self):
         prob = helmholtz_problem(cells=16, k=6, steps=12)
         m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        assert np.all(np.diff(table.values, axis=1) >= 0)
+        _, values = sweep(prob, m)
+        assert np.all(np.diff(values, axis=1) >= 0)
 
     def test_schrodinger_nonpositive_lambda_all_positive(self):
         prob = helmholtz_problem(cells=16, k=6, lo=-2.0, hi=0.0, steps=25,
                                  kind=ProblemKind.SCHRODINGER)
         m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        assert table.values.min() > 0
+        _, values = sweep(prob, m)
+        assert values.min() > 0
 
     def test_helmholtz_zero_column_positive(self):
         prob = helmholtz_problem(cells=16, k=6, lo=0.0, hi=1.0, steps=5)
         m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        assert table.values[0].min() > 0
+        _, values = sweep(prob, m)
+        assert values[0].min() > 0
 
 
 def chain_problem():
@@ -111,16 +111,16 @@ class TestBlockSolves:
         cls.prob = chain_problem()
         cls.m = curves.prepare_matrices(cls.prob)
         # the chain's two crossings lie near 4.14 and 38.48
-        cls.table = sweep(regrid(cls.prob, 0.5, 50.0, 34), cls.m)
+        cls.lambdas, cls.values = sweep(regrid(cls.prob, 0.5, 50.0, 34), cls.m)
 
     def test_blocks_come_from_the_basis(self):
         assert [b.dim for b in self.m] == [31] * 6
 
     def test_per_block_matches_whole_matrix(self):
-        for lam, row in zip(self.table.lambdas, self.table.values):
+        for lam, row in zip(self.lambdas, self.values):
             A = block_diagonal([assemble_A(b, self.prob.kind, lam) for b in self.m])
             Mw = block_diagonal([b.Mw for b in self.m])
-            whole = np.array(lowest_k(A, Mw, 16).eigenvalues)
+            whole = lowest_k(A, Mw, 16)
             scale = np.max(np.abs(whole))
             assert np.max(np.abs(row - whole)) <= 1e-10 * scale, lam
 
@@ -129,7 +129,7 @@ class TestBlockSolves:
         # negative eigenvalues, so the nu-th values share their sign
         checked = 0
         negative = 0
-        for lam, row in zip(self.table.lambdas, self.table.values):
+        for lam, row in zip(self.lambdas, self.values):
             scale = np.max(np.abs(row))
             for nu in range(1, 17):
                 if abs(row[nu - 1]) < 1e-8 * scale:
@@ -148,7 +148,7 @@ class TestBlockSolves:
             k = prob.discretization.num_curves
             for lam in (0.5, 4.0000148, 17.25, 49.0):
                 via_lowest_k = np.sort(np.concatenate([
-                    lowest_k(assemble_A(b, prob.kind, lam), np.eye(b.dim), k).eigenvalues
+                    lowest_k(assemble_A(b, prob.kind, lam), np.eye(b.dim), k)
                     for b in m
                 ]))[:k]
                 direct = curves._identity_spectrum(prob.kind, m, lam)[:k]
@@ -176,10 +176,10 @@ class TestStackedEvaluator:
         prob = chain_problem()
         m = curves.prepare_matrices(prob)
         prob = regrid(prob, 0.5, 50.0, 34)
-        default = sweep(prob, m)
+        _, default = sweep(prob, m)
         point_bytes = 8 * sum(b.dim ** 2 for b in m)
         monkeypatch.setattr(curves, "SWEEP_CHUNK_BYTES", points * point_bytes)
-        assert np.array_equal(sweep(prob, m).values, default.values)
+        assert np.array_equal(sweep(prob, m)[1], default)
 
     @pytest.mark.parametrize(
         "make", [lambda: helmholtz_problem(cells=64, k=12), packing_problem],
@@ -189,11 +189,11 @@ class TestStackedEvaluator:
         prob = make()
         m = curves.prepare_matrices(prob)
         k = prob.discretization.num_curves
-        table = sweep(regrid(prob, prob.sweep.lambda_min, prob.sweep.lambda_max, 34), m)
-        for lam, row in zip(table.lambdas, table.values):
+        lambdas, values = sweep(regrid(prob, prob.sweep.lambda_min, prob.sweep.lambda_max, 34), m)
+        for lam, row in zip(lambdas, values):
             A = block_diagonal([assemble_A(b, prob.kind, lam) for b in m])
             Mw = block_diagonal([b.Mw for b in m])
-            whole = np.array(lowest_k(A, Mw, k).eigenvalues)
+            whole = lowest_k(A, Mw, k)
             scale = np.max(np.abs(whole))
             assert np.max(np.abs(row - whole)) <= 1e-10 * scale, lam
 
@@ -343,7 +343,7 @@ class TestBlockSkipping:
 
         monkeypatch.setattr(curves, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr(curves, "above", counted_above)
-        values = sweep(prob, m).values
+        _, values = sweep(prob, m)
         chunks = -(-prob.sweep.steps // (curves.SWEEP_CHUNK_BYTES // C0.nbytes))
         assert solved[0] == [0, 1, 2, 3, 4, 5]
         assert solved[1:] == [[0, 1, 2]] * (chunks - 1)
@@ -351,9 +351,8 @@ class TestBlockSkipping:
         assert values.max() < 228.0
 
 
-def sweep_sign_changes(table):
-    """(curve index, cell) for every strict sign change of the curve table."""
-    v = table.values
+def sweep_sign_changes(v):
+    """(curve index, cell) for every strict sign change of the curve values."""
     cells, curves_ = np.nonzero(v[:-1] * v[1:] < 0.0)
     return sorted(zip((curves_ + 1).tolist(), cells.tolist()))
 
@@ -370,27 +369,27 @@ class TestCrossCheck:
     def test_every_sweep_sign_change_has_a_root(self, make):
         prob = make()
         m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
-        accepted = run_pipeline(prob, m).diagnostics["accepted"]
+        lambdas, values = sweep(prob, m)
+        accepted = run_pipeline(prob, m)["diagnostics"]["accepted"]
         tol = prob.sweep.refine_tol
-        changes = sweep_sign_changes(table)
+        changes = sweep_sign_changes(values)
         assert changes
         for nu, i in changes:
-            lo, hi = table.lambdas[i] - tol, table.lambdas[i + 1] + tol
+            lo, hi = lambdas[i] - tol, lambdas[i + 1] + tol
             assert any(
                 a["curve_index"] == nu and lo <= a["lambda"] <= hi for a in accepted
-            ), (nu, table.lambdas[i])
+            ), (nu, lambdas[i])
         assert len(accepted) == len(changes)
 
     def test_near_axis_pair_not_reported(self):
         # the reference spectrum has a genuine pair at 3.9789 +- 0.036i
         rep = run_pipeline(helmholtz_problem(cells=64, k=12, cluster=1e-6))
-        nonreal = rep.diagnostics["nonreal_in_window"]
+        nonreal = rep["diagnostics"]["nonreal_in_window"]
         assert nonreal["count"] >= 2
         assert nonreal["min_abs_imag"] == pytest.approx(0.0359, abs=1e-3)
-        reported = [e["lambda"] for e in rep.entries]
-        reported += [a["candidate"] for a in rep.diagnostics["accepted"]]
-        reported += [d["candidate"] for d in rep.diagnostics["dropped"]]
+        reported = [e["lambda"] for e in rep["transmission_eigenvalues"]]
+        reported += [a["candidate"] for a in rep["diagnostics"]["accepted"]]
+        reported += [d["candidate"] for d in rep["diagnostics"]["dropped"]]
         assert reported and all(abs(lam - 3.9789) > 0.02 for lam in reported)
 
     def test_forced_inertia_mismatch_raises(self, monkeypatch, tmp_path, capsys):
@@ -425,23 +424,24 @@ class TestDetection:
     def test_all_positive(self):
         # no transmission eigenvalue lies in (0.5, 3) on the reference interval
         rep = run_pipeline(helmholtz_problem(cells=16, k=6, lo=0.5, hi=3.0))
-        assert rep.entries == ()
-        inertia = rep.diagnostics["inertia"]
+        assert rep["transmission_eigenvalues"] == []
+        inertia = rep["diagnostics"]["inertia"]
         assert inertia["at_lambda_min"] == inertia["at_lambda_max"] == 0
 
     def test_single_sign_change(self):
         # A(lambda) = lambda^2 - 1: curve 1 changes sign once in (0, 2)
         prob = helmholtz_problem(lo=0.0, hi=2.0, k=1, kind=ProblemKind.SCHRODINGER)
         rep = run_pipeline(prob, scalar_matrices(-1.0, 0.0, 1.0))
-        assert [(e["curve_index"], e["multiplicity_estimate"]) for e in rep.entries] == [(1, 1)]
-        assert rep.entries[0]["lambda"] == pytest.approx(1.0, abs=1e-8)
+        entries = rep["transmission_eigenvalues"]
+        assert [(e["curve_index"], e["multiplicity_estimate"]) for e in entries] == [(1, 1)]
+        assert entries[0]["lambda"] == pytest.approx(1.0, abs=1e-8)
 
     def test_tangential_root_dropped(self):
         # A(lambda) = (lambda - 1)^2 touches zero without changing sign
         prob = helmholtz_problem(lo=0.0, hi=2.0, k=1, kind=ProblemKind.SCHRODINGER)
         rep = run_pipeline(prob, scalar_matrices(1.0, -2.0, 1.0))
-        assert rep.entries == ()
-        assert [d["reason"] for d in rep.diagnostics["dropped"]] == ["tangential"] * 2
+        assert rep["transmission_eigenvalues"] == []
+        assert [d["reason"] for d in rep["diagnostics"]["dropped"]] == ["tangential"] * 2
 
     def test_two_indices_same_cell(self):
         # two equal intervals: bit-identical blocks, so every root is double
@@ -454,13 +454,13 @@ class TestDetection:
         )
         prob = validate_problem(spec)
         rep = run_pipeline(prob)
-        assert rep.entries
-        for entry in rep.entries:
+        assert rep["transmission_eigenvalues"]
+        for entry in rep["transmission_eigenvalues"]:
             assert entry["multiplicity_estimate"] == 2
-        accepted = rep.diagnostics["accepted"]
+        accepted = rep["diagnostics"]["accepted"]
         assert [a["curve_index"] for a in accepted] == list(range(1, len(accepted) + 1))
-        table = sweep(prob, curves.prepare_matrices(prob))
-        signs = np.sign(table.values)
+        _, values = sweep(prob, curves.prepare_matrices(prob))
+        signs = np.sign(values)
         changed = {nu + 1 for nu in range(6) if np.any(signs[1:, nu] != signs[:-1, nu])}
         assert changed == {a["curve_index"] for a in accepted}
 
@@ -477,10 +477,11 @@ class TestDetection:
             sweep=SweepConfig(0.5, 10.0, 400, 1e-8, 1e-6),
         )
         rep = run_pipeline(validate_problem(spec))
-        got = [(round(e["lambda"], 7), e["multiplicity_estimate"]) for e in rep.entries]
+        entries = rep["transmission_eigenvalues"]
+        got = [(round(e["lambda"], 7), e["multiplicity_estimate"]) for e in entries]
         assert got == [(4.0000216, 2), (4.0422284, 2)]
-        assert [a["curve_index"] for a in rep.diagnostics["accepted"]] == [1, 2, 3, 4]
-        assert rep.diagnostics["dropped"] == []
+        assert [a["curve_index"] for a in rep["diagnostics"]["accepted"]] == [1, 2, 3, 4]
+        assert rep["diagnostics"]["dropped"] == []
 
     def test_merge_groups(self):
         # a group with too many crossings takes in its neighbour with too few
@@ -496,10 +497,10 @@ class TestDetection:
     def test_curve_above_num_curves_dropped(self):
         prob = helmholtz_problem(cells=32, k=1, lo=3.0, hi=5.0)
         rep = run_pipeline(prob)
-        assert [a["curve_index"] for a in rep.diagnostics["accepted"]] == [1]
-        dropped = rep.diagnostics["dropped"]
+        assert [a["curve_index"] for a in rep["diagnostics"]["accepted"]] == [1]
+        dropped = rep["diagnostics"]["dropped"]
         assert [(d["reason"], d["curve_index"]) for d in dropped] == [("above_num_curves", 2)]
-        assert [e["curve_index"] for e in rep.entries] == [1]
+        assert [e["curve_index"] for e in rep["transmission_eigenvalues"]] == [1]
 
 
 class TestRefine:
@@ -519,7 +520,7 @@ class TestRefine:
     def test_real_crossing_near_four(self):
         prob = helmholtz_problem(cells=32, k=6, lo=3.0, hi=5.0, steps=40)
         m = curves.prepare_matrices(prob)
-        accepted = run_pipeline(prob, m).diagnostics["accepted"]
+        accepted = run_pipeline(prob, m)["diagnostics"]["accepted"]
         assert accepted
         lam, _, _ = refine(prob, m, accepted[0]["curve_index"], 3.9, (3.0, 4.02), False)
         assert lam == pytest.approx(4.0, abs=1e-2)
@@ -531,8 +532,8 @@ class TestReport:
         prob = helmholtz_problem(cells=16, k=6, cluster=1e-5)
         m = curves.prepare_matrices(prob)
         rep = report(prob, [(3.0, 1), (3.0000004, 2)], m)
-        assert len(rep.entries) == 1
-        entry = rep.entries[0]
+        assert len(rep["transmission_eigenvalues"]) == 1
+        entry = rep["transmission_eigenvalues"][0]
         assert entry["multiplicity_estimate"] == 2
         assert entry["curve_index"] == 1
 
@@ -540,19 +541,19 @@ class TestReport:
         prob = helmholtz_problem(cells=16, k=6)
         m = curves.prepare_matrices(prob)
         rep = report(prob, [(4.0, 1)], m)
-        assert rep.entries[0]["multiplicity_estimate"] == 1
+        assert rep["transmission_eigenvalues"][0]["multiplicity_estimate"] == 1
 
     def test_helmholtz_zero_dropped(self):
         prob = helmholtz_problem(cells=16, k=6)
         m = curves.prepare_matrices(prob)
         rep = report(prob, [(1e-9, 1)], m)
-        assert rep.entries == ()
+        assert rep["transmission_eigenvalues"] == []
 
     def test_metadata_present(self):
         prob = helmholtz_problem(cells=16, k=6)
         m = curves.prepare_matrices(prob)
         rep = report(prob, [(4.0, 1)], m)
-        meta = rep.metadata
+        meta = rep["metadata"]
         assert set(meta) >= {"problem_hash", "grid", "tolerances", "kind"}
         assert len(meta["problem_hash"]) == 64
 
@@ -566,7 +567,7 @@ class TestPipelineProperties:
             prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=60,
                                      refine_tol=1e-8, weight=weight)
             rep = run_pipeline(prob)
-            lams[name] = sorted(e["lambda"] for e in rep.entries)
+            lams[name] = sorted(e["lambda"] for e in rep["transmission_eigenvalues"])
         assert len(lams["agmon"]) == len(lams["plain"]) > 0
         for a, b in zip(lams["agmon"], lams["plain"]):
             assert abs(a - b) <= 1e-7
@@ -575,7 +576,7 @@ class TestPipelineProperties:
         prob = helmholtz_problem(cells=16, k=6, lo=-2.0, hi=0.5, steps=40,
                                  kind=ProblemKind.SCHRODINGER)
         rep = run_pipeline(prob)
-        assert all(e["lambda"] > 0 for e in rep.entries)
+        assert all(e["lambda"] > 0 for e in rep["transmission_eigenvalues"])
 
     def test_grid_doubling_stability(self):
         results = []
@@ -583,14 +584,14 @@ class TestPipelineProperties:
             prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=steps,
                                      refine_tol=1e-8)
             rep = run_pipeline(prob)
-            results.append(sorted(e["lambda"] for e in rep.entries))
+            results.append(sorted(e["lambda"] for e in rep["transmission_eigenvalues"]))
         assert len(results[0]) == len(results[1])
         for a, b in zip(*results):
             assert abs(a - b) < 5 * 1e-8
 
     def test_refined_brackets_disjoint(self):
         prob = helmholtz_problem(cells=32, k=8, lo=0.5, hi=10.0, steps=200)
-        accepted = run_pipeline(prob).diagnostics["accepted"]
+        accepted = run_pipeline(prob)["diagnostics"]["accepted"]
         assert len(accepted) >= 2
         spans = sorted(tuple(a["bracket"]) for a in accepted)
         for (l0, r0), (l1, r1) in zip(spans, spans[1:]):
@@ -606,7 +607,8 @@ class TestPipelineProperties:
             prob = helmholtz_problem(cells=cells, k=4, lo=3.5, hi=4.5, steps=40,
                                      refine_tol=1e-10)
             rep = run_pipeline(prob)
-            lam = min((e["lambda"] for e in rep.entries), key=lambda v: abs(v - 4.0))
+            lams = [e["lambda"] for e in rep["transmission_eigenvalues"]]
+            lam = min(lams, key=lambda v: abs(v - 4.0))
             reported.append(lam)
         d1 = abs(reported[0] - reported[1])
         d2 = abs(reported[1] - reported[2])
@@ -615,28 +617,26 @@ class TestPipelineProperties:
     def test_residual_bounded_by_refine_tol_scale(self):
         prob = helmholtz_problem(cells=32, k=8, lo=3.0, hi=5.0, steps=60, refine_tol=1e-8)
         m = curves.prepare_matrices(prob)
-        table = sweep(prob, m)
+        lambdas, values = sweep(prob, m)
         rep = run_pipeline(prob, m)
-        assert rep.entries
-        for entry in rep.entries:
-            col = table.values[:, entry["curve_index"] - 1]
-            i = np.searchsorted(table.lambdas, entry["lambda"]) - 1
-            slope = abs(col[i + 1] - col[i]) / (table.lambdas[i + 1] - table.lambdas[i])
+        assert rep["transmission_eigenvalues"]
+        for entry in rep["transmission_eigenvalues"]:
+            col = values[:, entry["curve_index"] - 1]
+            i = np.searchsorted(lambdas, entry["lambda"]) - 1
+            slope = abs(col[i + 1] - col[i]) / (lambdas[i + 1] - lambdas[i])
             assert entry["residual"] <= 10 * 1e-8 * max(slope, 1.0)
 
 
 class TestSerialization:
     def test_csv_shape(self):
-        table = CurveTable(np.array([1.0, 2.0]), np.array([[0.5, 1.5], [0.25, 2.5]]))
-        text = table.to_csv()
+        text = curve_table_csv(np.array([1.0, 2.0]), np.array([[0.5, 1.5], [0.25, 2.5]]))
         lines = text.strip().split("\n")
         assert lines[0] == "lambda,mu_1,mu_2"
         assert len(lines) == 3
 
     def test_csv_seventeen_digits_round_trip(self):
         lam = 1.0 / 3.0
-        table = CurveTable(np.array([lam]), np.array([[math.pi]]))
-        lines = table.to_csv().strip().split("\n")
+        lines = curve_table_csv(np.array([lam]), np.array([[math.pi]])).strip().split("\n")
         lam_text, mu_text = lines[1].split(",")
         assert float(lam_text) == lam
         assert float(mu_text) == math.pi
@@ -645,5 +645,5 @@ class TestSerialization:
         prob = helmholtz_problem(cells=16, k=6)
         m = curves.prepare_matrices(prob)
         rep = report(prob, [(4.0, 1)], m)
-        parsed = json.loads(dumps(rep.to_json_obj(), indent=2))
+        parsed = json.loads(dumps(rep, indent=2))
         assert parsed["transmission_eigenvalues"][0]["curve_index"] == 1

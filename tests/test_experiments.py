@@ -10,12 +10,12 @@ from teig.model import PowerDecay, ShrinkingChain
 class TestScaling:
     def test_identity_epsilon(self):
         r = ex.scaling_check(1, math.pi, 0.75, [1.0])
-        assert r.verdict == "Pass"
-        assert r.margins["max_rel_err"] < 1e-10
+        assert r["verdict"] == "Pass"
+        assert r["margins"]["max_rel_err"] < 1e-10
 
     def test_half_radius_quadruples(self):
         r = ex.scaling_check(1, math.pi, 0.75, [0.5])
-        row = r.tables[0]["rows"][0]
+        row = r["tables"][0]["rows"][0]
         eps, base, scaled, expected, rel = row
         assert base == pytest.approx(4.0, abs=1e-8)
         assert scaled == pytest.approx(16.0, abs=1e-6)
@@ -23,7 +23,7 @@ class TestScaling:
 
     def test_cites_tolerance(self):
         r = ex.scaling_check(3, math.pi, 0.75, [0.5])
-        assert r.margins["tolerance"] == 1e-8
+        assert r["margins"]["tolerance"] == 1e-8
 
     def test_rejects_bad_contrast(self):
         with pytest.raises(ValidationError):
@@ -37,17 +37,17 @@ class TestCounting:
 
     def test_n1_slope(self):
         r = ex.counting_experiment(1, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
-        assert r.verdict == "Pass"
-        assert abs(r.margins["slope"] - 0.5) <= 0.2
+        assert r["verdict"] == "Pass"
+        assert abs(r["margins"]["slope"] - 0.5) <= 0.2
 
     def test_dim3_counts_pinned(self):
         r = ex.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
-        assert [row[1] for row in r.tables[0]["rows"]] == [481, 1437, 4472, 13371]
-        assert r.verdict == "Pass"
+        assert [row[1] for row in r["tables"][0]["rows"]] == [481, 1437, 4472, 13371]
+        assert r["verdict"] == "Pass"
 
     def test_rows_monotone(self):
         r = ex.counting_experiment(1, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
-        counts = [row[1] for row in r.tables[0]["rows"]]
+        counts = [row[1] for row in r["tables"][0]["rows"]]
         assert counts == sorted(counts)
 
 
@@ -80,14 +80,14 @@ class TestTruncation:
         r = ex.truncation_stability(
             self.chain(), [2, 2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16
         )
-        assert r.verdict == "Report-only"
-        assert r.tables[2]["rows"][0][2] == 0.0
+        assert r["verdict"] == "Report-only"
+        assert r["tables"][2]["rows"][0][2] == 0.0
 
     def test_single_count_no_drift_rows(self):
         r = ex.truncation_stability(
             self.chain(), [2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16
         )
-        assert r.tables[2]["rows"] == []
+        assert r["tables"][2]["rows"] == []
 
     def test_requires_power_decay_alpha(self):
         with pytest.raises(ValidationError):
@@ -97,7 +97,7 @@ class TestTruncation:
         r = ex.truncation_stability(
             self.chain(), [2, 4], (0.5, 30.0), PowerDecay(60.0, 4.0), cells=16
         )
-        drift = r.tables[2]["rows"]
+        drift = r["tables"][2]["rows"]
         assert len(drift) == 1
         assert math.isfinite(drift[0][2])
 
@@ -105,18 +105,18 @@ class TestTruncation:
 class TestHypothesis:
     def test_schema_and_verdict(self):
         r = ex.hypothesis_scan(1, 0.5, 2.0, 10.0, steps=200)
-        assert r.verdict == "Report-only"
-        assert r.tables[0]["columns"] == ["root", "bracket_left", "bracket_right", "ell"]
+        assert r["verdict"] == "Report-only"
+        assert r["tables"][0]["columns"] == ["root", "bracket_left", "bracket_right", "ell"]
 
     def test_large_potential_finds_roots(self):
         r = ex.hypothesis_scan(1, 0.5, 40.0, 60.0, steps=1200)
-        roots = [row[0] for row in r.tables[0]["rows"]]
+        roots = [row[0] for row in r["tables"][0]["rows"]]
         assert any(abs(r0 - 25.117) < 0.05 for r0 in roots)
 
     def test_branch_boundary_skipped(self):
         # grid straddles lambda = v0 without erroring
         r = ex.hypothesis_scan(1, 1.0, 1.0, 2.0, steps=101)
-        assert r.verdict == "Report-only"
+        assert r["verdict"] == "Report-only"
 
     def test_nonpositive_potential_rejected(self):
         from teig.errors import NonPositivePotential

@@ -2,12 +2,15 @@
 ``eigensolve.py``, the one generalized eigensolver, so every factorization
 and eigensolve goes through its checked, typed-error boundary; and the
 radial oracle (``radial.py`` with its Bessel library ``specfun.py``) imports
-nothing of the Galerkin machinery, so it stays an independent check of it."""
+nothing of the Galerkin machinery, so it stays an independent check of it;
+and every error type ``errors.py`` declares is raised somewhere in the
+package."""
 
 import ast
 from pathlib import Path
 
 import teig
+from teig import errors
 
 SRC = Path(teig.__file__).resolve().parent
 
@@ -131,3 +134,28 @@ def test_the_import_guard_sees_every_spelling(tmp_path):
         "from .specfun import _j_triplet\n"
     )
     assert teig_imports(probe) == GALERKIN | {"model", "errors", "specfun"}
+
+
+def raised_names(path):
+    """Names of the exception classes a module raises: ``raise E(...)`` and
+    ``raise E``, with E a name or a module attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised_by_the_package():
+    declared = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.TeigError)
+    }
+    raised = set().union(*(raised_names(path) for path in SRC.glob("*.py")))
+    assert "ValidationError" in raised  # the scan sees real raise statements
+    assert declared - raised == set()

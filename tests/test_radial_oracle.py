@@ -5,7 +5,6 @@ import pytest
 
 from teig.errors import (
     ArgumentOutOfRange,
-    DegenerateInterior,
     HelmholtzContrastDegenerate,
     UnsupportedDimension,
     ValidationError,
@@ -21,11 +20,15 @@ from teig.radial import (
     _sign_brackets,
     first_te,
     harmonic_multiplicity,
-    te_list_up_to,
     te_lists_up_to,
 )
 import scalar_oracle
-from one_point import Branch, characteristic_determinant, interior_wavenumber
+from one_point import (
+    Branch,
+    DegenerateInterior,
+    characteristic_determinant,
+    interior_wavenumber,
+)
 
 H = ProblemKind.HELMHOLTZ
 S = ProblemKind.SCHRODINGER
@@ -115,7 +118,7 @@ class TestBesselWindow:
         # at the top with sqrt(lambda) R < 200 needs kappa^2 > lambda, so
         # the window rule is called on the scan's ends directly
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _check_window(S, 10.0, -200.0, [1e-6, 300.0])
+            _check_window(S, 10.0, -200.0, 0, [1e-6, 300.0])
 
     def test_interior_evanescent_past_window(self):
         # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
@@ -124,6 +127,16 @@ class TestBesselWindow:
         # Helmholtz with v0 > 1: |kappa| R = sqrt(lambda (v0 - 1)) R > 60 at the top
         with pytest.raises(ArgumentOutOfRange, match="interior"):
             _scan_determinant(RadialProblem(H, 1, 1.0, 5.0), (0,), 1e-6, 1000.0, 50, 1e-8)
+
+    def test_below_the_j_ladder_floor(self):
+        # R = 1e-13: the exterior argument sqrt(lambda) R passes
+        # bessel_j_min_arg(0) = 6.9e-17 between lambda = 1e-7 and 1e-5, so
+        # a point below reads NaN and a scan that starts below fails
+        ball = RadialProblem(H, 3, 1e-13, 0.75)
+        low, high = _det_grid(H, 3, 1e-13, 0.75, 0, [1e-7, 1e-5])
+        assert math.isnan(low) and math.isfinite(high)
+        with pytest.raises(ArgumentOutOfRange, match="exterior .* is below"):
+            _scan_determinant(ball, (0,), 1e-7, 1e-5, 10, 1e-9)
 
 
 # (kind, v0, radius, largest lambda): Helmholtz with an oscillatory (v0 < 1)
@@ -297,9 +310,9 @@ class TestSharedWindows:
         xs = [50.0, 100.0, 200.0, 400.0]
         ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
         together = te_lists_up_to(base, xs, ell_maxes)
-        alone = [te_list_up_to(base, x, lm) for x, lm in zip(xs, ell_maxes)]
+        alone = [one_window(base, x, lm) for x, lm in zip(xs, ell_maxes)]
         assert together == alone
-        assert all(tl.entries for tl in together)
+        assert all(together)
 
     def test_count_run_shares_determinant_calls(self, monkeypatch):
         # teig count --dim 3 --x-values 50,100,200,400 made 112 determinant
@@ -329,7 +342,7 @@ class TestPolishPrescreen:
         xs = [50.0, 100.0, 200.0, 400.0]
         ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
         roots = sorted(
-            {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, _ in tl.entries}
+            {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, _ in tl}
         )
         lam = np.array([r for r, _ in roots])
         ells = np.array([ell for _, ell in roots], dtype=float)
@@ -379,49 +392,57 @@ class TestHarmonicMultiplicity:
             harmonic_multiplicity(4, 0)
 
 
+def one_window(base, x, ell_max):
+    """The entries of te_lists_up_to on the one window (x, ell_max)."""
+    return te_lists_up_to(base, [x], [ell_max])[0]
+
+
 class TestTEList:
     def test_1d_contains_four(self):
         base = RadialProblem(H, 1, math.pi, 0.75)
-        tl = te_list_up_to(base, 4.5, 0)
-        assert any(abs(lam - 4.0) < 1e-8 and ell == 0 and deg == 1 for lam, ell, deg in tl.entries)
+        tl = one_window(base, 4.5, 0)
+        assert any(abs(lam - 4.0) < 1e-8 and ell == 0 and deg == 1 for lam, ell, deg in tl)
 
     def test_3d_contains_four(self):
         base = RadialProblem(H, 3, math.pi, 0.75)
-        tl = te_list_up_to(base, 4.5, 0)
-        assert any(abs(lam - 4.0) < 1e-8 for lam, _, _ in tl.entries)
+        tl = one_window(base, 4.5, 0)
+        assert any(abs(lam - 4.0) < 1e-8 for lam, _, _ in tl)
 
     def test_empty_below_first_root(self):
         base = RadialProblem(H, 1, math.pi, 0.75)
-        assert te_list_up_to(base, 2.0, 1).entries == ()
+        assert one_window(base, 2.0, 1) == ()
 
     def test_sorted_and_positive(self):
         base = RadialProblem(H, 3, math.pi, 0.75)
-        tl = te_list_up_to(base, 40.0, 4)
-        lams = [lam for lam, _, _ in tl.entries]
+        tl = one_window(base, 40.0, 4)
+        lams = [lam for lam, _, _ in tl]
         assert lams == sorted(lams)
         assert all(lam > 0 for lam in lams)
 
     @pytest.mark.parametrize("eps", [0.5, 0.25])
     @pytest.mark.parametrize("dim,ell_max", [(1, 1), (3, 3)])
     def test_dilation_scaling(self, eps, dim, ell_max):
-        base = te_list_up_to(RadialProblem(H, dim, math.pi, 0.75), 40.0, ell_max)
-        scaled = te_list_up_to(
+        base = one_window(RadialProblem(H, dim, math.pi, 0.75), 40.0, ell_max)
+        scaled = one_window(
             RadialProblem(H, dim, math.pi * eps, 0.75), 40.0 / eps**2, ell_max
         )
-        assert scaled.entries
-        for lam, _, _ in scaled.entries:
-            best = min(abs(lam - b / eps**2) / (b / eps**2) for b, _, _ in base.entries)
+        assert scaled
+        for lam, _, _ in scaled:
+            best = min(abs(lam - b / eps**2) / (b / eps**2) for b, _, _ in base)
             assert best <= 1e-8
 
     def test_helmholtz_list_nonempty_when_window_large(self):
         # 100x the first-root estimate: existence of infinitely many
         for radius, v0 in ((1.0, 0.3), (2.0, 0.6), (math.pi, 0.75)):
             lam1 = first_te(RadialProblem(H, 1, radius, v0))
-            tl = te_list_up_to(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
-            assert len(tl.entries) > 3
+            tl = one_window(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
+            assert len(tl) > 3
 
     def test_weighted_count(self):
+        # the counting experiment's N(x) is the degeneracy sum of the list up to x
         base = RadialProblem(H, 3, math.pi, 0.75)
-        tl = te_list_up_to(base, 30.0, 2)
-        manual = sum(d for lam, _, d in tl.entries if lam <= 20.0)
-        assert tl.weighted_count(20.0) == manual
+        xs = [20.0, 30.0]
+        lists = te_lists_up_to(base, xs, [2, 2])
+        manual = [sum(d for lam, _, d in tl if lam <= x) for x, tl in zip(xs, lists)]
+        result = experiments.counting_experiment(3, math.pi, 0.75, xs, ell_max=2)
+        assert [row[1] for row in result["tables"][0]["rows"]] == manual

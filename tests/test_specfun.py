@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from teig.errors import ArgumentOutOfRange, NonPositiveArgument
-from teig.specfun import _i_triplet, _j_triplet
+from teig.errors import ArgumentOutOfRange
+from teig.specfun import _i_triplet, _j_triplet, bessel_j_min_arg
 
 import scalar_oracle
-from one_point import Branch, RadialWave, bessel_i, bessel_j, gamma_real, radial_wave
+from one_point import (
+    Branch,
+    NonPositiveArgument,
+    RadialWave,
+    bessel_i,
+    bessel_j,
+    gamma_real,
+    radial_wave,
+)
 
 
 def j_half_closed(x):
@@ -173,6 +181,19 @@ class TestArrayKernels:
         want = [scalar_oracle.j_triplet(nu0 + e, v) for e, v in zip(ell.tolist(), x.tolist())]
         series = (x <= 8.0) | (x * x <= 2.0 * (nu0 + ell + 1.0))
         assert series.sum() > 0.5 * x.size and (~series).sum() > 0.05 * x.size
+        assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
+
+    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.5])
+    def test_j_triplet_at_the_lower_bound(self, nu0):
+        # at bessel_j_min_arg each ladder step stays within what the 2^-500
+        # rescale absorbs (at orders 0-40 the ladders overflow from about
+        # x = 1e-18 down); the triplets are finite and match the scalar
+        # reference, which retries on overflow
+        ell = np.arange(0.0, 41.0)
+        x = bessel_j_min_arg(ell)
+        got, _ = _j_triplet(nu0, ell, x)
+        assert np.isfinite(got).all()
+        want = [scalar_oracle.j_triplet(nu0 + e, v) for e, v in zip(ell.tolist(), x.tolist())]
         assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
 
     def test_j_triplet_does_not_depend_on_the_batch(self):
