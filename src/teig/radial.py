@@ -8,7 +8,13 @@ and the positive scale the Bessel kernels leave on each column cancels.
 It is evaluated on arrays of (order, lambda) points.  A scan lists each
 lambda's orders together, so one Bessel ladder per (lambda, block of 16
 orders) serves the whole grid; the windows of one problem are scanned
-together and share every determinant call.
+together and share every determinant call.  Nested windows scan each order
+once: on each segment between consecutive window ends the grid is that
+window's own, the joint is one point of both segments, and a bracket is
+bisected to its segment's window tolerance.  No order is scanned below
+lambda = (b(nu)/R)^2, b(nu) = max(nu, 2 (nu+1)^(1/2) (nu+2)^(1/4)), a lower
+bound of its first Bessel zero (Watson, A Treatise on the Theory of Bessel
+Functions, sections 15.3 and 15.51), below which D has no root.
 """
 
 import math
@@ -318,24 +324,71 @@ def _check_scan_size(rows, steps):
         )
 
 
-def _scan_pass(det, ells, lo, hi, tol, steps):
-    """One sign scan of every row r (order ells[r] on linspace(lo[r], hi[r],
-    steps)), lambda-major so a window's rows share ladders: exact grid hits
-    above LAMBDA_FLOOR plus one bisected root per sign-change cell, as the
-    table (row, root, left, right) sorted by row then root; a hit is its
-    own bracket.  D vanishes like lambda as lambda -> 0, so a hit at the
-    floor is no root."""
-    grid = np.linspace(lo, hi, steps)  # (steps, rows)
-    values = det(np.tile(ells, steps), grid.ravel()).reshape(grid.shape)
-    hits, cells = _sign_brackets(values.T)
-    hits &= grid.T > LAMBDA_FLOOR
-    row, cell = np.nonzero(cells)
-    a, b = grid[cell, row], grid[cell + 1, row]
-    found = _bisect_brackets(det, ells[row], a, b, values[cell, row], tol[row])
-    hit_row, hit = np.nonzero(hits)
-    at = grid[hit, hit_row]
+def _root_free_below(n, radius, ells):
+    """Per order, a lambda at and below which the matching determinant has
+    no zero: (b(nu)/R)^2 with nu = ell + (n - 2)/2 and the lower bound
+    b(nu) = max(nu, 2 (nu+1)^(1/2) (nu+2)^(1/4)) < j_{nu,1}.
+
+    D = 0 exactly when x_i F_i'/F_i = x_e J_nu'/J_nu at x_e = sqrt(lambda) R
+    and x_i = |kappa| R.  By the Mittag-Leffler expansion x J'/J = nu -
+    2 sum_k x^2 / (j_{nu,k}^2 - x^2), which is strictly decreasing and
+    below nu on (0, j_{nu,1}), while x I'/I > nu; a J interior has x_i <
+    x_e (kappa^2 is lambda (1 - v0) or lambda - v0).  So D has no zero
+    while x_e < j_{nu,1}.  j_{nu,1} > nu, and the Rayleigh sum
+    sum_k j_{nu,k}^-4 = 1/(16 (nu+1)^2 (nu+2)) puts j_{nu,1} above the
+    second term (Watson, A Treatise on the Theory of Bessel Functions,
+    sections 15.3 and 15.51).
+    """
+    nu = np.asarray(ells, dtype=float) + 0.5 * (n - 2)
+    b = np.maximum(nu, 2.0 * np.sqrt(nu + 1.0) * (nu + 2.0) ** 0.25)
+    return (b / radius) ** 2
+
+
+def _window(hi, row, right):
+    """The window of each bracket: the index of the first of its row's
+    ends at or above its right end."""
+    return np.argmax(hi[row] >= right[:, None], axis=1)
+
+
+def _scan_pass(det, ells, lo, hi, tol, steps, floor):
+    """One sign scan of every row r, order ells[r] over its window ends
+    hi[r] (ascending, NaN for a window the row skips).  On each segment
+    (e', e] between consecutive ends the row's grid takes the points of
+    linspace(lo[r], e, steps), so a joint e' is one point of both
+    segments.  The row's cells start at its last grid point at or below
+    floor[r] (_root_free_below): each window keeps at most one point at or
+    below it, and a cell that ends there is dropped.  Returns exact grid
+    hits above floor[r] and LAMBDA_FLOOR plus one root per sign-change
+    cell, bisected to tol[r, j] of the window j of the cell's right end, as
+    the table (row, root, left, right) sorted by row then root; a hit is
+    its own bracket.  D vanishes like lambda as lambda -> 0, so a hit at
+    the floor is no root.  Points are evaluated window by window,
+    lambda-major, so the rows of a window share ladders."""
+    lam, rid = [], []
+    last = np.full(lo.shape, -np.inf)  # each row's previous window end
+    for end in hi.T:
+        (r,) = np.nonzero(~np.isnan(end))
+        grid = np.linspace(lo[r], end[r], steps)  # (steps, rows of this window)
+        keep = grid > last[r]
+        # the last point at or below the floor, and every point above it
+        keep &= grid >= np.max(grid, axis=0, where=keep & (grid <= floor[r]), initial=-np.inf)
+        lam.append(grid[keep])
+        rid.append(np.broadcast_to(r, grid.shape)[keep])
+        last[r] = end[r]
+    lam, rid = np.concatenate(lam), np.concatenate(rid)
+    values = det(ells[rid], lam)
+    order = np.argsort(rid, kind="stable")  # row by row, each ascending
+    lam, rid, values = lam[order], rid[order], values[order]
+    (hits,), (cells,) = _sign_brackets(values[None])
+    above = lam > np.maximum(LAMBDA_FLOOR, floor[rid])
+    hits &= above
+    (cell,) = np.nonzero(cells & (rid[1:] == rid[:-1]) & above[1:])
+    row, a, b = rid[cell], lam[cell], lam[cell + 1]
+    found = _bisect_brackets(det, ells[row], a, b, values[cell], tol[row, _window(hi, row, b)])
+    (hit,) = np.nonzero(hits)
+    at = lam[hit]
     row, root, left, right = (
-        np.concatenate(pair) for pair in ((hit_row, row), (at, found), (at, a), (at, b))
+        np.concatenate(pair) for pair in ((rid[hit], row), (at, found), (at, a), (at, b))
     )
     order = np.lexsort((root, row))
     return row[order], root[order], left[order], right[order]
@@ -343,74 +396,114 @@ def _scan_pass(det, ells, lo, hi, tol, steps):
 
 def _scan_determinant(ball, ells, lo, hi, steps, tol):
     """Sign scan of the determinant of the RadialProblem ``ball``, one row
-    per order in ``ells`` on its window [lo, hi] bisected to width tol (lo,
-    hi and tol broadcast against ells, so rows may span several windows of
-    one problem); returns the table (row, root, left, right) of four
-    arrays, sorted by row then by the root before its polish, with [left,
-    right] the root's bracket.
+    per order in ``ells`` from lo over its window ends hi, bisected to width
+    tol; returns the table (row, root, left, right) of four arrays, sorted
+    by row then by the root before its polish, with [left, right] the
+    root's bracket.  lo broadcasts against ells; hi and tol are one value
+    per row or one per (row, window), the ends ascending and NaN where a
+    row skips a window (_scan_pass), so the nested windows of one problem
+    scan each order once.
 
     All rows share each determinant call: the grids, every halving of every
-    bracket and the polish stencils.  A row with two roots within 5 cells
-    is re-scanned once at twice the steps (alias guard); every root is
-    polished against odd-order degeneracy.  Values do not depend on the
-    batch and each bracket decides alone, so rows scan as if alone.
+    bracket and the polish stencils.  Where two roots that a window of a
+    row lists (brackets ending at or below its end) lie within 5 of that
+    window's cells, the roots of the window's segment come from a second
+    pass at twice the steps (alias guard); every root is polished against
+    odd-order degeneracy.  Values do not depend on the batch and each
+    bracket decides alone, so rows scan as if alone.
     """
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
-    _check_scan_size(len(ells), steps)
     ells = np.array(ells, dtype=float)
-    lo, hi, tol = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape) for v in (lo, hi, tol))
-    for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
-        if not a < b:
-            raise ValidationError(f"scan needs lo < hi, got [{a}, {b}]")
-    ends = np.column_stack((lo, hi)).ravel()
-    _check_window(ball.kind, ball.radius, ball.v0, np.repeat(ells, 2), ends)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), ells.shape)
+    hi, tol = (np.asarray(v, dtype=float) for v in (hi, tol))
+    hi, tol, _ = np.broadcast_arrays(
+        hi if hi.ndim == 2 else hi[..., None], tol if tol.ndim == 2 else tol[..., None],
+        ells[:, None],
+    )
+    skipped = np.isnan(hi)
+    _check_scan_size(np.count_nonzero(~skipped), steps)
+    bad = np.argwhere(~skipped & ~(lo[:, None] < hi))
+    if bad.size:
+        r, j = bad[0]
+        raise ValidationError(f"scan needs lo < hi, got [{lo[r]}, {hi[r, j]}]")
+    ell_ends, ends = np.broadcast_arrays(ells[:, None], np.column_stack((lo, hi)))
+    known = ~np.isnan(ends)
+    _check_window(ball.kind, ball.radius, ball.v0, ell_ends[known], ends[known])
 
     def det(ell, lam):
         return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
 
-    row, root, left, right = _scan_pass(det, ells, lo, hi, tol, steps)
-    spacing = (hi - lo) / (steps - 1)
-    near = (row[1:] == row[:-1]) & (np.diff(root) < _CLOSE_ROOT_CELLS * spacing[row[1:]])
-    close = np.zeros(ells.size, dtype=bool)
-    close[row[1:][near]] = True
+    floor = _root_free_below(ball.dim, ball.radius, ells)
+    table = _scan_pass(det, ells, lo, hi, tol, steps, floor)
+    row, root, _, right = table
+    pair = np.flatnonzero(row[1:] == row[:-1])  # consecutive roots of one row
+    spacing = (hi - lo[:, None]) / (steps - 1)
+    near = (right[pair + 1, None] <= hi[row[pair]]) & (
+        np.diff(root)[pair, None] < _CLOSE_ROOT_CELLS * spacing[row[pair]]
+    )
+    close = np.zeros(hi.shape, dtype=bool)
+    p, w = np.nonzero(near)
+    close[row[pair[p]], w] = True
     if close.any():
-        again = _scan_pass(det, ells[close], lo[close], hi[close], tol[close], 2 * steps)
-        keep = ~close[row]
-        row, root, left, right = (
-            np.concatenate((old[keep], new))
-            for old, new in zip(
-                (row, root, left, right), (np.flatnonzero(close)[again[0]], *again[1:])
-            )
+        (again,) = np.nonzero(close.any(axis=1))
+        new = _scan_pass(
+            det, ells[again], lo[again], hi[again], tol[again], 2 * steps, floor[again]
         )
-        order = np.argsort(row, kind="stable")
-        row, root, left, right = row[order], root[order], left[order], right[order]
+        new = (again[new[0]], *new[1:])
+        old_keep = ~close[row, _window(hi, row, right)]
+        new_keep = close[new[0], _window(hi, new[0], new[3])]
+        table = [np.concatenate((o[old_keep], n[new_keep])) for o, n in zip(table, new)]
+        order = np.lexsort((table[1], table[0]))
+        table = [column[order] for column in table]
+    row, root, left, right = table
     return row, _polish_roots(det, ells[row], root), left, right
 
 
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     """One tuple of (lambda, ell, degeneracy) entries per (x, ell_max),
     sorted: all transmission eigenvalues of the ball up to x for ell <=
-    ell_max, the windows scanned together, each bisected to 1e-10 max(1,
-    x).  Orders with no root do not stop the sweep; roots are not monotone
-    in ell."""
-    orders = []  # per window; dim 1 has orders 0 and 1 only
+    ell_max.  Orders with no root do not stop the sweep; roots are not
+    monotone in ell.
+
+    The windows are nested, so each order is scanned once
+    (_scan_determinant): on each segment (x', x] between the ends of the
+    windows that hold it, its grid is that window's own
+    linspace(LAMBDA_FLOOR, x, steps), the joint x' one point of both
+    segments, and a bracket there is bisected to 1e-10 max(1, x).  Window
+    (x, ell_max) lists the roots of orders <= ell_max whose bracket ends at
+    or below x.  So a root has the bits that scanning alone the smallest
+    window listing it gives, except in the first cell past a joint, which
+    starts at the joint rather than at the window's own grid point below
+    it.  No order is scanned below (b(nu)/R)^2, b(nu) = max(nu, 2 (nu+1)^(1/2)
+    (nu+2)^(1/4)) < j_{nu,1} (Watson, sections 15.3 and 15.51), where D has
+    no root (_root_free_below).
+    """
+    tops = []  # the largest order of each window; dim 1 has orders 0 and 1 only
     for x, ell_max in zip(xs, ell_maxes):
         if not x > 0:
             raise ArgumentOutOfRange(f"x must be > 0, got {x}")
         if ell_max < 0:
             raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-        orders.append(range((ell_max if base.dim > 1 else min(ell_max, 1)) + 1))
-    _check_scan_size(sum(map(len, orders)), steps)
-    rows = [(w, ell) for w, window in enumerate(orders) for ell in window]
-    ells, his = [ell for _, ell in rows], np.array([xs[w] for w, _ in rows], dtype=float)
+        tops.append(ell_max if base.dim > 1 else min(ell_max, 1))
+    _check_scan_size(sum(top + 1 for top in tops), steps)
+    ends = sorted(set(map(float, xs)))
+    holds = np.zeros((max(tops) + 1, len(ends)), dtype=bool)  # (order, window end)
+    for x, top in zip(xs, tops):
+        holds[: top + 1, ends.index(x)] = True
+    his = np.where(holds, ends, np.nan)
     tols = 1e-10 * np.maximum(1.0, his)
-    row, root, _, _ = _scan_determinant(base, ells, LAMBDA_FLOOR, his, steps, tols)
-    entries = [[] for _ in xs]
-    for r, lam in zip(row.tolist(), root.tolist()):
-        w, ell = rows[r]
-        entries[w].append((lam, ell, harmonic_multiplicity(base.dim, ell)))
-    return [tuple(sorted(e, key=lambda t: (t[0], t[1]))) for e in entries]
+    row, root, _, right = _scan_determinant(
+        base, range(holds.shape[0]), LAMBDA_FLOOR, his, steps, tols
+    )
+    degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in range(holds.shape[0])]
+    table = list(zip(root.tolist(), row.tolist(), right.tolist()))
+    return [
+        tuple(sorted(
+            (lam, ell, degeneracy[ell]) for lam, ell, end in table if ell <= top and end <= x
+        ))
+        for x, top in zip(xs, tops)
+    ]
 
 
 def adaptive_ell_max(n, radius, x):

@@ -264,6 +264,29 @@ class TestRadial:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["transmission_eigenvalues"] == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(("radial", "--problem", "helmholtz", "--dim", "1", "--v0", "0.75", "--lmax", "1",
+               "--lambda-max", "50", "--radius", radius) for radius in ("1e-4", "1e-5", "1e-6")),
+            ("radial", "--problem", "helmholtz", "--dim", "3", "--v0", "0.75", "--lmax", "4",
+             "--lambda-max", "50", "--radius", "1e-4"),
+            ("hypothesis", "--radius", "1e-9"),
+        ],
+        ids=["dim-1-1e-4", "dim-1-1e-5", "dim-1-1e-6", "dim-3-1e-4", "hypothesis-1e-9"],
+    )
+    def test_tiny_ball_lists_no_root_in_its_root_free_zone(self, argv):
+        # each window lies below (b(nu)/R)^2, under the first Bessel zero of
+        # every order, where the determinant is rounding noise that read as
+        # up to 799 roots
+        res = run_cli(*argv)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        if argv[0] == "radial":
+            assert payload["transmission_eigenvalues"] == []
+        else:
+            assert payload["margins"]["roots_found"] == 0
+
     def test_degenerate_contrast_is_config_error(self):
         res = run_cli(
             "radial", "--problem", "helmholtz", "--dim", "1",

@@ -26,6 +26,7 @@ import scalar_oracle
 from one_point import (
     Branch,
     DegenerateInterior,
+    bessel_j,
     characteristic_determinant,
     interior_wavenumber,
 )
@@ -299,24 +300,88 @@ class TestScanRoots:
             assert left[row == r].tolist() == src[2][src[0] == at].tolist()
             assert right[row == r].tolist() == src[3][src[0] == at].tolist()
 
+    def test_alias_rescan_replaces_exactly_the_close_windows(self, monkeypatch):
+        # at 25 steps, order 1 of this ball has roots near 24 and 43: within
+        # 5 cells of the window that ends at 100 but not of the one that ends
+        # at 30, so its root near 24 is listed from the first pass
+        passes = []
+        scan_pass = radial._scan_pass
+
+        def recorded(det, ells, *args):
+            table = scan_pass(det, ells, *args)
+            passes.append((ells.tolist(), table))
+            return table
+
+        monkeypatch.setattr(radial, "_scan_pass", recorded)
+        ball = RadialProblem(S, 2, 1.0, 30.0)
+        ends = np.array([30.0, 100.0])
+        table = _scan_determinant(ball, range(5), 1e-6, np.tile(ends, (5, 1)), 25, 1e-8)
+        (_, first), (again, second) = passes
+
+        def window(table):  # the first end at or above each bracket's right end
+            return np.searchsorted(ends, table[3])
+
+        row, root, right = first[0], first[1], first[3]
+        close = {
+            (r, j)
+            for r, s, a, b, right_b in zip(row, row[1:], root, root[1:], right[1:])
+            for j, end in enumerate(ends)
+            if r == s and right_b <= end and b - a < 5 * (end - 1e-6) / 24
+        }
+        assert close == {(1, 1)} and again == [1]
+        for r in range(5):
+            for j in range(ends.size):
+                src, at = (second, 0) if (r, j) in close else (first, r)
+                pick = (src[0] == at) & (window(src) == j)
+                mine = (table[0] == r) & (window(table) == j)
+                for column in (2, 3):
+                    assert table[column][mine].tolist() == src[column][pick].tolist()
+        assert window(first)[row == 1].tolist() == [0, 1]
+
 
 class TestSharedWindows:
-    """Windows of one problem scanned together give the roots of scanning
-    each alone, in fewer determinant calls."""
+    """The nested windows of one problem scan each order once: every root
+    is the one that scanning alone the smallest window listing it gives,
+    but for a root in the cell at a window joint, in fewer determinant
+    calls and points."""
 
     @pytest.mark.parametrize("dim", [1, 3])
-    def test_batched_windows_equal_separate_scans(self, dim):
+    @pytest.mark.parametrize(
+        "xs",
+        [[50.0, 100.0, 200.0, 400.0], [16.0, 36.0, 64.0, 100.0], [99.0, 100.0, 101.0],
+         [100.0, 50.0, 50.0, 200.0]],
+        ids=["default", "ends-on-tes", "around-100", "unsorted-duplicate"],
+    )
+    def test_each_root_is_its_smallest_window_scanned_alone(self, dim, xs):
+        # 16, 36, 64 and 100 are TEs of this ball (lambda = 4 m^2), so a
+        # window end sits on a root, found as a grid hit or a polished root
         base = RadialProblem(H, dim, math.pi, 0.75)
-        xs = [50.0, 100.0, 200.0, 400.0]
         ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
         together = te_lists_up_to(base, xs, ell_maxes)
-        alone = [one_window(base, x, lm) for x, lm in zip(xs, ell_maxes)]
-        assert together == alone
+        alone = {x: one_window(base, x, lm) for x, lm in zip(xs, ell_maxes)}
+        for x, listed in zip(xs, together):
+            assert len(listed) == len(alone[x])
+            assert weighted_count(listed, x) == weighted_count(alone[x], x)
+        for entry in {e for listed in together for e in listed}:
+            lam, ell, _ = entry
+            smallest = min(x for x, listed in zip(xs, together) if entry in listed)
+            if entry in alone[smallest]:
+                continue
+            # the one cell a window's grid does not share with the window
+            # alone: from the joint with the window before, which holds the
+            # same order, to the window's first own grid point past it; its
+            # root is bisected from another bracket, to the same tolerance
+            joint = max(x for x, lm in zip(xs, ell_maxes) if x < smallest and ell <= lm)
+            grid = np.linspace(radial.LAMBDA_FLOOR, smallest, radial.DEFAULT_SCAN_STEPS)
+            assert joint < lam < grid[grid > joint][0]
+            tol = 1e-10 * max(1.0, smallest)
+            assert any(e[1] == ell and abs(e[0] - lam) <= tol for e in alone[smallest])
         assert all(together)
 
     def test_count_run_shares_determinant_calls(self, monkeypatch):
         # teig count --dim 3 --x-values 50,100,200,400 made 112 determinant
-        # calls with one scan per window: 4 grids, 100 halvings, 8 polish rounds
+        # calls with one scan per window, and 87,219 points with the windows
+        # batched but each scanned from lambda = 1e-6 on its own grid
         calls = []
         det_grid = radial._det_grid
 
@@ -327,16 +392,52 @@ class TestSharedWindows:
         monkeypatch.setattr(radial, "_det_grid", counted)
         experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
         assert len(calls) <= 35
-        assert calls[0] == 400 * sum(
-            radial.adaptive_ell_max(3, math.pi, x) + 1 for x in (50, 100, 200, 400)
-        )
+        assert sum(calls) <= 45_000
+
+
+class TestRootFreeZone:
+    """Below (b(nu)/R)^2, b(nu) = max(nu, 2 (nu+1)^(1/2) (nu+2)^(1/4)), the
+    exterior argument is below the first Bessel zero and no scan looks."""
+
+    @pytest.mark.parametrize("nu0, dim", [(-0.5, 1), (0.0, 2), (0.5, 3)])
+    def test_bound_lies_below_the_first_bessel_zero(self, nu0, dim):
+        bounds = np.sqrt(radial._root_free_below(dim, 1.0, np.arange(101)))
+        for ell, b in enumerate(bounds.tolist()):
+            assert b >= nu0 + ell
+            assert (bessel_j(nu0 + ell, b * np.arange(1, 1001) / 1000) > 0.0).all()
+
+    @pytest.mark.parametrize(
+        "kind, dim, radius, v0, windows, steps",
+        [(H, dim, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0], 400) for dim in (1, 2, 3)]
+        + [(S, dim, 0.5, 40.0, [100.0], 800) for dim in (1, 3)],
+        ids=["count-dim1", "count-dim2", "count-dim3", "hypothesis-dim1", "hypothesis-dim3"],
+    )
+    def test_skipped_points_keep_one_sign(self, kind, dim, radius, v0, windows, steps):
+        # every grid point of the scans before the zone (each window alone
+        # from lambda = 1e-6) that lies at or below its order's bound
+        ell_max = [radial.adaptive_ell_max(dim, radius, x) if kind is H else 0 for x in windows]
+        ells, lams = [], []
+        for x, top in zip(windows, ell_max):
+            grid = np.linspace(radial.LAMBDA_FLOOR, x, steps)
+            orders = np.arange((top if dim > 1 else min(top, 1)) + 1)
+            for ell, bound in zip(orders, radial._root_free_below(dim, radius, orders)):
+                below = grid[(grid > radial.LAMBDA_FLOOR) & (grid <= bound)]
+                ells.append(np.full(below.size, ell))
+                lams.append(below)
+        ells, lams = np.concatenate(ells), np.concatenate(lams)
+        values = _det_grid(kind, dim, radius, v0, ells, lams)
+        assert (np.abs(values) >= radial.EXACT_HIT_TOL).all()
+        for ell in np.unique(ells):
+            signs = np.sign(values[ells == ell])
+            assert (signs == signs[0]).all()
+        assert lams.size
 
 
 class TestPolishPrescreen:
     """The four inner stencil samples decide simple roots alone; the
     decision must be the full 16-point stencil's at the same h."""
 
-    @pytest.mark.parametrize("dim, not_simple", [(1, 25), (2, 0), (3, 25)])
+    @pytest.mark.parametrize("dim, not_simple", [(1, 10), (2, 0), (3, 10)])
     def test_matches_the_full_stencil_on_every_root(self, dim, not_simple):
         base = RadialProblem(H, dim, math.pi, 0.75)
         xs = [50.0, 100.0, 200.0, 400.0]
@@ -395,6 +496,11 @@ class TestHarmonicMultiplicity:
 def one_window(base, x, ell_max):
     """The entries of te_lists_up_to on the one window (x, ell_max)."""
     return te_lists_up_to(base, [x], [ell_max])[0]
+
+
+def weighted_count(entries, x):
+    """N(x): the degeneracy sum of the entries up to x."""
+    return sum(d for lam, _, d in entries if lam <= x)
 
 
 class TestTEList:
