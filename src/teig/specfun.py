@@ -4,9 +4,11 @@ value/derivative built from them, each up to a positive scale per point.
 J comes from Miller's backward recurrence for every order and argument:
 one ladder per argument and block of 16 orders serves the whole block, in
 units of P = (x/2)^nu0 / Gamma(nu0+1) of its base order, rescaled by exact
-powers of two so nothing under- or overflows.  A ladder's start depends
-only on its argument and block, so a point's value does not depend on the
-rest of the array.  I is its all-positive power series, in units of P at
+powers of two so nothing under- or overflows.  The ladders are read
+once: they store every rung a point can read as they recur, and each point
+gathers its three rungs after the loop.  A ladder's start depends only on
+its argument and block, so a point's value does not depend on the rest of
+the array.  I is its all-positive power series, in units of P at
 the point's own order.  J serves arguments in [bessel_j_min_arg(ell),
 200] and I arguments up to 60.
 """
@@ -72,12 +74,13 @@ def _j_triplet(nu0, ell, x):
 
     Each run of consecutive points with equal x and order block b = ell //
     16 shares one ladder, which recurs downward with trial values from rung
-    max(x, 16b + 16) + 14 + 6 x^(1/3) + 2 to rung -1.  A point reads rungs
-    ell - 1, ell and ell + 1 as soon as all three are known, at one scale.
-    The normalization sum  sum_k d_k f_{2k} = s  (J_{nu0+j} = f_j P / s)
-    is accumulated by Horner's rule on the way down.  Every 8 rungs a
-    ladder grown past 2^500 is scaled by exactly 2^-500; a point's shift
-    counts the rescalings after its read.
+    max(x, 16b + 16) + 14 + 6 x^(1/3) + 2 to rung -1.  The normalization
+    sum  sum_k d_k f_{2k} = s  (J_{nu0+j} = f_j P / s)  is accumulated by
+    Horner's rule on the way down.  Every 8 rungs a ladder grown past 2^500
+    is scaled by exactly 2^-500.  The ladders recur in the rows of one array;
+    after the loop each point gathers rungs ell - 1, ell and ell + 1 and
+    re-applies the rescales of steps ell and ell + 1 in the loop's order
+    (bit for bit); its shift counts the rescalings below ell.
     """
     rung = ell.astype(int)
     block = rung // _BLOCK
@@ -87,43 +90,42 @@ def _j_triplet(nu0, ell, x):
     xs = x[new]
     tops = np.maximum(xs, _BLOCK * (block[new] + 1.0)) + 14.0 + 6.0 * xs ** (1.0 / 3.0)
     by_top, entries = _groups(tops.astype(int) + 2)  # ladders by start rung
-    by_rung, reads = _groups(rung)  # points by the rung they read
-    read_ladder = ladder[by_rung]
-    got = np.empty((3, x.size))  # triplets, in by_rung order
-    got_count = np.empty(x.size, dtype=np.int16)
+    last = int(rung.max()) + 1  # the highest rung a point reads
+    rungs = np.empty((last + 2, xs.size))  # rungs -1 .. last, before their rescale
+    rescaled = np.zeros((max(entries) // 8 + 1, xs.size), dtype=bool)  # at steps 0, 8, ...
     two_over_x = 2.0 / xs
-    count = np.zeros(xs.size, dtype=np.int16)  # rescalings so far
     f_hi = np.zeros_like(xs)  # f_{j+1}
     f_hi2 = np.zeros_like(xs)  # f_{j+2}
     acc = np.zeros_like(xs)  # sum over k >= j/2 of (nu0 + 2k) (d_k / d_{j/2}) f_{2k}
     for j in range(max(entries), -2, -1):
-        f = (nu0 + j + 1.0) * two_over_x * f_hi - f_hi2
+        f = rungs[j + 1] if j <= last else np.empty_like(xs)  # kept before its rescale
+        np.multiply(two_over_x, nu0 + j + 1.0, out=f)
+        f *= f_hi
+        f -= f_hi2
         if j in entries:
             f[by_top[entries[j]]] = _TINY_START
-        if j + 1 in reads:
-            at = reads[j + 1]
-            lad = read_ladder[at]
-            got[0, at], got[1, at], got[2, at] = f[lad], f_hi[lad], f_hi2[lad]
-            got_count[at] = count[lad]
         if j >= 2 and j % 2 == 0:
             k = j // 2
-            acc = (nu0 + j) * f + (nu0 + k) / (k + 1.0) * acc
+            acc *= (nu0 + k) / (k + 1.0)
+            acc += (nu0 + j) * f
         if j % 8 == 0:
             big = np.maximum(np.abs(f), np.abs(acc)) > _RESCALE
             if big.any():
                 shrink = np.where(big, 1.0 / _RESCALE, 1.0)
-                f *= shrink
-                f_hi *= shrink
+                f = f * shrink
+                f_hi = f_hi * shrink
                 acc *= shrink
-                count += big
+                rescaled[j // 8] = big
         if j == 0:
             s = f + acc  # d_0 = 1
         f_hi, f_hi2 = f, f_hi
-    trip = np.empty_like(got)
-    trip[:, by_rung] = got / s[read_ladder]
-    shift = np.empty_like(got_count)
-    shift[by_rung] = count[read_ladder] - got_count
-    return trip, shift
+    trip = rungs[rung + np.arange(3)[:, None], ladder]
+    at = np.stack((rung, rung + 1))  # steps ell, ell + 1
+    factor = np.where((at % 8 == 0) & rescaled[at // 8, ladder], 1.0 / _RESCALE, 1.0)
+    trip[2] *= factor[1]
+    trip[1:] *= factor[0]
+    below = np.vstack((np.zeros(xs.size, dtype=int), np.cumsum(rescaled, axis=0)))
+    return trip / s[ladder], below[(rung + 7) // 8, ladder]
 
 
 def _radial_wave_eval(p, nu0, ell, k, r, oscillatory):
