@@ -11,10 +11,9 @@ orders) serves the whole grid; the windows of one problem are scanned
 together and share every determinant call.  Nested windows scan each order
 once: on each segment between consecutive window ends the grid is that
 window's own, the joint is one point of both segments, and a bracket is
-bisected to its segment's window tolerance.  No order is scanned below
-lambda = (b(nu)/R)^2, b(nu) = max(nu, 2 (nu+1)^(1/2) (nu+2)^(1/4)), a lower
-bound of its first Bessel zero (Watson, A Treatise on the Theory of Bessel
-Functions, sections 15.3 and 15.51), below which D has no root.
+solved (ITP, with odd-order roots handed to the polish fit) to its segment's
+window tolerance.  No order is scanned below a lower bound of its first
+Bessel zero, where D has no root (_root_free_below).
 """
 
 import math
@@ -163,41 +162,6 @@ def _sign_brackets(values):
     return hits, cells
 
 
-def _bisect_brackets(det, ells, a, b, fa, tol):
-    """Bisect every bracket [a_i, b_i] of order ells[i] down to width tol
-    (a scalar or one width per bracket), all brackets sharing one
-    determinant call per halving.
-
-    ``det(ells, lambdas)`` evaluates D on arrays; fa_i = D(a_i) is nonzero
-    and D(b_i) has the opposite sign.  Each bracket makes the decisions of
-    a scalar bisection: a non-finite midpoint is nudged by 1e-6 of a
-    quarter bracket and, if still non-finite, ends that bracket at its
-    midpoint; an exact zero is the root.
-    """
-    a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
-    tol = np.broadcast_to(tol, a.shape)
-    live = np.flatnonzero(b - a > tol)
-    while live.size:
-        mid = 0.5 * (a[live] + b[live])
-        fm = det(ells[live], mid)
-        bad = ~np.isfinite(fm)
-        if bad.any():
-            mid[bad] = mid[bad] + 0.25 * (b[live[bad]] - a[live[bad]]) * 1e-6
-            fm[bad] = det(ells[live[bad]], mid[bad])
-        stuck = ~np.isfinite(fm)
-        zero = fm == 0.0
-        a[live[zero]] = b[live[zero]] = mid[zero]
-        left = fa[live] * fm < 0.0
-        go = ~(stuck | zero)
-        to_b, to_a = go & left, go & ~left
-        b[live[to_b]] = mid[to_b]
-        a[live[to_a]] = mid[to_a]
-        fa[live[to_a]] = fm[to_a]
-        live = live[go]
-        live = live[b[live] - a[live] > tol[live]]
-    return 0.5 * (a + b)
-
-
 def harmonic_multiplicity(n, ell):
     """Dimension of the degree-ell spherical harmonics on R^n (n <= 3)."""
     if n not in (1, 2, 3):
@@ -212,10 +176,10 @@ def harmonic_multiplicity(n, ell):
 DEFAULT_SCAN_STEPS = 400
 _CLOSE_ROOT_CELLS = 5
 _CLEAN_DET = 1e-11  # samples below this are inside the fp noise band
-
-
 _POLISH_STENCIL = tuple(j for j in range(-8, 9) if j != 0)
 _PRESCREEN = (-2, -1, 1, 2)  # the stencil's inner offsets, sampled first
+_POLISH_H = 2e-3  # the polish stencil's first spacing, relative to max(1, |lambda|)
+_STENCIL = np.array(_POLISH_STENCIL, dtype=float)
 
 
 def _multiplicity(samples, offsets):
@@ -266,8 +230,8 @@ def _polish_roots(det, ells, lams):
     """Sharpen sign-change roots at which the determinant vanishes to odd
     order > 1 (interior and exterior Dirichlet traces vanishing together).
 
-    Bisection stalls at the floating-point noise floor there, so the root
-    is re-estimated from clean off-root samples: sign(D)|D|^(1/m) is
+    A bracket solver stalls at the floating-point noise floor there, so the
+    root is re-estimated from clean off-root samples: sign(D)|D|^(1/m) is
     smooth with a simple zero, and a weighted quartic fit of it is solved
     for the root.  Simple roots are detected and left untouched.
 
@@ -280,17 +244,14 @@ def _polish_roots(det, ells, lams):
     samples of all pending roots share one determinant call per step.
     """
     lam = np.array(lams, dtype=float)
-    h = 2e-3 * np.maximum(1.0, np.abs(lam))
-    rounds = np.zeros(lam.size, dtype=int)
-    grows = np.zeros(lam.size, dtype=int)
-    stencil = np.array(_POLISH_STENCIL, dtype=float)
+    h = _POLISH_H * np.maximum(1.0, np.abs(lam))
+    rounds, grows = np.zeros((2, lam.size), dtype=int)
     points = lam[:, None] + np.array(_PRESCREEN, dtype=float) * h[:, None]
     samples = det(np.repeat(ells, len(_PRESCREEN)), points.ravel()).reshape(points.shape)
     todo = np.flatnonzero(_multiplicity(samples, _PRESCREEN) != 1)
     while todo.size:
-        points = lam[todo, None] + stencil * h[todo, None]
-        samples = det(np.repeat(ells[todo], stencil.size), points.ravel())
-        samples = samples.reshape(points.shape)
+        points = lam[todo, None] + _STENCIL * h[todo, None]
+        samples = det(np.repeat(ells[todo], _STENCIL.size), points.ravel()).reshape(points.shape)
         m = _multiplicity(samples, _POLISH_STENCIL)
         # widen a noisy stencil until its innermost samples clear the noise band
         noisy = (m == 0) & np.isfinite(samples).all(axis=1)
@@ -309,6 +270,63 @@ def _polish_roots(det, ells, lams):
             again[k] = rounds[i] < 2
         todo = todo[again]
     return lam
+
+
+def _bisect_brackets(det, ells, a, b, fa, fb, tol):
+    """Solve every bracket [a_i, b_i] of order ells[i] to width tol (a
+    scalar or one per bracket) by ITP (Oliveira & Takahashi, ACM TOMS 47(1),
+    2021; kappa1 = 0.2 / (b - a), kappa2 = 2, n0 = 1), all brackets sharing
+    one determinant call per step, and return the midpoints.
+
+    ``det(ells, lambdas)`` evaluates D on arrays; fa_i = D(a_i) and fb_i =
+    D(b_i) are nonzero, of opposite signs.  Probes lie strictly inside, and
+    a bracket ends in ceil(log2((b - a) / tol)) + 1 steps.  A non-finite
+    probe falls back to the midpoint nudged by 1e-6 of a quarter bracket,
+    and if still non-finite ends the bracket at its midpoint; an exact zero
+    is the root.  Interpolation crawls at odd-order coincidence roots: a
+    bracket whose last two steps shrank it no more than two halvings has
+    the polish stencil sampled at its midpoint in its next call, and stops
+    there for _polish_roots if that reads odd order >= 3 with a fit root.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    tol = np.broadcast_to(tol, a.shape)
+    kappa, left = 0.2 / (b - a), np.ceil(np.log2((b - a) / tol)) + 1.0  # left: n_max - j
+    handed = np.full(a.shape, np.nan)  # the midpoint a bracket stopped at
+    widths = np.full((2,) + a.shape, np.inf)  # two steps ago, one step ago
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        lo, hi, f_lo, f_hi = a[live], b[live], fa[live], fb[live]
+        w, mid = hi - lo, 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+        sigma, delta = np.sign(mid - x), kappa[live] * w * w
+        x = np.where(delta <= np.abs(mid - x), x + sigma * delta, mid)
+        r = 0.5 * tol[live] * 2.0 ** left[live] - 0.5 * w
+        x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)
+        x = np.where((lo < x) & (x < hi), x, mid)
+        (c,) = np.nonzero(4.0 * w >= widths[0, live])  # slow brackets, checked
+        h = _POLISH_H * np.maximum(1.0, np.abs(mid[c]))
+        near = (mid[c, None] + _STENCIL * h[:, None]).ravel()
+        fx = det(np.r_[ells[live], np.repeat(ells[live[c]], _STENCIL.size)], np.r_[x, near])
+        samples, fx = fx[live.size :].reshape(c.size, _STENCIL.size), fx[: live.size]
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            x[bad] = mid[bad] + 0.25 * w[bad] * 1e-6
+            fx[bad] = det(ells[live[bad]], x[bad])
+        zero, go = fx == 0.0, np.isfinite(fx) & (fx != 0.0)
+        to_b, to_a = go & (f_lo * fx < 0.0), go & ~(f_lo * fx < 0.0)
+        b[live], fb[live] = np.where(to_b, x, hi), np.where(to_b, fx, f_hi)
+        a[live], fa[live] = np.where(to_a, x, lo), np.where(to_a, fx, f_lo)
+        a[live[zero]] = b[live[zero]] = x[zero]
+        if c.size:
+            m = _multiplicity(samples, _POLISH_STENCIL)
+            odd = [k for k in np.flatnonzero(m > 1) if _fit_root(samples[k], h[k], m[k]) is not None]
+            stop = c[np.array(odd, dtype=int)]
+            handed[live[stop]], go[stop] = mid[stop], False
+        left[live] -= 1.0
+        widths[:, live] = widths[1, live], w
+        live = live[go & (b[live] - a[live] > tol[live]) & (left[live] > 0.0)]
+    return np.where(np.isnan(handed), 0.5 * (a + b), handed)
 
 
 def _check_scan_size(rows, steps):
@@ -359,7 +377,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     floor[r] (_root_free_below): each window keeps at most one point at or
     below it, and a cell that ends there is dropped.  Returns exact grid
     hits above floor[r] and LAMBDA_FLOOR plus one root per sign-change
-    cell, bisected to tol[r, j] of the window j of the cell's right end, as
+    cell, solved to tol[r, j] of the window j of the cell's right end, as
     the table (row, root, left, right) sorted by row then root; a hit is
     its own bracket.  D vanishes like lambda as lambda -> 0, so a hit at
     the floor is no root.  Points are evaluated window by window,
@@ -384,7 +402,9 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     hits &= above
     (cell,) = np.nonzero(cells & (rid[1:] == rid[:-1]) & above[1:])
     row, a, b = rid[cell], lam[cell], lam[cell + 1]
-    found = _bisect_brackets(det, ells[row], a, b, values[cell], tol[row, _window(hi, row, b)])
+    found = _bisect_brackets(
+        det, ells[row], a, b, values[cell], values[cell + 1], tol[row, _window(hi, row, b)]
+    )
     (hit,) = np.nonzero(hits)
     at = lam[hit]
     row, root, left, right = (
@@ -396,7 +416,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
 
 def _scan_determinant(ball, ells, lo, hi, steps, tol):
     """Sign scan of the determinant of the RadialProblem ``ball``, one row
-    per order in ``ells`` from lo over its window ends hi, bisected to width
+    per order in ``ells`` from lo over its window ends hi, solved to width
     tol; returns the table (row, root, left, right) of four arrays, sorted
     by row then by the root before its polish, with [left, right] the
     root's bracket.  lo broadcasts against ells; hi and tol are one value
@@ -404,8 +424,8 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     row skips a window (_scan_pass), so the nested windows of one problem
     scan each order once.
 
-    All rows share each determinant call: the grids, every halving of every
-    bracket and the polish stencils.  Where two roots that a window of a
+    All rows share each determinant call: the grids, every solver step and
+    the polish stencils.  Where two roots that a window of a
     row lists (brackets ending at or below its end) lie within 5 of that
     window's cells, the roots of the window's segment come from a second
     pass at twice the steps (alias guard); every root is polished against
@@ -467,17 +487,13 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     monotone in ell.
 
     The windows are nested, so each order is scanned once
-    (_scan_determinant): on each segment (x', x] between the ends of the
-    windows that hold it, its grid is that window's own
-    linspace(LAMBDA_FLOOR, x, steps), the joint x' one point of both
-    segments, and a bracket there is bisected to 1e-10 max(1, x).  Window
-    (x, ell_max) lists the roots of orders <= ell_max whose bracket ends at
-    or below x.  So a root has the bits that scanning alone the smallest
-    window listing it gives, except in the first cell past a joint, which
-    starts at the joint rather than at the window's own grid point below
-    it.  No order is scanned below (b(nu)/R)^2, b(nu) = max(nu, 2 (nu+1)^(1/2)
-    (nu+2)^(1/4)) < j_{nu,1} (Watson, sections 15.3 and 15.51), where D has
-    no root (_root_free_below).
+    (_scan_determinant), on each segment (x', x] on that window's own grid
+    linspace(LAMBDA_FLOOR, x, steps) with brackets solved to 1e-10
+    max(1, x); window (x, ell_max) lists the roots of orders <= ell_max
+    whose bracket ends at or below x.  So a root has the bits that scanning
+    alone the smallest window listing it gives, except in the first cell
+    past a joint, which starts at the joint.  No order is scanned in its
+    root-free zone (_root_free_below).
     """
     tops = []  # the largest order of each window; dim 1 has orders 0 and 1 only
     for x, ell_max in zip(xs, ell_maxes):
