@@ -11,7 +11,7 @@ orders) serves the whole grid; the windows of one problem are scanned
 together and share every determinant call.  Nested windows scan each order
 once: on each segment between consecutive window ends the grid is that
 window's own, the joint is one point of both segments, and a bracket is
-solved (ITP, with odd-order roots handed to the polish fit) to its segment's
+solved (ITP, with odd-order roots handed to a batched fit) to its segment's
 window tolerance.  No order is scanned below a lower bound of its first
 Bessel zero, where D has no root (_root_free_below).
 """
@@ -180,6 +180,7 @@ _POLISH_STENCIL = tuple(j for j in range(-8, 9) if j != 0)
 _PRESCREEN = (-2, -1, 1, 2)  # the stencil's inner offsets, sampled first
 _POLISH_H = 2e-3  # the polish stencil's first spacing, relative to max(1, |lambda|)
 _STENCIL = np.array(_POLISH_STENCIL, dtype=float)
+_VANDERMONDE = np.vander(_STENCIL / 8.0, 5, increasing=True)  # in u = offset / 8h, for every fit
 
 
 def _multiplicity(samples, offsets):
@@ -211,19 +212,31 @@ def _multiplicity(samples, offsets):
     return np.where(clean, np.where(odd, m, 1), 0).astype(int)
 
 
-def _fit_root(samples, h, m):
-    """Offset of the root nearest the stencil centre from a weighted quartic
-    fit of sign(D)|D|^(1/m), or None when no real root lies inside."""
-    offsets = np.array(_POLISH_STENCIL, dtype=float) * h
-    t = np.array([math.copysign(abs(v) ** (1.0 / m), v) for v in samples])
-    weights = np.array([abs(v) ** ((m - 1.0) / m) for v in samples])
-    coef = np.polynomial.polynomial.polyfit(offsets, t, 4, w=weights)
-    candidates = np.roots(coef[::-1])
-    candidates = candidates[np.abs(candidates.imag) < 1e-11].real
-    inside = candidates[np.abs(candidates) <= offsets.max()]
-    if inside.size == 0:
-        return None
-    return float(inside[np.argmin(np.abs(inside))])
+def _fit_roots(samples, h, m):
+    """Offset of the root nearest each stencil centre from a weighted quartic
+    fit of sign(D)|D|^(1/m) to its row of samples, NaN where no real root
+    lies inside the stencil: all rows' least-squares problems in u in one
+    modified Gram-Schmidt pass, then Newton's method from u = 0."""
+    w = np.abs(samples) ** (1.0 - 1.0 / m[:, None])
+    t = np.sign(samples) * np.abs(samples) ** (1.0 / m[:, None])
+    q = np.concatenate((w[..., None] * _VANDERMONDE, (w * t)[..., None]), axis=2)
+    r = np.zeros((len(q), 5, 6))  # [R | Q^T W t] with a unit diagonal, Q^T Q diagonal
+    for k in range(5):
+        qk = q[:, :, k]
+        r[:, k, k + 1 :] = np.einsum("ij,ijl->il", qk, q[:, :, k + 1 :]) / (qk * qk).sum(1)[:, None]
+        q[:, :, k + 1 :] -= qk[..., None] * r[:, None, k, k + 1 :]
+    for k in range(3, -1, -1):  # back substitution: column 5 becomes the coefficients
+        r[:, k, 5] -= np.einsum("ij,ij->i", r[:, k, k + 1 : 5], r[:, k + 1 :, 5])
+    down = r[:, ::-1, 5].T  # the coefficients in np.polyval's order, one column per fit
+    slope = down[:-1] * np.arange(4.0, 0.0, -1.0)[:, None]
+    u = np.zeros(len(q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(50):
+            step = np.polyval(down, u) / np.polyval(slope, u)
+            u -= step
+            if not (np.abs(step) > 1e-15).any():
+                break
+    return np.where((np.abs(u) <= 1.0) & (np.abs(step) <= 1e-12), 8.0 * u * h, np.nan)
 
 
 def _polish_roots(det, ells, lams):
@@ -233,7 +246,8 @@ def _polish_roots(det, ells, lams):
     A bracket solver stalls at the floating-point noise floor there, so the
     root is re-estimated from clean off-root samples: sign(D)|D|^(1/m) is
     smooth with a simple zero, and a weighted quartic fit of it is solved
-    for the root.  Simple roots are detected and left untouched.
+    for the root (_fit_roots, all roots of a round at once).  Simple roots
+    are detected and left untouched.
 
     Each root gets up to two rounds.  A round samples D on a 16-point
     stencil of spacing h, doubling h (at most 11 times) until the innermost
@@ -258,16 +272,15 @@ def _polish_roots(det, ells, lams):
         h[todo[noisy]] *= 2.0
         grows[todo[noisy]] += 1
         again = noisy & (grows[todo] < 12)
-        for k in np.flatnonzero(m > 1).tolist():
-            i = todo[k]
-            shift = _fit_root(samples[k].tolist(), h[i], int(m[k]))
-            if shift is None:
-                continue
-            lam[i] += shift
-            h[i] *= 0.35
-            rounds[i] += 1
-            grows[i] = 0
-            again[k] = rounds[i] < 2
+        odd = np.flatnonzero(m > 1)
+        shift = _fit_roots(samples[odd], h[todo[odd]], m[odd])
+        odd, shift = odd[~np.isnan(shift)], shift[~np.isnan(shift)]
+        i = todo[odd]
+        lam[i] += shift
+        h[i] *= 0.35
+        rounds[i] += 1
+        grows[i] = 0
+        again[odd] = rounds[i] < 2
         todo = todo[again]
     return lam
 
@@ -320,8 +333,7 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
         a[live[zero]] = b[live[zero]] = x[zero]
         if c.size:
             m = _multiplicity(samples, _POLISH_STENCIL)
-            odd = [k for k in np.flatnonzero(m > 1) if _fit_root(samples[k], h[k], m[k]) is not None]
-            stop = c[np.array(odd, dtype=int)]
+            stop = c[m > 1][~np.isnan(_fit_roots(samples[m > 1], h[m > 1], m[m > 1]))]
             handed[live[stop]], go[stop] = mid[stop], False
         left[live] -= 1.0
         widths[:, live] = widths[1, live], w

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,7 +292,7 @@ class TestScanRoots:
         # ITP with n0 = 1 ends every bracket in ceil(log2(w / tol)) + 1
         # evaluations, odd-order roots whose fit finds no root included
         if not fit:
-            monkeypatch.setattr(radial, "_fit_root", lambda samples, h, m: None)
+            monkeypatch.setattr(radial, "_fit_roots", lambda s, h, m: np.full(len(s), np.nan))
         det, ells, a, b, fa, fb, tol, roots = self.bracket_problems()
         probes = np.zeros(ells.size, dtype=int)
 
@@ -311,7 +313,7 @@ class TestScanRoots:
         handed = _bisect_brackets(det, ells, a, b, fa, fb, tol)
         odd = np.array([1, 2, 5])  # t^3, t^5 and -t^3: read odd order and handed off
         assert (np.abs(handed - roots)[odd] > tol[odd]).all()
-        monkeypatch.setattr(radial, "_fit_root", lambda samples, h, m: None)
+        monkeypatch.setattr(radial, "_fit_roots", lambda s, h, m: np.full(len(s), np.nan))
         got = _bisect_brackets(det, ells, a, b, fa, fb, tol)
         lower, upper = det(ells, got - 0.5 * tol), det(ells, got + 0.5 * tol)
         assert (lower * upper <= 0.0).all()
@@ -544,6 +546,62 @@ class TestPolishPrescreen:
         want = [1, 3, 5, 1, 1, 3]
         assert radial._multiplicity(rows, radial._POLISH_STENCIL).tolist() == want
         assert radial._multiplicity(rows[:, inner], radial._PRESCREEN).tolist() == want
+
+
+def fit_reference(row, h, m):
+    """The per-root fit the batched one replaced: np.polynomial's weighted
+    quartic fit of sign(D)|D|^(1/m) in the offsets, solved by np.roots for
+    the real root nearest the centre inside the stencil, NaN if none."""
+    offsets = np.array(radial._POLISH_STENCIL, dtype=float) * h
+    t = np.sign(row) * np.abs(row) ** (1.0 / m)
+    coef = np.polynomial.polynomial.polyfit(offsets, t, 4, w=np.abs(row) ** ((m - 1.0) / m))
+    candidates = np.roots(coef[::-1])
+    candidates = candidates[np.abs(candidates.imag) < 1e-11].real
+    inside = candidates[np.abs(candidates) <= offsets.max()]
+    return inside[np.argmin(np.abs(inside))] if inside.size else np.nan
+
+
+class TestBatchedFit:
+    """All odd-order roots of a polish round are fitted in one stacked
+    least-squares solve with a shared Vandermonde matrix."""
+
+    def test_matches_the_per_root_fit_on_the_count_stencils(self, monkeypatch):
+        # every stencil the count run fits (hand-offs and both polish rounds)
+        seen = []
+        fit_roots = radial._fit_roots
+
+        def recorded(samples, h, m):
+            shift = fit_roots(samples, h, m)
+            seen.extend(zip(samples, h, m, shift))
+            return shift
+
+        monkeypatch.setattr(radial, "_fit_roots", recorded)
+        experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        assert len(seen) >= 20
+        for row, h, m, shift in seen:
+            want = fit_reference(row, h, m)
+            # h <= 2e-3 lambda here (no stencil widened), so 5e-10 h is at
+            # most 1e-12 of the root
+            assert abs(shift - want) <= 5e-10 * h
+
+    def test_shapes_with_and_without_a_root(self):
+        u = np.array(radial._POLISH_STENCIL, dtype=float)
+        rows = np.array([(u - 0.3) ** 3, u**2 + 1.0, -((u + 2.5) ** 5), np.sign(u - 0.3) * np.abs(u - 0.3) ** 3])
+        m = np.array([3, 1, 5, 3])
+        got = radial._fit_roots(rows, np.full(4, 0.5), m)
+        assert got[[0, 2, 3]] == pytest.approx([0.15, -1.25, 0.15], abs=1e-12)
+        assert np.isnan(got[1])
+        assert np.allclose([fit_reference(r, 0.5, k) for r, k in zip(rows, m)], got, equal_nan=True)
+
+    def test_count_does_not_import_numpy_polynomial(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from teig import cli\n"
+            f"cli.main(['count', '--dim', '3', '--out', {str(tmp_path / 'c.json')!r}])\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.stdout.split() == ["False"]
 
 
 class TestHarmonicMultiplicity:
