@@ -208,30 +208,26 @@ class TestArrayKernels:
                 k = i * ells.size + int(ell)
                 assert alone[:, 0].tolist() == grid[:, k].tolist()
                 assert shift[0] == grid_shift[k]
-
-    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.5])
-    def test_j_triplet_reads_rescaled_rungs_as_the_batch_does(self, nu0):
-        # high orders at small x rescale their ladders; a point whose rung
-        # ell or ell + 1 is a rescale step reads the same bits alone and in
-        # the batch.  Steps are multiples of 8, and a rescale at step 8i
-        # shows as the shift of order 8i + 1 exceeding the one of order 8i
+        # high orders at small x rescale their ladders: a point whose rung
+        # ell or ell + 1 is a rescale step reads the same bits alone.  Steps
+        # are multiples of 8, and a rescale at step 8i shows as the shift of
+        # order 8i + 1 exceeding the one of order 8i
         x = np.geomspace(1e-12, 0.5, 9)
         ells = np.arange(0.0, 96.0)
-        ell, xx = np.tile(ells, x.size), np.repeat(x, ells.size)
-        grid, grid_shift = _j_triplet(nu0, ell, xx)
-        steps = grid_shift.reshape(x.size, ells.size)
-        rescaled = steps[:, 1::8] > steps[:, 0::8]  # (x, step 8i)
-        assert rescaled.sum() >= 10
-        for i, step in zip(*np.nonzero(rescaled)):
-            for e in (8 * step - 1, 8 * step):  # rung ell + 1 or ell is the step
-                if e < 0:
-                    continue
-                alone, shift = _j_triplet(nu0, np.array([float(e)]), x[[i]])
-                k = i * ells.size + e
-                assert alone[:, 0].tolist() == grid[:, k].tolist()
-                assert shift[0] == grid_shift[k]
-                assert np.isfinite(alone).all()
-
+        for nu0 in (-0.5, 0.0, 0.5):
+            grid, grid_shift = _j_triplet(nu0, np.tile(ells, x.size), np.repeat(x, ells.size))
+            steps = grid_shift.reshape(x.size, ells.size)
+            rescaled = steps[:, 1::8] > steps[:, 0::8]  # (x, step 8i)
+            assert rescaled.sum() >= 10
+            for i, step in zip(*np.nonzero(rescaled)):
+                for ell in (8 * step - 1, 8 * step):  # rung ell + 1 or ell is the step
+                    if ell < 0:
+                        continue
+                    alone, shift = _j_triplet(nu0, np.array([float(ell)]), x[[i]])
+                    k = i * ells.size + ell
+                    assert alone[:, 0].tolist() == grid[:, k].tolist()
+                    assert shift[0] == grid_shift[k]
+                    assert np.isfinite(alone).all()
 
 class TestBesselI:
     def test_at_zero(self):
