@@ -1,19 +1,23 @@
 """Independent radial oracle: transmission eigenvalues of a ball with a
-constant potential, characterized as zeros of the value/derivative matching
-determinant between the regular interior and exterior radial waves.
+constant potential, characterized as zeros of the value/derivative
+matching determinant between the regular interior and exterior radial
+waves.
 
-Each column of the determinant is rescaled to unit sup at every lambda, so
-zero sets survive the extreme dynamic range of high-order Bessel functions
-and the positive scale the Bessel kernels leave on each column cancels.
-It is evaluated on arrays of (order, lambda) points.  A scan lists each
-lambda's orders together, so one Bessel ladder per (lambda, block of 16
-orders) serves the whole grid; the windows of one problem are scanned
-together and share every determinant call.  Nested windows scan each order
-once: on each segment between consecutive window ends the grid is that
-window's own, the joint is one point of both segments, and a bracket is
-solved (ITP, with odd-order roots handed to a batched fit) to its segment's
-window tolerance.  No order is scanned below a lower bound of its first
-Bessel zero, where D has no root (_root_free_below).
+Each column is the dimensionless Cauchy data (y, R y') of its wave at the
+boundary, built from the Bessel pair (F_nu, F_{nu+1}) and scaled to unit
+Euclidean norm.  So D is the sine of the angle between the two columns: it
+lies in [-1, 1], depends on lambda R^2 alone, survives the extreme dynamic
+range of high-order Bessel functions, and the positive scale the Bessel
+kernels leave on each column cancels.  It is evaluated on arrays of
+(order, lambda) points.  A scan lists each lambda's orders together, so
+one Bessel ladder per (lambda, block of 16 orders) serves the whole grid;
+the windows of one problem are scanned together and share every
+determinant call.  Nested windows scan each order once: on each segment
+between consecutive window ends the grid is that window's own, the joint
+is one point of both segments, and a bracket is solved (ITP, with
+odd-order roots handed to a batched fit) to its segment's window
+tolerance.  No order is scanned below a lower bound of its first Bessel
+zero, where D has no root (_root_free_below).
 """
 
 import math
@@ -72,16 +76,15 @@ def _kappa_sq(kind, v0, lam):
 def _bessel_window(kind, radius, v0, ell, lam):
     """The Bessel validity rule on arrays of orders and lambdas.  Returns
     kappa^2 and three arrays with a first axis of 2 (exterior wave,
-    interior wave): the wavenumbers k = (sqrt(lambda), |kappa|), whether
-    the wave is a J (oscillatory: the exterior one always, the interior one
-    where kappa^2 > 0) rather than an I, and whether its argument k R lies
-    in the window, [bessel_j_min_arg(ell), 200] for J and <= 60 for I."""
+    interior wave): the arguments x = k R with k = (sqrt(lambda), |kappa|),
+    whether the wave is a J (oscillatory: the exterior one always, the
+    interior one where kappa^2 > 0) rather than an I, and whether x lies in
+    the window, [bessel_j_min_arg(ell), 200] for J and <= 60 for I."""
     ksq = _kappa_sq(kind, v0, lam)
-    k = np.stack((np.sqrt(np.maximum(lam, 0.0)), np.sqrt(np.abs(ksq))))
+    x = np.stack((np.sqrt(np.maximum(lam, 0.0)), np.sqrt(np.abs(ksq)))) * radius
     oscillatory = np.stack((np.ones(ksq.shape, dtype=bool), ksq > 0.0))
-    x = k * radius
     j_inside = (x >= bessel_j_min_arg(ell)) & (x <= BESSEL_J_MAX_ARG)
-    return ksq, k, oscillatory, np.where(oscillatory, j_inside, x <= BESSEL_I_MAX_ARG)
+    return ksq, x, oscillatory, np.where(oscillatory, j_inside, x <= BESSEL_I_MAX_ARG)
 
 
 def _check_window(kind, radius, v0, ells, lams):
@@ -89,15 +92,15 @@ def _check_window(kind, radius, v0, ells, lams):
     a Bessel argument leaves its window (_bessel_window), the exterior one
     first."""
     ells, lams = np.broadcast_arrays(np.asarray(ells, float), np.asarray(lams, float))
-    _, k, oscillatory, inside = _bessel_window(kind, radius, v0, ells, lams)
+    _, x, oscillatory, inside = _bessel_window(kind, radius, v0, ells, lams)
     bad = np.argwhere(~inside.T)  # (point, wave) pairs
     if bad.size:
         i, wave = bad[0]
-        x = k[wave, i] * radius
         x_max = BESSEL_J_MAX_ARG if oscillatory[wave, i] else BESSEL_I_MAX_ARG
-        limit = f"exceeds {x_max}" if x > x_max else f"is below {bessel_j_min_arg(ells[i])}"
+        at = x[wave, i]
+        limit = f"exceeds {x_max}" if at > x_max else f"is below {bessel_j_min_arg(ells[i])}"
         raise ArgumentOutOfRange(
-            f"{('exterior', 'interior')[wave]} Bessel argument {x} {limit} at lambda = "
+            f"{('exterior', 'interior')[wave]} Bessel argument {at} {limit} at lambda = "
             f"{lams[i]}, order {ells[i]:g} (radius {radius})"
         )
 
@@ -106,7 +109,10 @@ _DET_CHUNK = 2048  # determinant points per array call; bounds the ladder tempor
 
 
 def _det_grid(kind, n, radius, v0, ells, lambdas):
-    """Normalized matching determinant at the points (ells[i], lambdas[i]).
+    """Normalized matching determinant at the points (ells[i], lambdas[i]):
+    with x = k R and G = F_{nu+1}, (x_e F_i G_e - s x_i F_e G_i) over the
+    Euclidean norms of the columns (F, ell F - s x G), s = +1 for a J
+    interior and -1 for an I one (the module docstring).
 
     ``ells`` and ``lambdas`` are 1-D and broadcast against each other.  The
     value is NaN at degenerate interior wavenumbers, at lambda <= 0 and
@@ -126,21 +132,20 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
 def _det_chunk(kind, n, radius, v0, ell, lam):
     """_det_grid on at most _DET_CHUNK points."""
     out = np.full(lam.shape, np.nan)
-    ksq, k, oscillatory, inside = _bessel_window(kind, radius, v0, ell, lam)
+    ksq, x, oscillatory, inside = _bessel_window(kind, radius, v0, ell, lam)
     ok = (lam > 0.0) & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ) & inside.all(axis=0)
     if not ok.any():
         return out
     if not ok.all():
-        ell, k, oscillatory = ell[ok], k[:, ok], oscillatory[:, ok]
-    # exterior and interior waves in one call
-    val, der = _radial_wave_eval(
-        0.5 * (2 - n), 0.5 * (n - 2), np.tile(ell, 2), k.ravel(), radius, oscillatory.ravel()
-    )
-    (ye, yi), (dye, dyi) = val.reshape(2, -1), der.reshape(2, -1)
-    se = np.maximum(np.abs(ye), np.abs(dye))
-    si = np.maximum(np.abs(yi), np.abs(dyi))
+        ell, x, oscillatory = ell[ok], x[:, ok], oscillatory[:, ok]
+    # exterior and interior pairs in one call; a column (y, R y') / R^p is
+    # (F, ell F - s x G), s = +1 for J and -1 for I, as p + nu = ell
+    f, g = _radial_wave_eval(0.5 * (n - 2), np.tile(ell, 2), x.ravel(), oscillatory.ravel())
+    f, g = f.reshape(2, -1), g.reshape(2, -1)
+    sxg = np.where(oscillatory, x, -x) * g
+    norm = np.hypot(f, ell * f - sxg)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives NaN
-        out[ok] = (ye / se) * (dyi / si) - (yi / si) * (dye / se)
+        out[ok] = (f[1] * sxg[0] - f[0] * sxg[1]) / (norm[0] * norm[1])
     return out
 
 
@@ -289,7 +294,9 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     """Solve every bracket [a_i, b_i] of order ells[i] to width tol (a
     scalar or one per bracket) by ITP (Oliveira & Takahashi, ACM TOMS 47(1),
     2021; kappa1 = 0.2 / (b - a), kappa2 = 2, n0 = 1), all brackets sharing
-    one determinant call per step, and return the midpoints.
+    one determinant call per step, and return the midpoints.  The truncation
+    steps at least tol / 4 (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), so a probe next to a simple root crosses it.
 
     ``det(ells, lambdas)`` evaluates D on arrays; fa_i = D(a_i) and fb_i =
     D(b_i) are nonzero, of opposite signs.  Probes lie strictly inside, and
@@ -312,7 +319,7 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
         w, mid = hi - lo, 0.5 * (lo + hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
-        sigma, delta = np.sign(mid - x), kappa[live] * w * w
+        sigma, delta = np.sign(mid - x), np.maximum(kappa[live] * w * w, 0.25 * tol[live])
         x = np.where(delta <= np.abs(mid - x), x + sigma * delta, mid)
         r = 0.5 * tol[live] * 2.0 ** left[live] - 0.5 * w
         x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)
@@ -547,22 +554,20 @@ def adaptive_ell_max(n, radius, x):
     return max(ell, 0)
 
 
-FIRST_TE_CAP = 1e6
-
-
 def first_te(ball):
     """Smallest determinant root of angular order 0 of the RadialProblem
     ``ball``.
 
     The scan window [LAMBDA_FLOOR, hi] starts at hi = max(4 / R^2, 2 v0, 1)
-    and doubles until a root appears; ArgumentOutOfRange when hi passes
-    FIRST_TE_CAP first, at once when the first hi is not finite.
+    and doubles until a root appears; ArgumentOutOfRange once the exterior
+    argument sqrt(hi) R passes BESSEL_J_MAX_ARG before that, at once when
+    the first hi is not finite.
     """
     try:
         hi = max(4.0 / ball.radius**2, 2.0 * ball.v0, 1.0)
     except (ZeroDivisionError, OverflowError):  # R^2 underflows to 0 or overflows
         hi = math.inf
-    while hi <= FIRST_TE_CAP:
+    while math.sqrt(hi) * ball.radius <= BESSEL_J_MAX_ARG:
         row, root, _, _ = _scan_determinant(
             ball, (0,), LAMBDA_FLOOR, hi, DEFAULT_SCAN_STEPS, 1e-12 * max(1.0, hi)
         )
@@ -570,5 +575,6 @@ def first_te(ball):
             return float(root[0])
         hi *= 2.0
     raise ArgumentOutOfRange(
-        f"no transmission eigenvalue of radius {ball.radius} found below {FIRST_TE_CAP}"
+        f"no transmission eigenvalue of radius {ball.radius} found while the exterior "
+        f"Bessel argument stays within {BESSEL_J_MAX_ARG}"
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from teig.errors import ArgumentOutOfRange, TeigError
 from teig.radial import DEGENERATE_KAPPA_SQ, _check_window, _det_grid, _kappa_sq
-from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _i_triplet, _j_triplet
+from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _i_pair, _j_pair
 
 
 class NonPositiveArgument(TeigError, ValueError):
@@ -61,11 +61,11 @@ def gamma_real(x):
         raise ArgumentOutOfRange(f"gamma_real({x}) overflows a double") from None
 
 
-def _triplet(nu, x, oscillatory, name):
-    """(F_{nu-1}, F_nu, F_{nu+1}) at the arguments x (shape (3, *x.shape)),
-    0 <= x <= the window of F; at x = 0 only F_nu is meaningful.  J
-    (oscillatory) comes from ladders on nu0 = nu - floor(nu + 1/2), I from
-    its series, each times its prefactor (x/2)^nu0 / Gamma(nu0 + 1)."""
+def _pair(nu, x, oscillatory, name):
+    """(F_nu, F_{nu+1}) at the arguments x (shape (2, *x.shape)), 0 <= x <=
+    the window of F.  J (oscillatory) comes from ladders on nu0 = nu -
+    floor(nu + 1/2), I from its series, each times its prefactor (x/2)^nu0 /
+    Gamma(nu0 + 1)."""
     nu, x = float(nu), np.asarray(x, dtype=float)
     x_max = BESSEL_J_MAX_ARG if oscillatory else BESSEL_I_MAX_ARG
     if nu < -0.5:
@@ -74,8 +74,8 @@ def _triplet(nu, x, oscillatory, name):
     if outside.any():
         raise ArgumentOutOfRange(f"{name}: argument {x[outside].flat[0]} outside [0, {x_max}]")
     flat = x.ravel()
-    out = np.zeros((3, flat.size))
-    out[1, flat == 0.0] = 1.0 if nu == 0.0 else 0.0
+    out = np.zeros((2, flat.size))
+    out[0, flat == 0.0] = 1.0 if nu == 0.0 else 0.0
     pos = flat > 0.0
     if pos.any():
         xp = flat[pos]
@@ -83,11 +83,11 @@ def _triplet(nu, x, oscillatory, name):
         nu0 = nu - ell
         pref = np.exp(nu0 * np.log(0.5 * xp) - math.lgamma(nu0 + 1.0))
         if oscillatory:
-            trip, shift = _j_triplet(nu0, np.full(xp.size, float(ell)), xp)
-            out[:, pos] = np.ldexp(trip, -500 * shift.astype(int)) * pref
+            pair, shift = _j_pair(nu0, np.full(xp.size, float(ell)), xp)
+            out[:, pos] = np.ldexp(pair, -500 * shift.astype(int)) * pref
         else:
-            out[:, pos] = _i_triplet(np.full(xp.size, nu), xp) * pref
-    return out.reshape((3, *x.shape))
+            out[:, pos] = _i_pair(np.full(xp.size, nu), xp) * pref
+    return out.reshape((2, *x.shape))
 
 
 def _value(vals):
@@ -96,22 +96,24 @@ def _value(vals):
 
 def bessel_j(nu, x):
     """Bessel J_nu(x) for nu >= -1/2, 0 <= x <= 200."""
-    return _value(_triplet(nu, x, True, "bessel_j")[1])
+    return _value(_pair(nu, x, True, "bessel_j")[0])
 
 
 def bessel_i(nu, x):
     """Modified Bessel I_nu(x) for nu >= -1/2, 0 <= x <= 60."""
-    return _value(_triplet(nu, x, False, "bessel_i")[1])
+    return _value(_pair(nu, x, False, "bessel_i")[0])
 
 
 def radial_wave(w, k, r):
-    """y(r) = r^{(2-n)/2} F_nu(kr) and y'(r) for k, r > 0."""
+    """y(r) = r^{(2-n)/2} F_nu(kr) and y'(r) for k, r > 0, with F' =
+    (nu/x) F - s F_{nu+1}, s = +1 for J and -1 for I, so r y' / r^p =
+    ell F - s k r F_{nu+1}."""
     if not (k > 0.0 and r > 0.0):
         raise ArgumentOutOfRange("radial_wave requires k > 0 and r > 0")
     osc = w.branch is Branch.OSCILLATORY
-    fm1, f0, fp1 = _triplet(w.order, k * r, osc, "radial_wave").tolist()
-    p = 0.5 * (2 - w.dim)
-    return r**p * f0, r**p * (p / r * f0 + 0.5 * k * (fm1 - fp1 if osc else fm1 + fp1))
+    f, g = _pair(w.order, k * r, osc, "radial_wave").tolist()
+    rp = r ** (0.5 * (2 - w.dim))
+    return rp * f, rp * (w.ell / r * f - (k if osc else -k) * g)
 
 
 def interior_wavenumber(kind, v0, lam):

@@ -3,8 +3,10 @@
 This is the one-point-at-a-time code the array kernels in ``teig.specfun``
 and ``teig.radial`` replaced: the Bessel power series, Miller's backward
 recurrence with its retry-on-overflow loop, the normalized matching
-determinant and bisection of one bracket.  Tests compare the array path
-against it.
+determinant and bisection of one bracket.  The determinant takes its
+derivatives from F_{nu-1} and F_{nu+1}, where the array path uses the pair
+(F_nu, F_{nu+1}), so comparing the two checks that identity too.  Tests
+compare the array path against it.
 """
 
 import math
@@ -96,8 +98,9 @@ def radial_wave_eval(p, nu, k, r, oscillatory):
 
 
 def det_scalar(kind, n, radius, v0, ell, lam):
-    """Normalized matching determinant at one lambda; NaN where the array
-    path gives NaN."""
+    """Normalized matching determinant at one lambda: the columns (y, R y'),
+    with F' from F_{nu-1} and F_{nu+1}, scaled to unit Euclidean norm; NaN
+    where the array path gives NaN."""
     if lam <= 0.0:
         return math.nan
     ksq = lam - v0 if kind is ProblemKind.SCHRODINGER else lam * (1.0 - v0)
@@ -117,8 +120,9 @@ def det_scalar(kind, n, radius, v0, ell, lam):
     nu = 0.5 * (n - 2) + ell
     ye, dye = radial_wave_eval(p, nu, k_ext, radius, True)
     yi, dyi = radial_wave_eval(p, nu, k_int, radius, oscillatory)
-    se = max(abs(ye), abs(dye))
-    si = max(abs(yi), abs(dyi))
+    dye, dyi = radius * dye, radius * dyi
+    se = math.hypot(ye, dye)
+    si = math.hypot(yi, dyi)
     if se == 0.0 or si == 0.0:
         return math.nan
     return (ye / se) * (dyi / si) - (yi / si) * (dye / se)

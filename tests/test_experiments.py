@@ -25,6 +25,13 @@ class TestScaling:
         r = ex.scaling_check(3, math.pi, 0.75, [0.5])
         assert r["margins"]["tolerance"] == 1e-8
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_small_balls_keep_the_law(self, dim):
+        # the ball of radius pi eps has its first TE near 4 / eps^2, far past
+        # any fixed lambda cap, and its determinant is the radius-pi one
+        r = ex.scaling_check(dim, math.pi, 0.75, [1e-3, 1e-5, 1e-7])
+        assert r["verdict"] == "Pass"
+
     def test_rejects_bad_contrast(self):
         with pytest.raises(ValidationError):
             ex.scaling_check(1, math.pi, 1.5, [0.5])

@@ -131,7 +131,7 @@ def test_the_import_guard_sees_every_spelling(tmp_path):
         "from teig.eigensolve import lowest_k\n"
         "from . import model\n"
         "from .errors import TeigError\n"
-        "from .specfun import _j_triplet\n"
+        "from .specfun import _j_pair\n"
     )
     assert teig_imports(probe) == GALERKIN | {"model", "errors", "specfun"}
 

@@ -451,7 +451,7 @@ class TestSharedWindows:
 
         monkeypatch.setattr(radial, "_det_grid", counted)
         experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
-        assert len(calls) <= 18
+        assert len(calls) <= 16
         assert sum(calls) <= 45_000
 
     def test_counts_do_not_hang_on_the_solved_digits(self, monkeypatch):
@@ -668,6 +668,28 @@ class TestTEList:
         for lam, _, _ in scaled:
             best = min(abs(lam - b / eps**2) / (b / eps**2) for b, _, _ in base)
             assert best <= 1e-8
+
+    @pytest.mark.parametrize(
+        "kind, dim, v0r2", [(H, 1, 0.75), (H, 3, 0.75), (S, 3, 30.0)], ids=["H1", "H3", "S3"]
+    )
+    def test_lists_depend_on_lambda_r2_alone(self, kind, dim, v0r2):
+        # a ball of radius R has the TEs of the unit ball over R^2 (with v0 R^2
+        # fixed for Schrodinger): each radius lists the unit ball's (order,
+        # lambda R^2) pairs, to the scan tolerance 1e-10 of the window end
+        top = 100.0
+
+        def scaled(radius):
+            v0 = v0r2 if kind is H else v0r2 / radius**2
+            ball = RadialProblem(kind, dim, radius, v0)
+            (listed,) = te_lists_up_to(ball, [top / radius**2], [3])
+            return sorted((ell, lam * radius**2) for lam, ell, _ in listed)
+
+        unit = scaled(1.0)  # orders 0 and 1 share the root 4 pi^2 in dims 1 and 3
+        assert len(unit) >= 2
+        for radius in (1e-2, 1e-4, 1e-5, 1e-6, 1e-7, 1e-9):
+            got = scaled(radius)
+            assert [ell for ell, _ in got] == [ell for ell, _ in unit], radius
+            assert np.abs(np.subtract(got, unit)[:, 1]).max() <= 1e-10 * top, radius
 
     def test_helmholtz_list_nonempty_when_window_large(self):
         # 100x the first-root estimate: existence of infinitely many

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from teig.errors import ArgumentOutOfRange
-from teig.specfun import _i_triplet, _j_triplet, bessel_j_min_arg
+from teig.specfun import _i_pair, _j_pair, bessel_j_min_arg
 
 import scalar_oracle
 from one_point import (
@@ -113,9 +113,9 @@ class TestBesselJ:
         # runs; the series converges there (x^2 < 2(nu+1)) and serves as
         # reference.  The two carry different positive scales, so their
         # ratios to J_nu are compared.
-        ladder, _ = _j_triplet(0.0, np.array([300.0]), np.array([50.0]))
-        series = scalar_oracle.series_triplet(300.0, 50.0, -1.0)
-        for m, s in zip(ladder[:, 0] / ladder[1, 0], [v / series[1] for v in series]):
+        ladder, _ = _j_pair(0.0, np.array([300.0]), np.array([50.0]))
+        series = scalar_oracle.series_triplet(300.0, 50.0, -1.0)[1:]
+        for m, s in zip(ladder[:, 0] / ladder[0, 0], [v / series[0] for v in series]):
             assert m == pytest.approx(s, rel=1e-13)
 
     def test_ladder_rescales_where_the_retry_loop_gave_up(self):
@@ -123,10 +123,10 @@ class TestBesselJ:
         # it returns zeros; the rescaled ladder agrees with the series
         nu, x = 300.0, 24.7
         assert scalar_oracle.miller_triplet(nu, x, 14.0 + 6.0 * x ** (1.0 / 3.0)) == (0, 0, 0)
-        ladder, _ = _j_triplet(0.0, np.array([nu]), np.array([x]))
-        series = scalar_oracle.series_triplet(nu, x, -1.0)
-        got = (ladder[:, 0] / ladder[1, 0]).tolist()
-        assert got == pytest.approx([v / series[1] for v in series], rel=1e-13)
+        ladder, _ = _j_pair(0.0, np.array([nu]), np.array([x]))
+        series = scalar_oracle.series_triplet(nu, x, -1.0)[1:]
+        got = (ladder[:, 0] / ladder[0, 0]).tolist()
+        assert got == pytest.approx([v / series[0] for v in series], rel=1e-13)
 
     def test_window_enforced(self):
         with pytest.raises(ArgumentOutOfRange):
@@ -138,7 +138,8 @@ class TestBesselJ:
 
 
 class TestArrayKernels:
-    """The array triplets against the scalar reference implementation."""
+    """The array pairs against rows F_nu, F_{nu+1} of the scalar reference
+    implementation's triplets."""
 
     NUS = (-0.5, 0.0, 0.5, 1.0, 2.5, 12.5, 31.5, 64.5, 100.0)
 
@@ -147,38 +148,38 @@ class TestArrayKernels:
         # half-integer orders the oracle uses, so bit-equal
         x = np.linspace(0.05, 12.0, 60)
         for nu in self.NUS:
-            got = _i_triplet(np.full(x.shape, nu), x)
-            want = [scalar_oracle.series_triplet(nu, float(v), 1.0) for v in x]
+            got = _i_pair(np.full(x.shape, nu), x)
+            want = [scalar_oracle.series_triplet(nu, float(v), 1.0)[1:] for v in x]
             assert got.T.tolist() == [list(t) for t in want]
 
     @staticmethod
-    def unit_sup(triplets):
-        """Triplets (3, points) scaled to unit sup per point."""
-        t = np.asarray(triplets, dtype=float)
+    def unit_sup(pairs):
+        """Pairs (2, points) scaled to unit sup per point."""
+        t = np.asarray(pairs, dtype=float)
         return t / np.abs(t).max(axis=0)
 
     def test_j_triplet_matches_scalar_reference(self):
-        # the ladder carries a positive scale of its own, so triplets are
+        # the ladder carries a positive scale of its own, so pairs are
         # compared at unit sup, to 1e-13 of it as before
         x = np.linspace(0.05, 200.0, 400)
         for nu in self.NUS:
             ell = math.floor(nu + 0.5)
-            got, _ = _j_triplet(nu - ell, np.full(x.size, float(ell)), x)
-            want = [scalar_oracle.j_triplet(nu, float(v)) for v in x]
+            got, _ = _j_pair(nu - ell, np.full(x.size, float(ell)), x)
+            want = [scalar_oracle.j_triplet(nu, float(v))[1:] for v in x]
             assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_ladder_matches_series_across_the_old_switch(self, dim):
         # the retired series/Miller switch sat at x <= 8 or x^2 <= 2(nu + 1):
         # on the series side the ladder matches the series, on the other the
-        # scalar Miller ladder, to 1e-13 of the triplet's sup
+        # scalar Miller ladder, to 1e-13 of the pair's sup
         nu0 = 0.5 * (dim - 2)
         ells = np.arange(0.0, 81.0)
         xs = np.concatenate([np.geomspace(1e-4, 7.9, 25), np.linspace(8.0, 8.2, 5)])
         xs = np.concatenate([xs, np.sqrt(2.0 * (nu0 + ells[::8] + 1.0)) + 0.05])
         ell, x = (g.ravel() for g in np.meshgrid(ells, np.unique(xs), indexing="ij"))
-        got, _ = _j_triplet(nu0, ell, x)
-        want = [scalar_oracle.j_triplet(nu0 + e, v) for e, v in zip(ell.tolist(), x.tolist())]
+        got, _ = _j_pair(nu0, ell, x)
+        want = [scalar_oracle.j_triplet(nu0 + e, v)[1:] for e, v in zip(ell.tolist(), x.tolist())]
         series = (x <= 8.0) | (x * x <= 2.0 * (nu0 + ell + 1.0))
         assert series.sum() > 0.5 * x.size and (~series).sum() > 0.05 * x.size
         assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
@@ -187,13 +188,13 @@ class TestArrayKernels:
     def test_j_triplet_at_the_lower_bound(self, nu0):
         # at bessel_j_min_arg each ladder step stays within what the 2^-500
         # rescale absorbs (at orders 0-40 the ladders overflow from about
-        # x = 1e-18 down); the triplets are finite and match the scalar
+        # x = 1e-18 down); the pairs are finite and match the scalar
         # reference, which retries on overflow
         ell = np.arange(0.0, 41.0)
         x = bessel_j_min_arg(ell)
-        got, _ = _j_triplet(nu0, ell, x)
+        got, _ = _j_pair(nu0, ell, x)
         assert np.isfinite(got).all()
-        want = [scalar_oracle.j_triplet(nu0 + e, v) for e, v in zip(ell.tolist(), x.tolist())]
+        want = [scalar_oracle.j_triplet(nu0 + e, v)[1:] for e, v in zip(ell.tolist(), x.tolist())]
         assert np.abs(self.unit_sup(got) - self.unit_sup(np.transpose(want))).max() <= 1e-13
 
     def test_j_triplet_does_not_depend_on_the_batch(self):
@@ -201,29 +202,29 @@ class TestArrayKernels:
         # give the same bits, and the batch's other points change nothing
         x = np.linspace(0.5, 120.0, 31)
         ells = np.arange(0.0, 40.0)
-        grid, grid_shift = _j_triplet(0.5, np.tile(ells, x.size), np.repeat(x, ells.size))
+        grid, grid_shift = _j_pair(0.5, np.tile(ells, x.size), np.repeat(x, ells.size))
         for i in (0, 7, 23):
             for ell in (0, 15, 16, 39):
-                alone, shift = _j_triplet(0.5, np.array([ell]), x[[i]])
+                alone, shift = _j_pair(0.5, np.array([ell]), x[[i]])
                 k = i * ells.size + int(ell)
                 assert alone[:, 0].tolist() == grid[:, k].tolist()
                 assert shift[0] == grid_shift[k]
         # high orders at small x rescale their ladders: a point whose rung
         # ell or ell + 1 is a rescale step reads the same bits alone.  Steps
         # are multiples of 8, and a rescale at step 8i shows as the shift of
-        # order 8i + 1 exceeding the one of order 8i
+        # order 8i exceeding the one of order 8i - 1 (0 below order 0)
         x = np.geomspace(1e-12, 0.5, 9)
         ells = np.arange(0.0, 96.0)
         for nu0 in (-0.5, 0.0, 0.5):
-            grid, grid_shift = _j_triplet(nu0, np.tile(ells, x.size), np.repeat(x, ells.size))
+            grid, grid_shift = _j_pair(nu0, np.tile(ells, x.size), np.repeat(x, ells.size))
             steps = grid_shift.reshape(x.size, ells.size)
-            rescaled = steps[:, 1::8] > steps[:, 0::8]  # (x, step 8i)
+            rescaled = np.diff(steps, axis=1, prepend=0)[:, 0::8] > 0  # (x, step 8i)
             assert rescaled.sum() >= 10
             for i, step in zip(*np.nonzero(rescaled)):
                 for ell in (8 * step - 1, 8 * step):  # rung ell + 1 or ell is the step
                     if ell < 0:
                         continue
-                    alone, shift = _j_triplet(nu0, np.array([float(ell)]), x[[i]])
+                    alone, shift = _j_pair(nu0, np.array([float(ell)]), x[[i]])
                     k = i * ells.size + ell
                     assert alone[:, 0].tolist() == grid[:, k].tolist()
                     assert shift[0] == grid_shift[k]
