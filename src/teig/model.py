@@ -6,8 +6,9 @@ problem (chains materialized, intervals sorted) or raises a typed
 ValidationError whose ``code`` names the violated rule.
 """
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 
 from .errors import (
@@ -203,9 +204,7 @@ def validate_problem(spec):
 
     pot = spec.potential
     if isinstance(pot, Constant):
-        _check_finite(v0=pot.v0)
-        if not pot.v0 > 0:
-            raise NonPositivePotential(f"constant potential must be > 0, got {pot.v0}")
+        check_constant_potential(spec.kind, pot.v0)
     elif isinstance(pot, PowerDecay):
         _check_finite(c=pot.c, alpha=pot.alpha)
         if not pot.c > 0:
@@ -216,12 +215,6 @@ def validate_problem(spec):
             )
     else:
         raise ValidationError(f"unknown potential type {type(pot).__name__}")
-
-    if spec.kind is ProblemKind.HELMHOLTZ and isinstance(pot, Constant):
-        if abs(pot.v0 - 1.0) < HELMHOLTZ_CONTRAST_TOL:
-            raise HelmholtzContrastDegenerate(
-                "Helmholtz contrast v0 = 1 degenerates the interior wavenumber"
-            )
 
     weight = spec.weight
     if isinstance(weight, str):  # JSON-level spelling
@@ -299,6 +292,16 @@ def _check_storage(blocks, disc, sw):
         )
 
 
+def check_constant_potential(kind, v0):
+    """The rule on a constant potential, in problem files and balls alike:
+    v0 is finite and > 0, and a Helmholtz v0 keeps away from 1."""
+    _check_finite(v0=v0)
+    if not v0 > 0:
+        raise NonPositivePotential(f"constant potential v0 must be > 0, got {v0}")
+    if kind is ProblemKind.HELMHOLTZ and abs(v0 - 1.0) < HELMHOLTZ_CONTRAST_TOL:
+        raise HelmholtzContrastDegenerate("Helmholtz v0 = 1 degenerates the interior wavenumber")
+
+
 def _check_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
@@ -319,66 +322,62 @@ def _resolve_weight(name, potential):
 
 
 def parse_problem(config):
-    """Build a ProblemSpec from a configuration mapping (see README for the
-    schema); raises ValidationError on malformed input."""
-    if not isinstance(config, dict):
-        raise ValidationError("problem config must be a JSON object")
-    try:
-        kind = ProblemKind(config["problem"])
-    except KeyError:
-        raise ValidationError("missing 'problem' field") from None
-    except ValueError:
-        raise ValidationError(
-            f"problem must be 'schrodinger' or 'helmholtz', got {config.get('problem')!r}"
-        ) from None
-
-    domain = _parse_domain(_require(config, "domain"))
-    potential = _parse_potential(_require(config, "potential"))
-    weight = _parse_weight(config.get("weight", "unweighted"))
-
-    disc_cfg = config.get("discretization", {})
-    if not isinstance(disc_cfg, dict):
-        raise ValidationError("discretization must be a JSON object")
-    sweep_cfg = config.get("sweep")
-    try:
-        disc = DiscretizationConfig(
-            cells_per_interval=_count(disc_cfg.get("cells_per_interval", 64), "cells_per_interval"),
-            quad_points=_count(disc_cfg.get("quad_points", 8), "quad_points"),
-            num_curves=_count(disc_cfg.get("num_curves", 12), "num_curves"),
-        )
-        if sweep_cfg is None:
-            raise ValidationError("missing 'sweep' section")
-        sweep = SweepConfig(
-            lambda_min=float(sweep_cfg["lambda_min"]),
-            lambda_max=float(sweep_cfg["lambda_max"]),
-            steps=_count(sweep_cfg["steps"], "steps"),
-            refine_tol=float(sweep_cfg.get("refine_tol", 1e-8)),
-            cluster_tol=float(sweep_cfg.get("cluster_tol", 1e-6)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"malformed configuration: {exc}") from None
-
+    """Build a ProblemSpec from a configuration mapping (see README).  The
+    section dataclasses are the schema: a section holds only its class's
+    fields, a field left out takes its default; else ValidationError."""
+    _check_keys(config, _SECTIONS, "problem config")
+    kind = _require(config, "problem")
+    if kind not in ("schrodinger", "helmholtz"):
+        raise ValidationError(f"problem must be 'schrodinger' or 'helmholtz', got {kind!r}")
+    weight = config.get("weight", "unweighted")  # a string is resolved by validation
     return ProblemSpec(
-        kind=kind,
-        domain=domain,
-        potential=potential,
-        weight=weight,
-        discretization=disc,
-        sweep=sweep,
+        kind=ProblemKind(kind),
+        domain=_section(config, "domain", (IntervalUnion, ShrinkingChain)),
+        potential=_section(config, "potential", (Constant, PowerDecay)),
+        weight=weight if isinstance(weight, str) else _section(config, "weight", _WEIGHTS),
+        discretization=_fields(DiscretizationConfig, config.get("discretization", {}),
+                               "discretization"),
+        sweep=_fields(SweepConfig, _require(config, "sweep"), "sweep"),
     )
 
 
-def _count(value, name):
-    """A count from the configuration: integers and integral floats (64 or
-    64.0) give an int; any other number (4.7, NaN, inf) is rejected."""
-    if isinstance(value, int):
-        return value
-    number = float(value)
-    if not number.is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(number)
+_SECTIONS = ("problem", "domain", "potential", "weight", "discretization", "sweep")
+_WEIGHTS = (Unweighted, Agmon)
+# the "type" tag of each class a typed section may hold
+_TAGS = {IntervalUnion: "interval_union", ShrinkingChain: "shrinking_chain", Constant: "constant",
+         PowerDecay: "power_decay", Unweighted: "unweighted", Agmon: "agmon"}
+
+
+def _section(config, name, classes):
+    """The typed section ``name``: its "type" tag picks one of ``classes``
+    and its other keys are that class's fields."""
+    cfg = _require(config, name)
+    tag = _require(cfg, "type")
+    cls = next((c for c in classes if _TAGS[c] == tag), None)
+    if cls is None:
+        raise ValidationError(f"unknown {name} type {tag!r}")
+    return _fields(cls, {key: value for key, value in cfg.items() if key != "type"}, name)
+
+
+def _fields(cls, mapping, section):
+    """The dataclass ``cls`` built from exactly its fields in ``mapping``,
+    each read by the reader of its annotated type (_READERS)."""
+    _check_keys(mapping, [f.name for f in fields(cls)], section)
+    values = {}
+    for f in fields(cls):
+        if f.name in mapping:
+            values[f.name] = _READERS[f.type](mapping[f.name], f.name)
+        elif f.default is MISSING:
+            raise ValidationError(f"missing '{f.name}' field in {section}")
+    return cls(**values)
+
+
+def _check_keys(mapping, allowed, section):
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{section} must be a JSON object")
+    for key in mapping:
+        if key not in allowed:
+            raise ValidationError(f"unknown key {key!r} in {section}")
 
 
 def _require(config, key):
@@ -388,96 +387,62 @@ def _require(config, key):
         raise ValidationError(f"missing '{key}' field") from None
 
 
-def _parse_domain(cfg):
-    kind = _require(cfg, "type")
-    try:
-        if kind == "interval_union":
-            return IntervalUnion(intervals=[(float(a), float(b)) for a, b in cfg["intervals"]])
-        if kind == "shrinking_chain":
-            return ShrinkingChain(
-                count=_count(cfg["count"], "count"),
-                start=float(cfg["start"]),
-                gap=float(cfg["gap"]),
-                first_length=float(cfg["first_length"]),
-                decay_ratio=float(cfg["decay_ratio"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed domain: {exc}") from None
-    raise ValidationError(f"unknown domain type {kind!r}")
+def _real(value, name):
+    """A number from the configuration; a JSON boolean is not one."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
-def _parse_potential(cfg):
-    kind = _require(cfg, "type")
-    try:
-        if kind == "constant":
-            return Constant(v0=float(cfg["v0"]))
-        if kind == "power_decay":
-            return PowerDecay(c=float(cfg["c"]), alpha=float(cfg["alpha"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed potential: {exc}") from None
-    raise ValidationError(f"unknown potential type {kind!r}")
+def _count(value, name):
+    """A count from the configuration: integers and integral floats (64 or
+    64.0) give an int; any other number (4.7, NaN, inf) is rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _real(value, name)
+    if not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
-def _parse_weight(cfg):
-    """The string spelling ('agmon', 'unweighted') passes through to
-    validation; the object spelling of canonical_config is built here."""
-    if isinstance(cfg, str):
-        return cfg
-    kind = _require(cfg, "type")
-    try:
-        if kind == "unweighted":
-            return Unweighted()
-        if kind == "agmon":
-            return Agmon(alpha=float(cfg["alpha"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed weight: {exc}") from None
-    raise ValidationError(f"unknown weight type {kind!r}")
+def _intervals(value, name):
+    """Interval endpoints: a list of [a, b] pairs of numbers."""
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value)):
+        raise ValidationError(f"{name} must be a list of [a, b] pairs, got {value!r}")
+    return [(_real(a, name), _real(b, name)) for a, b in value]
+
+
+_READERS = {int: _count, float: _real, tuple: _intervals}
 
 
 def load_problem(path):
     """Read and parse a JSON problem file into its ProblemSpec."""
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
     return parse_problem(config)
+
+
+def _tagged(obj):
+    return {"type": _TAGS[type(obj)], **asdict(obj)}
 
 
 def canonical_config(problem):
     """Round-trip a validated problem into its canonical config mapping
     (used for hashing and for echoing inputs into reports)."""
-    dom = {
-        "type": "interval_union",
-        "intervals": [[a, b] for a, b in problem.intervals],
-    }
-    if isinstance(problem.potential, Constant):
-        pot = {"type": "constant", "v0": problem.potential.v0}
-    else:
-        pot = {"type": "power_decay", "c": problem.potential.c, "alpha": problem.potential.alpha}
-    if isinstance(problem.weight, Unweighted):
-        weight = {"type": "unweighted"}
-    else:
-        weight = {"type": "agmon", "alpha": problem.weight.alpha}
     return {
         "problem": problem.kind.value,
-        "domain": dom,
-        "potential": pot,
-        "weight": weight,
-        "discretization": {
-            "cells_per_interval": problem.discretization.cells_per_interval,
-            "quad_points": problem.discretization.quad_points,
-            "num_curves": problem.discretization.num_curves,
-        },
-        "sweep": {
-            "lambda_min": problem.sweep.lambda_min,
-            "lambda_max": problem.sweep.lambda_max,
-            "steps": problem.sweep.steps,
-            "refine_tol": problem.sweep.refine_tol,
-            "cluster_tol": problem.sweep.cluster_tol,
-        },
+        "domain": _tagged(IntervalUnion(problem.intervals)),
+        "potential": _tagged(problem.potential),
+        "weight": _tagged(problem.weight),
+        "discretization": asdict(problem.discretization),
+        "sweep": asdict(problem.sweep),
     }

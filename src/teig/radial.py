@@ -25,15 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentOutOfRange,
-    HelmholtzContrastDegenerate,
-    NonPositivePotential,
-    ProblemTooLarge,
-    UnsupportedDimension,
-    ValidationError,
-)
-from .model import HELMHOLTZ_CONTRAST_TOL, MEMORY_BUDGET_BYTES, ProblemKind
+from .errors import ArgumentOutOfRange, ProblemTooLarge, UnsupportedDimension, ValidationError
+from .model import MEMORY_BUDGET_BYTES, ProblemKind, check_constant_potential
 from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _radial_wave_eval, bessel_j_min_arg
 
 DEGENERATE_KAPPA_SQ = 1e-14
@@ -53,16 +46,9 @@ class RadialProblem:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise UnsupportedDimension(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not (math.isfinite(self.radius) and math.isfinite(self.v0)):
-            raise ValidationError(
-                f"radius and v0 must be finite, got radius={self.radius}, v0={self.v0}"
-            )
-        if not self.radius > 0:
-            raise ValidationError(f"radius must be > 0, got {self.radius}")
-        if not self.v0 > 0:
-            raise NonPositivePotential(f"v0 must be > 0, got {self.v0}")
-        if self.kind is ProblemKind.HELMHOLTZ and abs(self.v0 - 1.0) < HELMHOLTZ_CONTRAST_TOL:
-            raise HelmholtzContrastDegenerate("v0 = 1 gives a degenerate Helmholtz contrast")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValidationError(f"radius must be finite and > 0, got {self.radius}")
+        check_constant_potential(self.kind, self.v0)
 
 
 def _kappa_sq(kind, v0, lam):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from teig import cli, curves, experiments, serialize
-from teig.model import PowerDecay, ShrinkingChain, load_problem, validate_problem
+from teig.errors import ValidationError
+from teig.model import PowerDecay, ShrinkingChain, load_problem, parse_problem, validate_problem
 
 CONFIG = {
     "problem": "helmholtz",
@@ -49,6 +50,7 @@ class TestExitCodes:
             lambda c: c["domain"].update(intervals=[[0.0, 2.0], [1.0, 3.0]]),
             lambda c: c["discretization"].update(cells_per_interval=2),
             lambda c: c.update(discretization="coarse"),
+            lambda c: c["discretization"].update(num_curves=True),
         ],
     )
     def test_invalid_configs_exit_two_with_json(self, tmp_path, mutate):
@@ -112,6 +114,36 @@ class TestExitCodes:
         assert err["error"] == "ValidationError"
         assert f"interval {interval}: form matrix {matrix} " in err["message"]
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, key, section",
+        [
+            (lambda c: c.update(weigth="agmon"), "weigth", "problem config"),
+            (lambda c: c["sweep"].update(cluster_tl=1e-3), "cluster_tl", "sweep"),
+            (lambda c: c["potential"].update(v1=3), "v1", "potential"),
+        ],
+        ids=["top-level", "sweep", "potential"],
+    )
+    def test_unknown_key_exits_two(self, tmp_path, mutate, key, section):
+        # a misspelled key is not dropped: the problem it would have stated
+        # is not the one that runs
+        config = json.loads(json.dumps(CONFIG))
+        mutate(config)
+        message = f"unknown key '{key}' in {section}"
+        with pytest.raises(ValidationError, match=message):
+            parse_problem(config)
+        path = write_config(tmp_path, config)
+        out = run_cli("find", "--config", str(path), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert json.loads(out.stderr) == {"error": "ValidationError", "message": message}
+
+    def test_config_not_utf8_exits_two(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b'{"problem": "helm\xff"}')
+        out = run_cli("find", "--config", str(path), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        err = json.loads(out.stderr)
+        assert err["error"] == "ValidationError" and "not valid UTF-8 JSON" in err["message"]
 
     def test_problem_past_memory_budget_exits_two(self, tmp_path):
         config = json.loads(json.dumps(CONFIG))
@@ -502,6 +534,24 @@ class TestCanonicalConfig:
             assert cli.main(["find", "--config", str(path), "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (REFERENCE_CONFIG, "2fcbcdfa983024b383371149b92db921d1f3832437a6e34fdfcf2d8af254c815"),
+            (CHAIN_CONFIG, "409ca1d3be58c6be9e2acff62c58dde2badb475d8dcd45533f48c6e01eed53c6"),
+            (dict(CONFIG, weight="agmon"),
+             "f4dd460c51d1ec6096653464ea64bfa0d7920b4077dbb99c4114a2df42d70f5e"),
+        ],
+        ids=["reference", "chain", "agmon-constant"],
+    )
+    def test_canonical_bytes_are_pinned(self, config, digest):
+        # the problem_hash of every report is the hash of these bytes
+        from teig.model import canonical_config, parse_problem, validate_problem
+        from teig.serialize import config_hash
+
+        assert config_hash(canonical_config(validate_problem(parse_problem(config)))) == digest
 
 
 class TestInProcessEntryPoint:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +292,31 @@ class TestParseProblem:
         assert type(spec.sweep.steps) is int and type(spec.discretization.num_curves) is int
         cfg["domain"] = dict(self.CHAIN, count=2.0)
         assert parse_problem(cfg).domain.count == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c["discretization"].update(num_curves=True),
+            lambda c: c["sweep"].update(refine_tol=True),
+            lambda c: c["potential"].update(v0=False),
+            lambda c: c["domain"].update(intervals=[[-3.14, True]]),
+        ],
+        ids=["count", "sweep-float", "potential", "interval-endpoint"],
+    )
+    def test_boolean_is_not_a_number(self, mutate):
+        cfg = self.config()
+        mutate(cfg)
+        with pytest.raises(ValidationError, match="must be a number, got (True|False)"):
+            parse_problem(cfg)
+
+    def test_readme_example_parses_and_validates(self):
+        # the documented schema is the one the strict parser reads
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Problem files", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        prob = validate_problem(parse_problem(json.loads(example)))
+        assert prob.kind is ProblemKind.HELMHOLTZ
+        assert prob.discretization == DiscretizationConfig(64, 8, 12)
 
     def test_ball_is_an_unknown_domain_type(self):
         # balls are served by the radial oracle, which reads no problem file
