@@ -42,23 +42,18 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="teig",
-        description="Interior transmission eigenvalues: curve sweeps and the radial oracle.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="sweep the eigenvalue curves and write them as CSV")
+def _sweep_arguments(p):
     p.add_argument("--config", required=True, help="JSON problem file")
     p.add_argument("--out-curves", required=True, help="CSV output path")
     p.add_argument("--out-report", help="optional TE report JSON path")
 
-    p = sub.add_parser("find", help="detect transmission eigenvalues and write the report")
+
+def _find_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="TE report JSON path")
 
-    p = sub.add_parser("radial", help="ball eigenvalues from the Bessel determinant oracle")
+
+def _radial_arguments(p):
     p.add_argument("--problem", choices=["schrodinger", "helmholtz"], required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
@@ -68,7 +63,8 @@ def _build_parser():
     p.add_argument("--steps", type=int, default=400)
     p.add_argument("--out")
 
-    p = sub.add_parser("scaling", help="dilation scaling law for the first eigenvalue")
+
+def _scaling_arguments(p):
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--radius", type=float, default=math.pi)
     p.add_argument("--v0", type=float, default=0.75)
@@ -76,7 +72,8 @@ def _build_parser():
     p.add_argument("--galerkin", action="store_true", help="repeat through the Galerkin pipeline")
     p.add_argument("--out")
 
-    p = sub.add_parser("count", help="eigenvalue counting growth against the n/2 power law")
+
+def _count_arguments(p):
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--radius", type=float, default=math.pi)
     p.add_argument("--v0", type=float, default=0.75)
@@ -84,14 +81,16 @@ def _build_parser():
     p.add_argument("--lmax", default="auto", help="angular cutoff, integer or 'auto'")
     p.add_argument("--out")
 
-    p = sub.add_parser("packing", help="packing lower bound for the eigenvalue count")
+
+def _packing_arguments(p):
     p.add_argument("--length", type=float, default=4 * math.pi)
     p.add_argument("--v0", type=float, default=0.75)
     p.add_argument("--x", type=float, default=16.0)
     p.add_argument("--cells", type=int, default=96)
     p.add_argument("--out")
 
-    p = sub.add_parser("truncation", help="chain truncation stability (report only)")
+
+def _truncation_arguments(p):
     p.add_argument("--counts", type=_int_list, default=[2, 4, 6])
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--gap", type=float, default=1.0)
@@ -104,7 +103,8 @@ def _build_parser():
     p.add_argument("--cells", type=int, default=32)
     p.add_argument("--out")
 
-    p = sub.add_parser("hypothesis", help="scan for Schrodinger ball eigenvalues (report only)")
+
+def _hypothesis_arguments(p):
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--v0", type=float, default=40.0)
@@ -113,6 +113,27 @@ def _build_parser():
     p.add_argument("--lmax", type=int, default=0)
     p.add_argument("--out")
 
+
+def _build_parser(command):
+    """The parser of ``teig command ...``.  For a known subcommand it holds
+    that subcommand alone, with its arguments; otherwise every subcommand
+    with its help line and no arguments, for the ``teig -h`` list and the
+    usage errors.  argparse makes a help formatter (which reads the
+    terminal size) per argument and several per parser, so nothing else
+    is built."""
+    parser = argparse.ArgumentParser(
+        prog="teig",
+        description="Interior transmission eigenvalues: curve sweeps and the radial oracle.",
+    )
+    lean = command in _COMMANDS
+    # a lean parser's usage line still names every subcommand
+    every = "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every if lean else None)
+    for name in [command] if lean else _COMMANDS:
+        text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            arguments(p)
     return parser
 
 
@@ -216,6 +237,17 @@ def _cmd_hypothesis(args):
     return _finish_experiment(result, args.out)
 
 
+_COMMANDS = {  # name: (help line, its arguments)
+    "sweep": ("sweep the eigenvalue curves and write them as CSV", _sweep_arguments),
+    "find": ("detect transmission eigenvalues and write the report", _find_arguments),
+    "radial": ("ball eigenvalues from the Bessel determinant oracle", _radial_arguments),
+    "scaling": ("dilation scaling law for the first eigenvalue", _scaling_arguments),
+    "count": ("eigenvalue counting growth against the n/2 power law", _count_arguments),
+    "packing": ("packing lower bound for the eigenvalue count", _packing_arguments),
+    "truncation": ("chain truncation stability (report only)", _truncation_arguments),
+    "hypothesis": ("scan for Schrodinger ball eigenvalues (report only)", _hypothesis_arguments),
+}
+
 _DISPATCH = {
     "sweep": _cmd_sweep,
     "find": _cmd_find,
@@ -229,8 +261,8 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except TeigError as exc:

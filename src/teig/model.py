@@ -428,6 +428,8 @@ def load_problem(path):
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"config {path} nests too deeply to parse") from None
     return parse_problem(config)
 
 

@@ -27,7 +27,16 @@ import numpy as np
 
 from .errors import ArgumentOutOfRange, ProblemTooLarge, UnsupportedDimension, ValidationError
 from .model import MEMORY_BUDGET_BYTES, ProblemKind, check_constant_potential
-from .specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _radial_wave_eval, bessel_j_min_arg
+from .specfun import (
+    BESSEL_I_MAX_ARG,
+    BESSEL_J_MAX_ARG,
+    _i_pair,
+    _ladders,
+    _read,
+    _runs,
+    _starts,
+    bessel_j_min_arg,
+)
 
 DEGENERATE_KAPPA_SQ = 1e-14
 LAMBDA_FLOOR = 1e-6
@@ -91,7 +100,7 @@ def _check_window(kind, radius, v0, ells, lams):
         )
 
 
-_DET_CHUNK = 2048  # determinant points per array call; bounds the ladder temporaries
+_DET_CHUNK = 2048  # points per slice of the per-point work; bounds its temporaries
 
 
 def _det_grid(kind, n, radius, v0, ells, lambdas):
@@ -103,36 +112,81 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
     ``ells`` and ``lambdas`` are 1-D and broadcast against each other.  The
     value is NaN at degenerate interior wavenumbers, at lambda <= 0 and
     where an argument leaves the Bessel validity window (scan callers skip
-    such points).  Points go in chunks of at most _DET_CHUNK; consecutive
-    points at one lambda share Bessel ladders, which saves time only."""
+    such points).  The J ladders of all points recur in one _ladders pass;
+    the rest goes in slices of at most _DET_CHUNK points, twice: once to
+    list each slice's ladders (consecutive points at one lambda share
+    them, which saves time only) and once to read the pairs and form D."""
     ells, lambdas = np.broadcast_arrays(
         np.asarray(ells, dtype=float), np.asarray(lambdas, dtype=float)
     )
+    nu0 = 0.5 * (n - 2)
+    parts = [slice(start, start + _DET_CHUNK) for start in range(0, lambdas.size, _DET_CHUNK)]
+    ladders = _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts)
     out = np.empty(lambdas.shape)
-    for start in range(0, lambdas.size, _DET_CHUNK):
-        part = slice(start, start + _DET_CHUNK)
-        out[part] = _det_chunk(kind, n, radius, v0, ells[part], lambdas[part])
+    first = 0  # each slice's first ladder
+    for p in parts:
+        out[p], first = _det_chunk(kind, nu0, radius, v0, ells[p], lambdas[p], ladders, first)
     return out
 
 
-def _det_chunk(kind, n, radius, v0, ell, lam):
-    """_det_grid on at most _DET_CHUNK points."""
+def _det_chunk(kind, nu0, radius, v0, ell, lam, ladders, first):
+    """_det_grid on at most _DET_CHUNK points whose ladders are those of
+    ``ladders`` from ``first`` on; returns the values and the next slice's
+    first ladder."""
     out = np.full(lam.shape, np.nan)
-    ksq, x, oscillatory, inside = _bessel_window(kind, radius, v0, ell, lam)
-    ok = (lam > 0.0) & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ) & inside.all(axis=0)
-    if not ok.any():
-        return out
-    if not ok.all():
-        ell, x, oscillatory = ell[ok], x[:, ok], oscillatory[:, ok]
-    # exterior and interior pairs in one call; a column (y, R y') / R^p is
-    # (F, ell F - s x G), s = +1 for J and -1 for I, as p + nu = ell
-    f, g = _radial_wave_eval(0.5 * (n - 2), np.tile(ell, 2), x.ravel(), oscillatory.ravel())
-    f, g = f.reshape(2, -1), g.reshape(2, -1)
+    ok, ell, x, oscillatory, rung, xj = _det_points(kind, radius, v0, ell, lam)
+    if not ell.size:
+        return out, first
+    new = _starts(rung, xj)
+    # exterior and interior pairs (F, G) (every exterior wave is a J); a
+    # column (y, R y') / R^p is (F, ell F - s x G), s = +1 for J and -1 for
+    # I, as p + nu = ell
+    ladder = np.cumsum(new)
+    ladder += first - 1
+    fg = _read(ladders, ladder, rung)
+    inner_j = oscillatory[1]
+    if inner_j.all():
+        f, g = fg.reshape(2, 2, ell.size)
+    else:
+        f, g = np.empty((2, 2, ell.size))
+        f[0], g[0] = fg[:, : ell.size]
+        f[1, inner_j], g[1, inner_j] = fg[:, ell.size :]
+        f[1, ~inner_j], g[1, ~inner_j] = _i_pair(nu0 + ell[~inner_j], x[1, ~inner_j])
     sxg = np.where(oscillatory, x, -x) * g
     norm = np.hypot(f, ell * f - sxg)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives NaN
         out[ok] = (f[1] * sxg[0] - f[0] * sxg[1]) / (norm[0] * norm[1])
-    return out
+    return out, first + np.count_nonzero(new)
+
+
+def _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts):
+    """The _ladders pass of the J waves of every slice ``parts`` of the
+    points, the ladders of each slice after those of the slices before it;
+    None without a J wave."""
+    x, low, width = [], [], 0
+    for p in parts:
+        _, xs, lows, most = _runs(*_det_points(kind, radius, v0, ells[p], lambdas[p])[-2:])
+        x.append(xs)
+        low.append(lows)
+        width = max(width, most)
+    if not width:
+        return None
+    x, low = np.concatenate(x), np.concatenate(low)  # the slices' arrays go before the pass
+    return _ladders(nu0, x, low, width)
+
+
+def _det_points(kind, radius, v0, ell, lam):
+    """The points of a slice at which D is defined (the mask ``ok``), their
+    orders, arguments and branch flags (_bessel_window, first axis
+    exterior, interior), and their J waves as (rungs, arguments): every
+    exterior wave, then the oscillatory interior ones."""
+    ksq, x, oscillatory, inside = _bessel_window(kind, radius, v0, ell, lam)
+    ok = (lam > 0.0) & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ) & inside.all(axis=0)
+    if not ok.all():
+        ell, x, oscillatory = ell[ok], x[:, ok], oscillatory[:, ok]
+    rung, inner_j = ell.astype(int), oscillatory[1]
+    rungs = np.concatenate((rung, rung[inner_j]))
+    return ok, ell, x, oscillatory, rungs, np.concatenate((x[0], x[1, inner_j]))
 
 
 def _sign_brackets(values):
@@ -230,7 +284,7 @@ def _fit_roots(samples, h, m):
     return np.where((np.abs(u) <= 1.0) & (np.abs(step) <= 1e-12), 8.0 * u * h, np.nan)
 
 
-def _polish_roots(det, ells, lams):
+def _polish_roots(det, ells, lams, stencils):
     """Sharpen sign-change roots at which the determinant vanishes to odd
     order > 1 (interior and exterior Dirichlet traces vanishing together).
 
@@ -246,17 +300,23 @@ def _polish_roots(det, ells, lams):
     shrinks by 0.35 after each fit.  The first round starts from the four
     inner samples at +-h and +-2h alone, and a root they show simple
     (_multiplicity 1) is left untouched without the other twelve.  The
-    samples of all pending roots share one determinant call per step.
+    samples of all pending roots share one determinant call per step.  A
+    root that _bisect_brackets handed off comes with its stencil at the
+    first h (``stencils``, {(order, root): samples}), which its prescreen
+    and first round read instead of sampling it again.
     """
     lam = np.array(lams, dtype=float)
     h = _POLISH_H * np.maximum(1.0, np.abs(lam))
     rounds, grows = np.zeros((2, lam.size), dtype=int)
-    points = lam[:, None] + np.array(_PRESCREEN, dtype=float) * h[:, None]
-    samples = det(np.repeat(ells, len(_PRESCREEN)), points.ravel()).reshape(points.shape)
+    known = {  # root index -> its hand-off stencil
+        i: row for (ell, at), row in stencils.items()
+        for i in np.flatnonzero((ells == ell) & (lam == at)).tolist()
+    }
+    samples = _stencil_samples(det, ells, lam, h, np.arange(lam.size), _PRESCREEN, known)
     todo = np.flatnonzero(_multiplicity(samples, _PRESCREEN) != 1)
     while todo.size:
-        points = lam[todo, None] + _STENCIL * h[todo, None]
-        samples = det(np.repeat(ells[todo], _STENCIL.size), points.ravel()).reshape(points.shape)
+        samples = _stencil_samples(det, ells, lam, h, todo, _POLISH_STENCIL, known)
+        known = {}  # the hand-off stencils are at the first h only
         m = _multiplicity(samples, _POLISH_STENCIL)
         # widen a noisy stencil until its innermost samples clear the noise band
         noisy = (m == 0) & np.isfinite(samples).all(axis=1)
@@ -276,6 +336,23 @@ def _polish_roots(det, ells, lams):
     return lam
 
 
+def _stencil_samples(det, ells, lam, h, todo, offsets, known):
+    """D at lam[i] + offsets * h[i] for the roots i in ``todo``, one row
+    each; a root in ``known`` (root -> its 16 _POLISH_STENCIL samples)
+    reads its row from there, and the rest share one determinant call."""
+    reuse = np.isin(todo, list(known))
+    samples = np.empty((todo.size, len(offsets)))
+    if reuse.any():
+        columns = [_POLISH_STENCIL.index(j) for j in offsets]
+        samples[reuse] = [known[i][columns] for i in todo[reuse].tolist()]
+    fresh = todo[~reuse]
+    if fresh.size:
+        points = lam[fresh, None] + np.array(offsets, dtype=float) * h[fresh, None]
+        values = det(np.repeat(ells[fresh], len(offsets)), points.ravel())
+        samples[~reuse] = values.reshape(points.shape)
+    return samples
+
+
 def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     """Solve every bracket [a_i, b_i] of order ells[i] to width tol (a
     scalar or one per bracket) by ITP (Oliveira & Takahashi, ACM TOMS 47(1),
@@ -283,6 +360,8 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     one determinant call per step, and return the midpoints.  The truncation
     steps at least tol / 4 (Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4), so a probe next to a simple root crosses it.
+    Also returns the stencils of the brackets handed off (below), as
+    {(order, midpoint): the 16 samples}; they depend on the key alone.
 
     ``det(ells, lambdas)`` evaluates D on arrays; fa_i = D(a_i) and fb_i =
     D(b_i) are nonzero, of opposite signs.  Probes lie strictly inside, and
@@ -298,6 +377,7 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     tol = np.broadcast_to(tol, a.shape)
     kappa, left = 0.2 / (b - a), np.ceil(np.log2((b - a) / tol)) + 1.0  # left: n_max - j
     handed = np.full(a.shape, np.nan)  # the midpoint a bracket stopped at
+    stencils = {}
     widths = np.full((2,) + a.shape, np.inf)  # two steps ago, one step ago
     live = np.flatnonzero(b - a > tol)
     while live.size:
@@ -326,12 +406,15 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
         a[live[zero]] = b[live[zero]] = x[zero]
         if c.size:
             m = _multiplicity(samples, _POLISH_STENCIL)
-            stop = c[m > 1][~np.isnan(_fit_roots(samples[m > 1], h[m > 1], m[m > 1]))]
+            (odd,) = np.nonzero(m > 1)
+            fit = odd[~np.isnan(_fit_roots(samples[odd], h[odd], m[odd]))]
+            stop = c[fit]
             handed[live[stop]], go[stop] = mid[stop], False
+            stencils.update(zip(zip(ells[live[stop]].tolist(), mid[stop].tolist()), samples[fit]))
         left[live] -= 1.0
         widths[:, live] = widths[1, live], w
         live = live[go & (b[live] - a[live] > tol[live]) & (left[live] > 0.0)]
-    return np.where(np.isnan(handed), 0.5 * (a + b), handed)
+    return np.where(np.isnan(handed), 0.5 * (a + b), handed), stencils
 
 
 def _check_scan_size(rows, steps):
@@ -383,7 +466,8 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     below it, and a cell that ends there is dropped.  Returns exact grid
     hits above floor[r] and LAMBDA_FLOOR plus one root per sign-change
     cell, solved to tol[r, j] of the window j of the cell's right end, as
-    the table (row, root, left, right) sorted by row then root; a hit is
+    the table (row, root, left, right) sorted by row then root, with the
+    solver's hand-off stencils (_bisect_brackets) as a fifth item; a hit is
     its own bracket.  D vanishes like lambda as lambda -> 0, so a hit at
     the floor is no root.  Points are evaluated window by window,
     lambda-major, so the rows of a window share ladders."""
@@ -407,7 +491,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     hits &= above
     (cell,) = np.nonzero(cells & (rid[1:] == rid[:-1]) & above[1:])
     row, a, b = rid[cell], lam[cell], lam[cell + 1]
-    found = _bisect_brackets(
+    found, stencils = _bisect_brackets(
         det, ells[row], a, b, values[cell], values[cell + 1], tol[row, _window(hi, row, b)]
     )
     (hit,) = np.nonzero(hits)
@@ -416,7 +500,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
         np.concatenate(pair) for pair in ((rid[hit], row), (at, found), (at, a), (at, b))
     )
     order = np.lexsort((root, row))
-    return row[order], root[order], left[order], right[order]
+    return row[order], root[order], left[order], right[order], stencils
 
 
 def _scan_determinant(ball, ells, lo, hi, steps, tol):
@@ -460,7 +544,7 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
         return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
 
     floor = _root_free_below(ball.dim, ball.radius, ells)
-    table = _scan_pass(det, ells, lo, hi, tol, steps, floor)
+    *table, stencils = _scan_pass(det, ells, lo, hi, tol, steps, floor)
     row, root, _, right = table
     pair = np.flatnonzero(row[1:] == row[:-1])  # consecutive roots of one row
     spacing = (hi - lo[:, None]) / (steps - 1)
@@ -472,17 +556,18 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     close[row[pair[p]], w] = True
     if close.any():
         (again,) = np.nonzero(close.any(axis=1))
-        new = _scan_pass(
+        *new, more = _scan_pass(
             det, ells[again], lo[again], hi[again], tol[again], 2 * steps, floor[again]
         )
         new = (again[new[0]], *new[1:])
+        stencils.update(more)
         old_keep = ~close[row, _window(hi, row, right)]
         new_keep = close[new[0], _window(hi, new[0], new[3])]
         table = [np.concatenate((o[old_keep], n[new_keep])) for o, n in zip(table, new)]
         order = np.lexsort((table[1], table[0]))
         table = [column[order] for column in table]
     row, root, left, right = table
-    return row, _polish_roots(det, ells[row], root), left, right
+    return row, _polish_roots(det, ells[row], root, stencils), left, right
 
 
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):

@@ -6,12 +6,13 @@ and -1 for I (DLMF 10.6.2, 10.29.2).  J comes from Miller's backward
 recurrence for every order and argument: one ladder per argument and block
 of 16 orders serves the whole block, in units of P = (x/2)^nu0 /
 Gamma(nu0+1) of its base order, rescaled by exact powers of two so nothing
-under- or overflows.  The ladders are read once: they store every rung a
-point can read as they recur, and each point gathers its two rungs after
-the loop.  A ladder's start depends only on its argument and block, so a
-point's value does not depend on the rest of the array.  I is its
-all-positive power series, in units of P at the point's own order.  J
-serves arguments in [bessel_j_min_arg(ell), 200] and I arguments up to 60.
+under- or overflows.  All ladders of a call recur together in one loop
+over the rungs (_ladders), each keeping only the rungs its points read,
+and each point reads its two rungs after the loop (_read).  A ladder's
+start depends only on its argument and block, so a point's value does
+not depend on the rest of the array.  I is its all-positive power series,
+in units of P at the point's own order.  J serves arguments in
+[bessel_j_min_arg(ell), 200] and I arguments up to 60.
 """
 
 import numpy as np
@@ -66,37 +67,61 @@ def _groups(keys):
     return order, {k: slice(a, b) for k, (a, b) in enumerate(zip([0, *ends], ends)) if b > a}
 
 
-def _j_pair(nu0, ell, x):
-    """(pair, shift) on arrays, with pair * 2^(-500 shift) equal to
-    (J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell.
-
-    Each run of consecutive points with equal x and order block b = ell //
-    16 shares one ladder, which recurs downward with trial values from rung
-    max(x, 16b + 16) + 14 + 6 x^(1/3) + 2 to rung 0.  The normalization
-    sum  sum_k d_k f_{2k} = s  (J_{nu0+j} = f_j P / s)  is accumulated by
-    Horner's rule on the way down.  Every 8 rungs a ladder grown past 2^500
-    is scaled by exactly 2^-500.  The ladders recur in the rows of one array;
-    after the loop each point gathers rungs ell and ell + 1 and re-applies
-    the rescale of step ell + 1 to the second (bit for bit); its shift
-    counts the rescalings at steps <= ell.
-    """
-    rung = ell.astype(int)
+def _starts(rung, x):
+    """Whether each point (rung, x) starts a ladder: each run of
+    consecutive points with equal x and order block b = rung // 16 shares
+    one."""
     block = rung // _BLOCK
     new = np.ones(x.size, dtype=bool)
     new[1:] = (x[1:] != x[:-1]) | (block[1:] != block[:-1])
-    ladder = np.cumsum(new) - 1
-    xs = x[new]
-    tops = np.maximum(xs, _BLOCK * (block[new] + 1.0)) + 14.0 + 6.0 * xs ** (1.0 / 3.0)
-    by_top, entries = _groups(tops.astype(int) + 2)  # ladders by start rung
-    last = int(rung.max()) + 1  # the highest rung a point reads
-    rungs = np.empty((last + 1, xs.size))  # rungs 0 .. last, before their rescale
-    rescaled = np.zeros((max(entries) // 8 + 1, xs.size), dtype=bool)  # at steps 0, 8, ...
-    two_over_x = 2.0 / xs
-    f_hi = np.zeros_like(xs)  # f_{j+1}
-    f_hi2 = np.zeros_like(xs)  # f_{j+2}
-    acc = np.zeros_like(xs)  # sum over k >= j/2 of (nu0 + 2k) (d_k / d_{j/2}) f_{2k}
+    return new
+
+
+def _runs(rung, x):
+    """The ladders of the points (rung, x) (_starts): the mask of the
+    points that start one, each ladder's argument and lowest read rung, and
+    the most rungs a ladder keeps (from its lowest read rung to its highest
+    plus one; 0 without points)."""
+    new = _starts(rung, x)
+    start = np.flatnonzero(new)
+    low = np.minimum.reduceat(rung, start)
+    width = np.max(np.maximum.reduceat(rung, start) - low, initial=-2) + 2
+    return new, x[new], low, int(width)
+
+
+def _ladders(nu0, x, low, width):
+    """Run the Miller ladder of every argument x[i] from its start down to
+    rung 0, all in one loop over the rungs, keeping rungs low[i] .. low[i]
+    + width - 1 of ladder i.
+
+    Ladder i starts with trial values at rung max(x, 16b + 16) + 14 + 6
+    x^(1/3) + 2, b = low[i] // 16, and accumulates the normalization sum
+    sum_k d_k f_{2k} = s  (J_{nu0+j} = f_j P / s)  by Horner's rule on the
+    way down; every 8 rungs a ladder grown past 2^500 is scaled by exactly
+    2^-500.  Rung j is kept, as it was before its rescale, in row j % width
+    of the ladder's column of one (width, ladders) array.  The columns run
+    by lowest kept rung, highest first, so the ladders still keeping at
+    rung j are the columns from some k on.  Returns (column, rungs,
+    rescaled, s): each ladder's column, the kept rungs, {step: mask of the
+    columns it rescaled} for the steps that rescaled any, and s after the
+    last rescale.
+    """
+    order = np.argsort(-low, kind="stable")
+    column = np.argsort(order)
+    tops = np.maximum(x, _BLOCK * (low // _BLOCK + 1.0)) + 14.0 + 6.0 * x ** (1.0 / 3.0)
+    by_top, entries = _groups(tops[order].astype(int) + 2)  # columns by start rung
+    two_over_x = 2.0 / x[order]
+    low = low[order]
+    keeps = np.searchsorted(-low, -np.arange(max(entries) + 1))  # first column keeping rung j
+    above = low[0] + width  # no ladder keeps this rung or one above it
+    del order, tops, low  # not needed in the loop, which holds the call's peak
+    rungs = np.empty((width, two_over_x.size))
+    rescaled = {}
+    f_hi = np.zeros_like(two_over_x)  # f_{j+1}
+    f_hi2 = np.zeros_like(two_over_x)  # f_{j+2}
+    f = np.empty_like(two_over_x)
+    acc = np.zeros_like(two_over_x)  # sum over k >= j/2 of (nu0 + 2k) (d_k / d_{j/2}) f_{2k}
     for j in range(max(entries), -1, -1):
-        f = rungs[j] if j <= last else np.empty_like(xs)  # kept before its rescale
         np.multiply(two_over_x, nu0 + j + 1.0, out=f)
         f *= f_hi
         f -= f_hi2
@@ -106,21 +131,51 @@ def _j_pair(nu0, ell, x):
             k = j // 2
             acc *= (nu0 + k) / (k + 1.0)
             acc += (nu0 + j) * f
+        if j < above:
+            rungs[j % width, keeps[j] :] = f[keeps[j] :]
         if j % 8 == 0:
             big = np.maximum(np.abs(f), np.abs(acc)) > _RESCALE
             if big.any():
                 shrink = np.where(big, 1.0 / _RESCALE, 1.0)
-                f = f * shrink
-                f_hi = f_hi * shrink
+                f *= shrink
+                f_hi *= shrink
                 acc *= shrink
-                rescaled[j // 8] = big
-        f_hi, f_hi2 = f, f_hi
-    s = f_hi + acc  # rung 0 after its rescale; d_0 = 1
-    pair = rungs[rung + np.arange(2)[:, None], ladder]
-    step = rung + 1
-    pair[1] *= np.where((step % 8 == 0) & rescaled[step // 8, ladder], 1.0 / _RESCALE, 1.0)
-    below = np.vstack((np.zeros(xs.size, dtype=int), np.cumsum(rescaled, axis=0)))
-    return pair / s[ladder], below[rung // 8 + 1, ladder]
+                rescaled[j] = big
+        f, f_hi, f_hi2 = f_hi2, f, f_hi
+    return column, rungs, rescaled, f_hi + acc  # rung 0 after its rescale; d_0 = 1
+
+
+def _read(ladders, ladder, rung):
+    """(J_nu, J_{nu+1}) / P_{nu0} at the orders nu0 + rung of the points on
+    ladder ``ladder`` of _ladders, up to 2^(-500 shift) (_j_pair): rungs
+    rung and rung + 1, with the rescale of step rung + 1 re-applied to the
+    second (bit for bit)."""
+    column, rungs, rescaled, s = ladders
+    c = column[ladder]
+    row = np.arange(rung.max(initial=0) + 2) % len(rungs) * rungs.shape[1]  # each rung's row
+    pair = np.empty((2, rung.size))
+    for k in range(2):  # one flat gather per rung keeps the index temporaries small
+        rungs.take(row[rung + k] + c, out=pair[k])
+    for step, big in rescaled.items():
+        pair[1, (rung == step - 1) & big[c]] *= 1.0 / _RESCALE
+    pair /= s[c]
+    return pair
+
+
+def _j_pair(nu0, ell, x):
+    """(pair, shift) on arrays, with pair * 2^(-500 shift) equal to
+    (J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell: one
+    _ladders pass over the ladders of _runs, each point read from its
+    ladder; shift counts the rescalings at steps <= ell."""
+    rung = ell.astype(int)
+    new, xs, low, width = _runs(rung, x)
+    ladders = _ladders(nu0, xs, low, width)
+    ladder = np.cumsum(new) - 1
+    column, _, rescaled, _ = ladders
+    shift = np.zeros(rung.size, dtype=int)
+    for step, big in rescaled.items():
+        shift += (rung >= step) & big[column[ladder]]
+    return _read(ladders, ladder, rung), shift
 
 
 def _radial_wave_eval(nu0, ell, x, oscillatory):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -144,6 +145,14 @@ class TestExitCodes:
         assert out.returncode == 2
         err = json.loads(out.stderr)
         assert err["error"] == "ValidationError" and "not valid UTF-8 JSON" in err["message"]
+
+    def test_config_nested_too_deeply_exits_two(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text("[" * 100_000)
+        out = run_cli("find", "--config", str(path), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        err = json.loads(out.stderr)
+        assert err["error"] == "ValidationError" and "nests too deeply" in err["message"]
 
     def test_problem_past_memory_budget_exits_two(self, tmp_path):
         config = json.loads(json.dumps(CONFIG))
@@ -552,6 +561,73 @@ class TestCanonicalConfig:
         from teig.serialize import config_hash
 
         assert config_hash(canonical_config(validate_problem(parse_problem(config)))) == digest
+
+
+class TestParser:
+    """Only the invoked subcommand's parser is built; help and usage errors
+    read as with every parser built."""
+
+    OPTIONS = {
+        "sweep": ["--config", "--out-curves", "--out-report"],
+        "find": ["--config", "--out"],
+        "radial": ["--problem", "--dim", "--radius", "--v0", "--lmax", "--lambda-max", "--steps",
+                   "--out"],
+        "scaling": ["--dim", "--radius", "--v0", "--epsilons", "--galerkin", "--out"],
+        "count": ["--dim", "--radius", "--v0", "--x-values", "--lmax", "--out"],
+        "packing": ["--length", "--v0", "--x", "--cells", "--out"],
+        "truncation": ["--counts", "--start", "--gap", "--first-length", "--decay-ratio", "--c",
+                       "--alpha", "--problem", "--window", "--cells", "--out"],
+        "hypothesis": ["--dim", "--radius", "--v0", "--lambda-max", "--steps", "--lmax", "--out"],
+    }
+
+    @staticmethod
+    def exit_code(argv):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        return stop.value.code
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        assert self.exit_code(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(self.OPTIONS) + "}" in out.replace("\n", "").replace(" ", "")
+        for name, (text, _) in cli._COMMANDS.items():
+            assert any(line.split() == [name, *text.split()] for line in out.splitlines())
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_subcommand_help_lists_its_options(self, capsys, name):
+        assert self.exit_code([name, "-h"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: teig {name} [-h]")
+        listed = [w.rstrip(",") for line in out.splitlines() for w in line.split()[:1]]
+        assert [w for w in listed if w.startswith("--")] == self.OPTIONS[name]
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [([], "teig"), (["bogus"], "teig"), (["--x", "count"], "teig"),
+         (["count", "--config", "c"], "teig"), (["count", "extra"], "teig"),
+         (["count", "--dim", "x"], "teig count"), (["sweep"], "teig sweep")],
+        ids=["none", "unknown", "option-first", "other-option", "extra", "bad-type", "missing"],
+    )
+    def test_usage_errors_exit_two(self, capsys, argv, usage):
+        assert self.exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {usage} [-h]")
+        if usage == "teig":  # the top-level usage names every subcommand
+            assert "{" + ",".join(self.OPTIONS) + "}" in err.replace("\n", "").replace(" ", "")
+
+    def test_only_the_invoked_subcommand_gets_arguments(self, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *args, **kwargs):
+            added.append((parser.prog, args[0]))
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        cli._build_parser("count")
+        assert added == [("teig", "-h"), ("teig count", "-h")] + [
+            ("teig count", option) for option in self.OPTIONS["count"]
+        ]
 
 
 class TestInProcessEntryPoint:

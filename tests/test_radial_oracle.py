@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,78 @@ class TestArrayDeterminant:
         assert np.array_equal(alone, mixed[50:])
 
 
+class TestLadderPass:
+    """Each determinant call runs the J ladders of all its points in one
+    pass and reads each point's rungs from it, slice by slice."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """The count run's determinant calls, as (args, ladder passes)."""
+        calls = []
+        det_grid, ladders = radial._det_grid, radial._ladders
+
+        def counted_det(*args):
+            calls.append([args, 0])
+            return det_grid(*args)
+
+        def counted_pass(*args):
+            calls[-1][1] += 1
+            return ladders(*args)
+
+        monkeypatch.setattr(radial, "_det_grid", counted_det)
+        monkeypatch.setattr(radial, "_ladders", counted_pass)
+        experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        return calls
+
+    def test_count_makes_one_pass_per_determinant_call(self, monkeypatch):
+        # with one ladder loop per 2,048-point slice the 16 calls made 30
+        calls = self.count_calls(monkeypatch)
+        assert [passes for _, passes in calls] == [1] * len(calls)
+        assert len(calls) <= 16
+
+    def test_count_grid_call_stays_within_its_memory_budget(self, monkeypatch):
+        # the grid's 29,351 points peaked at 1.04 MB traced with one ladder
+        # loop per slice; one pass keeps only the rungs its points read
+        calls = self.count_calls(monkeypatch)
+        grid = max((args for args, _ in calls), key=lambda args: np.size(args[5]))
+        assert np.size(grid[5]) > 29_000
+        tracemalloc.start()
+        try:
+            _det_grid(*grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    @pytest.mark.parametrize(
+        "kind, dim, v0", [(H, 3, 0.75), (S, 1, 200.0)], ids=["J-interior", "I-interior"]
+    )
+    def test_one_pass_over_many_slices_equals_calls_per_lambda(self, monkeypatch, kind, dim, v0):
+        # 70 lambdas x 96 orders, lambda-major: more than three slices,
+        # whose ends split a lambda's orders; at the small arguments the
+        # high orders' ladders rescale
+        passes = []
+        ladders = radial._ladders
+
+        def recorded(*args):
+            passes.append(ladders(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(radial, "_ladders", recorded)
+        ells, lams = np.arange(96.0), np.geomspace(1e-8, 50.0, 70)
+        ell, lam = np.tile(ells, lams.size), np.repeat(lams, ells.size)
+        assert lam.size >= 3 * radial._DET_CHUNK
+        together = _det_grid(kind, dim, 1.0, v0, ell, lam)
+        (_, _, rescaled, _), = passes
+        assert rescaled
+        alone = [_det_grid(kind, dim, 1.0, v0, ells, np.full(ells.size, v)) for v in lams]
+        assert together.tobytes() == np.concatenate(alone).tobytes()
+        assert np.isfinite(together).all()
+
+    def test_no_points(self):
+        assert _det_grid(H, 3, math.pi, 0.75, [], []).shape == (0,)
+
+
 class TestScanRoots:
     """The batched bracket finder on synthetic value rows, the batched
     bisection, and the multi-order determinant scan."""
@@ -200,7 +273,7 @@ class TestScanRoots:
         hits, cells = _sign_brackets([grid - 2.0])
         assert not hits.any()
         (cell,) = np.flatnonzero(cells[0])
-        root = _bisect_brackets(
+        root, _ = _bisect_brackets(
             lambda ells, lam: lam - 2.0,
             np.zeros(1),
             grid[[cell]],
@@ -260,7 +333,7 @@ class TestScanRoots:
         b = np.array([3.5, 4.0, 6.5, 9.75, 1.5, 4.0])
         fa = np.array([1.0, scalar(2.0), scalar(6.0), scalar(9.0), 1.0, scalar(2.5)])
         fb = np.array([scalar(v) for v in b])
-        got = _bisect_brackets(lambda ells, lam: f(lam), np.zeros(a.size), a, b, fa, fb, 1e-10)
+        got, _ = _bisect_brackets(lambda ells, lam: f(lam), np.zeros(a.size), a, b, fa, fb, 1e-10)
         want = [scalar_oracle.bisect(scalar, *args, 1e-10) for args in zip(a, b, fa)]
         assert ((a <= got) & (got <= b)).all()
         assert np.abs(got - want).max() <= 1e-10
@@ -300,7 +373,7 @@ class TestScanRoots:
             np.add.at(probes, np.unique(e).astype(int), 1)  # one probe per bracket and call
             return det(e, lam)
 
-        got = _bisect_brackets(counted, ells, a, b, fa, fb, tol)
+        got, _ = _bisect_brackets(counted, ells, a, b, fa, fb, tol)
         assert ((a < got) & (got < b)).all()
         assert (probes <= np.ceil(np.log2((b - a) / tol)) + 1).all()
         simple = np.array([0, 3, 4, 6, 7])
@@ -310,11 +383,18 @@ class TestScanRoots:
         # a fit that finds no real root hands nothing off: every root is the
         # midpoint of a bracket no wider than tol across a sign change
         det, ells, a, b, fa, fb, tol, roots = self.bracket_problems()
-        handed = _bisect_brackets(det, ells, a, b, fa, fb, tol)
+        handed, stencils = _bisect_brackets(det, ells, a, b, fa, fb, tol)
         odd = np.array([1, 2, 5])  # t^3, t^5 and -t^3: read odd order and handed off
         assert (np.abs(handed - roots)[odd] > tol[odd]).all()
+        # each hand-off comes with the polish stencil at its midpoint
+        assert sorted(stencils) == [(ells[i], handed[i]) for i in odd]
+        for (ell, mid), samples in stencils.items():
+            h = radial._POLISH_H * max(1.0, abs(mid))
+            points = mid + radial._STENCIL * h
+            assert samples.tolist() == det(np.full(points.size, ell), points).tolist()
         monkeypatch.setattr(radial, "_fit_roots", lambda s, h, m: np.full(len(s), np.nan))
-        got = _bisect_brackets(det, ells, a, b, fa, fb, tol)
+        got, stencils = _bisect_brackets(det, ells, a, b, fa, fb, tol)
+        assert stencils == {}
         lower, upper = det(ells, got - 0.5 * tol), det(ells, got + 0.5 * tol)
         assert (lower * upper <= 0.0).all()
         assert ((a < got) & (got < b)).all()
@@ -461,8 +541,8 @@ class TestSharedWindows:
         solve = radial._bisect_brackets
 
         def moved(det, ells, a, b, fa, fb, tol):
-            root = solve(det, ells, a, b, fa, fb, tol)
-            return np.clip(root * (1.0 + rng.uniform(-1e-6, 1e-6, root.size)), a, b)
+            root, stencils = solve(det, ells, a, b, fa, fb, tol)
+            return np.clip(root * (1.0 + rng.uniform(-1e-6, 1e-6, root.size)), a, b), stencils
 
         monkeypatch.setattr(radial, "_bisect_brackets", moved)
         result = experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
