@@ -115,34 +115,37 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
     such points).  The J ladders of all points recur in one _ladders pass;
     the rest goes in slices of at most _DET_CHUNK points, twice: once to
     list each slice's ladders (consecutive points at one lambda share
-    them, which saves time only) and once to read the pairs and form D."""
+    them, which saves time only) and once to read the pairs and form D.
+    The last slice's points are still at hand from the first sweep, so a
+    call of one slice evaluates its window once."""
     ells, lambdas = np.broadcast_arrays(
         np.asarray(ells, dtype=float), np.asarray(lambdas, dtype=float)
     )
     nu0 = 0.5 * (n - 2)
     parts = [slice(start, start + _DET_CHUNK) for start in range(0, lambdas.size, _DET_CHUNK)]
-    ladders = _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts)
+    ladders, last = _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts)
     out = np.empty(lambdas.shape)
     first = 0  # each slice's first ladder
     for p in parts:
-        out[p], first = _det_chunk(kind, nu0, radius, v0, ells[p], lambdas[p], ladders, first)
+        points = last if p is parts[-1] else _det_points(kind, radius, v0, ells[p], lambdas[p])
+        out[p], first = _det_chunk(nu0, points, ladders, first)
     return out
 
 
-def _det_chunk(kind, nu0, radius, v0, ell, lam, ladders, first):
-    """_det_grid on at most _DET_CHUNK points whose ladders are those of
-    ``ladders`` from ``first`` on; returns the values and the next slice's
-    first ladder."""
-    out = np.full(lam.shape, np.nan)
-    ok, ell, x, oscillatory, rung, xj = _det_points(kind, radius, v0, ell, lam)
+def _det_chunk(nu0, points, ladders, first):
+    """_det_grid on the _det_points of at most _DET_CHUNK points, whose
+    ladders are those of ``ladders`` from ``first`` on; returns the values
+    and the next slice's first ladder."""
+    ok, ell, x, oscillatory, rung, xj = points
+    out = np.full(ok.shape, np.nan)
     if not ell.size:
         return out, first
     new = _starts(rung, xj)
+    ladder = np.cumsum(new)
+    ladder += first - 1
     # exterior and interior pairs (F, G) (every exterior wave is a J); a
     # column (y, R y') / R^p is (F, ell F - s x G), s = +1 for J and -1 for
     # I, as p + nu = ell
-    ladder = np.cumsum(new)
-    ladder += first - 1
     fg = _read(ladders, ladder, rung)
     inner_j = oscillatory[1]
     if inner_j.all():
@@ -161,18 +164,19 @@ def _det_chunk(kind, nu0, radius, v0, ell, lam, ladders, first):
 
 def _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts):
     """The _ladders pass of the J waves of every slice ``parts`` of the
-    points, the ladders of each slice after those of the slices before it;
-    None without a J wave."""
-    x, low, width = [], [], 0
+    points, the ladders of each slice after those of the slices before it
+    (None without a J wave), and the last slice's _det_points."""
+    x, low, width, points = [], [], 0, None
     for p in parts:
-        _, xs, lows, most = _runs(*_det_points(kind, radius, v0, ells[p], lambdas[p])[-2:])
+        points = _det_points(kind, radius, v0, ells[p], lambdas[p])
+        _, xs, lows, most = _runs(*points[-2:])
         x.append(xs)
         low.append(lows)
         width = max(width, most)
     if not width:
-        return None
+        return None, points
     x, low = np.concatenate(x), np.concatenate(low)  # the slices' arrays go before the pass
-    return _ladders(nu0, x, low, width)
+    return _ladders(nu0, x, low, width), points
 
 
 def _det_points(kind, radius, v0, ell, lam):

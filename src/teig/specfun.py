@@ -112,7 +112,7 @@ def _ladders(nu0, x, low, width):
     by_top, entries = _groups(tops[order].astype(int) + 2)  # columns by start rung
     two_over_x = 2.0 / x[order]
     low = low[order]
-    keeps = np.searchsorted(-low, -np.arange(max(entries) + 1))  # first column keeping rung j
+    keeps = np.searchsorted(-low, -np.arange(max(entries) + 1)).tolist()  # first column keeping j
     above = low[0] + width  # no ladder keeps this rung or one above it
     del order, tops, low  # not needed in the loop, which holds the call's peak
     rungs = np.empty((width, two_over_x.size))
@@ -135,7 +135,7 @@ def _ladders(nu0, x, low, width):
             rungs[j % width, keeps[j] :] = f[keeps[j] :]
         if j % 8 == 0:
             big = np.maximum(np.abs(f), np.abs(acc)) > _RESCALE
-            if big.any():
+            if np.count_nonzero(big):
                 shrink = np.where(big, 1.0 / _RESCALE, 1.0)
                 f *= shrink
                 f_hi *= shrink
