@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from teig.errors import ArgumentOutOfRange, TeigError
-from teig.radial import DEGENERATE_KAPPA_SQ, _check_window, _det_grid, _kappa_sq
+from teig.determinant import DEGENERATE_KAPPA_SQ, _check_window, _det_grid, _kappa_sq
 from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _i_pair, _j_pair
 
 

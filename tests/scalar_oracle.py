@@ -12,7 +12,7 @@ compare the array path against it.
 import math
 
 from teig.model import ProblemKind
-from teig.radial import DEGENERATE_KAPPA_SQ
+from teig.determinant import DEGENERATE_KAPPA_SQ
 from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, bessel_j_min_arg
 
 _SERIES_CUTOFF = 1e-18

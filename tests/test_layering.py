@@ -1,10 +1,10 @@
 """Source-level rules the package keeps: numpy.linalg is called only from
 ``eigensolve.py``, the one generalized eigensolver, so every factorization
 and eigensolve goes through its checked, typed-error boundary; and the
-radial oracle (``radial.py`` with its Bessel library ``specfun.py``) imports
-nothing of the Galerkin machinery, so it stays an independent check of it;
-and every error type ``errors.py`` declares is raised somewhere in the
-package."""
+radial oracle (``radial.py`` with its determinant ``determinant.py`` and
+Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
+so it stays an independent check of it; and every error type ``errors.py``
+declares is raised somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -89,7 +89,7 @@ def test_the_guard_flags_imports_and_attributes(tmp_path):
     ]
 
 
-ORACLE = ("radial.py", "specfun.py")
+ORACLE = ("radial.py", "determinant.py", "specfun.py")
 GALERKIN = {"assembly", "curves", "eigensolve"}
 
 

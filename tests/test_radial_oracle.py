@@ -12,7 +12,7 @@ from teig.errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from teig import experiments, radial
+from teig import determinant, experiments, radial
 from teig.model import ProblemKind
 from teig.radial import (
     RadialProblem,
@@ -200,7 +200,7 @@ class TestLadderPass:
     def count_calls(monkeypatch):
         """The count run's determinant calls, as (args, ladder passes)."""
         calls = []
-        det_grid, ladders = radial._det_grid, radial._ladders
+        det_grid, ladders = radial._det_grid, determinant._ladders
 
         def counted_det(*args):
             calls.append([args, 0])
@@ -211,7 +211,7 @@ class TestLadderPass:
             return ladders(*args)
 
         monkeypatch.setattr(radial, "_det_grid", counted_det)
-        monkeypatch.setattr(radial, "_ladders", counted_pass)
+        monkeypatch.setattr(determinant, "_ladders", counted_pass)
         experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
         return calls
 
@@ -243,16 +243,16 @@ class TestLadderPass:
         # whose ends split a lambda's orders; at the small arguments the
         # high orders' ladders rescale
         passes = []
-        ladders = radial._ladders
+        ladders = determinant._ladders
 
         def recorded(*args):
             passes.append(ladders(*args))
             return passes[-1]
 
-        monkeypatch.setattr(radial, "_ladders", recorded)
+        monkeypatch.setattr(determinant, "_ladders", recorded)
         ells, lams = np.arange(96.0), np.geomspace(1e-8, 50.0, 70)
         ell, lam = np.tile(ells, lams.size), np.repeat(lams, ells.size)
-        assert lam.size >= 3 * radial._DET_CHUNK
+        assert lam.size >= 3 * determinant._DET_CHUNK
         together = _det_grid(kind, dim, 1.0, v0, ell, lam)
         (_, _, rescaled, _), = passes
         assert rescaled
