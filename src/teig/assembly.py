@@ -1,7 +1,6 @@
 """Galerkin machinery on interval unions: clamped cubic B-spline basis,
 Gauss-Legendre quadrature, the six symmetric form matrices per interval,
-and the lambda-dependent combination A(lambda) together with its
-unexpanded quadratic-form oracle.
+and the lambda-dependent combination A(lambda).
 
 Basis functions and both end derivatives vanish at every interval
 endpoint, so the discrete space conforms to the doubly-vanishing boundary
@@ -12,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import eigvalsh
 from .errors import AsymmetricAssembly, OrderOutOfRange, TooFewCells, ValidationError
 from .model import ProblemKind, potential_value, weight_value
 
@@ -25,10 +25,32 @@ ASYMMETRY_TOL = 1e-12
 
 def gauss_legendre(q):
     """(nodes, weights) of the Gauss-Legendre rule of order q on [-1, 1]
-    (exact through degree 2q-1)."""
+    (exact through degree 2q-1): numpy's leggauss step for step, so the same
+    bits, without importing numpy.polynomial.  The nodes are the eigenvalues
+    of the Jacobi matrix (Golub-Welsch) after one Newton step, the weights
+    1 / (P_q' P_{q-1}) at them, normalized to sum to 2."""
     if q < 1 or q > 64:
         raise OrderOutOfRange(f"quadrature order must lie in [1, 64], got {q}")
-    return np.polynomial.legendre.leggauss(q)
+    scl = 1.0 / np.sqrt(2 * np.arange(q) + 1)
+    off = np.arange(1, q) * scl[:-1] * scl[1:]  # as legcompanion builds it
+    x = eigvalsh((np.diag(off, 1) + np.diag(off, -1))[None], ["gauss_legendre"])[0]
+    k, unit = np.arange(q + 1), np.eye(q + 1)  # unit rows q, q - 1: P_q, P_{q-1}
+    df = _legendre_series(x, np.where((q - 1 - k) % 2 == 0, 2 * k + 1.0, 0.0))  # P_q'
+    x -= _legendre_series(x, unit[q]) / df
+    fm = _legendre_series(x, unit[q - 1])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
+def _legendre_series(x, c):
+    """sum_k c[k] P_k(x), len(c) >= 2, by Clenshaw's recurrence grouped as
+    numpy's legval (a trailing zero coefficient leaves every bit)."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +126,8 @@ class ClampedBasis:
         ``d2``; and (cells, 4) ``local``, the block-local index of each
         cell's four B-splines (-1 = clamped), the same for every interval.
         The reference cells are evaluated once; each interval's table is
-        their affine image.  The same tables drive assembly, the form-value
-        oracle, and tests, so both routes share one set of basis evaluations.
+        their affine image.  The same tables drive assembly and the tests'
+        form-value oracle, so both routes share one set of basis evaluations.
         """
         nodes, weights = quad
         cell = np.arange(self.cells)
@@ -122,16 +144,6 @@ class ClampedBasis:
                 {"x": a + h * t, "w": w, "local": local, "val": val, "d1": d1 / h, "d2": d2 / h**2}
             )
         return out
-
-    def reconstruct(self, coeffs, table_entry):
-        """u, u', u'' at the table's quadrature nodes from the coefficients
-        of the table's interval block."""
-        local = table_entry["local"]
-        cm = np.where(local >= 0, coeffs[local], 0.0)
-        uval = np.einsum("cqk,ck->cq", table_entry["val"], cm)
-        ud1 = np.einsum("cqk,ck->cq", table_entry["d1"], cm)
-        ud2 = np.einsum("cqk,ck->cq", table_entry["d2"], cm)
-        return uval, ud1, ud2
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +253,3 @@ def assemble_A(m, kind, lam):
     """A(lambda) whose generalized spectrum gives the eigenvalue curves."""
     A0, A1, A2 = quadratic_coefficients(m, kind)
     return A0 + lam * A1 + lam * lam * A2
-
-
-def direct_form_value(basis, potential, kind, coeffs, lam, quad):
-    """Quadrature value of the defining, unexpanded quadratic form.
-
-    Schrodinger: int (-u'' + (V - lambda) u) (1/V) (-u'' - lambda u);
-    Helmholtz replaces V by lambda V in the first factor.  Serves as the
-    independent oracle for the expanded S/C/K/M combination in assemble_A.
-    """
-    blocks = np.asarray(coeffs, dtype=float).reshape(len(basis.intervals), basis.per_interval)
-    total = 0.0
-    for block, entry in zip(blocks, basis.tables(quad)):
-        uval, _, ud2 = basis.reconstruct(block, entry)
-        vvals = potential_value(potential, entry["x"])
-        if kind is ProblemKind.SCHRODINGER:
-            first = -ud2 + (vvals - lam) * uval
-        else:
-            first = -ud2 + (lam * vvals - lam) * uval
-        second = -ud2 - lam * uval
-        total += float(np.sum(entry["w"] * first * second / vvals))
-    return total

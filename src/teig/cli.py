@@ -14,7 +14,6 @@ identical invocations produce byte-identical outputs.
 import argparse
 import math
 import sys
-import traceback
 
 from . import curves, experiments, serialize
 from .errors import TeigError
@@ -274,6 +273,7 @@ def main(argv=None):
         sys.stderr.write(serialize.dumps({"error": "OSError", "message": str(exc)}))
         return 2
     except Exception as exc:  # a fault in teig, never a failed check (exit 1)
+        import traceback  # only this path needs it, so start-up does not load it
         message = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(serialize.dumps({"error": "InternalError", "message": message}))
         traceback.print_exc(file=sys.stderr)

@@ -125,8 +125,14 @@ def _det_chunk(nu0, points, ladders, first):
         f[1, ~inner_j], g[1, ~inner_j] = _i_pair(nu0 + ell[~inner_j], x[1, ~inner_j])
     sxg = np.where(oscillatory, x, -x) * g
     norm = np.hypot(f, ell * f - sxg)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives NaN
-        out[ok] = (f[1] * sxg[0] - f[0] * sxg[1]) / (norm[0] * norm[1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num, den = f[1] * sxg[0] - f[0] * sxg[1], norm[0] * norm[1]
+        d = num / den  # a zero column gives NaN
+        redo = ~(np.isfinite(num) & np.isfinite(den))
+        if redo.any():  # the pairs' 2^(500 shift) scale overflowed: unit columns first
+            u, v = f[:, redo] / norm[:, redo], sxg[:, redo] / norm[:, redo]
+            d[redo] = u[1] * v[0] - u[0] * v[1]
+    out[ok] = d
     return out, first + np.count_nonzero(new)
 
 

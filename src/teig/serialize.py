@@ -67,8 +67,10 @@ def curve_table_csv(lambdas, values):
     grid point."""
     k = values.shape[1] if values.size else 0
     lines = ["lambda," + ",".join(f"mu_{i + 1}" for i in range(k))]
-    for lam, row in zip(lambdas, values):
-        lines.append(",".join([format_float(lam)] + [format_float(v) for v in row]))
+    template = ",".join(["%.17g"] * (k + 1))  # "%.17g" % x == format(x, ".17g")
+    for lam, row in zip(lambdas.tolist(), values.tolist()):
+        line = template % (lam, *row)  # only a nan or an inf prints an n
+        lines.append(",".join(map(format_float, (lam, *row))) if "n" in line else line)
     return "\n".join(lines) + "\n"
 
 

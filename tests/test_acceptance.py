@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from teig import curves, experiments
-from teig.assembly import ClampedBasis, assemble, assemble_A, direct_form_value, gauss_legendre
+from teig.assembly import ClampedBasis, assemble, assemble_A, gauss_legendre
 from teig.eigensolve import lowest_k
 from teig.model import (
     Agmon,
@@ -35,6 +35,7 @@ from teig.model import (
 )
 from teig.radial import RadialProblem, _scan_determinant, te_lists_up_to
 
+from form_oracle import direct_form_value
 from test_eigensolve import random_problem, sturm_all_eigenvalues
 
 H = ProblemKind.HELMHOLTZ

@@ -8,12 +8,13 @@ from teig.assembly import (
     assemble,
     assemble_A,
     bspline_ders,
-    direct_form_value,
     gauss_legendre,
 )
 from teig.eigensolve import lowest_k
 from teig.errors import OrderOutOfRange, TooFewCells
 from teig.model import Agmon, Constant, PowerDecay, ProblemKind, Unweighted
+
+from form_oracle import direct_form_value
 
 QUAD = gauss_legendre(8)
 
@@ -44,6 +45,13 @@ class TestGaussLegendre:
         nodes, weights = gauss_legendre(9)
         assert np.allclose(nodes, -nodes[::-1], atol=0)
         assert np.allclose(weights, weights[::-1], atol=0)
+
+    def test_is_numpy_leggauss_bit_for_bit(self):
+        for q in range(1, 65):
+            nodes, weights = gauss_legendre(q)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(q)
+            assert nodes.tobytes() == want_nodes.tobytes(), q
+            assert weights.tobytes() == want_weights.tobytes(), q
 
     def test_order_bounds(self):
         with pytest.raises(OrderOutOfRange):

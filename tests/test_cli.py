@@ -266,6 +266,25 @@ class TestFindAndSweep:
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "sweep.json").read_bytes() == (tmp_path / "find.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["find", "--out", "r.json"],
+         ["sweep", "--out-curves", "c.csv", "--out-report", "r.json"]],
+    )
+    def test_galerkin_commands_do_not_import_numpy_polynomial(self, tmp_path, argv):
+        path = write_config(tmp_path)
+        argv = [argv[0], "--config", str(path)] + [
+            str(tmp_path / a) if a.endswith(("json", "csv")) else a for a in argv[1:]
+        ]
+        code = (
+            "import sys\n"
+            "from teig import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, 'numpy.polynomial' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.stdout.split() == ["0", "False"], out.stderr
+
     def test_find_deterministic_bytes(self, tmp_path):
         path = write_config(tmp_path)
         outs = []

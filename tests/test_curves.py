@@ -22,7 +22,7 @@ from teig.model import (
     Unweighted,
     validate_problem,
 )
-from teig.serialize import curve_table_csv, dumps
+from teig.serialize import curve_table_csv, dumps, format_float
 from test_eigensolve import sturm_all_eigenvalues
 
 
@@ -640,6 +640,23 @@ class TestSerialization:
         lam_text, mu_text = lines[1].split(",")
         assert float(lam_text) == lam
         assert float(mu_text) == math.pi
+
+    def test_csv_rows_are_the_per_value_format(self):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1.0 / 3.0, 1e16, 123456789012345680.0, 1e-5]
+        rng = np.random.default_rng(7)
+        values = np.concatenate(
+            [np.reshape(edge + [math.nan], (4, 3)),
+             rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))]
+        )
+        values[5, 1], values[6, 2] = math.inf, -math.inf
+        lambdas = np.concatenate([[math.nan, -0.0, math.inf, 5e-324], np.linspace(0.1, 7.0, 50)])
+        lines = curve_table_csv(lambdas, values).split("\n")
+        assert lines[-1] == ""
+        for line, lam, row in zip(lines[1:], lambdas, values):
+            assert line == ",".join(format_float(v) for v in (lam, *row))
+        assert lines[1].split(",")[:3] == ["null", "0", "-0"]
+        assert lines[6].split(",")[2] == lines[7].split(",")[3] == "null"
 
     def test_report_json_round_trip(self):
         prob = helmholtz_problem(cells=16, k=6)

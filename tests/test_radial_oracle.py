@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ class TestArrayDeterminant:
             H, 3, math.pi, 0.75, np.r_[np.zeros(50), np.full(50, 40.0)], np.r_[lams, lams]
         )
         assert np.array_equal(alone, mixed[50:])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_finite_where_the_ladder_scale_overflows_the_products(self, dim):
+        # at these small arguments the pairs carry factors 2^(500 shift)
+        # whose cross products overflow before the column norms divide
+        # them out; D is a sine there, tiny and finite
+        ell_grid, x_grid = (
+            g.ravel() for g in np.meshgrid([48, 64, 65, 66], np.linspace(1.5e-5, 5.8e-5, 44))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _det_grid(H, dim, 1.0, 0.75, ell_grid, x_grid**2)
+        assert np.isfinite(got).all() and (np.abs(got) <= 1.0).all()
+        want = [
+            scalar_oracle.det_scalar(H, dim, 1.0, 0.75, int(ell), float(x * x))
+            for ell, x in zip(ell_grid, x_grid)
+        ]
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestLadderPass:
