@@ -129,7 +129,7 @@ def _build_parser(command):
     every = "{%s}" % ",".join(_COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, metavar=every if lean else None)
     for name in [command] if lean else _COMMANDS:
-        text, arguments = _COMMANDS[name]
+        text, arguments, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
         if name == command:
             arguments(p)
@@ -236,26 +236,23 @@ def _cmd_hypothesis(args):
     return _finish_experiment(result, args.out)
 
 
-_COMMANDS = {  # name: (help line, its arguments)
-    "sweep": ("sweep the eigenvalue curves and write them as CSV", _sweep_arguments),
-    "find": ("detect transmission eigenvalues and write the report", _find_arguments),
-    "radial": ("ball eigenvalues from the Bessel determinant oracle", _radial_arguments),
-    "scaling": ("dilation scaling law for the first eigenvalue", _scaling_arguments),
-    "count": ("eigenvalue counting growth against the n/2 power law", _count_arguments),
-    "packing": ("packing lower bound for the eigenvalue count", _packing_arguments),
-    "truncation": ("chain truncation stability (report only)", _truncation_arguments),
-    "hypothesis": ("scan for Schrodinger ball eigenvalues (report only)", _hypothesis_arguments),
-}
-
-_DISPATCH = {
-    "sweep": _cmd_sweep,
-    "find": _cmd_find,
-    "radial": _cmd_radial,
-    "scaling": _cmd_scaling,
-    "count": _cmd_count,
-    "packing": _cmd_packing,
-    "truncation": _cmd_truncation,
-    "hypothesis": _cmd_hypothesis,
+_COMMANDS = {  # name: (help line, its arguments, its run function)
+    "sweep": ("sweep the eigenvalue curves and write them as CSV", _sweep_arguments, _cmd_sweep),
+    "find": ("detect transmission eigenvalues and write the report", _find_arguments, _cmd_find),
+    "radial": (
+        "ball eigenvalues from the Bessel determinant oracle", _radial_arguments, _cmd_radial
+    ),
+    "scaling": ("dilation scaling law for the first eigenvalue", _scaling_arguments, _cmd_scaling),
+    "count": ("eigenvalue counting growth against the n/2 power law", _count_arguments, _cmd_count),
+    "packing": ("packing lower bound for the eigenvalue count", _packing_arguments, _cmd_packing),
+    "truncation": (
+        "chain truncation stability (report only)", _truncation_arguments, _cmd_truncation
+    ),
+    "hypothesis": (
+        "scan for Schrodinger ball eigenvalues (report only)",
+        _hypothesis_arguments,
+        _cmd_hypothesis,
+    ),
 }
 
 
@@ -263,7 +260,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except TeigError as exc:
         sys.stderr.write(
             serialize.dumps({"error": exc.code, "message": str(exc)})

@@ -294,12 +294,16 @@ def _check_storage(blocks, disc, sw):
 
 def check_constant_potential(kind, v0):
     """The rule on a constant potential, in problem files and balls alike:
-    v0 is finite and > 0, and a Helmholtz v0 keeps away from 1."""
+    v0 is finite and > 0, and a Helmholtz v0 keeps away from 1, where the
+    interior wavenumber degenerates, and from 0, where the interior and
+    exterior waves agree to rounding and D lies in the scan's noise band."""
     _check_finite(v0=v0)
     if not v0 > 0:
         raise NonPositivePotential(f"constant potential v0 must be > 0, got {v0}")
-    if kind is ProblemKind.HELMHOLTZ and abs(v0 - 1.0) < HELMHOLTZ_CONTRAST_TOL:
-        raise HelmholtzContrastDegenerate("Helmholtz v0 = 1 degenerates the interior wavenumber")
+    if kind is ProblemKind.HELMHOLTZ and min(v0, abs(v0 - 1.0)) < HELMHOLTZ_CONTRAST_TOL:
+        raise HelmholtzContrastDegenerate(
+            f"Helmholtz v0 must be at least {HELMHOLTZ_CONTRAST_TOL} away from 0 and 1, got {v0}"
+        )
 
 
 def _check_finite(**values):

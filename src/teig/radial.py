@@ -140,7 +140,7 @@ def _fit_roots(samples, h, m):
     return np.where((np.abs(u) <= 1.0) & (np.abs(step) <= 1e-12), 8.0 * u * h, np.nan)
 
 
-def _polish_roots(det, ells, lams, stencils):
+def _polish_roots(det, ells, lams):
     """Sharpen sign-change roots at which the determinant vanishes to odd
     order > 1 (interior and exterior Dirichlet traces vanishing together).
 
@@ -156,23 +156,18 @@ def _polish_roots(det, ells, lams, stencils):
     shrinks by 0.35 after each fit.  The first round starts from the four
     inner samples at +-h and +-2h alone, and a root they show simple
     (_multiplicity 1) is left untouched without the other twelve.  The
-    samples of all pending roots share one determinant call per step.  A
-    root that _bisect_brackets handed off comes with its stencil at the
-    first h (``stencils``, {(order, root): samples}), which its prescreen
-    and first round read instead of sampling it again.
+    samples of all pending roots share one determinant call per step, and
+    no roots make no call.
     """
     lam = np.array(lams, dtype=float)
+    if not lam.size:
+        return lam
     h = _POLISH_H * np.maximum(1.0, np.abs(lam))
     rounds, grows = np.zeros((2, lam.size), dtype=int)
-    known = {  # root index -> its hand-off stencil
-        i: row for (ell, at), row in stencils.items()
-        for i in np.flatnonzero((ells == ell) & (lam == at)).tolist()
-    }
-    samples = _stencil_samples(det, ells, lam, h, np.arange(lam.size), _PRESCREEN, known)
+    samples = _stencil_samples(det, ells, lam, h, np.arange(lam.size), _PRESCREEN)
     todo = np.flatnonzero(_multiplicity(samples, _PRESCREEN) != 1)
     while todo.size:
-        samples = _stencil_samples(det, ells, lam, h, todo, _POLISH_STENCIL, known)
-        known = {}  # the hand-off stencils are at the first h only
+        samples = _stencil_samples(det, ells, lam, h, todo, _POLISH_STENCIL)
         m = _multiplicity(samples, _POLISH_STENCIL)
         # widen a noisy stencil until its innermost samples clear the noise band
         noisy = (m == 0) & np.isfinite(samples).all(axis=1)
@@ -192,21 +187,11 @@ def _polish_roots(det, ells, lams, stencils):
     return lam
 
 
-def _stencil_samples(det, ells, lam, h, todo, offsets, known):
+def _stencil_samples(det, ells, lam, h, todo, offsets):
     """D at lam[i] + offsets * h[i] for the roots i in ``todo``, one row
-    each; a root in ``known`` (root -> its 16 _POLISH_STENCIL samples)
-    reads its row from there, and the rest share one determinant call."""
-    reuse = np.isin(todo, list(known))
-    samples = np.empty((todo.size, len(offsets)))
-    if reuse.any():
-        columns = [_POLISH_STENCIL.index(j) for j in offsets]
-        samples[reuse] = [known[i][columns] for i in todo[reuse].tolist()]
-    fresh = todo[~reuse]
-    if fresh.size:
-        points = lam[fresh, None] + np.array(offsets, dtype=float) * h[fresh, None]
-        values = det(np.repeat(ells[fresh], len(offsets)), points.ravel())
-        samples[~reuse] = values.reshape(points.shape)
-    return samples
+    each, all in one determinant call."""
+    points = lam[todo, None] + np.array(offsets, dtype=float) * h[todo, None]
+    return det(np.repeat(ells[todo], len(offsets)), points.ravel()).reshape(points.shape)
 
 
 def _bisect_brackets(det, ells, a, b, fa, fb, tol):
@@ -216,8 +201,6 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     one determinant call per step, and return the midpoints.  The truncation
     steps at least tol / 4 (Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4), so a probe next to a simple root crosses it.
-    Also returns the stencils of the brackets handed off (below), as
-    {(order, midpoint): the 16 samples}; they depend on the key alone.
 
     ``det(ells, lambdas)`` evaluates D on arrays; fa_i = D(a_i) and fb_i =
     D(b_i) are nonzero, of opposite signs.  Probes lie strictly inside, and
@@ -233,7 +216,6 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     tol = np.broadcast_to(tol, a.shape)
     kappa, left = 0.2 / (b - a), np.ceil(np.log2((b - a) / tol)) + 1.0  # left: n_max - j
     handed = np.full(a.shape, np.nan)  # the midpoint a bracket stopped at
-    stencils = {}
     widths = np.full((2,) + a.shape, np.inf)  # two steps ago, one step ago
     live = np.flatnonzero(b - a > tol)
     while live.size:
@@ -263,14 +245,12 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
         if c.size:
             m = _multiplicity(samples, _POLISH_STENCIL)
             (odd,) = np.nonzero(m > 1)
-            fit = odd[~np.isnan(_fit_roots(samples[odd], h[odd], m[odd]))]
-            stop = c[fit]
+            stop = c[odd[~np.isnan(_fit_roots(samples[odd], h[odd], m[odd]))]]
             handed[live[stop]], go[stop] = mid[stop], False
-            stencils.update(zip(zip(ells[live[stop]].tolist(), mid[stop].tolist()), samples[fit]))
         left[live] -= 1.0
         widths[:, live] = widths[1, live], w
         live = live[go & (b[live] - a[live] > tol[live]) & (left[live] > 0.0)]
-    return np.where(np.isnan(handed), 0.5 * (a + b), handed), stencils
+    return np.where(np.isnan(handed), 0.5 * (a + b), handed)
 
 
 def _check_scan_size(rows, steps):
@@ -322,8 +302,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     below it, and a cell that ends there is dropped.  Returns exact grid
     hits above floor[r] and LAMBDA_FLOOR plus one root per sign-change
     cell, solved to tol[r, j] of the window j of the cell's right end, as
-    the table (row, root, left, right) sorted by row then root, with the
-    solver's hand-off stencils (_bisect_brackets) as a fifth item; a hit is
+    the table (row, root, left, right) sorted by row then root; a hit is
     its own bracket.  D vanishes like lambda as lambda -> 0, so a hit at
     the floor is no root.  Points are evaluated window by window,
     lambda-major, so the rows of a window share ladders."""
@@ -347,7 +326,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     hits &= above
     (cell,) = np.nonzero(cells & (rid[1:] == rid[:-1]) & above[1:])
     row, a, b = rid[cell], lam[cell], lam[cell + 1]
-    found, stencils = _bisect_brackets(
+    found = _bisect_brackets(
         det, ells[row], a, b, values[cell], values[cell + 1], tol[row, _window(hi, row, b)]
     )
     (hit,) = np.nonzero(hits)
@@ -356,7 +335,7 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
         np.concatenate(pair) for pair in ((rid[hit], row), (at, found), (at, a), (at, b))
     )
     order = np.lexsort((root, row))
-    return row[order], root[order], left[order], right[order], stencils
+    return row[order], root[order], left[order], right[order]
 
 
 def _scan_determinant(ball, ells, lo, hi, steps, tol):
@@ -400,7 +379,7 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
         return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
 
     floor = _root_free_below(ball.dim, ball.radius, ells)
-    *table, stencils = _scan_pass(det, ells, lo, hi, tol, steps, floor)
+    table = _scan_pass(det, ells, lo, hi, tol, steps, floor)
     row, root, _, right = table
     pair = np.flatnonzero(row[1:] == row[:-1])  # consecutive roots of one row
     spacing = (hi - lo[:, None]) / (steps - 1)
@@ -412,18 +391,17 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     close[row[pair[p]], w] = True
     if close.any():
         (again,) = np.nonzero(close.any(axis=1))
-        *new, more = _scan_pass(
+        new = _scan_pass(
             det, ells[again], lo[again], hi[again], tol[again], 2 * steps, floor[again]
         )
         new = (again[new[0]], *new[1:])
-        stencils.update(more)
         old_keep = ~close[row, _window(hi, row, right)]
         new_keep = close[new[0], _window(hi, new[0], new[3])]
         table = [np.concatenate((o[old_keep], n[new_keep])) for o, n in zip(table, new)]
         order = np.lexsort((table[1], table[0]))
         table = [column[order] for column in table]
     row, root, left, right = table
-    return row, _polish_roots(det, ells[row], root, stencils), left, right
+    return row, _polish_roots(det, ells[row], root), left, right
 
 
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):

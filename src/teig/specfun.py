@@ -147,9 +147,9 @@ def _ladders(nu0, x, low, width):
 
 def _read(ladders, ladder, rung):
     """(J_nu, J_{nu+1}) / P_{nu0} at the orders nu0 + rung of the points on
-    ladder ``ladder`` of _ladders, up to 2^(-500 shift) (_j_pair): rungs
-    rung and rung + 1, with the rescale of step rung + 1 re-applied to the
-    second (bit for bit)."""
+    ladder ``ladder`` of _ladders, up to 2^(-500 shift), shift the number
+    of its rescalings at steps <= rung: rungs rung and rung + 1, with the
+    rescale of step rung + 1 re-applied to the second (bit for bit)."""
     column, rungs, rescaled, s = ladders
     c = column[ladder]
     row = np.arange(rung.max(initial=0) + 2) % len(rungs) * rungs.shape[1]  # each rung's row
@@ -161,30 +161,3 @@ def _read(ladders, ladder, rung):
     pair /= s[c]
     return pair
 
-
-def _j_pair(nu0, ell, x):
-    """(pair, shift) on arrays, with pair * 2^(-500 shift) equal to
-    (J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell: one
-    _ladders pass over the ladders of _runs, each point read from its
-    ladder; shift counts the rescalings at steps <= ell."""
-    rung = ell.astype(int)
-    new, xs, low, width = _runs(rung, x)
-    ladders = _ladders(nu0, xs, low, width)
-    ladder = np.cumsum(new) - 1
-    column, _, rescaled, _ = ladders
-    shift = np.zeros(rung.size, dtype=int)
-    for step, big in rescaled.items():
-        shift += (rung >= step) & big[column[ladder]]
-    return _read(ladders, ladder, rung), shift
-
-
-def _radial_wave_eval(nu0, ell, x, oscillatory):
-    """(F_nu, F_{nu+1})(x), nu = nu0 + ell, up to a positive factor per
-    point shared by the pair, on arrays of orders, arguments and branch
-    flags: F = J (ladders) where ``oscillatory``, else I (series)."""
-    pair = np.empty((2,) + x.shape)
-    if oscillatory.any():
-        pair[:, oscillatory] = _j_pair(nu0, ell[oscillatory], x[oscillatory])[0]
-    if not oscillatory.all():
-        pair[:, ~oscillatory] = _i_pair(nu0 + ell[~oscillatory], x[~oscillatory])
-    return pair

@@ -1,5 +1,5 @@
 """One-point Bessel, radial-wave and determinant values for tests, built
-over the array kernels of ``teig.specfun`` and ``teig.radial``.
+over the array kernels of ``teig.specfun`` and ``teig.determinant``.
 
 The package evaluates these functions only on arrays and only up to a
 positive scale per point; tests check them against closed forms, so here
@@ -16,7 +16,7 @@ import numpy as np
 
 from teig.errors import ArgumentOutOfRange, TeigError
 from teig.determinant import DEGENERATE_KAPPA_SQ, _check_window, _det_grid, _kappa_sq
-from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _i_pair, _j_pair
+from teig.specfun import BESSEL_I_MAX_ARG, BESSEL_J_MAX_ARG, _i_pair, _ladders, _read, _runs
 
 
 class NonPositiveArgument(TeigError, ValueError):
@@ -59,6 +59,22 @@ def gamma_real(x):
         return math.gamma(float(x))
     except OverflowError:
         raise ArgumentOutOfRange(f"gamma_real({x}) overflows a double") from None
+
+
+def _j_pair(nu0, ell, x):
+    """(pair, shift) on arrays, with pair * 2^(-500 shift) equal to
+    (J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell: one
+    _ladders pass over the ladders of _runs, each point read from its
+    ladder; shift counts the rescalings at steps <= ell."""
+    rung = ell.astype(int)
+    new, xs, low, width = _runs(rung, x)
+    ladders = _ladders(nu0, xs, low, width)
+    ladder = np.cumsum(new) - 1
+    column, _, rescaled, _ = ladders
+    shift = np.zeros(rung.size, dtype=int)
+    for step, big in rescaled.items():
+        shift += (rung >= step) & big[column[ladder]]
+    return _read(ladders, ladder, rung), shift
 
 
 def _pair(nu, x, oscillatory, name):

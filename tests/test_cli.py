@@ -609,7 +609,7 @@ class TestParser:
         assert self.exit_code(["-h"]) == 0
         out = capsys.readouterr().out
         assert "{" + ",".join(self.OPTIONS) + "}" in out.replace("\n", "").replace(" ", "")
-        for name, (text, _) in cli._COMMANDS.items():
+        for name, (text, _, _) in cli._COMMANDS.items():
             assert any(line.split() == [name, *text.split()] for line in out.splitlines())
 
     @pytest.mark.parametrize("name", list(OPTIONS))
@@ -670,7 +670,7 @@ class TestInProcessEntryPoint:
         def broken(args):
             raise RuntimeError("kernel fault")
 
-        monkeypatch.setitem(cli._DISPATCH, "radial", broken)
+        monkeypatch.setitem(cli._COMMANDS, "radial", (*cli._COMMANDS["radial"][:2], broken))
         code = cli.main(
             ["radial", "--problem", "helmholtz", "--dim", "1", "--radius", "1",
              "--v0", "0.75", "--lmax", "0", "--lambda-max", "5"]

@@ -1,10 +1,11 @@
 """Source-level rules the package keeps: numpy.linalg is called only from
 ``eigensolve.py``, the one generalized eigensolver, so every factorization
-and eigensolve goes through its checked, typed-error boundary; and the
+and eigensolve goes through its checked, typed-error boundary; the
 radial oracle (``radial.py`` with its determinant ``determinant.py`` and
 Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
-so it stays an independent check of it; and every error type ``errors.py``
-declares is raised somewhere in the package."""
+so it stays an independent check of it; every error type ``errors.py``
+declares is raised somewhere in the package; and every top-level
+definition is referenced by the package."""
 
 import ast
 from pathlib import Path
@@ -131,7 +132,7 @@ def test_the_import_guard_sees_every_spelling(tmp_path):
         "from teig.eigensolve import lowest_k\n"
         "from . import model\n"
         "from .errors import TeigError\n"
-        "from .specfun import _j_pair\n"
+        "from .specfun import _ladders\n"
     )
     assert teig_imports(probe) == GALERKIN | {"model", "errors", "specfun"}
 
@@ -159,3 +160,52 @@ def test_every_error_type_is_raised_by_the_package():
     raised = set().union(*(raised_names(path) for path in SRC.glob("*.py")))
     assert "ValidationError" in raised  # the scan sees real raise statements
     assert declared - raised == set()
+
+
+# top-level definitions no module of the package refers to, with the reason
+UNREFERENCED = {
+    # the one-point case of the stacked eigensolver, kept as the entry point
+    # of the Sturm-oracle tests so they check production code
+    ("eigensolve.py", "lowest_k"),
+}
+
+
+def definitions(tree):
+    """(name, statement) for every top-level function, class and constant of
+    a module; dunder names are left out."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                        yield node.id, top
+
+
+def referenced_names(node):
+    """Names a statement reads: loaded names, attributes and imported names."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_definition_is_referenced_by_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {top: referenced_names(top) for tree in trees.values() for top in tree.body}
+    defined = [
+        (module, name, top) for module, tree in trees.items() for name, top in definitions(tree)
+    ]
+    assert len(defined) > 100  # the scan sees the real definitions
+    unreferenced = {
+        (module, name)
+        for module, name, top in defined
+        if not any(name in names for other, names in reads.items() if other is not top)
+    }
+    assert unreferenced == UNREFERENCED

@@ -127,6 +127,9 @@ class TestValidation:
         spec = make_spec(kind=ProblemKind.HELMHOLTZ, potential=Constant(1.0 + 1e-13))
         with pytest.raises(HelmholtzContrastDegenerate):
             validate_problem(spec)
+        spec = make_spec(kind=ProblemKind.HELMHOLTZ, potential=Constant(1e-13))
+        with pytest.raises(HelmholtzContrastDegenerate):
+            validate_problem(spec)
 
     def test_num_curves_capped_by_dimension(self):
         spec = make_spec(discretization=DiscretizationConfig(8, 8, 8))

@@ -87,6 +87,9 @@ class TestCharacteristicDeterminant:
     def test_degenerate_contrast_rejected_upstream(self):
         with pytest.raises(HelmholtzContrastDegenerate):
             RadialProblem(H, 1, 1.0, 1.0)
+        # 1 - v0 rounds to within the scan's noise band of 1
+        with pytest.raises(HelmholtzContrastDegenerate):
+            RadialProblem(H, 3, 1.0, 1e-13)
 
     def test_nonpositive_v0_rejected(self):
         from teig.errors import NonPositivePotential
@@ -292,7 +295,7 @@ class TestScanRoots:
         hits, cells = _sign_brackets([grid - 2.0])
         assert not hits.any()
         (cell,) = np.flatnonzero(cells[0])
-        root, _ = _bisect_brackets(
+        root = _bisect_brackets(
             lambda ells, lam: lam - 2.0,
             np.zeros(1),
             grid[[cell]],
@@ -352,7 +355,7 @@ class TestScanRoots:
         b = np.array([3.5, 4.0, 6.5, 9.75, 1.5, 4.0])
         fa = np.array([1.0, scalar(2.0), scalar(6.0), scalar(9.0), 1.0, scalar(2.5)])
         fb = np.array([scalar(v) for v in b])
-        got, _ = _bisect_brackets(lambda ells, lam: f(lam), np.zeros(a.size), a, b, fa, fb, 1e-10)
+        got = _bisect_brackets(lambda ells, lam: f(lam), np.zeros(a.size), a, b, fa, fb, 1e-10)
         want = [scalar_oracle.bisect(scalar, *args, 1e-10) for args in zip(a, b, fa)]
         assert ((a <= got) & (got <= b)).all()
         assert np.abs(got - want).max() <= 1e-10
@@ -392,7 +395,7 @@ class TestScanRoots:
             np.add.at(probes, np.unique(e).astype(int), 1)  # one probe per bracket and call
             return det(e, lam)
 
-        got, _ = _bisect_brackets(counted, ells, a, b, fa, fb, tol)
+        got = _bisect_brackets(counted, ells, a, b, fa, fb, tol)
         assert ((a < got) & (got < b)).all()
         assert (probes <= np.ceil(np.log2((b - a) / tol)) + 1).all()
         simple = np.array([0, 3, 4, 6, 7])
@@ -402,18 +405,11 @@ class TestScanRoots:
         # a fit that finds no real root hands nothing off: every root is the
         # midpoint of a bracket no wider than tol across a sign change
         det, ells, a, b, fa, fb, tol, roots = self.bracket_problems()
-        handed, stencils = _bisect_brackets(det, ells, a, b, fa, fb, tol)
+        handed = _bisect_brackets(det, ells, a, b, fa, fb, tol)
         odd = np.array([1, 2, 5])  # t^3, t^5 and -t^3: read odd order and handed off
         assert (np.abs(handed - roots)[odd] > tol[odd]).all()
-        # each hand-off comes with the polish stencil at its midpoint
-        assert sorted(stencils) == [(ells[i], handed[i]) for i in odd]
-        for (ell, mid), samples in stencils.items():
-            h = radial._POLISH_H * max(1.0, abs(mid))
-            points = mid + radial._STENCIL * h
-            assert samples.tolist() == det(np.full(points.size, ell), points).tolist()
         monkeypatch.setattr(radial, "_fit_roots", lambda s, h, m: np.full(len(s), np.nan))
-        got, stencils = _bisect_brackets(det, ells, a, b, fa, fb, tol)
-        assert stencils == {}
+        got = _bisect_brackets(det, ells, a, b, fa, fb, tol)
         lower, upper = det(ells, got - 0.5 * tol), det(ells, got + 0.5 * tol)
         assert (lower * upper <= 0.0).all()
         assert ((a < got) & (got < b)).all()
@@ -560,8 +556,8 @@ class TestSharedWindows:
         solve = radial._bisect_brackets
 
         def moved(det, ells, a, b, fa, fb, tol):
-            root, stencils = solve(det, ells, a, b, fa, fb, tol)
-            return np.clip(root * (1.0 + rng.uniform(-1e-6, 1e-6, root.size)), a, b), stencils
+            root = solve(det, ells, a, b, fa, fb, tol)
+            return np.clip(root * (1.0 + rng.uniform(-1e-6, 1e-6, root.size)), a, b)
 
         monkeypatch.setattr(radial, "_bisect_brackets", moved)
         result = experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
@@ -631,6 +627,24 @@ class TestPolishPrescreen:
         prescreen = radial._multiplicity(samples[:, inner], radial._PRESCREEN) == 1
         assert prescreen.tolist() == full.tolist()
         assert full.tolist().count(False) == not_simple
+
+    def test_no_roots_make_no_determinant_call(self, monkeypatch):
+        def det(ells, lam):
+            raise AssertionError("a determinant call without a root")
+
+        assert radial._polish_roots(det, np.zeros(0), np.zeros(0)).size == 0
+        # so first_te's windows without a root (up to 1.5 and 3 here) cost
+        # their grid call alone
+        sizes = []
+        det_grid = radial._det_grid
+
+        def counted(*args):
+            sizes.append(np.size(args[-1]))
+            return det_grid(*args)
+
+        monkeypatch.setattr(radial, "_det_grid", counted)
+        assert radial.first_te(RadialProblem(H, 1, math.pi, 0.75)) == pytest.approx(4.0)
+        assert min(sizes) > 0
 
     def test_unclean_or_non_finite_rows_are_not_simple(self):
         rows = np.array([[1.0, 0.5, -0.5, -1.0], [1.0, 1e-12, -0.5, -1.0], [1.0, np.nan, 2.0, 3.0]])

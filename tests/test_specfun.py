@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from teig.errors import ArgumentOutOfRange
-from teig.specfun import _i_pair, _j_pair, bessel_j_min_arg
+from teig.specfun import _i_pair, bessel_j_min_arg
 
 import scalar_oracle
 from one_point import (
     Branch,
     NonPositiveArgument,
     RadialWave,
+    _j_pair,
     bessel_i,
     bessel_j,
     gamma_real,
