@@ -7,8 +7,10 @@ come as one FormMatrices per interval, and every query works block by
 block.
 
 Detection (``run_pipeline``): the companion linearization of each block's
-quadratic eigenproblem gives all its eigenvalues at once; those inside the
-window with an exactly zero imaginary part are the candidates.  Sylvester
+quadratic eigenproblem gives all its eigenvalues at once, as two
+half-size companions, one per parity, for a block that is mirror-symmetric;
+those inside the window with an exactly zero imaginary part are the
+candidates.  Sylvester
 inertia counts of A(lambda) at the window ends and between consecutive
 candidates check them and name the sorted curve each one crosses; every
 accepted root is polished by bisection on that curve's sign, and the
@@ -34,7 +36,7 @@ import numpy as np
 from .assembly import ClampedBasis, assemble, assemble_A, gauss_legendre, quadratic_coefficients
 from .eigensolve import above, eigvalsh, reduce
 from .errors import InertiaMismatch, NoConvergence
-from .model import SWEEP_CHUNK_BYTES, ProblemKind, canonical_config
+from .model import SWEEP_CHUNK_BYTES, Constant, ProblemKind, canonical_config
 from .serialize import config_hash
 
 
@@ -146,21 +148,50 @@ def _crossing_indicator(problem, matrices, nu, lam):
     return _identity_spectrum(problem.kind, matrices, lam)[nu - 1]
 
 
-def _qep_eigenvalues(m, kind):
+def _mirrored(problem):
+    """Per block: whether its A(lambda) commutes with the index flip
+    J: i -> n-1-i.  The uniform clamped basis and the Gauss-Legendre rule
+    are mirror-symmetric on every interval, so a block commutes with J
+    (up to rounding in the quadrature nodes) when V is even about the
+    interval's centre: a constant potential, or the power decay on an
+    interval centred at 0.  The weight enters Mw alone, never A(lambda)."""
+    if isinstance(problem.potential, Constant):
+        return [True] * len(problem.intervals)
+    return [a == -b for a, b in problem.intervals]
+
+
+def _mirror_halves(A):
+    """The even and odd parts of a flip-symmetric matrix A of order
+    n = 2h + c: A acting on vectors x = Jx, read in their first h + c
+    entries, and on x = -Jx, read in their first h."""
+    h, c = divmod(A.shape[0], 2)
+    even = A[: h + c, : h + c].copy()
+    even[:, :h] += A[: h + c, ::-1][:, :h]
+    return even, A[:h, :h] - A[:h, ::-1][:, :h]
+
+
+def _qep_eigenvalues(m, kind, mirrored):
     """All 2 dim eigenvalues of one block's quadratic pencil A(lambda).
 
     A2 is nonsingular, so A(lambda) x = 0 is the standard eigenproblem of
     the companion matrix [[0, I], [-A2^-1 A0, -A2^-1 A1]] acting on
     (x, lambda x) (Tisseur & Meerbergen, SIAM Rev. 43 (2001), section 3).
+    A ``mirrored`` block's eigenvectors are even or odd under the flip, so
+    its spectrum is the union of those of the even and odd halves of the
+    pencil, two companions of about half the order.
     """
-    A0, A1, A2 = quadratic_coefficients(m, kind)
-    n = m.dim
+    coefficients = quadratic_coefficients(m, kind)
+    pencils = zip(*map(_mirror_halves, coefficients)) if mirrored else [coefficients]
+    vals = []
     try:
-        B = np.linalg.solve(A2, np.hstack([A0, A1]))
-        companion = np.block([[np.zeros((n, n)), np.eye(n)], [-B[:, :n], -B[:, n:]]])
-        vals = np.linalg.eigvals(companion)
+        for A0, A1, A2 in pencils:
+            n = A0.shape[0]
+            B = np.linalg.solve(A2, np.hstack([A0, A1]))
+            companion = np.block([[np.zeros((n, n)), np.eye(n)], [-B[:, :n], -B[:, n:]]])
+            vals.append(np.linalg.eigvals(companion))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"quadratic eigenproblem failed: {exc}") from None
+    vals = np.concatenate(vals)
     if not np.isfinite(vals).all():
         raise NoConvergence("quadratic eigenproblem returned non-finite eigenvalues")
     return vals
@@ -324,7 +355,12 @@ def run_pipeline(problem, matrices=None):
         matrices = prepare_matrices(problem)
     cfg = problem.sweep
     kind = problem.kind
-    vals = np.concatenate([_qep_eigenvalues(m, kind) for m in matrices])
+    vals = np.concatenate(
+        [
+            _qep_eigenvalues(m, kind, mirrored)
+            for m, mirrored in zip(matrices, _mirrored(problem), strict=True)
+        ]
+    )
     inside = (vals.real >= cfg.lambda_min) & (vals.real <= cfg.lambda_max)
     nonreal = np.abs(vals.imag[inside & (vals.imag != 0.0)])
     real = np.sort(vals.real[inside & (vals.imag == 0.0)]).tolist()

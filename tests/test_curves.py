@@ -466,7 +466,7 @@ class TestDetection:
 
     def test_near_double_root_split_across_blocks(self):
         # the interval lengths differ by 2.8e-16 relative, which moves the
-        # near-double root at 4.0422 by 3.3e-8 between the two blocks'
+        # near-double root at 4.0422 by 3.1e-8 between the two blocks'
         # companion solves: past refine_tol, so its candidates form two
         # groups and the cut between them reads 0 and then 2 crossings
         spec = ProblemSpec(
@@ -501,6 +501,135 @@ class TestDetection:
         dropped = rep["diagnostics"]["dropped"]
         assert [(d["reason"], d["curve_index"]) for d in dropped] == [("above_num_curves", 2)]
         assert [e["curve_index"] for e in rep["transmission_eigenvalues"]] == [1]
+
+
+def one_block_problem(cells, interval, potential, kind, window):
+    spec = ProblemSpec(
+        kind=kind,
+        domain=IntervalUnion([interval]),
+        potential=potential,
+        discretization=DiscretizationConfig(cells, 8, 16),
+        sweep=SweepConfig(*window, 400, 1e-8, 5e-2),
+    )
+    return validate_problem(spec)
+
+
+def plain_companion(m, kind):
+    """All eigenvalues of one block's quadratic pencil from its full
+    companion matrix."""
+    A0, A1, A2 = quadratic_coefficients(m, kind)
+    n = m.dim
+    B = np.linalg.solve(A2, np.hstack([A0, A1]))
+    return np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [-B[:, :n], -B[:, n:]]]))
+
+
+def record_companion_orders(monkeypatch):
+    """The order of every companion matrix numpy.linalg.eigvals solves from
+    now on, in call order."""
+    eigvals, orders = np.linalg.eigvals, []
+
+    def recording(a):
+        orders.append(a.shape[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return orders
+
+
+MIRRORED = {
+    "constant-centred": ((-math.pi, math.pi), Constant(0.75), ProblemKind.HELMHOLTZ, (0.5, 10.0)),
+    "constant-offset": ((0.0, 4 * math.pi), Constant(0.75), ProblemKind.HELMHOLTZ, (0.5, 10.0)),
+    "power-decay-centred": ((-2.0, 2.0), PowerDecay(60.0, 4.0), ProblemKind.SCHRODINGER, (0.5, 50.0)),
+}
+
+
+class TestMirrorSplit:
+    """A block whose pencil commutes with the index flip is solved as its
+    even and odd halves; every other block as one companion."""
+
+    @pytest.fixture(
+        params=[(cells, name) for cells in (64, 65) for name in MIRRORED],
+        ids=lambda param: f"{param[0]}-cells-{param[1]}",
+    )
+    def mirrored(self, request):
+        cells, name = request.param
+        prob = one_block_problem(cells, *MIRRORED[name])
+        return prob, curves.prepare_matrices(prob)
+
+    def test_pencil_is_flip_symmetric(self, mirrored):
+        prob, (m,) = mirrored
+        assert curves._mirrored(prob) == [True]
+        for A in quadratic_coefficients(m, prob.kind):
+            assert np.max(np.abs(A - A[::-1, ::-1])) <= 1e-13 * np.max(np.abs(A))
+
+    def test_split_spectrum_matches_the_full_companion(self, mirrored):
+        prob, (m,) = mirrored
+        split = curves._qep_eigenvalues(m, prob.kind, True)
+        full = plain_companion(m, prob.kind)
+        assert split.size == full.size == 2 * m.dim
+
+        def in_window(vals):
+            vals = vals[(vals.real >= prob.sweep.lambda_min) & (vals.real <= prob.sweep.lambda_max)]
+            return np.sort(vals.real[vals.imag == 0.0]), np.sort(vals.real[vals.imag != 0.0])
+
+        for got, want in zip(in_window(split), in_window(full)):
+            assert got.size == want.size
+            assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+    def test_reports_the_same_tes_as_the_full_companion(self, mirrored, monkeypatch):
+        prob, m = mirrored
+        split = run_pipeline(prob, m)
+        monkeypatch.setattr(curves, "_mirrored", lambda problem: [False] * len(problem.intervals))
+        full = run_pipeline(prob, m)
+        got, want = split["transmission_eigenvalues"], full["transmission_eigenvalues"]
+        assert got
+        assert [(e["curve_index"], e["multiplicity_estimate"]) for e in got] == [
+            (e["curve_index"], e["multiplicity_estimate"]) for e in want
+        ]
+        for e, f in zip(got, want):
+            assert abs(e["lambda"] - f["lambda"]) <= 2 * prob.sweep.refine_tol
+        curves_of = lambda rep: [a["curve_index"] for a in rep["diagnostics"]["accepted"]]
+        assert curves_of(split) == curves_of(full)
+
+    @pytest.mark.parametrize(
+        "make, orders",
+        [
+            (
+                lambda: one_block_problem(
+                    64, (-2.0, 2.5), PowerDecay(60.0, 4.0), ProblemKind.SCHRODINGER, (0.5, 50.0)
+                ),
+                [126],
+            ),
+            (chain_problem, [62] * 6),
+        ],
+        ids=["off-centre", "chain"],
+    )
+    def test_off_centre_blocks_keep_one_companion(self, make, orders, monkeypatch):
+        prob = make()
+        m = curves.prepare_matrices(prob)
+        assert curves._mirrored(prob) == [False] * len(m)
+        for b, mirrored in zip(m, curves._mirrored(prob)):
+            assert np.array_equal(
+                curves._qep_eigenvalues(b, prob.kind, mirrored), plain_companion(b, prob.kind)
+            )
+        seen = record_companion_orders(monkeypatch)
+        run_pipeline(prob, m)
+        assert seen == orders
+
+    def test_find_on_the_reference_problem_solves_two_halves(self, monkeypatch, tmp_path):
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({
+            "problem": "helmholtz",
+            "domain": {"type": "interval_union", "intervals": [[-math.pi, math.pi]]},
+            "potential": {"type": "constant", "v0": 0.75},
+            "weight": "unweighted",
+            "discretization": {"cells_per_interval": 64, "quad_points": 8, "num_curves": 12},
+            "sweep": {"lambda_min": 0.5, "lambda_max": 10.0, "steps": 400,
+                      "refine_tol": 1e-8, "cluster_tol": 5e-2},
+        }))
+        seen = record_companion_orders(monkeypatch)
+        assert cli.main(["find", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+        assert seen == [64, 62]
 
 
 class TestRefine:
