@@ -588,8 +588,9 @@ class TestMirrorSplit:
         ]
         for e, f in zip(got, want):
             assert abs(e["lambda"] - f["lambda"]) <= 2 * prob.sweep.refine_tol
-        curves_of = lambda rep: [a["curve_index"] for a in rep["diagnostics"]["accepted"]]
-        assert curves_of(split) == curves_of(full)
+        assert [a["curve_index"] for a in split["diagnostics"]["accepted"]] == [
+            a["curve_index"] for a in full["diagnostics"]["accepted"]
+        ]
 
     @pytest.mark.parametrize(
         "make, orders",
