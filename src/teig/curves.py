@@ -10,11 +10,10 @@ Detection (``run_pipeline``): the companion linearization of each block's
 quadratic eigenproblem gives all its eigenvalues at once, as two
 half-size companions, one per parity, for a block that is mirror-symmetric;
 those inside the window with an exactly zero imaginary part are the
-candidates.  Sylvester
-inertia counts of A(lambda) at the window ends and between consecutive
-candidates check them and name the sorted curve each one crosses; every
-accepted root is polished by bisection on that curve's sign, and the
-crossings are clustered and reported.
+candidates.  Sylvester inertia counts of the full A(lambda) at the window
+ends and between consecutive candidates check them and name the sorted
+curve each one crosses; every accepted root is polished by bisection on
+that curve's sign, and the crossings are clustered and reported.
 
 Sweep (``sweep``): the sorted lowest-K generalized eigenvalues of
 (A(lambda), Mw) over a uniform grid, returned as the arrays (lambdas,
