@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import eigvalsh
-from .errors import AsymmetricAssembly, OrderOutOfRange, TooFewCells, ValidationError
+from .errors import OrderOutOfRange, ValidationError
 from .model import ProblemKind, potential_value, weight_value
 
 SPLINE_DEGREE = 3
-ASYMMETRY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +101,11 @@ class ClampedBasis:
     zero), which enforces u = u' = 0 at both endpoints and leaves
     cells - 1 free functions per interval.  Every interval carries the
     affine image of the same spline space on the reference knots
-    ``knots`` = 0, 0, 0, 0, 1, ..., cells, cells, cells, cells.
+    ``knots`` = 0, 0, 0, 0, 1, ..., cells, cells, cells, cells.  The
+    problem's validation requires at least 4 cells.
     """
 
     def __init__(self, intervals, cells_per_interval):
-        if cells_per_interval < 4:
-            raise TooFewCells(
-                f"need at least 4 cells per interval, got {cells_per_interval}"
-            )
         self.intervals = tuple((float(a), float(b)) for a, b in intervals)
         self.cells = int(cells_per_interval)
         self.per_interval = self.cells - 1
@@ -175,13 +171,6 @@ class FormMatrices:
         return self.S.shape[0]
 
 
-def _check_symmetrize(name, mat):
-    asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
-    if asym > ASYMMETRY_TOL:
-        raise AsymmetricAssembly(f"{name} asymmetric by {asym:.3e}")
-    return 0.5 * (mat + mat.T)
-
-
 def _cell_blocks(coef, Ba, Bb):
     """Per-cell 4x4 blocks of int coef Ba_a Bb_b, symmetrised so that the
     assembled matrix is symmetric to the last bit (np.add.at adds the cells
@@ -231,7 +220,7 @@ def assemble(basis, potential, weight, quad):
                     raise ValidationError(
                         f"interval {interval}: form matrix {name} is out of floating-point range"
                     )
-                mats[name] = _check_symmetrize(name, mat)
+                mats[name] = mat
             out.append(FormMatrices(**mats))
     return tuple(out)
 

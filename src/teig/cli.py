@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import curves, experiments, serialize
-from .errors import TeigError
+from .errors import TeigError, ValidationError
 from .model import (
     PowerDecay,
     ProblemKind,
@@ -197,7 +197,7 @@ def _cmd_count(args):
         try:
             ell_max = int(args.lmax)
         except ValueError:
-            raise TeigError(f"--lmax must be an integer or 'auto', got {args.lmax!r}")
+            raise ValidationError(f"--lmax must be an integer or 'auto', got {args.lmax!r}")
     result = experiments.counting_experiment(
         args.dim, args.radius, args.v0, args.x_values, ell_max=ell_max
     )

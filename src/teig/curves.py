@@ -7,13 +7,14 @@ come as one FormMatrices per interval, and every query works block by
 block.
 
 Detection (``run_pipeline``): the companion linearization of each block's
-quadratic eigenproblem gives all its eigenvalues at once, as two
-half-size companions, one per parity, for a block that is mirror-symmetric;
-those inside the window with an exactly zero imaginary part are the
-candidates.  Sylvester inertia counts of the full A(lambda) at the window
-ends and between consecutive candidates check them and name the sorted
-curve each one crosses; every accepted root is polished by bisection on
-that curve's sign, and the crossings are clustered and reported.
+quadratic eigenproblem (``eigensolve.quadratic_eigvals``) gives all its
+eigenvalues at once, as two half-size companions, one per parity, for a
+block that is mirror-symmetric; those inside the window with an exactly
+zero imaginary part are the candidates.  Sylvester inertia counts of the
+full A(lambda) at the window ends and between consecutive candidates
+check them and name the sorted curve each one crosses; every accepted
+root is polished by bisection on that curve's sign, and the crossings are
+clustered and reported.
 
 Sweep (``sweep``): the sorted lowest-K generalized eigenvalues of
 (A(lambda), Mw) over a uniform grid, returned as the arrays (lambdas,
@@ -33,8 +34,8 @@ the table is bit for bit that of solving every block.
 import numpy as np
 
 from .assembly import ClampedBasis, assemble, assemble_A, gauss_legendre, quadratic_coefficients
-from .eigensolve import above, eigvalsh, reduce
-from .errors import InertiaMismatch, NoConvergence
+from .eigensolve import above, eigvalsh, quadratic_eigvals, reduce
+from .errors import InertiaMismatch
 from .model import SWEEP_CHUNK_BYTES, Constant, ProblemKind, canonical_config
 from .serialize import config_hash
 
@@ -172,28 +173,13 @@ def _mirror_halves(A):
 def _qep_eigenvalues(m, kind, mirrored):
     """All 2 dim eigenvalues of one block's quadratic pencil A(lambda).
 
-    A2 is nonsingular, so A(lambda) x = 0 is the standard eigenproblem of
-    the companion matrix [[0, I], [-A2^-1 A0, -A2^-1 A1]] acting on
-    (x, lambda x) (Tisseur & Meerbergen, SIAM Rev. 43 (2001), section 3).
     A ``mirrored`` block's eigenvectors are even or odd under the flip, so
     its spectrum is the union of those of the even and odd halves of the
     pencil, two companions of about half the order.
     """
     coefficients = quadratic_coefficients(m, kind)
     pencils = zip(*map(_mirror_halves, coefficients)) if mirrored else [coefficients]
-    vals = []
-    try:
-        for A0, A1, A2 in pencils:
-            n = A0.shape[0]
-            B = np.linalg.solve(A2, np.hstack([A0, A1]))
-            companion = np.block([[np.zeros((n, n)), np.eye(n)], [-B[:, :n], -B[:, n:]]])
-            vals.append(np.linalg.eigvals(companion))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"quadratic eigenproblem failed: {exc}") from None
-    vals = np.concatenate(vals)
-    if not np.isfinite(vals).all():
-        raise NoConvergence("quadratic eigenproblem returned non-finite eigenvalues")
-    return vals
+    return np.concatenate([quadratic_eigvals(*pencil) for pencil in pencils])
 
 
 def refine(problem, matrices, nu, guess, window, left_negative):

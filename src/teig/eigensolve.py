@@ -7,7 +7,9 @@ curve sweep and the report residuals in ``curves`` run them on stacks of
 matrices, and ``lowest_k`` is their one-point case.  Only eigenvalues are
 computed.  ``above`` proves from a shifted Cholesky factorization that a
 stack has no eigenvalue at or below a bound, which lets the sweep skip the
-blocks that cannot reach its lowest curves.  Failures at the LAPACK
+blocks that cannot reach its lowest curves.  ``quadratic_eigvals`` solves a
+quadratic pencil through its companion linearization, the one
+non-symmetric eigenproblem of the package.  Failures at the LAPACK
 boundary come back as typed errors: non-finite input, a LAPACK error or a
 non-finite result raise NoConvergence, and a Cholesky pivot at or below
 1e-13 times the largest diagonal entry of B raises NotPositiveDefinite.
@@ -105,6 +107,26 @@ def above(c, mu, labels):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def quadratic_eigvals(A0, A1, A2):
+    """All 2 n eigenvalues of the n x n pencil A0 + lambda A1 + lambda^2 A2
+    with A2 nonsingular, complex in general.
+
+    A(lambda) x = 0 is the standard eigenproblem of the companion matrix
+    [[0, I], [-A2^-1 A0, -A2^-1 A1]] acting on (x, lambda x) (Tisseur &
+    Meerbergen, SIAM Rev. 43 (2001), section 3).
+    """
+    n = A0.shape[0]
+    try:
+        B = np.linalg.solve(A2, np.hstack([A0, A1]))
+        companion = np.block([[np.zeros((n, n)), np.eye(n)], [-B[:, :n], -B[:, n:]]])
+        vals = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"quadratic eigenproblem failed: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise NoConvergence("quadratic eigenproblem returned non-finite eigenvalues")
+    return vals
 
 
 def lowest_k(A, B, K):

@@ -33,10 +33,6 @@ class HelmholtzContrastDegenerate(ValidationError):
     pass
 
 
-class TooFewCells(ValidationError):
-    pass
-
-
 class ProblemTooLarge(ValidationError):
     pass
 
@@ -50,10 +46,6 @@ class OrderOutOfRange(TeigError, ValueError):
 
 
 class UnsupportedDimension(TeigError, ValueError):
-    pass
-
-
-class AsymmetricAssembly(TeigError, ArithmeticError):
     pass
 
 

@@ -49,11 +49,6 @@ def _emit(obj, indent, level):
             return "[]"
         items = [f"{pad}{_emit(v, indent, level + 1)}" for v in seq]
         return "[" + nl + sep.join(items) + nl + close_pad + "]"
-    try:  # numpy scalars
-        if hasattr(obj, "item"):
-            return _emit(obj.item(), indent, level)
-    except Exception:
-        pass
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

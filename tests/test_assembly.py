@@ -11,7 +11,7 @@ from teig.assembly import (
     gauss_legendre,
 )
 from teig.eigensolve import lowest_k
-from teig.errors import OrderOutOfRange, TooFewCells
+from teig.errors import OrderOutOfRange
 from teig.model import Agmon, Constant, PowerDecay, ProblemKind, Unweighted
 
 from form_oracle import direct_form_value
@@ -64,10 +64,6 @@ class TestClampedBasis:
     def test_dimensions(self):
         assert ClampedBasis([(0.0, 1.0)], 4).dim == 3
         assert ClampedBasis([(0.0, 1.0), (2.0, 3.0)], 8).dim == 14
-
-    def test_too_few_cells(self):
-        with pytest.raises(TooFewCells):
-            ClampedBasis([(0.0, 1.0)], 3)
 
     def test_partition_of_unity_at_quad_nodes(self):
         basis = ClampedBasis([(0.0, 2.0), (3.0, 3.5)], 8)
@@ -132,11 +128,14 @@ class TestAssemble:
         assert np.array_equal(m.Mw, m.M)
 
     def test_all_symmetric(self):
-        for intervals in ([(-math.pi, math.pi)], [(0.0, 1.0), (2.0, 2.5)]):
-            basis = ClampedBasis(intervals, 32)
-            for m in assemble(basis, PowerDecay(1.0, 4.0), Agmon(4.0), QUAD):
-                for mat in (m.S, m.C, m.K, m.M, m.Minv, m.Mw):
-                    assert np.max(np.abs(mat - mat.T)) == 0.0
+        # the construction itself is exactly symmetric; nothing re-symmetrizes it
+        inputs = [(PowerDecay(1.0, 4.0), Agmon(4.0)), (Constant(0.75), Unweighted())]
+        for potential, weight in inputs:
+            for intervals in ([(-math.pi, math.pi)], [(0.0, 1.0), (2.0, 2.5)]):
+                basis = ClampedBasis(intervals, 32)
+                for m in assemble(basis, potential, weight, QUAD):
+                    for mat in (m.S, m.C, m.K, m.M, m.Minv, m.Mw):
+                        assert np.max(np.abs(mat - mat.T)) == 0.0
 
     def test_blocks_match_single_interval_assembly(self):
         # block-local indexing: each block equals its interval assembled alone

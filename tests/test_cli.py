@@ -514,6 +514,15 @@ class TestExperimentCommands:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == error
 
+    def test_count_non_integer_lmax_is_a_validation_error(self):
+        res = run_cli("count", "--dim", "1", "--lmax", "1e3")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": "ValidationError",
+            "message": "--lmax must be an integer or 'auto', got '1e3'",
+        }
+
     def test_count_insufficient_is_config_error(self):
         res = run_cli("count", "--dim", "1", "--x-values", "2,3")
         assert res.returncode == 2

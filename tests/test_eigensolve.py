@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from teig.eigensolve import above, cholesky, lowest_k
+from teig.eigensolve import above, cholesky, lowest_k, quadratic_eigvals
 from teig.errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 
@@ -157,6 +157,23 @@ class TestAbove:
         c[1, 2, 3] = c[1, 3, 2] = bad
         with pytest.raises(NoConvergence, match="b: matrix has non-finite entries"):
             above(c, vals[:, 0] - 1.0, list("abcd"))
+
+
+class TestQuadraticEigvals:
+    def test_roots_of_a_diagonal_pencil(self):
+        # (lambda - 1)(lambda - 2) and lambda^2 + 1
+        vals = quadratic_eigvals(np.diag([2.0, 1.0]), np.diag([-3.0, 0.0]), np.eye(2))
+        assert vals.size == 4
+        assert np.allclose(np.sort_complex(vals), [-1j, 1j, 1.0, 2.0], atol=1e-14)
+
+    def test_singular_leading_coefficient_raises(self):
+        with pytest.raises(NoConvergence, match="quadratic eigenproblem failed: Singular"):
+            quadratic_eigvals(np.eye(2), np.eye(2), np.zeros((2, 2)))
+
+    def test_non_finite_eigenvalues_raise(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[0], np.nan))
+        with pytest.raises(NoConvergence, match="returned non-finite eigenvalues"):
+            quadratic_eigvals(np.eye(2), np.eye(2), np.eye(2))
 
 
 class TestLapackBoundary:

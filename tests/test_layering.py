@@ -4,8 +4,9 @@ and eigensolve goes through its checked, typed-error boundary; the
 radial oracle (``radial.py`` with its determinant ``determinant.py`` and
 Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
 so it stays an independent check of it; every error type ``errors.py``
-declares is raised somewhere in the package; and every top-level
-definition is referenced by the package."""
+declares but the base class is raised somewhere in the package, and the
+base class nowhere; and every top-level definition is referenced by the
+package."""
 
 import ast
 from pathlib import Path
@@ -14,15 +15,6 @@ import teig
 from teig import errors
 
 SRC = Path(teig.__file__).resolve().parent
-
-# (module, function, attribute) uses of numpy.linalg outside eigensolve.py:
-# the companion linearization of a block's quadratic pencil is a
-# non-symmetric problem, which the symmetric eigensolver does not cover
-ALLOWED = {
-    ("curves.py", "_qep_eigenvalues", "solve"),
-    ("curves.py", "_qep_eigenvalues", "eigvals"),
-    ("curves.py", "_qep_eigenvalues", "LinAlgError"),
-}
 
 
 def linalg_uses(path):
@@ -53,27 +45,19 @@ def linalg_uses(path):
 
 
 def test_linalg_only_in_the_eigensolver():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "eigensolve.py":
-            continue
-        for owner, attr, line in linalg_uses(path):
-            if (path.name, owner, attr) not in ALLOWED:
-                found.append(f"{path.name}:{line} {owner} uses numpy.linalg.{attr}")
+    found = [
+        f"{path.name}:{line} {owner} uses numpy.linalg.{attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "eigensolve.py"
+        for owner, attr, line in linalg_uses(path)
+    ]
     assert found == []
 
 
 def test_the_guard_sees_every_form_of_use():
-    # the allow-list entries exist, so the guard is looking at real code
-    seen = {
-        (path.name, owner, attr)
-        for path in SRC.glob("*.py")
-        for owner, attr, _ in linalg_uses(path)
-    }
-    assert ALLOWED <= seen
-    assert {attr for name, _, attr in seen if name == "eigensolve.py"} >= {
-        "cholesky", "inv", "eigvalsh", "LinAlgError"
-    }
+    # the guard finds the calls eigensolve.py makes, so it looks at real code
+    seen = {attr for _, attr, _ in linalg_uses(SRC / "eigensolve.py")}
+    assert seen >= {"cholesky", "inv", "eigvalsh", "solve", "eigvals", "LinAlgError"}
 
 
 def test_the_guard_flags_imports_and_attributes(tmp_path):
@@ -159,7 +143,8 @@ def test_every_error_type_is_raised_by_the_package():
     }
     raised = set().union(*(raised_names(path) for path in SRC.glob("*.py")))
     assert "ValidationError" in raised  # the scan sees real raise statements
-    assert declared - raised == set()
+    # the base class is only caught: its code would name no failure
+    assert declared - raised == {"TeigError"}
 
 
 # top-level definitions no module of the package refers to, with the reason

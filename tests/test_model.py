@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from teig import cli
 from teig.errors import (
     AlphaTooSmall,
     HelmholtzContrastDegenerate,
@@ -190,6 +191,33 @@ class TestValidation:
         # rejected from the sizes alone: a 10^12-link chain is never laid out
         with pytest.raises(ProblemTooLarge, match="budget"):
             validate_problem(make_spec(**kw))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("cells_per_interval", 3, "cells_per_interval must be >= 4, got 3"),
+            ("quad_points", 7, "quad_points must be >= 8, got 7"),
+        ],
+    )
+    def test_discretization_floors(self, key, value, message, tmp_path, capsys):
+        # validation is the one owner of both floors: the basis and the
+        # quadrature rule are only built for a validated problem
+        disc = {"cells_per_interval": 8, "quad_points": 8, "num_curves": 2, key: value}
+        with pytest.raises(ValidationError, match=message):
+            validate_problem(make_spec(discretization=DiscretizationConfig(**disc)))
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({
+            "problem": "schrodinger",
+            "domain": {"type": "interval_union", "intervals": [[-math.pi, math.pi]]},
+            "potential": {"type": "constant", "v0": 0.75},
+            "discretization": disc,
+            "sweep": {"lambda_min": 0.5, "lambda_max": 5.0, "steps": 10},
+        }))
+        out = tmp_path / "r.json"
+        assert cli.main(["find", "--config", str(config), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ValidationError", "message": message}
+        assert not out.exists()
 
     def test_potential_positive_everywhere(self):
         prob = validate_problem(make_spec(potential=PowerDecay(2.0, 5.0)))
