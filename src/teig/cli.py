@@ -24,7 +24,7 @@ from .model import (
     load_problem,
     validate_problem,
 )
-from .radial import RadialProblem, te_lists_up_to
+from .radial import DEFAULT_SCAN_STEPS, RadialProblem, te_lists_up_to
 
 
 def _float_list(text):
@@ -59,7 +59,7 @@ def _radial_arguments(p):
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--lmax", type=int, required=True, help="largest angular order scanned")
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--steps", type=int, default=DEFAULT_SCAN_STEPS)
     p.add_argument("--out")
 
 
@@ -176,7 +176,7 @@ def _cmd_radial(args):
         "lambda_max": args.lambda_max,
         "ell_max": args.lmax,
         "transmission_eigenvalues": [
-            {"lambda": lam, "ell": ell, "degeneracy": deg} for lam, ell, deg in entries
+            {"lambda": lam, "ell": ell, "degeneracy": deg} for lam, ell, deg, *_ in entries
         ],
     }
     _emit(payload, args.out)

@@ -28,10 +28,10 @@ from .model import (
 from .radial import (
     LAMBDA_FLOOR,
     RadialProblem,
-    _scan_determinant,
     adaptive_ell_max,
     first_te,
     te_lists_up_to,
+    top_order,
 )
 
 PASS = "Pass"
@@ -95,6 +95,8 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
     if not epsilons:
         raise ValidationError("epsilons must be a non-empty list")
+    if galerkin and n != 1:
+        raise ValidationError("the Galerkin repeat runs in dimension 1 only")
     lam_base = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0))
     rows = []
     worst = 0.0
@@ -116,8 +118,6 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
     margins = {"tolerance": SCALING_ORACLE_TOL, "max_rel_err": worst}
     verdict = PASS if worst <= SCALING_ORACLE_TOL else FAIL
     if galerkin:
-        if n != 1:
-            raise ValidationError("the Galerkin repeat runs in dimension 1 only")
         g_rows = []
         g_worst = 0.0
         g_base = _galerkin_te_near(radius, v0, lam_base)
@@ -175,13 +175,13 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
     rows = []
     counts = []
     for x, lm, entries in zip(xs, ell_maxes, lists):
-        nx = sum(d for lam, _, d in entries if lam <= x)
+        nx = sum(d for lam, _, d, *_ in entries if lam <= x)
         if nx < 5:
             raise InsufficientCounts(
                 f"N({x}) = {nx} < 5; widen the window before fitting a slope"
             )
         counts.append(nx)
-        rows.append((x, nx, lm))
+        rows.append((x, nx, top_order(n, lm)))
     slope, intercept = np.polyfit(np.log(xs), np.log(counts), 1)
     target = 0.5 * n
     margins = {
@@ -218,7 +218,7 @@ def packing_prediction(length, v0, x):
     return int(math.floor(length / width + 1e-9)), lam1, eps
 
 
-def packing_bound_check(length, v0, x, cells=96):
+def packing_bound_check(length, v0, x, cells):
     """Mini-max packing bound: the Galerkin count of eigenvalues of the
     interval (0, length) up to x, on PACKING_CURVES curves, must reach at
     least 80% of the packing prediction (the continuum bound is one-sided;
@@ -228,6 +228,11 @@ def packing_bound_check(length, v0, x, cells=96):
     if not (0 < length < math.inf and 0 < x < math.inf):
         raise ValidationError(f"packing requires finite length > 0 and x > 0, got {length}, {x}")
     prediction, lam1, eps = packing_prediction(length, v0, x)
+    if prediction < 1:
+        raise InsufficientCounts(
+            f"packing predicts 0 copies at x = {x}: a copy fits once x reaches a quarter "
+            f"of the base interval's first TE {lam1}"
+        )
     entries = _galerkin_tes(
         ProblemKind.HELMHOLTZ, IntervalUnion([(0.0, length)]), Constant(v0), Unweighted(),
         cells, PACKING_CURVES, (1e-3 * x, float(x)), (1e-8, 1e-6),
@@ -285,25 +290,18 @@ def check_counts(counts):
     return counts
 
 
-def truncation_stability(
-    chain,
-    counts,
-    window,
-    potential,
-    kind=ProblemKind.SCHRODINGER,
-    cells=16,
-    num_curves=12,
-):
+def truncation_stability(chain, counts, window, potential, kind, cells, num_curves=12):
     """Run the full pipeline at increasing chain truncations and report the
     drift of the in-window eigenvalue lists between consecutive counts.
 
     Report-only: there is no quantitative truncation claim to judge
     against, so the drift table is emitted as evidence.  When exactly one
     of two consecutive lists is empty the drift is recorded as the window
-    width (a finite, clearly-labeled sentinel).
+    width (a finite, clearly-labeled sentinel).  validate_problem rejects
+    alpha <= 3 on the chain (AlphaTooSmall).
     """
-    if not isinstance(potential, PowerDecay) or potential.alpha <= 3.0:
-        raise ValidationError("truncation study requires a PowerDecay potential, alpha > 3")
+    if not isinstance(potential, PowerDecay):
+        raise ValidationError("truncation study requires a PowerDecay potential")
     counts = check_counts(counts)
     lo, hi = float(window[0]), float(window[1])
     te_lists = []
@@ -357,9 +355,10 @@ def truncation_stability(
 # Schrodinger-ball existence scanner
 
 
-def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
+def hypothesis_scan(n, radius, v0, lambda_max, steps, ell_max):
     """Scan the Schrodinger radial determinant for sign changes across both
-    interior branches (evanescent below v0, oscillatory above).
+    interior branches (evanescent below v0, oscillatory above), over the
+    orders te_lists_up_to lists for the one window (lambda_max, ell_max).
 
     Whether such an eigenvalue always exists is an open question, so the
     verdict is always Report-only: the scan reports refined roots, or the
@@ -368,14 +367,8 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps=800, ell_max=0):
     ball = RadialProblem(ProblemKind.SCHRODINGER, n, radius, v0)
     if not lambda_max > LAMBDA_FLOOR:
         raise ValidationError(f"lambda_max must exceed {LAMBDA_FLOOR}")
-    if ell_max < 0:
-        raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-    tol = 1e-10 * max(1.0, lambda_max)
-    ell, root, left, right = _scan_determinant(
-        ball, range(ell_max + 1), LAMBDA_FLOOR, float(lambda_max), steps, tol
-    )
-    table = (root.tolist(), left.tolist(), right.tolist(), ell.tolist())  # row r is order r
-    rows = sorted(zip(*table), key=lambda r: r[0])
+    (entries,) = te_lists_up_to(ball, [lambda_max], [ell_max], steps)
+    rows = [(lam, left, right, ell) for lam, ell, _, left, right in entries]
     return {
         "name": "hypothesis",
         "inputs": {

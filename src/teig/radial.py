@@ -404,28 +404,36 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     return row, _polish_roots(det, ells[row], root), left, right
 
 
+def top_order(n, ell_max):
+    """The largest angular order a ball in dimension n has up to ell_max:
+    ell_max itself, except that dimension 1 has orders 0 and 1 only
+    (harmonic_multiplicity(1, ell >= 2) == 0)."""
+    if ell_max < 0:
+        raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
+    return ell_max if n > 1 else min(ell_max, 1)
+
+
 def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
-    """One tuple of (lambda, ell, degeneracy) entries per (x, ell_max),
-    sorted: all transmission eigenvalues of the ball up to x for ell <=
-    ell_max.  Orders with no root do not stop the sweep; roots are not
-    monotone in ell.
+    """One tuple of (lambda, ell, degeneracy, left, right) entries per (x,
+    ell_max), sorted: all transmission eigenvalues of the ball up to x for
+    ell <= top_order(dim, ell_max), each with its bracket [left, right] (a
+    grid hit is its own bracket).  Orders with no root do not stop the
+    sweep; roots are not monotone in ell.
 
     The windows are nested, so each order is scanned once
     (_scan_determinant), on each segment (x', x] on that window's own grid
     linspace(LAMBDA_FLOOR, x, steps) with brackets solved to 1e-10
-    max(1, x); window (x, ell_max) lists the roots of orders <= ell_max
-    whose bracket ends at or below x.  So a root has the bits that scanning
+    max(1, x); window (x, ell_max) lists the roots of its orders whose
+    bracket ends at or below x.  So a root has the bits that scanning
     alone the smallest window listing it gives, except in the first cell
     past a joint, which starts at the joint.  No order is scanned in its
     root-free zone (_root_free_below).
     """
-    tops = []  # the largest order of each window; dim 1 has orders 0 and 1 only
+    tops = []
     for x, ell_max in zip(xs, ell_maxes):
         if not x > 0:
             raise ArgumentOutOfRange(f"x must be > 0, got {x}")
-        if ell_max < 0:
-            raise ValidationError(f"ell_max must be >= 0, got {ell_max}")
-        tops.append(ell_max if base.dim > 1 else min(ell_max, 1))
+        tops.append(top_order(base.dim, ell_max))
     _check_scan_size(sum(top + 1 for top in tops), steps)
     ends = sorted(set(map(float, xs)))
     holds = np.zeros((max(tops) + 1, len(ends)), dtype=bool)  # (order, window end)
@@ -433,17 +441,13 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
         holds[: top + 1, ends.index(x)] = True
     his = np.where(holds, ends, np.nan)
     tols = 1e-10 * np.maximum(1.0, his)
-    row, root, _, right = _scan_determinant(
+    row, root, left, right = _scan_determinant(
         base, range(holds.shape[0]), LAMBDA_FLOOR, his, steps, tols
     )
-    degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in range(holds.shape[0])]
-    table = list(zip(root.tolist(), row.tolist(), right.tolist()))
-    return [
-        tuple(sorted(
-            (lam, ell, degeneracy[ell]) for lam, ell, end in table if ell <= top and end <= x
-        ))
-        for x, top in zip(xs, tops)
-    ]
+    degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in row.tolist()]
+    table = sorted(zip(root.tolist(), row.tolist(), degeneracy, left.tolist(), right.tolist()))
+    # a window lists its orders' roots whose bracket ends at or below it
+    return [tuple(e for e in table if e[1] <= top and e[4] <= x) for x, top in zip(xs, tops)]
 
 
 def adaptive_ell_max(n, radius, x):

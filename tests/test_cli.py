@@ -8,7 +8,9 @@ import pytest
 
 from teig import cli, curves, experiments, serialize
 from teig.errors import ValidationError
-from teig.model import PowerDecay, ShrinkingChain, load_problem, parse_problem, validate_problem
+from teig.model import (
+    PowerDecay, ProblemKind, ShrinkingChain, load_problem, parse_problem, validate_problem
+)
 
 CONFIG = {
     "problem": "helmholtz",
@@ -528,6 +530,39 @@ class TestExperimentCommands:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "InsufficientCounts"
 
+    def test_count_dim1_reports_the_orders_it_scans(self):
+        res = run_cli("count", "--dim", "1")
+        assert res.returncode == 0, res.stderr
+        rows = json.loads(res.stdout)["tables"][0]["rows"]
+        assert [row[2] for row in rows] == [1, 1, 1, 1]
+
+    def test_packing_with_no_copy_is_insufficient(self):
+        # x = 0.5 lies below a quarter of the base interval's first TE 4
+        res = run_cli("packing", "--x", "0.5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "InsufficientCounts"
+        assert "x = 0.5" in err["message"] and "first TE 4.0" in err["message"]
+
+    def test_truncation_alpha_at_most_3_is_alpha_too_small(self):
+        res = run_cli("truncation", "--alpha", "2.5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "AlphaTooSmall"
+
+    def test_hypothesis_dim1_lists_the_radial_roots(self):
+        # a dimension-1 ball has orders 0 and 1 only: --lmax 4 lists the 12
+        # roots that the radial oracle lists for the same ball and grid
+        ball = ("--dim", "1", "--radius", "2", "--v0", "30", "--lambda-max", "150", "--lmax", "4")
+        scan = run_cli("hypothesis", *ball, "--steps", "800")
+        listed = run_cli("radial", "--problem", "schrodinger", *ball, "--steps", "800")
+        assert scan.returncode == listed.returncode == 0, scan.stderr + listed.stderr
+        rows = json.loads(scan.stdout)["tables"][0]["rows"]
+        entries = json.loads(listed.stdout)["transmission_eigenvalues"]
+        assert len(rows) == len(entries) == 12
+        assert [(r[0], r[3]) for r in rows] == [(e["lambda"], e["ell"]) for e in entries]
+
 
 REFERENCE_CONFIG = {
     "problem": "helmholtz",
@@ -730,12 +765,12 @@ class TestLibraryMatchesCli:
                 ["truncation", "--counts", "1,2", "--cells", "16"],
                 lambda: experiments.truncation_stability(
                     ShrinkingChain(2, 0.0, 1.0, math.pi, 0.5), [1, 2], (0.5, 50.0),
-                    PowerDecay(60.0, 4.0), cells=16,
+                    PowerDecay(60.0, 4.0), kind=ProblemKind.SCHRODINGER, cells=16,
                 ),
             ),
             (
                 ["hypothesis", "--v0", "2.0", "--lambda-max", "5", "--steps", "100"],
-                lambda: experiments.hypothesis_scan(1, 0.5, 2.0, 5.0, steps=100),
+                lambda: experiments.hypothesis_scan(1, 0.5, 2.0, 5.0, steps=100, ell_max=0),
             ),
         ],
         ids=["scaling", "count", "packing", "truncation", "hypothesis"],

@@ -56,7 +56,7 @@ def inside(lams):
 
 def oracle_tes(kind, radius, v0):
     (entries,) = te_lists_up_to(RadialProblem(kind, 1, radius, v0), [WINDOW[1]], [1])
-    return inside([lam for lam, _, _ in entries])
+    return inside([lam for lam, *_ in entries])
 
 
 def galerkin_tes(kind, radius, v0, cells):

@@ -3,8 +3,11 @@ import math
 import pytest
 
 from teig import experiments as ex
+from teig import radial
 from teig.errors import InsufficientCounts, ValidationError
-from teig.model import PowerDecay, ShrinkingChain
+from teig.model import Constant, PowerDecay, ProblemKind, ShrinkingChain
+
+S = ProblemKind.SCHRODINGER
 
 
 class TestScaling:
@@ -35,6 +38,19 @@ class TestScaling:
     def test_rejects_bad_contrast(self):
         with pytest.raises(ValidationError):
             ex.scaling_check(1, math.pi, 1.5, [0.5])
+
+    def test_galerkin_outside_dimension_1_is_rejected_before_any_scan(self, monkeypatch):
+        calls = []
+        det_grid = radial._det_grid
+
+        def counted(*args):
+            calls.append(args)
+            return det_grid(*args)
+
+        monkeypatch.setattr(radial, "_det_grid", counted)
+        with pytest.raises(ValidationError, match="dimension 1 only"):
+            ex.scaling_check(3, math.pi, 0.75, [0.5, 0.25], galerkin=True)
+        assert calls == []
 
 
 class TestCounting:
@@ -85,24 +101,32 @@ class TestTruncation:
 
     def test_repeat_counts_zero_drift(self):
         r = ex.truncation_stability(
-            self.chain(), [2, 2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16
+            self.chain(), [2, 2], (0.5, 20.0), PowerDecay(60.0, 4.0), kind=S, cells=16
         )
         assert r["verdict"] == "Report-only"
         assert r["tables"][2]["rows"][0][2] == 0.0
 
     def test_single_count_no_drift_rows(self):
         r = ex.truncation_stability(
-            self.chain(), [2], (0.5, 20.0), PowerDecay(60.0, 4.0), cells=16
+            self.chain(), [2], (0.5, 20.0), PowerDecay(60.0, 4.0), kind=S, cells=16
         )
         assert r["tables"][2]["rows"] == []
 
     def test_requires_power_decay_alpha(self):
         with pytest.raises(ValidationError):
-            ex.truncation_stability(self.chain(), [2], (0.5, 2.0), PowerDecay(1.0, 2.0))
+            ex.truncation_stability(
+                self.chain(), [2], (0.5, 2.0), PowerDecay(1.0, 2.0), kind=S, cells=16
+            )
+
+    def test_requires_power_decay(self):
+        with pytest.raises(ValidationError, match="PowerDecay"):
+            ex.truncation_stability(
+                self.chain(), [2], (0.5, 2.0), Constant(1.0), kind=S, cells=16
+            )
 
     def test_drift_finite(self):
         r = ex.truncation_stability(
-            self.chain(), [2, 4], (0.5, 30.0), PowerDecay(60.0, 4.0), cells=16
+            self.chain(), [2, 4], (0.5, 30.0), PowerDecay(60.0, 4.0), kind=S, cells=16
         )
         drift = r["tables"][2]["rows"]
         assert len(drift) == 1
@@ -111,22 +135,22 @@ class TestTruncation:
 
 class TestHypothesis:
     def test_schema_and_verdict(self):
-        r = ex.hypothesis_scan(1, 0.5, 2.0, 10.0, steps=200)
+        r = ex.hypothesis_scan(1, 0.5, 2.0, 10.0, steps=200, ell_max=0)
         assert r["verdict"] == "Report-only"
         assert r["tables"][0]["columns"] == ["root", "bracket_left", "bracket_right", "ell"]
 
     def test_large_potential_finds_roots(self):
-        r = ex.hypothesis_scan(1, 0.5, 40.0, 60.0, steps=1200)
+        r = ex.hypothesis_scan(1, 0.5, 40.0, 60.0, steps=1200, ell_max=0)
         roots = [row[0] for row in r["tables"][0]["rows"]]
         assert any(abs(r0 - 25.117) < 0.05 for r0 in roots)
 
     def test_branch_boundary_skipped(self):
         # grid straddles lambda = v0 without erroring
-        r = ex.hypothesis_scan(1, 1.0, 1.0, 2.0, steps=101)
+        r = ex.hypothesis_scan(1, 1.0, 1.0, 2.0, steps=101, ell_max=0)
         assert r["verdict"] == "Report-only"
 
     def test_nonpositive_potential_rejected(self):
         from teig.errors import NonPositivePotential
 
         with pytest.raises(NonPositivePotential):
-            ex.hypothesis_scan(1, 1.0, 0.0, 2.0)
+            ex.hypothesis_scan(1, 1.0, 0.0, 2.0, steps=800, ell_max=0)

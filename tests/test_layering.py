@@ -3,7 +3,9 @@
 and eigensolve goes through its checked, typed-error boundary; the
 radial oracle (``radial.py`` with its determinant ``determinant.py`` and
 Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
-so it stays an independent check of it; every error type ``errors.py``
+so it stays an independent check of it; the experiment drivers import no
+private name of ``radial.py``, so they read the oracle's one listing;
+every error type ``errors.py``
 declares but the base class is raised somewhere in the package, and the
 base class nowhere; and every top-level definition is referenced by the
 package."""
@@ -119,6 +121,37 @@ def test_the_import_guard_sees_every_spelling(tmp_path):
         "from .specfun import _ladders\n"
     )
     assert teig_imports(probe) == GALERKIN | {"model", "errors", "specfun"}
+
+
+def private_imports(path, module):
+    """Underscore-prefixed names a module imports from the teig module
+    ``module`` (``from .module import _name`` or ``from teig.module import
+    _name``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").removeprefix("teig").lstrip(".") == module
+        and (node.level > 0 or (node.module or "").startswith("teig"))
+        for a in node.names
+        if a.name.startswith("_")
+    }
+
+
+def test_the_drivers_import_no_private_radial_name():
+    assert private_imports(SRC / "experiments.py", "radial") == set()
+
+
+def test_the_private_import_guard_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .radial import _scan, first_te\n"
+        "from teig.radial import _polish\n"
+        "from .determinant import _det_grid\n"
+        "from radial import _elsewhere\n"
+    )
+    assert private_imports(probe, "radial") == {"_scan", "_polish"}
 
 
 def raised_names(path):

@@ -518,7 +518,7 @@ class TestSharedWindows:
             assert len(listed) == len(alone[x])
             assert weighted_count(listed, x) == weighted_count(alone[x], x)
         for entry in {e for listed in together for e in listed}:
-            lam, ell, _ = entry
+            lam, ell, *_ = entry
             smallest = min(x for x, listed in zip(xs, together) if entry in listed)
             if entry in alone[smallest]:
                 continue
@@ -612,7 +612,7 @@ class TestPolishPrescreen:
         xs = [50.0, 100.0, 200.0, 400.0]
         ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
         roots = sorted(
-            {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, _ in tl}
+            {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, *_ in tl}
         )
         lam = np.array([r for r, _ in roots])
         ells = np.array([ell for _, ell in roots], dtype=float)
@@ -745,19 +745,19 @@ def one_window(base, x, ell_max):
 
 def weighted_count(entries, x):
     """N(x): the degeneracy sum of the entries up to x."""
-    return sum(d for lam, _, d in entries if lam <= x)
+    return sum(d for lam, _, d, *_ in entries if lam <= x)
 
 
 class TestTEList:
     def test_1d_contains_four(self):
         base = RadialProblem(H, 1, math.pi, 0.75)
         tl = one_window(base, 4.5, 0)
-        assert any(abs(lam - 4.0) < 1e-8 and ell == 0 and deg == 1 for lam, ell, deg in tl)
+        assert any(abs(lam - 4.0) < 1e-8 and ell == 0 and deg == 1 for lam, ell, deg, *_ in tl)
 
     def test_3d_contains_four(self):
         base = RadialProblem(H, 3, math.pi, 0.75)
         tl = one_window(base, 4.5, 0)
-        assert any(abs(lam - 4.0) < 1e-8 for lam, _, _ in tl)
+        assert any(abs(lam - 4.0) < 1e-8 for lam, *_ in tl)
 
     def test_empty_below_first_root(self):
         base = RadialProblem(H, 1, math.pi, 0.75)
@@ -766,7 +766,7 @@ class TestTEList:
     def test_sorted_and_positive(self):
         base = RadialProblem(H, 3, math.pi, 0.75)
         tl = one_window(base, 40.0, 4)
-        lams = [lam for lam, _, _ in tl]
+        lams = [lam for lam, *_ in tl]
         assert lams == sorted(lams)
         assert all(lam > 0 for lam in lams)
 
@@ -778,8 +778,8 @@ class TestTEList:
             RadialProblem(H, dim, math.pi * eps, 0.75), 40.0 / eps**2, ell_max
         )
         assert scaled
-        for lam, _, _ in scaled:
-            best = min(abs(lam - b / eps**2) / (b / eps**2) for b, _, _ in base)
+        for lam, *_ in scaled:
+            best = min(abs(lam - b / eps**2) / (b / eps**2) for b, *_ in base)
             assert best <= 1e-8
 
     @pytest.mark.parametrize(
@@ -795,7 +795,7 @@ class TestTEList:
             v0 = v0r2 if kind is H else v0r2 / radius**2
             ball = RadialProblem(kind, dim, radius, v0)
             (listed,) = te_lists_up_to(ball, [top / radius**2], [3])
-            return sorted((ell, lam * radius**2) for lam, ell, _ in listed)
+            return sorted((ell, lam * radius**2) for lam, ell, *_ in listed)
 
         unit = scaled(1.0)  # orders 0 and 1 share the root 4 pi^2 in dims 1 and 3
         assert len(unit) >= 2
@@ -816,6 +816,6 @@ class TestTEList:
         base = RadialProblem(H, 3, math.pi, 0.75)
         xs = [20.0, 30.0]
         lists = te_lists_up_to(base, xs, [2, 2])
-        manual = [sum(d for lam, _, d in tl if lam <= x) for x, tl in zip(xs, lists)]
+        manual = [sum(d for lam, _, d, *_ in tl if lam <= x) for x, tl in zip(xs, lists)]
         result = experiments.counting_experiment(3, math.pi, 0.75, xs, ell_max=2)
         assert [row[1] for row in result["tables"][0]["rows"]] == manual
