@@ -22,12 +22,11 @@ values) that ``serialize.curve_table_csv`` writes.  Sorted-index
 curves may permute branches at intersections, but they are continuous, so
 their sign changes are genuine zero crossings.  Each block is reduced to
 standard form once by ``eigensolve.reduce``, and the grid is solved in
-stacked chunks by ``eigensolve.eigvalsh``, the solver behind ``lowest_k``;
-the report residuals come from the same evaluator.  A chunk solves only
-the blocks that can reach its lowest K values: the blocks that reached
-them in the chunk before, plus any other block that
-``eigensolve.above`` cannot certify to lie wholly above the candidate
-K-th value.  The skipped blocks hold none of the K smallest values, so
+stacked chunks by ``eigensolve.eigvalsh``; the report residuals come from
+the same evaluator.  A chunk solves only the blocks that can reach its
+lowest K values: the blocks that reached them in the chunk before, plus
+any other block that ``eigensolve.above`` cannot certify to lie wholly
+above the candidate K-th value.  The skipped blocks hold none of the K smallest values, so
 the table is bit for bit that of solving every block.
 """
 
@@ -123,9 +122,10 @@ def sweep(problem, matrices):
 def _identity_spectrum(kind, matrices, lam):
     """Ascending eigenvalues of A(lambda), all blocks merged.
 
-    Bit-identical to lowest_k with an identity mass: the Cholesky factor
-    and inverse in eigensolve.reduce are exactly I, and assemble_A is
-    exactly symmetric, so the reduction leaves A(lambda) unchanged.
+    Bit-identical to eigvalsh(reduce(A[None], I)) per block, the
+    generalized solve with an identity mass: the Cholesky factor and
+    inverse in eigensolve.reduce are exactly I, and assemble_A is exactly
+    symmetric, so the reduction leaves A(lambda) unchanged.
     """
     A = np.stack([assemble_A(m, kind, lam) for m in matrices])
     return np.sort(eigvalsh(A[None], [f"at lambda = {lam}"]), axis=None)

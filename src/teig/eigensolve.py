@@ -4,7 +4,7 @@ C = L^-1 A L^-T, then LAPACK's symmetric eigensolver.
 
 ``reduce`` and ``eigvalsh`` are the one implementation of both steps: the
 curve sweep and the report residuals in ``curves`` run them on stacks of
-matrices, and ``lowest_k`` is their one-point case.  Only eigenvalues are
+matrices, and a single pencil is a stack of one.  Only eigenvalues are
 computed.  ``above`` proves from a shifted Cholesky factorization that a
 stack has no eigenvalue at or below a bound, which lets the sweep skip the
 blocks that cannot reach its lowest curves.  ``quadratic_eigvals`` solves a
@@ -37,16 +37,6 @@ def cholesky(B):
     if failed.size:
         raise NotPositiveDefinite(f"pivot failure at row {failed[0]}")
     return L
-
-
-def _checked(A, B):
-    A = np.ascontiguousarray(A, dtype=float)
-    B = np.ascontiguousarray(B, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("lowest_k requires matching square matrices")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise NoConvergence("matrix has non-finite entries")
-    return A, B
 
 
 def reduce(mats, B):
@@ -128,12 +118,3 @@ def quadratic_eigvals(A0, A1, A2):
         raise NoConvergence("quadratic eigenproblem returned non-finite eigenvalues")
     return vals
 
-
-def lowest_k(A, B, K):
-    """The lowest min(K, dim) eigenvalues of A v = mu B v, an ascending
-    array."""
-    A, B = _checked(A, B)
-    if K < 1:
-        raise ValidationError(f"K must be >= 1, got {K}")
-    vals = eigvalsh(reduce(A[None], B), ["lowest_k"])[0]
-    return vals[:K]

@@ -25,14 +25,7 @@ from .model import (
     Unweighted,
     validate_problem,
 )
-from .radial import (
-    LAMBDA_FLOOR,
-    RadialProblem,
-    adaptive_ell_max,
-    first_te,
-    te_lists_up_to,
-    top_order,
-)
+from .radial import RadialProblem, adaptive_ell_max, first_te, te_lists_up_to, top_order
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -43,6 +36,7 @@ SCALING_GALERKIN_TOL = 1e-3
 COUNTING_SLOPE_WINDOW = 0.3
 PACKING_SLACK = 0.8
 PACKING_CURVES = 16
+TRUNCATION_CURVES = 12
 
 
 def _table(label, columns, rows):
@@ -95,14 +89,15 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
     if not epsilons:
         raise ValidationError("epsilons must be a non-empty list")
+    for eps in epsilons:
+        if not 0 < eps < math.inf:
+            raise ValidationError(f"epsilon must be finite and > 0, got {eps}")
     if galerkin and n != 1:
         raise ValidationError("the Galerkin repeat runs in dimension 1 only")
     lam_base = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0))
     rows = []
     worst = 0.0
     for eps in epsilons:
-        if not eps > 0:
-            raise ValidationError(f"epsilon must be > 0, got {eps}")
         lam_scaled = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius * eps, v0))
         expected = lam_base / (eps * eps)
         rel = abs(lam_scaled - expected) / expected
@@ -290,9 +285,10 @@ def check_counts(counts):
     return counts
 
 
-def truncation_stability(chain, counts, window, potential, kind, cells, num_curves=12):
-    """Run the full pipeline at increasing chain truncations and report the
-    drift of the in-window eigenvalue lists between consecutive counts.
+def truncation_stability(chain, counts, window, potential, kind, cells):
+    """Run the full pipeline at increasing chain truncations, on
+    TRUNCATION_CURVES curves, and report the drift of the in-window
+    eigenvalue lists between consecutive counts.
 
     Report-only: there is no quantitative truncation claim to judge
     against, so the drift table is emitted as evidence.  When exactly one
@@ -309,7 +305,7 @@ def truncation_stability(chain, counts, window, potential, kind, cells, num_curv
     count_rows = []
     for count in counts:
         entries = _galerkin_tes(
-            kind, replace(chain, count=count), potential, "agmon", cells, num_curves,
+            kind, replace(chain, count=count), potential, "agmon", cells, TRUNCATION_CURVES,
             (lo, hi), (1e-8, 1e-6),
         )
         lams = [e["lambda"] for e in entries if lo <= e["lambda"] <= hi]
@@ -365,8 +361,6 @@ def hypothesis_scan(n, radius, v0, lambda_max, steps, ell_max):
     explicit absence of any sign change in the window.
     """
     ball = RadialProblem(ProblemKind.SCHRODINGER, n, radius, v0)
-    if not lambda_max > LAMBDA_FLOOR:
-        raise ValidationError(f"lambda_max must exceed {LAMBDA_FLOOR}")
     (entries,) = te_lists_up_to(ball, [lambda_max], [ell_max], steps)
     rows = [(lam, left, right, ell) for lam, ell, _, left, right in entries]
     return {

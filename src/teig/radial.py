@@ -11,7 +11,8 @@ ends the grid is that window's own, the joint is one point of both
 segments, and a bracket is solved (ITP, with odd-order roots handed to a
 batched fit) to its segment's window tolerance.  No order is scanned below
 a lower bound of its first Bessel zero, where D has no root
-(_root_free_below).
+(_root_free_below).  te_lists_up_to is the one listing: first_te and
+every radial command read it, and it alone runs the scan.
 """
 
 import math
@@ -292,11 +293,11 @@ def _window(hi, row, right):
     return np.argmax(hi[row] >= right[:, None], axis=1)
 
 
-def _scan_pass(det, ells, lo, hi, tol, steps, floor):
+def _scan_pass(det, ells, hi, tol, steps, floor):
     """One sign scan of every row r, order ells[r] over its window ends
     hi[r] (ascending, NaN for a window the row skips).  On each segment
     (e', e] between consecutive ends the row's grid takes the points of
-    linspace(lo[r], e, steps), so a joint e' is one point of both
+    linspace(LAMBDA_FLOOR, e, steps), so a joint e' is one point of both
     segments.  The row's cells start at its last grid point at or below
     floor[r] (_root_free_below): each window keeps at most one point at or
     below it, and a cell that ends there is dropped.  Returns exact grid
@@ -307,10 +308,10 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     the floor is no root.  Points are evaluated window by window,
     lambda-major, so the rows of a window share ladders."""
     lam, rid = [], []
-    last = np.full(lo.shape, -np.inf)  # each row's previous window end
+    last = np.full(ells.shape, -np.inf)  # each row's previous window end
     for end in hi.T:
         (r,) = np.nonzero(~np.isnan(end))
-        grid = np.linspace(lo[r], end[r], steps)  # (steps, rows of this window)
+        grid = np.linspace(LAMBDA_FLOOR, end[r], steps)  # (steps, rows of this window)
         keep = grid > last[r]
         # the last point at or below the floor, and every point above it
         keep &= grid >= np.max(grid, axis=0, where=keep & (grid <= floor[r]), initial=-np.inf)
@@ -338,15 +339,15 @@ def _scan_pass(det, ells, lo, hi, tol, steps, floor):
     return row[order], root[order], left[order], right[order]
 
 
-def _scan_determinant(ball, ells, lo, hi, steps, tol):
+def _scan_determinant(ball, ells, hi, steps, tol):
     """Sign scan of the determinant of the RadialProblem ``ball``, one row
-    per order in ``ells`` from lo over its window ends hi, solved to width
-    tol; returns the table (row, root, left, right) of four arrays, sorted
-    by row then by the root before its polish, with [left, right] the
-    root's bracket.  lo broadcasts against ells; hi and tol are one value
-    per row or one per (row, window), the ends ascending and NaN where a
-    row skips a window (_scan_pass), so the nested windows of one problem
-    scan each order once.
+    per order in ``ells`` from LAMBDA_FLOOR over its window ends hi, solved
+    to width tol; returns the table (row, root, left, right) of four
+    arrays, sorted by row then by the root before its polish, with [left,
+    right] the root's bracket.  hi and tol are one value per (row,
+    window), the ends above LAMBDA_FLOOR, ascending and NaN where a row
+    skips a window (_scan_pass), so the nested windows of one problem scan
+    each order once.
 
     All rows share each determinant call: the grids, every solver step and
     the polish stencils.  Where two roots that a window of a
@@ -356,22 +357,8 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     odd-order degeneracy.  Values do not depend on the batch and each
     bracket decides alone, so rows scan as if alone.
     """
-    if steps < 2:
-        raise ValidationError(f"scan needs steps >= 2, got {steps}")
     ells = np.array(ells, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), ells.shape)
-    hi, tol = (np.asarray(v, dtype=float) for v in (hi, tol))
-    hi, tol, _ = np.broadcast_arrays(
-        hi if hi.ndim == 2 else hi[..., None], tol if tol.ndim == 2 else tol[..., None],
-        ells[:, None],
-    )
-    skipped = np.isnan(hi)
-    _check_scan_size(np.count_nonzero(~skipped), steps)
-    bad = np.argwhere(~skipped & ~(lo[:, None] < hi))
-    if bad.size:
-        r, j = bad[0]
-        raise ValidationError(f"scan needs lo < hi, got [{lo[r]}, {hi[r, j]}]")
-    ell_ends, ends = np.broadcast_arrays(ells[:, None], np.column_stack((lo, hi)))
+    ell_ends, ends = np.broadcast_arrays(ells[:, None], np.insert(hi, 0, LAMBDA_FLOOR, axis=1))
     known = ~np.isnan(ends)
     _check_window(ball.kind, ball.radius, ball.v0, ell_ends[known], ends[known])
 
@@ -379,10 +366,10 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
         return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
 
     floor = _root_free_below(ball.dim, ball.radius, ells)
-    table = _scan_pass(det, ells, lo, hi, tol, steps, floor)
+    table = _scan_pass(det, ells, hi, tol, steps, floor)
     row, root, _, right = table
     pair = np.flatnonzero(row[1:] == row[:-1])  # consecutive roots of one row
-    spacing = (hi - lo[:, None]) / (steps - 1)
+    spacing = (hi - LAMBDA_FLOOR) / (steps - 1)
     near = (right[pair + 1, None] <= hi[row[pair]]) & (
         np.diff(root)[pair, None] < _CLOSE_ROOT_CELLS * spacing[row[pair]]
     )
@@ -391,9 +378,7 @@ def _scan_determinant(ball, ells, lo, hi, steps, tol):
     close[row[pair[p]], w] = True
     if close.any():
         (again,) = np.nonzero(close.any(axis=1))
-        new = _scan_pass(
-            det, ells[again], lo[again], hi[again], tol[again], 2 * steps, floor[again]
-        )
+        new = _scan_pass(det, ells[again], hi[again], tol[again], 2 * steps, floor[again])
         new = (again[new[0]], *new[1:])
         old_keep = ~close[row, _window(hi, row, right)]
         new_keep = close[new[0], _window(hi, new[0], new[3])]
@@ -427,23 +412,24 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     bracket ends at or below x.  So a root has the bits that scanning
     alone the smallest window listing it gives, except in the first cell
     past a joint, which starts at the joint.  No order is scanned in its
-    root-free zone (_root_free_below).
+    root-free zone (_root_free_below).  Every x must exceed LAMBDA_FLOOR
+    (ArgumentOutOfRange), and steps be at least 2.
     """
     tops = []
     for x, ell_max in zip(xs, ell_maxes):
-        if not x > 0:
-            raise ArgumentOutOfRange(f"x must be > 0, got {x}")
+        if not x > LAMBDA_FLOOR:
+            raise ArgumentOutOfRange(f"x must be > the scan floor {LAMBDA_FLOOR}, got {x}")
         tops.append(top_order(base.dim, ell_max))
     _check_scan_size(sum(top + 1 for top in tops), steps)
+    if steps < 2:
+        raise ValidationError(f"scan needs steps >= 2, got {steps}")
     ends = sorted(set(map(float, xs)))
     holds = np.zeros((max(tops) + 1, len(ends)), dtype=bool)  # (order, window end)
     for x, top in zip(xs, tops):
         holds[: top + 1, ends.index(x)] = True
     his = np.where(holds, ends, np.nan)
     tols = 1e-10 * np.maximum(1.0, his)
-    row, root, left, right = _scan_determinant(
-        base, range(holds.shape[0]), LAMBDA_FLOOR, his, steps, tols
-    )
+    row, root, left, right = _scan_determinant(base, range(holds.shape[0]), his, steps, tols)
     degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in row.tolist()]
     table = sorted(zip(root.tolist(), row.tolist(), degeneracy, left.tolist(), right.tolist()))
     # a window lists its orders' roots whose bracket ends at or below it
@@ -464,24 +450,23 @@ def adaptive_ell_max(n, radius, x):
 
 
 def first_te(ball):
-    """Smallest determinant root of angular order 0 of the RadialProblem
-    ``ball``.
+    """Smallest transmission eigenvalue of angular order 0 of the
+    RadialProblem ``ball``: the first entry of te_lists_up_to(ball, [hi],
+    [0]).
 
-    The scan window [LAMBDA_FLOOR, hi] starts at hi = max(4 / R^2, 2 v0, 1)
-    and doubles until a root appears; ArgumentOutOfRange once the exterior
-    argument sqrt(hi) R passes BESSEL_J_MAX_ARG before that, at once when
-    the first hi is not finite.
+    The window end hi starts at max(4 / R^2, 2 v0, 1) and doubles until
+    the window lists a root; ArgumentOutOfRange once the exterior argument
+    sqrt(hi) R passes BESSEL_J_MAX_ARG before that, at once when the first
+    hi is not finite.
     """
     try:
         hi = max(4.0 / ball.radius**2, 2.0 * ball.v0, 1.0)
     except (ZeroDivisionError, OverflowError):  # R^2 underflows to 0 or overflows
         hi = math.inf
     while math.sqrt(hi) * ball.radius <= BESSEL_J_MAX_ARG:
-        row, root, _, _ = _scan_determinant(
-            ball, (0,), LAMBDA_FLOOR, hi, DEFAULT_SCAN_STEPS, 1e-12 * max(1.0, hi)
-        )
-        if row.size:  # the first root by its value before the polish
-            return float(root[0])
+        (entries,) = te_lists_up_to(ball, [hi], [0])
+        if entries:
+            return entries[0][0]
         hi *= 2.0
     raise ArgumentOutOfRange(
         f"no transmission eigenvalue of radius {ball.radius} found while the exterior "

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from teig import radial
-from teig.eigensolve import lowest_k
 from teig.model import ProblemKind
+
+from pencil import spectrum
 
 # CLI tests run `python -m teig` in subprocesses; they import this checkout too,
 # and a RuntimeWarning fails them as pyproject's filterwarnings fails an
@@ -22,7 +23,7 @@ def warm_kernels():
     """Run the radial scan and the eigensolve once so timed tests measure
     steady state."""
     ball = radial.RadialProblem(ProblemKind.HELMHOLTZ, 1, math.pi, 0.75)
-    radial._scan_determinant(ball, (0,), 0.5, 5.0, 50, 1e-6)
+    radial.te_lists_up_to(ball, [5.0], [0], 50)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))
-    lowest_k(a + a.T, np.eye(6), 3)
+    spectrum(a + a.T, np.eye(6))

@@ -19,7 +19,6 @@ import pytest
 
 from teig import curves, experiments
 from teig.assembly import ClampedBasis, assemble, assemble_A, gauss_legendre
-from teig.eigensolve import lowest_k
 from teig.model import (
     Agmon,
     Constant,
@@ -33,9 +32,10 @@ from teig.model import (
     Unweighted,
     validate_problem,
 )
-from teig.radial import RadialProblem, _scan_determinant, te_lists_up_to
+from teig.radial import RadialProblem, te_lists_up_to
 
 from form_oracle import direct_form_value
+from pencil import spectrum
 from test_eigensolve import random_problem, sturm_all_eigenvalues
 
 H = ProblemKind.HELMHOLTZ
@@ -76,8 +76,8 @@ def test_criterion_1_radial_oracle_exactness():
     with _Timer(1, 1.0):
         for dim in (1, 3):
             ball = RadialProblem(H, dim, math.pi, 0.75)
-            _, roots, _, _ = _scan_determinant(ball, (0,), 1e-6, 4.5, 400, 1e-10)
-            err = min(abs(r - 4.0) for r in roots.tolist())
+            (entries,) = te_lists_up_to(ball, [4.5], [0])
+            err = min(abs(lam - 4.0) for lam, *_ in entries)
             assert err <= 1e-8, f"dim {dim}: root error {err:.2e}"
 
 
@@ -141,7 +141,7 @@ def test_criterion_4_sign_constraints():
         helm = reference_problem(cells=32, num_curves=8)
         (hm,) = curves.prepare_matrices(helm)
         a0 = assemble_A(hm, H, 0.0)
-        low = lowest_k(a0, hm.Mw, 1)[0]
+        low = spectrum(a0, hm.Mw)[0]
         assert low > 0, "Helmholtz A(0) not positive"
 
 
@@ -188,17 +188,17 @@ def test_criterion_9_eigensolver_oracle_equivalence():
         for _ in range(200):
             n = int(rng.integers(2, 9))
             A, B = random_problem(rng, n)
-            mine = lowest_k(A, B, n)
+            mine = spectrum(A, B)
             oracle = sturm_all_eigenvalues(A, B)
             assert np.max(np.abs(mine - oracle)) < 1e-10
         # shift and similarity suites
         A, B = random_problem(rng, 6)
-        base = lowest_k(A, B, 6)
+        base = spectrum(A, B)
         for c in (-3.0, 7.0):
-            shifted = lowest_k(A + c * B, B, 6)
+            shifted = spectrum(A + c * B, B)
             assert np.max(np.abs(shifted - base - c)) < 1e-10
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        rotated = lowest_k(Q.T @ A @ Q, Q.T @ B @ Q, 6)
+        rotated = spectrum(Q.T @ A @ Q, Q.T @ B @ Q)
         assert np.max(np.abs(rotated - base)) < 1e-9
 
 
@@ -228,13 +228,13 @@ def test_criterion_10_determinism(tmp_path):
         assert payloads[0] == payloads[1], "find output not byte-identical"
 
 
-def test_criterion_11_truncation_stability_report():
+def test_criterion_11_truncation_stability_report(monkeypatch):
+    monkeypatch.setattr(experiments, "TRUNCATION_CURVES", 16)
     with _Timer(11, 180.0):
         chain = ShrinkingChain(count=6, start=0.0, gap=1.0,
                                first_length=math.pi, decay_ratio=0.5)
         result = experiments.truncation_stability(
-            chain, [2, 4, 6], (0.5, 50.0), PowerDecay(60.0, 4.0), kind=S,
-            cells=32, num_curves=16,
+            chain, [2, 4, 6], (0.5, 50.0), PowerDecay(60.0, 4.0), kind=S, cells=32
         )
         assert result["verdict"] == "Report-only"
         drift_rows = result["tables"][2]["rows"]

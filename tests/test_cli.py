@@ -543,7 +543,9 @@ class TestExperimentCommands:
         assert res.stdout == ""
         err = json.loads(res.stderr)
         assert err["error"] == "InsufficientCounts"
-        assert "x = 0.5" in err["message"] and "first TE 4.0" in err["message"]
+        assert "x = 0.5" in err["message"]
+        first = float(err["message"].rsplit("first TE ", 1)[1])
+        assert abs(first - 4.0) <= 1e-12
 
     def test_truncation_alpha_at_most_3_is_alpha_too_small(self):
         res = run_cli("truncation", "--alpha", "2.5")

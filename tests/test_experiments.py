@@ -10,6 +10,20 @@ from teig.model import Constant, PowerDecay, ProblemKind, ShrinkingChain
 S = ProblemKind.SCHRODINGER
 
 
+@pytest.fixture
+def det_calls(monkeypatch):
+    """The argument tuples of every radial determinant call of the test."""
+    calls = []
+    det_grid = radial._det_grid
+
+    def counted(*args):
+        calls.append(args)
+        return det_grid(*args)
+
+    monkeypatch.setattr(radial, "_det_grid", counted)
+    return calls
+
+
 class TestScaling:
     def test_identity_epsilon(self):
         r = ex.scaling_check(1, math.pi, 0.75, [1.0])
@@ -23,6 +37,11 @@ class TestScaling:
         assert base == pytest.approx(4.0, abs=1e-8)
         assert scaled == pytest.approx(16.0, abs=1e-6)
         assert rel <= 1e-8
+
+    def test_default_law_holds_to_rounding(self):
+        # first TEs 4, 16 and 64 (lambda = 4 m^2), each read from the listing
+        r = ex.scaling_check(1, math.pi, 0.75, [0.5, 0.25])
+        assert r["margins"]["max_rel_err"] <= 1e-14
 
     def test_cites_tolerance(self):
         r = ex.scaling_check(3, math.pi, 0.75, [0.5])
@@ -39,18 +58,16 @@ class TestScaling:
         with pytest.raises(ValidationError):
             ex.scaling_check(1, math.pi, 1.5, [0.5])
 
-    def test_galerkin_outside_dimension_1_is_rejected_before_any_scan(self, monkeypatch):
-        calls = []
-        det_grid = radial._det_grid
-
-        def counted(*args):
-            calls.append(args)
-            return det_grid(*args)
-
-        monkeypatch.setattr(radial, "_det_grid", counted)
+    def test_galerkin_outside_dimension_1_is_rejected_before_any_scan(self, det_calls):
         with pytest.raises(ValidationError, match="dimension 1 only"):
             ex.scaling_check(3, math.pi, 0.75, [0.5, 0.25], galerkin=True)
-        assert calls == []
+        assert det_calls == []
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_epsilon_is_rejected_before_any_scan(self, det_calls, bad):
+        with pytest.raises(ValidationError, match="epsilon must be finite and > 0"):
+            ex.scaling_check(1, math.pi, 0.75, [0.5, bad])
+        assert det_calls == []
 
 
 class TestCounting:

@@ -4,11 +4,11 @@ and eigensolve goes through its checked, typed-error boundary; the
 radial oracle (``radial.py`` with its determinant ``determinant.py`` and
 Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
 so it stays an independent check of it; the experiment drivers import no
-private name of ``radial.py``, so they read the oracle's one listing;
-every error type ``errors.py``
-declares but the base class is raised somewhere in the package, and the
-base class nowhere; and every top-level definition is referenced by the
-package."""
+private name of ``radial.py``, and the radial scan has one caller, the
+listing ``te_lists_up_to``, so every radial result comes from that one
+listing; every error type ``errors.py`` declares but the base class is
+raised somewhere in the package, and the base class nowhere; and every
+top-level definition is referenced by the package, with no exception."""
 
 import ast
 from pathlib import Path
@@ -115,7 +115,7 @@ def test_the_import_guard_sees_every_spelling(tmp_path):
         "import numpy as np\n"
         "import teig.assembly\n"
         "from teig import curves\n"
-        "from teig.eigensolve import lowest_k\n"
+        "from teig.eigensolve import reduce\n"
         "from . import model\n"
         "from .errors import TeigError\n"
         "from .specfun import _ladders\n"
@@ -154,6 +154,49 @@ def test_the_private_import_guard_sees_every_spelling(tmp_path):
     assert private_imports(probe, "radial") == {"_scan", "_polish"}
 
 
+def callers(path, name):
+    """(top-level definition, line) for every call of ``name`` in a module,
+    as a bare name or as an attribute, with ``<module>`` for module-level
+    code."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append((owner, node.lineno))
+    return found
+
+
+def test_the_listing_alone_calls_the_scan():
+    found = [
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, _ in callers(path, "_scan_determinant")
+    ]
+    assert found == [("radial.py", "te_lists_up_to")]
+
+
+def test_the_call_guard_sees_names_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from teig import radial\n"
+        "from teig.radial import _scan_determinant\n"
+        "def first_te(ball):\n"
+        "    return _scan_determinant(ball, (0,), hi, 400, tol)\n"
+        "class Scanner:\n"
+        "    def run(self, ball):\n"
+        "        return radial._scan_determinant(ball, (0,), hi, 400, tol)\n"
+        "scan = _scan_determinant\n"
+        "_scan_determinant(None, (), hi, 2, tol)\n"
+    )
+    assert callers(probe, "_scan_determinant") == [
+        ("first_te", 4), ("Scanner", 7), ("<module>", 9)
+    ]
+
+
 def raised_names(path):
     """Names of the exception classes a module raises: ``raise E(...)`` and
     ``raise E``, with E a name or a module attribute."""
@@ -178,14 +221,6 @@ def test_every_error_type_is_raised_by_the_package():
     assert "ValidationError" in raised  # the scan sees real raise statements
     # the base class is only caught: its code would name no failure
     assert declared - raised == {"TeigError"}
-
-
-# top-level definitions no module of the package refers to, with the reason
-UNREFERENCED = {
-    # the one-point case of the stacked eigensolver, kept as the entry point
-    # of the Sturm-oracle tests so they check production code
-    ("eigensolve.py", "lowest_k"),
-}
 
 
 def definitions(tree):
@@ -226,4 +261,4 @@ def test_every_definition_is_referenced_by_the_package():
         for module, name, top in defined
         if not any(name in names for other, names in reads.items() if other is not top)
     }
-    assert unreferenced == UNREFERENCED
+    assert unreferenced == set()

@@ -131,20 +131,20 @@ class TestBesselWindow:
     def test_interior_evanescent_past_window(self):
         # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(RadialProblem(S, 1, 1.0, 4000.0), (0,), 1e-6, 10.0, 50, 1e-8)
+            te_lists_up_to(RadialProblem(S, 1, 1.0, 4000.0), [10.0], [0], 50)
         # Helmholtz with v0 > 1: |kappa| R = sqrt(lambda (v0 - 1)) R > 60 at the top
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _scan_determinant(RadialProblem(H, 1, 1.0, 5.0), (0,), 1e-6, 1000.0, 50, 1e-8)
+            te_lists_up_to(RadialProblem(H, 1, 1.0, 5.0), [1000.0], [0], 50)
 
     def test_below_the_j_ladder_floor(self):
-        # R = 1e-13: the exterior argument sqrt(lambda) R passes
-        # bessel_j_min_arg(0) = 6.9e-17 between lambda = 1e-7 and 1e-5, so
-        # a point below reads NaN and a scan that starts below fails
-        ball = RadialProblem(H, 3, 1e-13, 0.75)
-        low, high = _det_grid(H, 3, 1e-13, 0.75, 0, [1e-7, 1e-5])
+        # R = 1e-14: the exterior argument sqrt(lambda) R passes
+        # bessel_j_min_arg(0) = 6.9e-17 between the scan floor lambda = 1e-6
+        # and 1e-3, so the floor point reads NaN and every scan fails
+        ball = RadialProblem(H, 3, 1e-14, 0.75)
+        low, high = _det_grid(H, 3, 1e-14, 0.75, 0, [radial.LAMBDA_FLOOR, 1e-3])
         assert math.isnan(low) and math.isfinite(high)
         with pytest.raises(ArgumentOutOfRange, match="exterior .* is below"):
-            _scan_determinant(ball, (0,), 1e-7, 1e-5, 10, 1e-9)
+            te_lists_up_to(ball, [1e-3], [0], 10)
 
 
 # (kind, v0, radius, largest lambda): Helmholtz with an oscillatory (v0 < 1)
@@ -308,7 +308,7 @@ class TestScanRoots:
 
     def test_determinant_contains_four(self):
         ball = RadialProblem(H, 1, math.pi, 0.75)
-        _, roots, _, _ = _scan_determinant(ball, (0,), 0.5, 5.0, 400, 1e-10)
+        _, roots, _, _ = _scan_determinant(ball, (0,), np.array([[5.0]]), 400, np.array([[1e-10]]))
         assert any(abs(r - 4.0) < 1e-8 for r in roots.tolist())
 
     def test_no_roots(self):
@@ -330,12 +330,13 @@ class TestScanRoots:
         assert np.array_equal(cells[0], cells[1])
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValidationError):
-            _scan_determinant(RadialProblem(H, 1, math.pi, 0.75), (0,), 1.0, 0.5, 10, 1e-9)
+        # every scan starts at the floor, so a window must end above it
+        with pytest.raises(ArgumentOutOfRange, match="scan floor"):
+            te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [radial.LAMBDA_FLOOR], [0], 10)
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValidationError, match="steps"):
-            _scan_determinant(RadialProblem(H, 1, math.pi, 0.75), (0,), 0.5, 1.0, 1, 1e-9)
+            te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [1.0], [0], 1)
 
     def test_bisection_replays_scalar_decisions(self):
         # NaN probes (nudged), exact zeros and ordinary steps, several bracket
@@ -417,9 +418,13 @@ class TestScanRoots:
     def test_multi_order_scan_matches_one_order_per_call(self):
         ells = range(13)
         ball = RadialProblem(H, 3, math.pi, 0.75)
-        row, *together = _scan_determinant(ball, ells, 1e-6, 60.0, 400, 6e-9)
+        row, *together = _scan_determinant(
+            ball, ells, np.full((13, 1), 60.0), 400, np.full((13, 1), 6e-9)
+        )
         for ell in ells:
-            alone_row, *alone = _scan_determinant(ball, (ell,), 1e-6, 60.0, 400, 6e-9)
+            alone_row, *alone = _scan_determinant(
+                ball, (ell,), np.array([[60.0]]), 400, np.array([[6e-9]])
+            )
             assert not alone_row.any()
             assert [column[row == ell].tolist() for column in together] == [
                 column.tolist() for column in alone
@@ -440,7 +445,9 @@ class TestScanRoots:
 
         monkeypatch.setattr(radial, "_scan_pass", recorded)
         ball = RadialProblem(S, 3, 1.0, 30.0)
-        row, _, left, right = _scan_determinant(ball, range(5), 1e-6, 100.0, 25, 1e-8)
+        row, _, left, right = _scan_determinant(
+            ball, range(5), np.full((5, 1), 100.0), 25, np.full((5, 1), 1e-8)
+        )
         (_, first), (again, second) = passes
         f_row, f_root = first[0].tolist(), first[1].tolist()
         spacing = (100.0 - 1e-6) / 24
@@ -470,7 +477,7 @@ class TestScanRoots:
         monkeypatch.setattr(radial, "_scan_pass", recorded)
         ball = RadialProblem(S, 2, 1.0, 30.0)
         ends = np.array([30.0, 100.0])
-        table = _scan_determinant(ball, range(5), 1e-6, np.tile(ends, (5, 1)), 25, 1e-8)
+        table = _scan_determinant(ball, range(5), np.tile(ends, (5, 1)), 25, np.full((5, 2), 1e-8))
         (_, first), (again, second) = passes
 
         def window(table):  # the first end at or above each bracket's right end
@@ -810,6 +817,13 @@ class TestTEList:
             lam1 = first_te(RadialProblem(H, 1, radius, v0))
             tl = one_window(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
             assert len(tl) > 3
+
+    def test_first_te_is_the_first_listed_root(self):
+        # the default dim-1 ball's first TE is exactly 4 (lambda = 4 m^2, m = 1);
+        # first_te's windows end at 1.5 and 3 without a root, then at 6
+        ball = RadialProblem(H, 1, math.pi, 0.75)
+        assert abs(first_te(ball) - 4.0) <= 1e-14
+        assert first_te(ball) == one_window(ball, 6.0, 0)[0][0]
 
     def test_weighted_count(self):
         # the counting experiment's N(x) is the degeneracy sum of the list up to x
