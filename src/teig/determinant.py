@@ -5,9 +5,10 @@ window its arguments must lie in.
 Each column is the dimensionless Cauchy data (y, R y') of its wave at the
 boundary, built from the Bessel pair (F_nu, F_{nu+1}) and scaled to unit
 Euclidean norm.  So D is the sine of the angle between the two columns: it
-lies in [-1, 1], depends on lambda R^2 alone, survives the extreme dynamic
-range of high-order Bessel functions, and the positive scale the Bessel
-kernels leave on each column cancels.
+lies in [-1, 1], survives the extreme dynamic range of high-order Bessel
+functions, the positive scales the Bessel kernels leave on the columns
+cancel, and it depends on lambda R^2 and v0 R^2 alone: every lambda and
+Schrodinger v0 here is the unit ball's (teig.radial.RadialProblem.unit_ball).
 """
 
 import numpy as np
@@ -36,26 +37,25 @@ def _kappa_sq(kind, v0, lam):
     return lam * (1.0 - v0)
 
 
-def _bessel_window(kind, radius, v0, ell, lam):
+def _bessel_window(kind, v0, ell, lam):
     """The Bessel validity rule on arrays of orders and lambdas.  Returns
     kappa^2 and three arrays with a first axis of 2 (exterior wave,
-    interior wave): the arguments x = k R with k = (sqrt(lambda), |kappa|),
+    interior wave): the arguments x = (sqrt(lambda), |kappa|),
     whether the wave is a J (oscillatory: the exterior one always, the
     interior one where kappa^2 > 0) rather than an I, and whether x lies in
     the window, [bessel_j_min_arg(ell), 200] for J and <= 60 for I."""
     ksq = _kappa_sq(kind, v0, lam)
-    x = np.stack((np.sqrt(np.maximum(lam, 0.0)), np.sqrt(np.abs(ksq)))) * radius
+    x = np.stack((np.sqrt(np.maximum(lam, 0.0)), np.sqrt(np.abs(ksq))))
     oscillatory = np.stack((np.ones(ksq.shape, dtype=bool), ksq > 0.0))
     j_inside = (x >= bessel_j_min_arg(ell)) & (x <= BESSEL_J_MAX_ARG)
     return ksq, x, oscillatory, np.where(oscillatory, j_inside, x <= BESSEL_I_MAX_ARG)
 
 
-def _check_window(kind, radius, v0, ells, lams):
-    """Raise ArgumentOutOfRange at the first point (ells[i], lams[i]) where
-    a Bessel argument leaves its window (_bessel_window), the exterior one
-    first."""
-    ells, lams = np.broadcast_arrays(np.asarray(ells, float), np.asarray(lams, float))
-    _, x, oscillatory, inside = _bessel_window(kind, radius, v0, ells, lams)
+def _check_window(kind, v0, ells, lams):
+    """Raise ArgumentOutOfRange at the first point (ells[i], lams[i]) of two
+    float arrays of one shape where a Bessel argument leaves its window
+    (_bessel_window), the exterior one first."""
+    _, x, oscillatory, inside = _bessel_window(kind, v0, ells, lams)
     bad = np.argwhere(~inside.T)  # (point, wave) pairs
     if bad.size:
         i, wave = bad[0]
@@ -63,17 +63,17 @@ def _check_window(kind, radius, v0, ells, lams):
         at = x[wave, i]
         limit = f"exceeds {x_max}" if at > x_max else f"is below {bessel_j_min_arg(ells[i])}"
         raise ArgumentOutOfRange(
-            f"{('exterior', 'interior')[wave]} Bessel argument {at} {limit} at lambda = "
-            f"{lams[i]}, order {ells[i]:g} (radius {radius})"
+            f"{('exterior', 'interior')[wave]} Bessel argument {at} {limit} at lambda R^2 = "
+            f"{lams[i]}, order {ells[i]:g}"
         )
 
 
 _DET_CHUNK = 2048  # points per slice of the per-point work; bounds its temporaries
 
 
-def _det_grid(kind, n, radius, v0, ells, lambdas):
+def _det_grid(kind, n, v0, ells, lambdas):
     """Normalized matching determinant at the points (ells[i], lambdas[i]):
-    with x = k R and G = F_{nu+1}, (x_e F_i G_e - s x_i F_e G_i) over the
+    with x = k and G = F_{nu+1}, (x_e F_i G_e - s x_i F_e G_i) over the
     Euclidean norms of the columns (F, ell F - s x G), s = +1 for a J
     interior and -1 for an I one (the module docstring).
 
@@ -91,11 +91,11 @@ def _det_grid(kind, n, radius, v0, ells, lambdas):
     )
     nu0 = 0.5 * (n - 2)
     parts = [slice(start, start + _DET_CHUNK) for start in range(0, lambdas.size, _DET_CHUNK)]
-    ladders, last = _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts)
+    ladders, last = _det_ladders(kind, nu0, v0, ells, lambdas, parts)
     out = np.empty(lambdas.shape)
     first = 0  # each slice's first ladder
     for p in parts:
-        points = last if p is parts[-1] else _det_points(kind, radius, v0, ells[p], lambdas[p])
+        points = last if p is parts[-1] else _det_points(kind, v0, ells[p], lambdas[p])
         out[p], first = _det_chunk(nu0, points, ladders, first)
     return out
 
@@ -136,13 +136,13 @@ def _det_chunk(nu0, points, ladders, first):
     return out, first + np.count_nonzero(new)
 
 
-def _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts):
+def _det_ladders(kind, nu0, v0, ells, lambdas, parts):
     """The _ladders pass of the J waves of every slice ``parts`` of the
     points, the ladders of each slice after those of the slices before it
     (None without a J wave), and the last slice's _det_points."""
     x, low, width, points = [], [], 0, None
     for p in parts:
-        points = _det_points(kind, radius, v0, ells[p], lambdas[p])
+        points = _det_points(kind, v0, ells[p], lambdas[p])
         _, xs, lows, most = _runs(*points[-2:])
         x.append(xs)
         low.append(lows)
@@ -153,12 +153,12 @@ def _det_ladders(kind, nu0, radius, v0, ells, lambdas, parts):
     return _ladders(nu0, x, low, width), points
 
 
-def _det_points(kind, radius, v0, ell, lam):
+def _det_points(kind, v0, ell, lam):
     """The points of a slice at which D is defined (the mask ``ok``), their
     orders, arguments and branch flags (_bessel_window, first axis
     exterior, interior), and their J waves as (rungs, arguments): every
     exterior wave, then the oscillatory interior ones."""
-    ksq, x, oscillatory, inside = _bessel_window(kind, radius, v0, ell, lam)
+    ksq, x, oscillatory, inside = _bessel_window(kind, v0, ell, lam)
     ok = (lam > 0.0) & (np.abs(ksq) >= DEGENERATE_KAPPA_SQ) & inside.all(axis=0)
     if not ok.all():
         ell, x, oscillatory = ell[ok], x[:, ok], oscillatory[:, ok]

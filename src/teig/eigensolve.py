@@ -11,8 +11,8 @@ blocks that cannot reach its lowest curves.  ``quadratic_eigvals`` solves a
 quadratic pencil through its companion linearization, the one
 non-symmetric eigenproblem of the package.  Failures at the LAPACK
 boundary come back as typed errors: non-finite input, a LAPACK error or a
-non-finite result raise NoConvergence, and a Cholesky pivot at or below
-1e-13 times the largest diagonal entry of B raises NotPositiveDefinite.
+non-finite result raise NoConvergence; a non-finite B, or a Cholesky pivot
+at or below 1e-13 times B's largest diagonal entry, NotPositiveDefinite.
 """
 
 import numpy as np
@@ -27,11 +27,14 @@ def cholesky(B):
     B = np.ascontiguousarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValidationError("cholesky requires a square matrix")
+    if not np.isfinite(B).all():  # the pivot tolerance below needs a finite diagonal
+        i, j = np.argwhere(~np.isfinite(B))[0]
+        raise NotPositiveDefinite(f"B[{i}, {j}] = {B[i, j]} is not finite")
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    # the outer-product pivots are L[j, j]^2; NaN pivots fail too
+    # the outer-product pivots are L[j, j]^2
     tol = CHOLESKY_PIVOT_TOL * np.max(np.diag(B), initial=0.0)
     failed = np.flatnonzero(~(np.diag(L) ** 2 > tol))
     if failed.size:

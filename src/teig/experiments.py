@@ -80,10 +80,10 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
     """First-TE dilation law: the first eigenvalue of the ball of radius
     eps*R must equal the radius-R value divided by eps^2.
 
-    The first TE is taken over angular order 0 for both radii (the same
-    rule on both sides, so the ratio comparison is exact regardless of
-    whether a higher-order mode dips lower).  With ``galerkin`` the check
-    is repeated through the Galerkin pipeline on (-R, R), dimension 1 only.
+    The first TE is taken over angular order 0 for both radii.  first_te
+    scans the same unit ball for every radius, so the oracle table checks
+    only the rounding of mu / R^2; with ``galerkin`` the law is tested
+    through the Galerkin pipeline on (-R, R), dimension 1 only.
     """
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
@@ -163,9 +163,8 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
         raise ValidationError(f"x values must be finite and > 0, got {xs}")
     if len(set(xs)) < 2:
         raise ValidationError("counting needs at least two distinct x values")
-    ell_maxes = [
-        adaptive_ell_max(n, radius, x) if ell_max is None else int(ell_max) for x in xs
-    ]
+    _, mus, _ = base.unit_ball(xs)
+    ell_maxes = [adaptive_ell_max(n, mu) if ell_max is None else int(ell_max) for mu in mus]
     lists = te_lists_up_to(base, xs, ell_maxes)
     rows = []
     counts = []

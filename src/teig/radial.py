@@ -12,8 +12,8 @@ segments, and a bracket is solved (ITP, with odd-order roots handed to a
 batched fit) to its segment's window tolerance.  No order is scanned below
 a lower bound of its first Bessel zero, where D has no root
 (_root_free_below).  te_lists_up_to is the one listing: first_te and
-every radial command read it, and it alone runs the scan.
-"""
+every radial command read it, and it alone runs the scan, on the unit
+ball: no function below RadialProblem.unit_ball takes a radius."""
 
 import math
 from dataclasses import dataclass
@@ -44,6 +44,20 @@ class RadialProblem:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValidationError(f"radius must be finite and > 0, got {self.radius}")
         check_constant_potential(self.kind, self.v0)
+
+    def unit_ball(self, xs):
+        """The one map to the unit ball, as D depends on lambda R^2 and v0 R^2
+        alone: the unit ball (v0 R^2 for Schrodinger), the windows mu = x R^2
+        of ``xs``, and R^2, for lambda = mu / R^2.  ArgumentOutOfRange unless
+        each is a positive finite float; the unit ball maps to itself."""
+        r2 = self.radius * self.radius
+        v0 = self.v0 * r2 if self.kind is ProblemKind.SCHRODINGER else self.v0
+        mus = [x * r2 for x in xs]
+        named = [("R^2", r2), ("unit-ball v0", v0)] + [(f"{x} R^2", mu) for x, mu in zip(xs, mus)]
+        for name, value in named:
+            if not 0.0 < value < math.inf:
+                raise ArgumentOutOfRange(f"{name} = {value} is not a positive finite float")
+        return RadialProblem(self.kind, self.dim, 1.0, v0), mus, r2
 
 
 def _sign_brackets(values):
@@ -267,13 +281,13 @@ def _check_scan_size(rows, steps):
         )
 
 
-def _root_free_below(n, radius, ells):
-    """Per order, a lambda at and below which the matching determinant has
-    no zero: (b(nu)/R)^2 with nu = ell + (n - 2)/2 and the lower bound
-    b(nu) = max(nu, 2 (nu+1)^(1/2) (nu+2)^(1/4)) < j_{nu,1}.
+def _root_free_below(n, ells):
+    """Per order, a unit-ball lambda at and below which the matching
+    determinant has no zero: b(nu)^2 with nu = ell + (n - 2)/2 and the
+    lower bound b(nu) = max(nu, 2 (nu+1)^(1/2) (nu+2)^(1/4)) < j_{nu,1}.
 
-    D = 0 exactly when x_i F_i'/F_i = x_e J_nu'/J_nu at x_e = sqrt(lambda) R
-    and x_i = |kappa| R.  By the Mittag-Leffler expansion x J'/J = nu -
+    D = 0 exactly when x_i F_i'/F_i = x_e J_nu'/J_nu at x_e = sqrt(lambda)
+    and x_i = |kappa|.  By the Mittag-Leffler expansion x J'/J = nu -
     2 sum_k x^2 / (j_{nu,k}^2 - x^2), which is strictly decreasing and
     below nu on (0, j_{nu,1}), while x I'/I > nu; a J interior has x_i <
     x_e (kappa^2 is lambda (1 - v0) or lambda - v0).  So D has no zero
@@ -283,8 +297,7 @@ def _root_free_below(n, radius, ells):
     sections 15.3 and 15.51).
     """
     nu = np.asarray(ells, dtype=float) + 0.5 * (n - 2)
-    b = np.maximum(nu, 2.0 * np.sqrt(nu + 1.0) * (nu + 2.0) ** 0.25)
-    return (b / radius) ** 2
+    return np.maximum(nu, 2.0 * np.sqrt(nu + 1.0) * (nu + 2.0) ** 0.25) ** 2
 
 
 def _window(hi, row, right):
@@ -301,12 +314,11 @@ def _scan_pass(det, ells, hi, tol, steps, floor):
     segments.  The row's cells start at its last grid point at or below
     floor[r] (_root_free_below): each window keeps at most one point at or
     below it, and a cell that ends there is dropped.  Returns exact grid
-    hits above floor[r] and LAMBDA_FLOOR plus one root per sign-change
-    cell, solved to tol[r, j] of the window j of the cell's right end, as
-    the table (row, root, left, right) sorted by row then root; a hit is
-    its own bracket.  D vanishes like lambda as lambda -> 0, so a hit at
-    the floor is no root.  Points are evaluated window by window,
-    lambda-major, so the rows of a window share ladders."""
+    hits above floor[r] plus one root per sign-change cell, solved to
+    tol[r, j] of the window j of the cell's right end, as the table (row,
+    root, left, right) sorted by row then root; a hit is its own bracket.
+    Points are evaluated window by window, lambda-major, so the rows of a
+    window share ladders."""
     lam, rid = [], []
     last = np.full(ells.shape, -np.inf)  # each row's previous window end
     for end in hi.T:
@@ -323,7 +335,7 @@ def _scan_pass(det, ells, hi, tol, steps, floor):
     order = np.argsort(rid, kind="stable")  # row by row, each ascending
     lam, rid, values = lam[order], rid[order], values[order]
     (hits,), (cells,) = _sign_brackets(values[None])
-    above = lam > np.maximum(LAMBDA_FLOOR, floor[rid])
+    above = lam > floor[rid]
     hits &= above
     (cell,) = np.nonzero(cells & (rid[1:] == rid[:-1]) & above[1:])
     row, a, b = rid[cell], lam[cell], lam[cell + 1]
@@ -339,15 +351,14 @@ def _scan_pass(det, ells, hi, tol, steps, floor):
     return row[order], root[order], left[order], right[order]
 
 
-def _scan_determinant(ball, ells, hi, steps, tol):
-    """Sign scan of the determinant of the RadialProblem ``ball``, one row
-    per order in ``ells`` from LAMBDA_FLOOR over its window ends hi, solved
-    to width tol; returns the table (row, root, left, right) of four
-    arrays, sorted by row then by the root before its polish, with [left,
-    right] the root's bracket.  hi and tol are one value per (row,
-    window), the ends above LAMBDA_FLOOR, ascending and NaN where a row
-    skips a window (_scan_pass), so the nested windows of one problem scan
-    each order once.
+def _scan_determinant(kind, dim, v0, ells, hi, steps):
+    """Sign scan of the determinant of the unit ball (kind, dim, v0), one
+    row per order in ``ells`` from LAMBDA_FLOOR over its window ends hi,
+    each window solved to width 1e-10 max(1, end); returns the table (row,
+    root, left, right) of four arrays, sorted by row then by the root before
+    its polish, with [left, right] the root's bracket.  hi is one end per
+    (row, window), above the row's _root_free_below, ascending and NaN where
+    a row skips a window (_scan_pass), so nested windows scan each order once.
 
     All rows share each determinant call: the grids, every solver step and
     the polish stencils.  Where two roots that a window of a
@@ -360,12 +371,12 @@ def _scan_determinant(ball, ells, hi, steps, tol):
     ells = np.array(ells, dtype=float)
     ell_ends, ends = np.broadcast_arrays(ells[:, None], np.insert(hi, 0, LAMBDA_FLOOR, axis=1))
     known = ~np.isnan(ends)
-    _check_window(ball.kind, ball.radius, ball.v0, ell_ends[known], ends[known])
+    _check_window(kind, v0, ell_ends[known], ends[known])
 
     def det(ell, lam):
-        return _det_grid(ball.kind, ball.dim, ball.radius, ball.v0, ell, lam)
+        return _det_grid(kind, dim, v0, ell, lam)
 
-    floor = _root_free_below(ball.dim, ball.radius, ells)
+    floor, tol = _root_free_below(dim, ells), 1e-10 * np.maximum(1.0, hi)
     table = _scan_pass(det, ells, hi, tol, steps, floor)
     row, root, _, right = table
     pair = np.flatnonzero(row[1:] == row[:-1])  # consecutive roots of one row
@@ -405,70 +416,57 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     grid hit is its own bracket).  Orders with no root do not stop the
     sweep; roots are not monotone in ell.
 
-    The windows are nested, so each order is scanned once
-    (_scan_determinant), on each segment (x', x] on that window's own grid
-    linspace(LAMBDA_FLOOR, x, steps) with brackets solved to 1e-10
-    max(1, x); window (x, ell_max) lists the roots of its orders whose
-    bracket ends at or below x.  So a root has the bits that scanning
-    alone the smallest window listing it gives, except in the first cell
-    past a joint, which starts at the joint.  No order is scanned in its
-    root-free zone (_root_free_below).  Every x must exceed LAMBDA_FLOOR
-    (ArgumentOutOfRange), and steps be at least 2.
+    The unit ball (RadialProblem.unit_ball) is scanned over the windows
+    mu = x R^2, and a root mu is listed as mu / R^2.  The windows are
+    nested, so each order is scanned once (_scan_determinant), on each
+    segment (mu', mu] on that window's own grid linspace(LAMBDA_FLOOR, mu,
+    steps), brackets solved to 1e-10 max(1, mu); window (x, ell_max) lists
+    the roots of its orders whose bracket ends at or below mu.  So a root
+    has the bits that scanning alone the smallest window listing it gives,
+    except in the first cell past a joint, which starts at the joint.  No
+    order is scanned in its root-free zone (_root_free_below), nor for a
+    window that ends in it.  steps must be at least 2.
     """
-    tops = []
-    for x, ell_max in zip(xs, ell_maxes):
-        if not x > LAMBDA_FLOOR:
-            raise ArgumentOutOfRange(f"x must be > the scan floor {LAMBDA_FLOOR}, got {x}")
-        tops.append(top_order(base.dim, ell_max))
+    unit, mus, r2 = base.unit_ball(xs)
+    tops = [top_order(base.dim, ell_max) for ell_max in ell_maxes]
     _check_scan_size(sum(top + 1 for top in tops), steps)
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
-    ends = sorted(set(map(float, xs)))
-    holds = np.zeros((max(tops) + 1, len(ends)), dtype=bool)  # (order, window end)
-    for x, top in zip(xs, tops):
-        holds[: top + 1, ends.index(x)] = True
-    his = np.where(holds, ends, np.nan)
-    tols = 1e-10 * np.maximum(1.0, his)
-    row, root, left, right = _scan_determinant(base, range(holds.shape[0]), his, steps, tols)
-    degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in row.tolist()]
-    table = sorted(zip(root.tolist(), row.tolist(), degeneracy, left.tolist(), right.tolist()))
-    # a window lists its orders' roots whose bracket ends at or below it
-    return [tuple(e for e in table if e[1] <= top and e[4] <= x) for x, top in zip(xs, tops)]
+    ends = sorted(set(map(float, mus)))
+    bound = _root_free_below(base.dim, np.arange(max(tops) + 1))
+    hi = np.full((bound.size, len(ends)), np.nan)  # (order, window end), NaN where not scanned
+    for mu, top in zip(mus, tops):
+        hi[: top + 1, ends.index(mu)] = np.where(mu > bound[: top + 1], mu, np.nan)
+    if np.isnan(hi).all():  # every window ends in every order's root-free zone
+        return [()] * len(mus)
+    table = _scan_determinant(unit.kind, unit.dim, unit.v0, range(bound.size), hi, steps)
+    row, root, left, right = (column.tolist() for column in table)
+    degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in row]
+    table = sorted(zip(root, row, degeneracy, left, right))
+    # a window lists its orders' roots whose bracket ends at or below it, as lambda = mu / R^2
+    listed = [[e for e in table if e[1] <= top and e[4] <= mu] for mu, top in zip(mus, tops)]
+    return [tuple((lam / r2, ell, d, a / r2, b / r2) for lam, ell, d, a, b in w) for w in listed]
 
 
-def adaptive_ell_max(n, radius, x):
-    """Smallest angular cutoff that provably covers all roots up to x.
-
-    A determinant zero requires the exterior wave J_nu(sqrt(x) R) to have
-    left its power-law onset, i.e. nu below roughly sqrt(x)*R; a fixed
-    margin absorbs the onset width.  Evanescent-interior problems are
-    bounded by the same exterior argument.
-    """
-    nu_max = math.sqrt(x) * radius
-    ell = int(math.ceil(nu_max - 0.5 * (n - 2))) + 2
-    return max(ell, 0)
+def adaptive_ell_max(n, mu):
+    """Angular cutoff for the unit-ball window end mu: a zero of D needs the
+    exterior wave J_nu(sqrt(mu)) past its power-law onset, nu below about
+    sqrt(mu), and a heuristic margin of 2 orders covers the onset width."""
+    return int(math.ceil(math.sqrt(mu) - 0.5 * (n - 2))) + 2
 
 
 def first_te(ball):
     """Smallest transmission eigenvalue of angular order 0 of the
-    RadialProblem ``ball``: the first entry of te_lists_up_to(ball, [hi],
-    [0]).
-
-    The window end hi starts at max(4 / R^2, 2 v0, 1) and doubles until
-    the window lists a root; ArgumentOutOfRange once the exterior argument
-    sqrt(hi) R passes BESSEL_J_MAX_ARG before that, at once when the first
-    hi is not finite.
-    """
-    try:
-        hi = max(4.0 / ball.radius**2, 2.0 * ball.v0, 1.0)
-    except (ZeroDivisionError, OverflowError):  # R^2 underflows to 0 or overflows
-        hi = math.inf
-    while math.sqrt(hi) * ball.radius <= BESSEL_J_MAX_ARG:
-        (entries,) = te_lists_up_to(ball, [hi], [0])
-        if entries:
-            return entries[0][0]
-        hi *= 2.0
-    raise ArgumentOutOfRange(
-        f"no transmission eigenvalue of radius {ball.radius} found while the exterior "
-        f"Bessel argument stays within {BESSEL_J_MAX_ARG}"
-    )
+    RadialProblem ``ball``: the first entry of te_lists_up_to(unit, [mu],
+    [0]) on its unit ball, over R^2.  mu starts at twice the order-0
+    _root_free_below and doubles until the window lists a root;
+    ArgumentOutOfRange once sqrt(mu) passes BESSEL_J_MAX_ARG before that,
+    or if the root over R^2 overflows."""
+    unit, _, r2 = ball.unit_ball([])
+    mu, entries = 2.0 * float(_root_free_below(ball.dim, [0])[0]), ()
+    while not entries and math.sqrt(mu) <= BESSEL_J_MAX_ARG:
+        (entries,) = te_lists_up_to(unit, [mu], [0])
+        mu *= 2.0
+    if entries and entries[0][0] / r2 < math.inf:
+        return entries[0][0] / r2
+    raise ArgumentOutOfRange(f"no first root mu <= {BESSEL_J_MAX_ARG}^2 is finite over R^2 = {r2}")

@@ -147,15 +147,16 @@ def interior_wavenumber(kind, v0, lam):
 
 def characteristic_determinant(problem, lam, ell=0):
     """The normalized matching determinant D(lambda) of a RadialProblem at
-    one lambda > 0 and angular order ell; a NaN value raises the error
-    naming its source."""
+    one lambda > 0 and angular order ell, evaluated on its unit ball at
+    lambda R^2; a NaN value raises the error naming its source."""
     if not lam > 0:
         raise ArgumentOutOfRange(f"lambda must be > 0, got {lam}")
     lam = float(lam)
-    val = _det_grid(problem.kind, problem.dim, problem.radius, problem.v0, ell, [lam])[0]
+    unit, (mu,), _ = problem.unit_ball([lam])
+    val = _det_grid(unit.kind, unit.dim, unit.v0, ell, [mu])[0]
     if math.isnan(val):
-        if abs(_kappa_sq(problem.kind, problem.v0, lam)) < DEGENERATE_KAPPA_SQ:
+        if abs(_kappa_sq(unit.kind, unit.v0, mu)) < DEGENERATE_KAPPA_SQ:
             raise DegenerateInterior(f"lambda = {lam} sits on the branch boundary")
-        _check_window(problem.kind, problem.radius, problem.v0, [ell], [lam])
+        _check_window(unit.kind, unit.v0, np.array([float(ell)]), np.array([mu]))
         raise ArgumentOutOfRange(f"matching determinant has a zero column at lambda = {lam}")
     return float(val)

@@ -349,6 +349,28 @@ class TestRadial:
         else:
             assert payload["margins"]["roots_found"] == 0
 
+    def test_large_ball_lists_the_radius_pi_roots_scaled(self):
+        # R = pi 1e4 lists the TEs of the radius-pi ball times pi^2 / R^2: 30
+        # up to 1e-5, the radius-pi window up to 1000; a scan floor and a
+        # tolerance absolute in lambda used to drop the 10 below 1e-6 and
+        # move the rest by about 4.5e-6 of themselves
+        def listed(radius, lambda_max):
+            res = run_cli(
+                "radial", "--problem", "helmholtz", "--dim", "1", "--radius", radius,
+                "--v0", "0.75", "--lmax", "1", "--lambda-max", lambda_max,
+            )
+            assert res.returncode == 0, res.stderr
+            entries = json.loads(res.stdout)["transmission_eigenvalues"]
+            return sorted((e["ell"], e["lambda"]) for e in entries)
+
+        big = listed("31415.926535897932", "1e-5")
+        base = listed("3.141592653589793", "1000")
+        assert len(big) == len(base) == 30
+        scale = (math.pi / 31415.926535897932) ** 2
+        for (ell, lam), (big_ell, big_lam) in zip(base, big):
+            assert big_ell == ell
+            assert abs(big_lam - lam * scale) <= 1e-10 * lam * scale
+
     def test_degenerate_contrast_is_config_error(self):
         res = run_cli(
             "radial", "--problem", "helmholtz", "--dim", "1",
@@ -415,6 +437,20 @@ class TestExperimentCommands:
         assert payload["verdict"] == "Pass"
         assert payload["margins"]["tolerance"] == 1e-8
 
+    def test_scaling_of_a_large_ball_passes(self, tmp_path):
+        # first_te's window used to start at max(4/R^2, 2 v0, 1), already past
+        # the Bessel window sqrt(lambda) R <= 200 for every R above about 163
+        out_path = tmp_path / "scaling.json"
+        res = run_cli(
+            "scaling", "--dim", "1", "--radius", "3141.592653589793", "--v0", "0.75",
+            "--epsilons", "0.5", "--out", str(out_path),
+        )
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(out_path.read_text())
+        (row,) = payload["tables"][0]["rows"]
+        assert row[1] == pytest.approx(4.0 / 1000.0**2, rel=1e-10)
+        assert payload["margins"]["max_rel_err"] <= experiments.SCALING_ORACLE_TOL
+
     def test_hypothesis_report_only(self):
         res = run_cli(
             "hypothesis", "--dim", "1", "--radius", "0.5", "--v0", "2.0",
@@ -423,15 +459,14 @@ class TestExperimentCommands:
         assert res.returncode == 0
         assert json.loads(res.stdout)["verdict"] == "Report-only"
 
-    def test_hypothesis_below_the_bessel_ladder_floor_exits_two(self):
-        # sqrt(1e-6) * 1e-200 lies far below the smallest J argument whose
-        # Miller ladder stays finite
+    def test_hypothesis_radius_whose_square_underflows_exits_two(self):
+        # R^2 = 1e-400 underflows to 0, so the ball has no unit-ball image
         res = run_cli("hypothesis", "--radius", "1e-200")
         assert res.returncode == 2
         assert res.stdout == ""
         err = json.loads(res.stderr)
         assert err["error"] == "ArgumentOutOfRange"
-        assert "is below" in err["message"]
+        assert err["message"] == "R^2 = 0.0 is not a positive finite float"
 
     @pytest.mark.parametrize(
         "argv",
@@ -509,8 +544,9 @@ class TestExperimentCommands:
              "scaling-huge-radius"],
     )
     def test_infinite_or_extreme_sizes_exit_two(self, argv, error):
-        # a zero copy width, or an R^2 that underflows (overflows) in the
-        # first-TE window, used to end in ZeroDivisionError (OverflowError)
+        # a zero copy width, or an R^2 that underflows (overflows), used to
+        # end in ZeroDivisionError (OverflowError); the unit-ball map now
+        # rejects an R^2 that is not a positive finite float
         res = run_cli(*argv)
         assert res.returncode == 2, res.stderr
         assert res.stdout == ""

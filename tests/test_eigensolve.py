@@ -182,11 +182,11 @@ class TestLapackBoundary:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_b_rejected(self, bad):
-        # the Cholesky pivot check fails every pivot against a non-finite
-        # diagonal of B
+        # B is checked before the pivot tolerance, which a non-finite
+        # diagonal would make fail at row 0, so the error names the entry
         A, B = random_problem(np.random.default_rng(6), 4)
         B[3, 3] = bad
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match=rf"B\[3, 3\] = {bad} is not finite"):
             spectrum(A, B)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -6,8 +6,11 @@ Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
 so it stays an independent check of it; the experiment drivers import no
 private name of ``radial.py``, and the radial scan has one caller, the
 listing ``te_lists_up_to``, so every radial result comes from that one
-listing; every error type ``errors.py`` declares but the base class is
-raised somewhere in the package, and the base class nowhere; and every
+listing; the radius reaches the oracle only through the one map to the
+unit ball, ``RadialProblem.unit_ball``, so the determinant, the scan and
+the first-TE search work in lambda R^2 alone; every error type
+``errors.py`` declares but the base class is raised somewhere in the
+package, and the base class nowhere; and every
 top-level definition is referenced by the package, with no exception."""
 
 import ast
@@ -195,6 +198,51 @@ def test_the_call_guard_sees_names_and_attributes(tmp_path):
     assert callers(probe, "_scan_determinant") == [
         ("first_te", 4), ("Scanner", 7), ("<module>", 9)
     ]
+
+
+def radius_reads(path):
+    """(enclosing definition, line) for every read of an attribute
+    ``radius`` in a module, the definition dotted through classes and
+    nested functions, with ``<module>`` for module-level code."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "radius":
+                if isinstance(child.ctx, ast.Load):
+                    found.append((owner or "<module>", child.lineno))
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_radius_stays_in_the_unit_ball_map():
+    for name in ("determinant.py", "specfun.py"):
+        assert "radius" not in (SRC / name).read_text().lower(), name
+    # the constructor checks the radius, and the map alone computes with it
+    owners = {owner for owner, _ in radius_reads(SRC / "radial.py")}
+    assert owners == {"RadialProblem.__post_init__", "RadialProblem.unit_ball"}
+
+
+def test_the_radius_guard_sees_methods_and_nested_functions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Ball:\n"
+        "    def unit(self):\n"
+        "        return self.radius ** 2\n"
+        "def scan(ball):\n"
+        "    def det(lam):\n"
+        "        return lam * ball.radius\n"
+        "    return det\n"
+        "R = Ball().radius\n"
+        "ball.radius = 1.0\n"
+    )
+    assert radius_reads(probe) == [("Ball.unit", 3), ("scan.det", 6), ("<module>", 8)]
 
 
 def raised_names(path):

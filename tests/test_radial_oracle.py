@@ -122,11 +122,11 @@ class TestBesselWindow:
     (the exterior limit is covered by the CLI tests)."""
 
     def test_interior_oscillatory_past_window(self):
-        # Schrodinger with v0 < 0 is not a ball problem, but kappa R > 200
-        # at the top with sqrt(lambda) R < 200 needs kappa^2 > lambda, so
-        # the window rule is called on the scan's ends directly
+        # Schrodinger with v0 < 0 is not a ball problem, but kappa > 200 at
+        # the top with sqrt(lambda) < 200 needs kappa^2 > lambda, so the
+        # window rule is called on the unit ball's scan ends directly
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            _check_window(S, 10.0, -200.0, 0, [1e-6, 300.0])
+            _check_window(S, -20000.0, np.zeros(2), np.array([1e-4, 30000.0]))
 
     def test_interior_evanescent_past_window(self):
         # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
@@ -137,14 +137,14 @@ class TestBesselWindow:
             te_lists_up_to(RadialProblem(H, 1, 1.0, 5.0), [1000.0], [0], 50)
 
     def test_below_the_j_ladder_floor(self):
-        # R = 1e-14: the exterior argument sqrt(lambda) R passes
-        # bessel_j_min_arg(0) = 6.9e-17 between the scan floor lambda = 1e-6
-        # and 1e-3, so the floor point reads NaN and every scan fails
-        ball = RadialProblem(H, 3, 1e-14, 0.75)
-        low, high = _det_grid(H, 3, 1e-14, 0.75, 0, [radial.LAMBDA_FLOOR, 1e-3])
+        # the exterior argument sqrt(lambda R^2) passes bessel_j_min_arg(0) =
+        # 6.9e-17 between lambda R^2 = 1e-34 and 1e-31, so the lower point
+        # reads NaN (a Schrodinger interior, as a Helmholtz one degenerates
+        # there); a scan of R = 1e-14 up to 1e-3 ends in the root-free zone,
+        # so it lists no root and evaluates no point
+        low, high = _det_grid(S, 3, 1.0, 0, [1e-34, 1e-31])
         assert math.isnan(low) and math.isfinite(high)
-        with pytest.raises(ArgumentOutOfRange, match="exterior .* is below"):
-            te_lists_up_to(ball, [1e-3], [0], 10)
+        assert te_lists_up_to(RadialProblem(H, 3, 1e-14, 0.75), [1e-3], [0], 10) == [()]
 
 
 # (kind, v0, radius, largest lambda): Helmholtz with an oscillatory (v0 < 1)
@@ -158,6 +158,15 @@ DET_CASES = [
 ]
 
 
+def on_unit_ball(kind, dim, radius, v0, ells, lams):
+    """D of the ball of the given radius at the points (ells[i], lams[i]),
+    evaluated as the package does, on the unit ball at lambda R^2 with a
+    Schrodinger v0 R^2."""
+    r2 = radius * radius
+    v0 = v0 * r2 if kind is S else v0
+    return _det_grid(kind, dim, v0, ells, np.asarray(lams, dtype=float) * r2)
+
+
 class TestArrayDeterminant:
     """The array determinant against the scalar reference implementation."""
 
@@ -169,7 +178,7 @@ class TestArrayDeterminant:
         if kind is S:
             lambdas = np.append(lambdas, [v0, v0 - 1e-3, v0 + 1e-3])  # NaN on the boundary
         ell_grid, lam_grid = (g.ravel() for g in np.meshgrid(ells, lambdas, indexing="ij"))
-        got = _det_grid(kind, dim, radius, v0, ell_grid, lam_grid)
+        got = on_unit_ball(kind, dim, radius, v0, ell_grid, lam_grid)
         want = np.array(
             [
                 scalar_oracle.det_scalar(kind, dim, radius, v0, int(ell), float(lam))
@@ -184,15 +193,13 @@ class TestArrayDeterminant:
     def test_scalar_wrapper_is_the_array_value(self):
         p = RadialProblem(H, 3, math.pi, 0.75)
         lams = np.linspace(1.0, 60.0, 7)
-        grid = _det_grid(H, 3, math.pi, 0.75, 5, lams)
+        grid = on_unit_ball(H, 3, math.pi, 0.75, 5, lams)
         assert [characteristic_determinant(p, lam, 5) for lam in lams] == grid.tolist()
 
     def test_value_does_not_depend_on_the_batch(self):
-        lams = np.linspace(0.5, 300.0, 50)
-        alone = _det_grid(H, 3, math.pi, 0.75, 40, lams)
-        mixed = _det_grid(
-            H, 3, math.pi, 0.75, np.r_[np.zeros(50), np.full(50, 40.0)], np.r_[lams, lams]
-        )
+        lams = np.linspace(5.0, 3000.0, 50)
+        alone = _det_grid(H, 3, 0.75, 40, lams)
+        mixed = _det_grid(H, 3, 0.75, np.r_[np.zeros(50), np.full(50, 40.0)], np.r_[lams, lams])
         assert np.array_equal(alone, mixed[50:])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -205,7 +212,7 @@ class TestArrayDeterminant:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _det_grid(H, dim, 1.0, 0.75, ell_grid, x_grid**2)
+            got = _det_grid(H, dim, 0.75, ell_grid, x_grid**2)
         assert np.isfinite(got).all() and (np.abs(got) <= 1.0).all()
         want = [
             scalar_oracle.det_scalar(H, dim, 1.0, 0.75, int(ell), float(x * x))
@@ -247,8 +254,8 @@ class TestLadderPass:
         # the grid's 29,351 points peaked at 1.04 MB traced with one ladder
         # loop per slice; one pass keeps only the rungs its points read
         calls = self.count_calls(monkeypatch)
-        grid = max((args for args, _ in calls), key=lambda args: np.size(args[5]))
-        assert np.size(grid[5]) > 29_000
+        grid = max((args for args, _ in calls), key=lambda args: np.size(args[-1]))
+        assert np.size(grid[-1]) > 29_000
         tracemalloc.start()
         try:
             _det_grid(*grid)
@@ -275,15 +282,15 @@ class TestLadderPass:
         ells, lams = np.arange(96.0), np.geomspace(1e-8, 50.0, 70)
         ell, lam = np.tile(ells, lams.size), np.repeat(lams, ells.size)
         assert lam.size >= 3 * determinant._DET_CHUNK
-        together = _det_grid(kind, dim, 1.0, v0, ell, lam)
+        together = _det_grid(kind, dim, v0, ell, lam)
         (_, _, rescaled, _), = passes
         assert rescaled
-        alone = [_det_grid(kind, dim, 1.0, v0, ells, np.full(ells.size, v)) for v in lams]
+        alone = [_det_grid(kind, dim, v0, ells, np.full(ells.size, v)) for v in lams]
         assert together.tobytes() == np.concatenate(alone).tobytes()
         assert np.isfinite(together).all()
 
     def test_no_points(self):
-        assert _det_grid(H, 3, math.pi, 0.75, [], []).shape == (0,)
+        assert _det_grid(H, 3, 0.75, [], []).shape == (0,)
 
 
 class TestScanRoots:
@@ -307,9 +314,9 @@ class TestScanRoots:
         assert root[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_determinant_contains_four(self):
-        ball = RadialProblem(H, 1, math.pi, 0.75)
-        _, roots, _, _ = _scan_determinant(ball, (0,), np.array([[5.0]]), 400, np.array([[1e-10]]))
-        assert any(abs(r - 4.0) < 1e-8 for r in roots.tolist())
+        # lambda = 4 on the radius-pi ball is lambda R^2 = 4 pi^2 on the unit ball
+        _, roots, _, _ = _scan_determinant(H, 1, 0.75, (0,), np.array([[50.0]]), 400)
+        assert any(abs(r - 4.0 * math.pi**2) < 1e-7 for r in roots.tolist())
 
     def test_no_roots(self):
         grid = np.linspace(-3.0, 3.0, 50)
@@ -329,10 +336,22 @@ class TestScanRoots:
         assert np.flatnonzero(cells[0]).tolist() == [2, 3]
         assert np.array_equal(cells[0], cells[1])
 
-    def test_rejects_bad_window(self):
-        # every scan starts at the floor, so a window must end above it
-        with pytest.raises(ArgumentOutOfRange, match="scan floor"):
-            te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [radial.LAMBDA_FLOOR], [0], 10)
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_window(self, x):
+        # a window end x R^2 must be a positive finite float
+        with pytest.raises(ArgumentOutOfRange, match="is not a positive finite float"):
+            te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [5.0, x], [0, 0], 10)
+
+    def test_window_below_every_bound_makes_no_determinant_call(self, monkeypatch):
+        # lambda R^2 = 1e-6 pi^2 and 2 lie below every order's root-free bound
+        # (2.449 for order 0 in dim 1), so no order is scanned at all
+        def det(*args):
+            raise AssertionError("a determinant call below every bound")
+
+        monkeypatch.setattr(radial, "_det_grid", det)
+        ball = RadialProblem(H, 1, math.pi, 0.75)
+        windows = [radial.LAMBDA_FLOOR, 2.0 / math.pi**2]
+        assert te_lists_up_to(ball, windows, [1, 1], 10) == [(), ()]
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValidationError, match="steps"):
@@ -417,14 +436,9 @@ class TestScanRoots:
 
     def test_multi_order_scan_matches_one_order_per_call(self):
         ells = range(13)
-        ball = RadialProblem(H, 3, math.pi, 0.75)
-        row, *together = _scan_determinant(
-            ball, ells, np.full((13, 1), 60.0), 400, np.full((13, 1), 6e-9)
-        )
+        row, *together = _scan_determinant(H, 3, 0.75, ells, np.full((13, 1), 600.0), 400)
         for ell in ells:
-            alone_row, *alone = _scan_determinant(
-                ball, (ell,), np.array([[60.0]]), 400, np.array([[6e-9]])
-            )
+            alone_row, *alone = _scan_determinant(H, 3, 0.75, (ell,), np.array([[600.0]]), 400)
             assert not alone_row.any()
             assert [column[row == ell].tolist() for column in together] == [
                 column.tolist() for column in alone
@@ -444,10 +458,7 @@ class TestScanRoots:
             return table
 
         monkeypatch.setattr(radial, "_scan_pass", recorded)
-        ball = RadialProblem(S, 3, 1.0, 30.0)
-        row, _, left, right = _scan_determinant(
-            ball, range(5), np.full((5, 1), 100.0), 25, np.full((5, 1), 1e-8)
-        )
+        row, _, left, right = _scan_determinant(S, 3, 30.0, range(5), np.full((5, 1), 100.0), 25)
         (_, first), (again, second) = passes
         f_row, f_root = first[0].tolist(), first[1].tolist()
         spacing = (100.0 - 1e-6) / 24
@@ -475,9 +486,8 @@ class TestScanRoots:
             return table
 
         monkeypatch.setattr(radial, "_scan_pass", recorded)
-        ball = RadialProblem(S, 2, 1.0, 30.0)
         ends = np.array([30.0, 100.0])
-        table = _scan_determinant(ball, range(5), np.tile(ends, (5, 1)), 25, np.full((5, 2), 1e-8))
+        table = _scan_determinant(S, 2, 30.0, range(5), np.tile(ends, (5, 1)), 25)
         (_, first), (again, second) = passes
 
         def window(table):  # the first end at or above each bracket's right end
@@ -518,7 +528,8 @@ class TestSharedWindows:
         # 16, 36, 64 and 100 are TEs of this ball (lambda = 4 m^2), so a
         # window end sits on a root, found as a grid hit or a polished root
         base = RadialProblem(H, dim, math.pi, 0.75)
-        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
+        r2 = math.pi * math.pi
+        ell_maxes = [radial.adaptive_ell_max(dim, x * r2) for x in xs]
         together = te_lists_up_to(base, xs, ell_maxes)
         alone = {x: one_window(base, x, lm) for x, lm in zip(xs, ell_maxes)}
         for x, listed in zip(xs, together):
@@ -534,9 +545,10 @@ class TestSharedWindows:
             # same order, to the window's first own grid point past it; its
             # root is bisected from another bracket, to the same tolerance
             joint = max(x for x, lm in zip(xs, ell_maxes) if x < smallest and ell <= lm)
-            grid = np.linspace(radial.LAMBDA_FLOOR, smallest, radial.DEFAULT_SCAN_STEPS)
+            mu = smallest * r2
+            grid = np.linspace(radial.LAMBDA_FLOOR, mu, radial.DEFAULT_SCAN_STEPS) / r2
             assert joint < lam < grid[grid > joint][0]
-            tol = 1e-10 * max(1.0, smallest)
+            tol = 1e-10 * max(1.0, mu) / r2
             assert any(e[1] == ell and abs(e[0] - lam) <= tol for e in alone[smallest])
         assert all(together)
 
@@ -548,13 +560,24 @@ class TestSharedWindows:
         det_grid = radial._det_grid
 
         def counted(*args):
-            calls.append(len(args[5]))
+            calls.append(len(args[-1]))
             return det_grid(*args)
 
         monkeypatch.setattr(radial, "_det_grid", counted)
         experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
         assert len(calls) <= 16
         assert sum(calls) <= 45_000
+
+    def test_counts_do_not_depend_on_the_radius(self):
+        # the ball of radius pi 1e-6 with x scaled by 1e12 scans the unit ball
+        # of the default count, whose window ends 100 and 400 are TEs; its
+        # count at 400e12 used to read 13368, through a grid in lambda
+        result = experiments.counting_experiment(
+            3, math.pi * 1e-6, 0.75, [50e12, 100e12, 200e12, 400e12]
+        )
+        rows = result["tables"][0]["rows"]
+        assert [row[1] for row in rows] == [481, 1437, 4472, 13371]
+        assert [row[2] for row in rows] == [24, 33, 46, 65]
 
     def test_counts_do_not_hang_on_the_solved_digits(self, monkeypatch):
         # each solved root moved by up to 1e-6 of itself, within its bracket,
@@ -577,7 +600,7 @@ class TestRootFreeZone:
 
     @pytest.mark.parametrize("nu0, dim", [(-0.5, 1), (0.0, 2), (0.5, 3)])
     def test_bound_lies_below_the_first_bessel_zero(self, nu0, dim):
-        bounds = np.sqrt(radial._root_free_below(dim, 1.0, np.arange(101)))
+        bounds = np.sqrt(radial._root_free_below(dim, np.arange(101)))
         for ell, b in enumerate(bounds.tolist()):
             assert b >= nu0 + ell
             assert (bessel_j(nu0 + ell, b * np.arange(1, 1001) / 1000) > 0.0).all()
@@ -590,18 +613,19 @@ class TestRootFreeZone:
     )
     def test_skipped_points_keep_one_sign(self, kind, dim, radius, v0, windows, steps):
         # every grid point of the scans before the zone (each window alone
-        # from lambda = 1e-6) that lies at or below its order's bound
-        ell_max = [radial.adaptive_ell_max(dim, radius, x) if kind is H else 0 for x in windows]
+        # from lambda R^2 = 1e-6, on the unit ball) at or below its order's bound
+        unit, mus, _ = RadialProblem(kind, dim, radius, v0).unit_ball(windows)
+        ell_max = [radial.adaptive_ell_max(dim, mu) if kind is H else 0 for mu in mus]
         ells, lams = [], []
-        for x, top in zip(windows, ell_max):
-            grid = np.linspace(radial.LAMBDA_FLOOR, x, steps)
+        for mu, top in zip(mus, ell_max):
+            grid = np.linspace(radial.LAMBDA_FLOOR, mu, steps)
             orders = np.arange((top if dim > 1 else min(top, 1)) + 1)
-            for ell, bound in zip(orders, radial._root_free_below(dim, radius, orders)):
+            for ell, bound in zip(orders, radial._root_free_below(dim, orders)):
                 below = grid[(grid > radial.LAMBDA_FLOOR) & (grid <= bound)]
                 ells.append(np.full(below.size, ell))
                 lams.append(below)
         ells, lams = np.concatenate(ells), np.concatenate(lams)
-        values = _det_grid(kind, dim, radius, v0, ells, lams)
+        values = _det_grid(kind, dim, unit.v0, ells, lams)
         assert (np.abs(values) >= radial.EXACT_HIT_TOL).all()
         for ell in np.unique(ells):
             signs = np.sign(values[ells == ell])
@@ -615,20 +639,21 @@ class TestPolishPrescreen:
 
     @pytest.mark.parametrize("dim, not_simple", [(1, 10), (2, 0), (3, 10)])
     def test_matches_the_full_stencil_on_every_root(self, dim, not_simple):
+        # the polish runs on the unit ball: each root at lambda R^2
         base = RadialProblem(H, dim, math.pi, 0.75)
         xs = [50.0, 100.0, 200.0, 400.0]
-        ell_maxes = [radial.adaptive_ell_max(dim, math.pi, x) for x in xs]
+        r2 = math.pi * math.pi
+        ell_maxes = [radial.adaptive_ell_max(dim, x * r2) for x in xs]
         roots = sorted(
             {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, *_ in tl}
         )
-        lam = np.array([r for r, _ in roots])
+        mu = np.array([r for r, _ in roots]) * r2
         ells = np.array([ell for _, ell in roots], dtype=float)
-        h = 2e-3 * np.maximum(1.0, np.abs(lam))
+        h = 2e-3 * np.maximum(1.0, np.abs(mu))
         stencil = np.array(radial._POLISH_STENCIL, dtype=float)
-        samples = _det_grid(
-            H, dim, math.pi, 0.75, np.repeat(ells, stencil.size),
-            (lam[:, None] + stencil * h[:, None]).ravel(),
-        ).reshape(lam.size, stencil.size)
+        points = (mu[:, None] + stencil * h[:, None]).ravel()
+        samples = _det_grid(H, dim, 0.75, np.repeat(ells, stencil.size), points)
+        samples = samples.reshape(mu.size, stencil.size)
         full = radial._multiplicity(samples, radial._POLISH_STENCIL) == 1
         inner = [radial._POLISH_STENCIL.index(j) for j in radial._PRESCREEN]
         prescreen = radial._multiplicity(samples[:, inner], radial._PRESCREEN) == 1
@@ -640,8 +665,8 @@ class TestPolishPrescreen:
             raise AssertionError("a determinant call without a root")
 
         assert radial._polish_roots(det, np.zeros(0), np.zeros(0)).size == 0
-        # so first_te's windows without a root (up to 1.5 and 3 here) cost
-        # their grid call alone
+        # so first_te's windows without a root (lambda R^2 up to 4.9, 9.8,
+        # 19.6 and 39.2 here) cost their grid call alone
         sizes = []
         det_grid = radial._det_grid
 
@@ -820,10 +845,14 @@ class TestTEList:
 
     def test_first_te_is_the_first_listed_root(self):
         # the default dim-1 ball's first TE is exactly 4 (lambda = 4 m^2, m = 1);
-        # first_te's windows end at 1.5 and 3 without a root, then at 6
+        # first_te's unit-ball windows double from twice the order-0 bound
+        # 2.449 and list no root up to 39.19, then the root 4 pi^2 up to 78.38
         ball = RadialProblem(H, 1, math.pi, 0.75)
+        unit, _, r2 = ball.unit_ball([])
         assert abs(first_te(ball) - 4.0) <= 1e-14
-        assert first_te(ball) == one_window(ball, 6.0, 0)[0][0]
+        end = 32.0 * radial._root_free_below(1, [0])[0]
+        assert one_window(unit, end / 2.0, 0) == ()
+        assert first_te(ball) == one_window(unit, end, 0)[0][0] / r2
 
     def test_weighted_count(self):
         # the counting experiment's N(x) is the degeneracy sum of the list up to x
