@@ -71,11 +71,14 @@ def _check_window(kind, v0, ells, lams):
 _DET_CHUNK = 2048  # points per slice of the per-point work; bounds its temporaries
 
 
-def _det_grid(kind, n, v0, ells, lambdas):
+def _det_grid(kind, n, v0, ells, lambdas, zeros=False):
     """Normalized matching determinant at the points (ells[i], lambdas[i]):
     with x = k and G = F_{nu+1}, (x_e F_i G_e - s x_i F_e G_i) over the
     Euclidean norms of the columns (F, ell F - s x G), s = +1 for a J
-    interior and -1 for an I one (the module docstring).
+    interior and -1 for an I one (the module docstring).  With ``zeros``,
+    also the number of zeros of F_nu in (0, x) of each wave, as an int
+    array (2, points) (exterior, interior; 0 for an I wave and outside D's
+    domain), read off the ladders (teig.specfun._read).
 
     ``ells`` and ``lambdas`` are 1-D and broadcast against each other.  The
     value is NaN at degenerate interior wavenumbers, at lambda <= 0 and
@@ -91,19 +94,22 @@ def _det_grid(kind, n, v0, ells, lambdas):
     )
     nu0 = 0.5 * (n - 2)
     parts = [slice(start, start + _DET_CHUNK) for start in range(0, lambdas.size, _DET_CHUNK)]
-    ladders, last = _det_ladders(kind, nu0, v0, ells, lambdas, parts)
+    ladders, last = _det_ladders(kind, nu0, v0, ells, lambdas, parts, zeros)
     out = np.empty(lambdas.shape)
+    count = np.zeros((2,) + lambdas.shape, dtype=int) if zeros else None
     first = 0  # each slice's first ladder
     for p in parts:
         points = last if p is parts[-1] else _det_points(kind, v0, ells[p], lambdas[p])
-        out[p], first = _det_chunk(nu0, points, ladders, first)
-    return out
+        part = None if count is None else count[:, p]
+        out[p], first = _det_chunk(nu0, points, ladders, first, part)
+    return (out, count) if zeros else out
 
 
-def _det_chunk(nu0, points, ladders, first):
+def _det_chunk(nu0, points, ladders, first, count):
     """_det_grid on the _det_points of at most _DET_CHUNK points, whose
     ladders are those of ``ladders`` from ``first`` on; returns the values
-    and the next slice's first ladder."""
+    and the next slice's first ladder, and writes the zero counts of the
+    waves into ``count`` (2, points) unless it is None."""
     ok, ell, x, oscillatory, rung, xj = points
     out = np.full(ok.shape, np.nan)
     if not ell.size:
@@ -114,8 +120,11 @@ def _det_chunk(nu0, points, ladders, first):
     # exterior and interior pairs (F, G) (every exterior wave is a J); a
     # column (y, R y') / R^p is (F, ell F - s x G), s = +1 for J and -1 for
     # I, as p + nu = ell
-    fg = _read(ladders, ladder, rung)
+    fg, z = _read(ladders, ladder, rung)
     inner_j = oscillatory[1]
+    if count is not None:
+        count[0, ok] = z[: ell.size]
+        count[1, np.flatnonzero(ok)[inner_j]] = z[ell.size :]
     if inner_j.all():
         f, g = fg.reshape(2, 2, ell.size)
     else:
@@ -136,10 +145,11 @@ def _det_chunk(nu0, points, ladders, first):
     return out, first + np.count_nonzero(new)
 
 
-def _det_ladders(kind, nu0, v0, ells, lambdas, parts):
+def _det_ladders(kind, nu0, v0, ells, lambdas, parts, zeros):
     """The _ladders pass of the J waves of every slice ``parts`` of the
-    points, the ladders of each slice after those of the slices before it
-    (None without a J wave), and the last slice's _det_points."""
+    points (counting their zeros with ``zeros``), the ladders of each slice
+    after those of the slices before it (None without a J wave), and the
+    last slice's _det_points."""
     x, low, width, points = [], [], 0, None
     for p in parts:
         points = _det_points(kind, v0, ells[p], lambdas[p])
@@ -150,7 +160,7 @@ def _det_ladders(kind, nu0, v0, ells, lambdas, parts):
     if not width:
         return None, points
     x, low = np.concatenate(x), np.concatenate(low)  # the slices' arrays go before the pass
-    return _ladders(nu0, x, low, width), points
+    return _ladders(nu0, x, low, width, zeros), points
 
 
 def _det_points(kind, v0, ell, lam):

@@ -7,6 +7,7 @@ that its subcommand writes; the verdict cites the tolerance it was judged
 against, and Report-only drivers never pass or fail.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -25,7 +26,16 @@ from .model import (
     Unweighted,
     validate_problem,
 )
-from .radial import RadialProblem, adaptive_ell_max, first_te, te_lists_up_to, top_order
+from .radial import (
+    RadialProblem,
+    adaptive_ell_max,
+    first_te,
+    first_tes,
+    harmonic_multiplicity,
+    te_counts_up_to,
+    te_lists_up_to,
+    top_order,
+)
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -80,10 +90,11 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
     """First-TE dilation law: the first eigenvalue of the ball of radius
     eps*R must equal the radius-R value divided by eps^2.
 
-    The first TE is taken over angular order 0 for both radii.  first_te
-    scans the same unit ball for every radius, so the oracle table checks
-    only the rounding of mu / R^2; with ``galerkin`` the law is tested
-    through the Galerkin pipeline on (-R, R), dimension 1 only.
+    The first TE is taken over angular order 0 for both radii.  Every
+    radius has the same unit ball, which first_tes searches once, so the
+    oracle table checks only the rounding of mu / R^2; with ``galerkin``
+    the law is tested through the Galerkin pipeline on (-R, R), dimension
+    1 only.
     """
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"scaling check requires v0 in (0, 1), got {v0}")
@@ -94,11 +105,12 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
             raise ValidationError(f"epsilon must be finite and > 0, got {eps}")
     if galerkin and n != 1:
         raise ValidationError("the Galerkin repeat runs in dimension 1 only")
-    lam_base = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0))
+    # each ball is built and checked only after the ball before it is done
+    radii = itertools.chain([radius], (radius * eps for eps in epsilons))
+    lam_base, *scaled = first_tes(RadialProblem(ProblemKind.HELMHOLTZ, n, r, v0) for r in radii)
     rows = []
     worst = 0.0
-    for eps in epsilons:
-        lam_scaled = first_te(RadialProblem(ProblemKind.HELMHOLTZ, n, radius * eps, v0))
+    for eps, lam_scaled in zip(epsilons, scaled):
         expected = lam_base / (eps * eps)
         rel = abs(lam_scaled - expected) / expected
         worst = max(worst, rel)
@@ -153,8 +165,9 @@ def scaling_check(n, radius, v0, epsilons, galerkin=False):
 
 
 def counting_experiment(n, radius, v0, x_values, ell_max=None):
-    """Degeneracy-weighted count N(x) of ball eigenvalues up to x and the
-    least-squares slope of log N against log x (target n/2)."""
+    """Degeneracy-weighted count N(x) of ball eigenvalues up to x, from
+    each order's count (te_counts_up_to), and the least-squares slope of
+    log N against log x (target n/2)."""
     if not 0.0 < v0 < 1.0:
         raise ValidationError(f"counting requires Helmholtz contrast v0 in (0,1), got {v0}")
     base = RadialProblem(ProblemKind.HELMHOLTZ, n, radius, v0)  # validates the ball
@@ -165,11 +178,10 @@ def counting_experiment(n, radius, v0, x_values, ell_max=None):
         raise ValidationError("counting needs at least two distinct x values")
     _, mus, _ = base.unit_ball(xs)
     ell_maxes = [adaptive_ell_max(n, mu) if ell_max is None else int(ell_max) for mu in mus]
-    lists = te_lists_up_to(base, xs, ell_maxes)
     rows = []
     counts = []
-    for x, lm, entries in zip(xs, ell_maxes, lists):
-        nx = sum(d for lam, _, d, *_ in entries if lam <= x)
+    for x, lm, per_order in zip(xs, ell_maxes, te_counts_up_to(base, xs, ell_maxes)):
+        nx = sum(harmonic_multiplicity(n, ell) * int(c) for ell, c in enumerate(per_order))
         if nx < 5:
             raise InsufficientCounts(
                 f"N({x}) = {nx} < 5; widen the window before fitting a slope"

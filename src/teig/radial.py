@@ -11,9 +11,13 @@ ends the grid is that window's own, the joint is one point of both
 segments, and a bracket is solved (ITP, with odd-order roots handed to a
 batched fit) to its segment's window tolerance.  No order is scanned below
 a lower bound of its first Bessel zero, where D has no root
-(_root_free_below).  te_lists_up_to is the one listing: first_te and
-every radial command read it, and it alone runs the scan, on the unit
-ball: no function below RadialProblem.unit_ball takes a radius."""
+(_root_free_below).  te_lists_up_to is the one listing: first_tes and
+the radial and hypothesis commands read it, and it alone runs the scan.
+A count needs less than a listing: te_counts_up_to reads each order's
+count of a Helmholtz ball off one determinant sample per (order, window
+end) and the Bessel-zero counts of its ladders, and scans nothing.  Both
+run on the unit ball: no function below RadialProblem.unit_ball takes a
+radius."""
 
 import math
 from dataclasses import dataclass
@@ -300,6 +304,27 @@ def _root_free_below(n, ells):
     return np.maximum(nu, 2.0 * np.sqrt(nu + 1.0) * (nu + 2.0) ** 0.25) ** 2
 
 
+def _window_table(dim, mus, tops, rows):
+    """The nested windows mu, with top orders tops, as one table over the
+    orders 0 .. rows - 1: the sorted distinct ends, and hi (rows, ends),
+    the end where the order is in the window and the end lies above the
+    order's _root_free_below, NaN elsewhere."""
+    ends = sorted(set(map(float, mus)))
+    bound = _root_free_below(dim, np.arange(rows))
+    hi = np.full((rows, len(ends)), np.nan)
+    for mu, top in zip(mus, tops):
+        hi[: top + 1, ends.index(mu)] = np.where(mu > bound[: top + 1], mu, np.nan)
+    return ends, hi
+
+
+def _check_ends(kind, v0, ells, hi):
+    """_check_window at LAMBDA_FLOOR and at the window ends hi (one row per
+    order of ``ells``, NaN skipped) of every order, row by row."""
+    ell_ends, ends = np.broadcast_arrays(ells[:, None], np.insert(hi, 0, LAMBDA_FLOOR, axis=1))
+    known = ~np.isnan(ends)
+    _check_window(kind, v0, ell_ends[known], ends[known])
+
+
 def _window(hi, row, right):
     """The window of each bracket: the index of the first of its row's
     ends at or above its right end."""
@@ -369,9 +394,7 @@ def _scan_determinant(kind, dim, v0, ells, hi, steps):
     bracket decides alone, so rows scan as if alone.
     """
     ells = np.array(ells, dtype=float)
-    ell_ends, ends = np.broadcast_arrays(ells[:, None], np.insert(hi, 0, LAMBDA_FLOOR, axis=1))
-    known = ~np.isnan(ends)
-    _check_window(kind, v0, ell_ends[known], ends[known])
+    _check_ends(kind, v0, ells, hi)
 
     def det(ell, lam):
         return _det_grid(kind, dim, v0, ell, lam)
@@ -432,14 +455,10 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     _check_scan_size(sum(top + 1 for top in tops), steps)
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
-    ends = sorted(set(map(float, mus)))
-    bound = _root_free_below(base.dim, np.arange(max(tops) + 1))
-    hi = np.full((bound.size, len(ends)), np.nan)  # (order, window end), NaN where not scanned
-    for mu, top in zip(mus, tops):
-        hi[: top + 1, ends.index(mu)] = np.where(mu > bound[: top + 1], mu, np.nan)
+    _, hi = _window_table(base.dim, mus, tops, max(tops) + 1)
     if np.isnan(hi).all():  # every window ends in every order's root-free zone
         return [()] * len(mus)
-    table = _scan_determinant(unit.kind, unit.dim, unit.v0, range(bound.size), hi, steps)
+    table = _scan_determinant(unit.kind, unit.dim, unit.v0, range(len(hi)), hi, steps)
     row, root, left, right = (column.tolist() for column in table)
     degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in row]
     table = sorted(zip(root, row, degeneracy, left, right))
@@ -448,25 +467,123 @@ def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
     return [tuple((lam / r2, ell, d, a / r2, b / r2) for lam, ell, d, a, b in w) for w in listed]
 
 
+def te_counts_up_to(base, xs, ell_maxes):
+    """One int array per (x, ell_max): the number of transmission
+    eigenvalues up to x of each order ell <= top_order(dim, ell_max) of a
+    Helmholtz ball with 0 < v0 < 1, the count te_lists_up_to's listing
+    gives, from one determinant sample per (order, window end) and no
+    scan.  An array stops at adaptive_ell_max of the largest mu = x R^2,
+    as every order above it has no root up to there, so a count allocates
+    no more than a few hundred orders whatever ell_max asks.
+
+    With c = sqrt(1 - v0) < 1, t = sqrt(mu), phi(t) = t J_nu'(t) / J_nu(t)
+    and g(t) = phi(t) - phi(c t), D's numerator is -J_nu(c t) J_nu(t) g(t)
+    (x G = (nu - phi) F, the README's relation).  Bessel's equation gives
+    phi' = (nu^2 - t^2 - phi^2) / t, so g' = -(1 - c^2) t < 0 at every zero
+    of g; g jumps from -inf to +inf at each zero of J_nu(t) and back at
+    each zero of J_nu(c t), and g(0+) < 0.  So the gap between two
+    consecutive zeros of J_nu(t) holds one root if no zero of J_nu(c t)
+    falls in it and none otherwise, and an order holds N = Z(t) - Z(c t) -
+    [g(t) > 0] roots in (0, mu], Z(t) the number of zeros of J_nu in (0,
+    t) and [g > 0] = [(-1)^(Z(t) + Z(c t)) D < 0].  Z is read off the
+    ladders of the same determinant call (teig.specfun._read).
+
+    Where |D(mu)| < EXACT_HIT_TOL the sign of D says nothing: the
+    listing's grid reads mu as a root (a hit), and at the coincidence
+    roots on the default ball's window ends D stays below it within about
+    1e-6 of the root.  Such an order keeps the listing's rule: N at the
+    row's grid point before mu (in linspace(LAMBDA_FLOOR, mu,
+    DEFAULT_SCAN_STEPS), or the order's previous window end if that is
+    higher), plus 1 if _polish_roots leaves the hit at or below x.
+
+    Runs on the unit ball of ``base`` (RadialProblem.unit_ball) and raises
+    the listing's ArgumentOutOfRange at a window end outside the Bessel
+    window; ValidationError for any other ball.
+    """
+    unit, mus, r2 = base.unit_ball(xs)
+    if unit.kind is not ProblemKind.HELMHOLTZ or not 0.0 < unit.v0 < 1.0:
+        raise ValidationError(f"a count needs a Helmholtz ball with 0 < v0 < 1, got {base}")
+    tops = [top_order(base.dim, ell_max) for ell_max in ell_maxes]
+    # no order above the cutoff has a root, and an end past the Bessel
+    # window fails _check_ends at order 0
+    cutoff = adaptive_ell_max(base.dim, min(max(mus), BESSEL_J_MAX_ARG**2))
+    rows = min(max(tops), cutoff) + 1
+    ends, hi = _window_table(base.dim, mus, tops, rows)
+    count = np.zeros(hi.shape, dtype=int)  # per (order, window end)
+    row, col = np.nonzero(~np.isnan(hi))
+    tie_row, tie_col, tie_count, tie_root = np.zeros((4, 0), dtype=int)
+    if row.size:
+        ells = np.arange(rows, dtype=float)
+        _check_ends(unit.kind, unit.v0, ells, hi)
+
+        def det(ell, lam, zeros=False):
+            return _det_grid(unit.kind, unit.dim, unit.v0, ell, lam, zeros)
+
+        count[row, col], d = _root_counts(det, ells[row], hi[row, col])
+        tie = np.abs(d) < EXACT_HIT_TOL
+        tie_row, tie_col = row[tie], col[tie]
+        end = hi[tie_row, tie_col]
+        before = np.linspace(LAMBDA_FLOOR, end, DEFAULT_SCAN_STEPS)[-2]
+        # the order's previous window end (fmax passes over the NaN of a skipped window)
+        earlier = np.where(np.arange(len(ends)) < tie_col[:, None], hi[tie_row], -np.inf)
+        before = np.fmax(before, np.fmax.reduce(earlier, axis=1))
+        tie_count, _ = _root_counts(det, ells[tie_row], before)
+        tie_root = _polish_roots(det, ells[tie_row], end)
+    out = []
+    for x, mu, top in zip(xs, mus, tops):
+        j = ends.index(mu)
+        n = count[: top + 1, j].copy()
+        at = (tie_col == j) & (tie_row <= top)
+        # the listing's tie rule; counting a root at x in would read tie_count[at] + 1
+        n[tie_row[at]] = tie_count[at] + (tie_root[at] / r2 <= x)
+        out.append(n)
+    return out
+
+
+def _root_counts(det, ells, mus):
+    """N = Z(t) - Z(c t) - [(-1)^(Z(t) + Z(c t)) D < 0] roots in (0, mu] of
+    each point (order, mu) of a Helmholtz unit ball with 0 < v0 < 1
+    (te_counts_up_to), and D, from one determinant call."""
+    d, (z_e, z_i) = det(ells, mus, zeros=True)
+    return z_e - z_i - (np.where((z_e + z_i) % 2, -d, d) < 0.0), d
+
+
 def adaptive_ell_max(n, mu):
-    """Angular cutoff for the unit-ball window end mu: a zero of D needs the
-    exterior wave J_nu(sqrt(mu)) past its power-law onset, nu below about
-    sqrt(mu), and a heuristic margin of 2 orders covers the onset width."""
+    """Angular cutoff for the unit-ball window end mu: every order above it
+    has no root up to mu.  Such an order has nu = ell + (n - 2)/2 >=
+    sqrt(mu) + 2, so its _root_free_below is at least nu^2 > mu; the 2
+    orders of margin hold no root either."""
     return int(math.ceil(math.sqrt(mu) - 0.5 * (n - 2))) + 2
 
 
+def first_tes(balls):
+    """The smallest transmission eigenvalue of angular order 0 of each
+    RadialProblem of the iterable ``balls``, in turn: the first entry of
+    te_lists_up_to(unit, [mu], [0]) on its unit ball, over R^2.  mu starts
+    at twice the order-0 _root_free_below and doubles until the window
+    lists a root, once per distinct unit ball (balls that differ in their
+    radius alone share one).  Each ball is mapped to its unit ball, and
+    its root divided, before the next is read: ArgumentOutOfRange once
+    sqrt(mu) passes BESSEL_J_MAX_ARG before the window lists a root, or if
+    the root over R^2 overflows."""
+    found, tes = {}, []
+    for ball in balls:
+        unit, _, r2 = ball.unit_ball([])
+        if unit not in found:
+            mu, entries = 2.0 * float(_root_free_below(ball.dim, [0])[0]), ()
+            while not entries and math.sqrt(mu) <= BESSEL_J_MAX_ARG:
+                (entries,) = te_lists_up_to(unit, [mu], [0])
+                mu *= 2.0
+            found[unit] = entries[0][0] if entries else math.inf
+        if not found[unit] / r2 < math.inf:
+            raise ArgumentOutOfRange(
+                f"no first root mu <= {BESSEL_J_MAX_ARG}^2 is finite over R^2 = {r2}"
+            )
+        tes.append(found[unit] / r2)
+    return tes
+
+
 def first_te(ball):
-    """Smallest transmission eigenvalue of angular order 0 of the
-    RadialProblem ``ball``: the first entry of te_lists_up_to(unit, [mu],
-    [0]) on its unit ball, over R^2.  mu starts at twice the order-0
-    _root_free_below and doubles until the window lists a root;
-    ArgumentOutOfRange once sqrt(mu) passes BESSEL_J_MAX_ARG before that,
-    or if the root over R^2 overflows."""
-    unit, _, r2 = ball.unit_ball([])
-    mu, entries = 2.0 * float(_root_free_below(ball.dim, [0])[0]), ()
-    while not entries and math.sqrt(mu) <= BESSEL_J_MAX_ARG:
-        (entries,) = te_lists_up_to(unit, [mu], [0])
-        mu *= 2.0
-    if entries and entries[0][0] / r2 < math.inf:
-        return entries[0][0] / r2
-    raise ArgumentOutOfRange(f"no first root mu <= {BESSEL_J_MAX_ARG}^2 is finite over R^2 = {r2}")
+    """first_tes of the one RadialProblem ``ball``."""
+    (te,) = first_tes([ball])
+    return te

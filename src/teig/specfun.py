@@ -10,9 +10,16 @@ under- or overflows.  All ladders of a call recur together in one loop
 over the rungs (_ladders), each keeping only the rungs its points read,
 and each point reads its two rungs after the loop (_read).  A ladder's
 start depends only on its argument and block, so a point's value does
-not depend on the rest of the array.  I is its all-positive power series,
-in units of P at the point's own order.  J serves arguments in
-[bessel_j_min_arg(ell), 200] and I arguments up to 60.
+not depend on the rest of the array.  On request the loop also counts
+each ladder's sign changes: the number of sign changes of J_{nu+k}(x),
+k >= 0, is the number of zeros of J_nu in (0, x), as those zeros are the
+reciprocal eigenvalues of a Jacobi matrix built from the recurrence in
+the order and the sequence is its Sturm count (Ikebe, Math. Comp. 29,
+1975; Ikebe, Kikuchi & Fujishiro, J. Comput. Appl. Math. 38, 1991), and
+a ladder keeps one sign from its start down to the turning point nu ~ x.
+I is its all-positive power series, in units of P at the point's own
+order.  J serves arguments in [bessel_j_min_arg(ell), 200] and I
+arguments up to 60.
 """
 
 import numpy as np
@@ -89,7 +96,7 @@ def _runs(rung, x):
     return new, x[new], low, int(width)
 
 
-def _ladders(nu0, x, low, width):
+def _ladders(nu0, x, low, width, zeros=False):
     """Run the Miller ladder of every argument x[i] from its start down to
     rung 0, all in one loop over the rungs, keeping rungs low[i] .. low[i]
     + width - 1 of ladder i.
@@ -101,10 +108,13 @@ def _ladders(nu0, x, low, width):
     2^-500.  Rung j is kept, as it was before its rescale, in row j % width
     of the ladder's column of one (width, ladders) array.  The columns run
     by lowest kept rung, highest first, so the ladders still keeping at
-    rung j are the columns from some k on.  Returns (column, rungs,
-    rescaled, s): each ladder's column, the kept rungs, {step: mask of the
-    columns it rescaled} for the steps that rescaled any, and s after the
-    last rescale.
+    rung j are the columns from some k on.  With ``zeros``, the sign
+    changes of each ladder from rung j up to its start are counted on the
+    way too, one comparison per rung, and kept like rung j (the rescale
+    keeps signs).  Returns (column, rungs, rescaled, s, changes): each
+    ladder's column, the kept rungs, {step: mask of the columns it
+    rescaled} for the steps that rescaled any, s after the last rescale,
+    and the kept rungs' sign-change counts (None without ``zeros``).
     """
     order = np.argsort(-low, kind="stable")
     column = np.argsort(order)
@@ -116,11 +126,14 @@ def _ladders(nu0, x, low, width):
     above = low[0] + width  # no ladder keeps this rung or one above it
     del order, tops, low  # not needed in the loop, which holds the call's peak
     rungs = np.empty((width, two_over_x.size))
+    changes = np.empty(rungs.shape, dtype=np.int16) if zeros else None
     rescaled = {}
     f_hi = np.zeros_like(two_over_x)  # f_{j+1}
     f_hi2 = np.zeros_like(two_over_x)  # f_{j+2}
     f = np.empty_like(two_over_x)
     acc = np.zeros_like(two_over_x)  # sum over k >= j/2 of (nu0 + 2k) (d_k / d_{j/2}) f_{2k}
+    flips = np.zeros(two_over_x.size, dtype=np.int16)  # sign changes from rung j up
+    neg, neg_hi = np.zeros((2, two_over_x.size), dtype=bool)  # f_j < 0, f_{j+1} < 0
     for j in range(max(entries), -1, -1):
         np.multiply(two_over_x, nu0 + j + 1.0, out=f)
         f *= f_hi
@@ -131,8 +144,14 @@ def _ladders(nu0, x, low, width):
             k = j // 2
             acc *= (nu0 + k) / (k + 1.0)
             acc += (nu0 + j) * f
+        if zeros:
+            np.less(f, 0.0, out=neg)
+            flips += neg != neg_hi  # a ladder not yet started holds zeros: no change
+            neg, neg_hi = neg_hi, neg
         if j < above:
             rungs[j % width, keeps[j] :] = f[keeps[j] :]
+            if zeros:
+                changes[j % width, keeps[j] :] = flips[keeps[j] :]
         if j % 8 == 0:
             big = np.maximum(np.abs(f), np.abs(acc)) > _RESCALE
             if np.count_nonzero(big):
@@ -142,15 +161,17 @@ def _ladders(nu0, x, low, width):
                 acc *= shrink
                 rescaled[j] = big
         f, f_hi, f_hi2 = f_hi2, f, f_hi
-    return column, rungs, rescaled, f_hi + acc  # rung 0 after its rescale; d_0 = 1
+    return column, rungs, rescaled, f_hi + acc, changes  # rung 0 after its rescale; d_0 = 1
 
 
 def _read(ladders, ladder, rung):
     """(J_nu, J_{nu+1}) / P_{nu0} at the orders nu0 + rung of the points on
     ladder ``ladder`` of _ladders, up to 2^(-500 shift), shift the number
     of its rescalings at steps <= rung: rungs rung and rung + 1, with the
-    rescale of step rung + 1 re-applied to the second (bit for bit)."""
-    column, rungs, rescaled, s = ladders
+    rescale of step rung + 1 re-applied to the second (bit for bit).
+    Returns the pairs and the zeros of J_nu in (0, x), the sign changes of
+    the ladder from rung up (None for ladders run without ``zeros``)."""
+    column, rungs, rescaled, s, changes = ladders
     c = column[ladder]
     row = np.arange(rung.max(initial=0) + 2) % len(rungs) * rungs.shape[1]  # each rung's row
     pair = np.empty((2, rung.size))
@@ -159,5 +180,5 @@ def _read(ladders, ladder, rung):
     for step, big in rescaled.items():
         pair[1, (rung == step - 1) & big[c]] *= 1.0 / _RESCALE
     pair /= s[c]
-    return pair
+    return pair, None if changes is None else changes.take(row[rung] + c)
 

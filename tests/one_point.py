@@ -61,20 +61,34 @@ def gamma_real(x):
         raise ArgumentOutOfRange(f"gamma_real({x}) overflows a double") from None
 
 
-def _j_pair(nu0, ell, x):
-    """(pair, shift) on arrays, with pair * 2^(-500 shift) equal to
-    (J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell: one
-    _ladders pass over the ladders of _runs, each point read from its
-    ladder; shift counts the rescalings at steps <= ell."""
+def _j_read(nu0, ell, x):
+    """(_read of every point, shift): one _ladders pass over the ladders of
+    _runs, each point (nu0 + ell, x) read from its ladder; shift counts the
+    rescalings at steps <= ell."""
     rung = ell.astype(int)
     new, xs, low, width = _runs(rung, x)
-    ladders = _ladders(nu0, xs, low, width)
+    ladders = _ladders(nu0, xs, low, width, zeros=True)
     ladder = np.cumsum(new) - 1
-    column, _, rescaled, _ = ladders
+    column, _, rescaled, *_ = ladders
     shift = np.zeros(rung.size, dtype=int)
     for step, big in rescaled.items():
         shift += (rung >= step) & big[column[ladder]]
     return _read(ladders, ladder, rung), shift
+
+
+def _j_pair(nu0, ell, x):
+    """(pair, shift) on arrays, with pair * 2^(-500 shift) equal to
+    (J_nu, J_{nu+1})(x) / P_{nu0}(x) at the orders nu = nu0 + ell."""
+    (pair, _), shift = _j_read(nu0, ell, x)
+    return pair, shift
+
+
+def ladder_zeros(nu0, ell, x):
+    """The sign changes of the Miller ladder of each point from its rung
+    ell up to its start, on arrays: teig's count of the zeros of J_{nu0 +
+    ell} in (0, x)."""
+    (_, zeros), _ = _j_read(nu0, ell, x)
+    return zeros
 
 
 def _pair(nu, x, oscillatory, name):

@@ -532,6 +532,26 @@ class TestExperimentCommands:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "ProblemTooLarge"
 
+    def test_count_lmax_past_the_scan_budget_counts(self):
+        # the --lmax that the radial scan above rejects: a count samples one
+        # point per (order, window end) and allocates no grid, so it counts
+        # (it exited 2 with ProblemTooLarge while it listed the roots)
+        res = run_cli("count", "--dim", "3", "--lmax", "100000000")
+        assert res.returncode == 0, res.stderr
+        rows = json.loads(res.stdout)["tables"][0]["rows"]
+        assert [row[1] for row in rows] == [481, 1437, 4472, 13371]
+        assert [row[2] for row in rows] == [100_000_000] * 4
+
+    @pytest.mark.parametrize("x", ["1e12", "1e300"])
+    def test_count_past_the_bessel_window_is_out_of_range(self, x):
+        # the listing's orders for such an x passed the scan budget first
+        # (ProblemTooLarge); the count sizes its orders by the Bessel window
+        res = run_cli("count", "--dim", "3", "--x-values", f"50,{x}")
+        assert res.returncode == 2, res.stderr
+        err = json.loads(res.stderr)
+        assert err["error"] == "ArgumentOutOfRange"
+        assert err["message"].startswith("exterior Bessel argument")
+
     @pytest.mark.parametrize(
         "argv, error",
         [

@@ -70,6 +70,16 @@ class TestScaling:
         assert det_calls == []
 
 
+    def test_the_unit_ball_is_searched_once(self, det_calls):
+        # every radius has the unit ball of the base, so two epsilons cost
+        # the 13 determinant calls of one first-TE search, not 39
+        ex.scaling_check(1, math.pi, 0.75, [0.5, 0.25])
+        together = len(det_calls)
+        det_calls.clear()
+        radial.first_te(radial.RadialProblem(ProblemKind.HELMHOLTZ, 1, math.pi, 0.75))
+        assert together == len(det_calls) == 13
+
+
 class TestCounting:
     def test_insufficient_counts(self):
         with pytest.raises(InsufficientCounts):
@@ -84,6 +94,15 @@ class TestCounting:
         r = ex.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
         assert [row[1] for row in r["tables"][0]["rows"]] == [481, 1437, 4472, 13371]
         assert r["verdict"] == "Pass"
+
+    def test_tie_counts_pinned(self):
+        # x = 100 and 400 are TEs of orders 0 and 1 (lambda = 4 m^2): the
+        # listing's rule at such an end counts 1437 / 13371 in dimension 3
+        # and 9 / 19 in dimension 1, where the counts just past x are
+        # 1438 / 13372 and 10 / 20
+        for dim, want in ((1, [6, 9, 14, 19]), (3, [481, 1437, 4472, 13371])):
+            r = ex.counting_experiment(dim, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+            assert [row[1] for row in r["tables"][0]["rows"]] == want
 
     def test_rows_monotone(self):
         r = ex.counting_experiment(1, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])

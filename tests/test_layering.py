@@ -5,10 +5,12 @@ radial oracle (``radial.py`` with its determinant ``determinant.py`` and
 Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
 so it stays an independent check of it; the experiment drivers import no
 private name of ``radial.py``, and the radial scan has one caller, the
-listing ``te_lists_up_to``, so every radial result comes from that one
-listing; the radius reaches the oracle only through the one map to the
-unit ball, ``RadialProblem.unit_ball``, so the determinant, the scan and
-the first-TE search work in lambda R^2 alone; every error type
+listing ``te_lists_up_to``, so every listed radial root comes from that
+one listing, while the count route (``counting_experiment``) reaches
+neither the listing nor the scan; the radius reaches the oracle only
+through the one map to the unit ball, ``RadialProblem.unit_ball``, so
+the determinant, the scan and the first-TE search work in lambda R^2
+alone; every error type
 ``errors.py`` declares but the base class is raised somewhere in the
 package, and the base class nowhere; and every
 top-level definition is referenced by the package, with no exception."""
@@ -180,6 +182,42 @@ def test_the_listing_alone_calls_the_scan():
         for owner, _ in callers(path, "_scan_determinant")
     ]
     assert found == [("radial.py", "te_lists_up_to")]
+
+
+def called_names(top):
+    """Names a top-level definition calls, as a bare name or an attribute,
+    nested functions included."""
+    return {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+    }
+
+
+def reachable(start):
+    """The package's top-level definitions that a call of ``start`` can
+    reach: a called name reaches every top-level definition of that name in
+    any module (an over-estimate, so a name it misses is never called)."""
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                calls.setdefault(top.name, set()).update(called_names(top))
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in calls and name not in seen:
+            seen.add(name)
+            todo.extend(calls[name])
+    return seen
+
+
+def test_the_count_route_reaches_no_listing():
+    route = reachable("counting_experiment")
+    assert {"te_counts_up_to", "_root_counts", "_det_grid", "_polish_roots"} <= route
+    assert route.isdisjoint({"te_lists_up_to", "_scan_determinant", "_bisect_brackets"})
+    # and the listing reaches the scan, so the guard follows real calls
+    assert "_scan_determinant" in reachable("first_te")
 
 
 def test_the_call_guard_sees_names_and_attributes(tmp_path):

@@ -24,6 +24,7 @@ from teig.radial import (
     _sign_brackets,
     first_te,
     harmonic_multiplicity,
+    te_counts_up_to,
     te_lists_up_to,
 )
 import scalar_oracle
@@ -37,6 +38,16 @@ from one_point import (
 
 H = ProblemKind.HELMHOLTZ
 S = ProblemKind.SCHRODINGER
+COUNT_XS = [50.0, 100.0, 200.0, 400.0]  # teig count's default windows
+
+
+def list_count_windows(dim=3):
+    """te_lists_up_to on the ball, windows and adaptive_ell_max orders of
+    the default teig count in dimension ``dim``, the work the count did
+    before it read its counts off te_counts_up_to."""
+    base = RadialProblem(H, dim, math.pi, 0.75)
+    _, mus, _ = base.unit_ball(COUNT_XS)
+    return te_lists_up_to(base, COUNT_XS, [radial.adaptive_ell_max(dim, mu) for mu in mus])
 
 
 class TestInteriorWavenumber:
@@ -227,7 +238,8 @@ class TestLadderPass:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """The count run's determinant calls, as (args, ladder passes)."""
+        """The determinant calls of the listing of the count's windows, as
+        (args, ladder passes)."""
         calls = []
         det_grid, ladders = radial._det_grid, determinant._ladders
 
@@ -241,7 +253,7 @@ class TestLadderPass:
 
         monkeypatch.setattr(radial, "_det_grid", counted_det)
         monkeypatch.setattr(determinant, "_ladders", counted_pass)
-        experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        list_count_windows()
         return calls
 
     def test_count_makes_one_pass_per_determinant_call(self, monkeypatch):
@@ -283,7 +295,7 @@ class TestLadderPass:
         ell, lam = np.tile(ells, lams.size), np.repeat(lams, ells.size)
         assert lam.size >= 3 * determinant._DET_CHUNK
         together = _det_grid(kind, dim, v0, ell, lam)
-        (_, _, rescaled, _), = passes
+        (_, _, rescaled, *_), = passes
         assert rescaled
         alone = [_det_grid(kind, dim, v0, ells, np.full(ells.size, v)) for v in lams]
         assert together.tobytes() == np.concatenate(alone).tobytes()
@@ -553,7 +565,7 @@ class TestSharedWindows:
         assert all(together)
 
     def test_count_run_shares_determinant_calls(self, monkeypatch):
-        # teig count --dim 3 --x-values 50,100,200,400 made 112 determinant
+        # listing the windows of teig count --dim 3 made 112 determinant
         # calls with one scan per window, and 87,219 points with the windows
         # batched but each scanned from lambda = 1e-6 on its own grid
         calls = []
@@ -564,7 +576,7 @@ class TestSharedWindows:
             return det_grid(*args)
 
         monkeypatch.setattr(radial, "_det_grid", counted)
-        experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        list_count_windows()
         assert len(calls) <= 16
         assert sum(calls) <= 45_000
 
@@ -579,19 +591,106 @@ class TestSharedWindows:
         assert [row[1] for row in rows] == [481, 1437, 4472, 13371]
         assert [row[2] for row in rows] == [24, 33, 46, 65]
 
-    def test_counts_do_not_hang_on_the_solved_digits(self, monkeypatch):
-        # each solved root moved by up to 1e-6 of itself, within its bracket,
-        # leaves N(x) as it is; grid hits never pass through the solver
-        rng = np.random.default_rng(7)
-        solve = radial._bisect_brackets
+    def test_count_reads_no_scan(self, monkeypatch):
+        # the listing made 16 determinant calls over 34,226 points; the count
+        # samples each (order, window end) once, and a window end that is a
+        # root of orders 0 and 1 (x = 100, 400) costs its row's previous grid
+        # point and the polish of that root
+        def refuse(*args):
+            raise AssertionError("a count scanned or solved a bracket")
 
-        def moved(det, ells, a, b, fa, fb, tol):
-            root = solve(det, ells, a, b, fa, fb, tol)
-            return np.clip(root * (1.0 + rng.uniform(-1e-6, 1e-6, root.size)), a, b)
+        monkeypatch.setattr(radial, "_scan_determinant", refuse)
+        monkeypatch.setattr(radial, "_bisect_brackets", refuse)
+        calls = []
+        det_grid = radial._det_grid
 
-        monkeypatch.setattr(radial, "_bisect_brackets", moved)
-        result = experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        def counted(*args):
+            calls.append(np.size(args[4]))
+            return det_grid(*args)
+
+        monkeypatch.setattr(radial, "_det_grid", counted)
+        result = experiments.counting_experiment(3, math.pi, 0.75, COUNT_XS)
         assert [row[1] for row in result["tables"][0]["rows"]] == [481, 1437, 4472, 13371]
+        assert len(calls) <= 5
+        assert sum(calls) < 342
+
+
+def listed_counts(base, xs, ell_maxes, length):
+    """Each order's count up to x in te_lists_up_to's listing, per window,
+    over the orders 0 .. length - 1; an entry of a higher order fails."""
+    lists = te_lists_up_to(base, xs, ell_maxes)
+    return [
+        np.bincount([ell for lam, ell, *_ in entries if lam <= x], minlength=length).tolist()
+        for x, entries, length in zip(xs, lists, length)
+    ]
+
+
+class TestCountFormula:
+    """Each order's count N = Z(t) - Z(c t) - [(-1)^(Z(t) + Z(c t)) D < 0]
+    (te_counts_up_to) is the count of te_lists_up_to's listing."""
+
+    @staticmethod
+    def both_routes(dim, radius, v0, xs, ell_max=None):
+        base = RadialProblem(H, dim, radius, v0)
+        _, mus, _ = base.unit_ball(xs)
+        ell_maxes = [radial.adaptive_ell_max(dim, mu) if ell_max is None else ell_max for mu in mus]
+        counts = [c.tolist() for c in te_counts_up_to(base, xs, ell_maxes)]
+        return counts, listed_counts(base, xs, ell_maxes, [len(c) for c in counts])
+
+    @pytest.mark.parametrize(
+        "dim, radius, v0, xs",
+        [
+            (1, 1.7, 0.5, [1000.0, 3000.0]),
+            (2, 3.0, 0.3, [50.0, 100.0, 200.0]),
+            (2, math.pi, 0.75, COUNT_XS),
+            (3, 2.0, 0.9, [40.0, 80.0, 160.0]),
+            (3, 1.3, 0.5, [91.1, 300.7]),
+            (3, math.pi, 0.75, [50.0, 101.0, 200.0, 399.0]),
+        ],
+        ids=["dim1", "dim2", "dim2-default", "dim3", "dim3-two-windows", "dim3-off-ties"],
+    )
+    def test_each_order_matches_the_listing_off_ties(self, dim, radius, v0, xs):
+        counts, listed = self.both_routes(dim, radius, v0, xs)
+        assert counts == listed
+        assert sum(map(sum, counts)) > 10
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("xs", [[16.0, 36.0, 64.0, 100.0], [144.0, 400.0]])
+    def test_each_order_matches_the_listing_at_ties(self, dim, xs):
+        # every window end is a TE of orders 0 and 1 (lambda = 4 m^2), whose
+        # D stays below EXACT_HIT_TOL there: the tie rule gives the listing's
+        # count, the root counted where its polish leaves it at or below x
+        counts, listed = self.both_routes(dim, math.pi, 0.75, xs)
+        assert counts == listed
+
+    def test_an_explicit_lmax_counts_only_its_orders(self):
+        counts, listed = self.both_routes(3, math.pi, 0.75, [100.0, 100.0, 400.0], ell_max=3)
+        assert counts == listed
+        assert [len(c) for c in counts] == [4, 4, 4]
+
+    def test_the_sign_term_reads_g_through_the_zero_parity(self):
+        # D = -J_nu(c t) J_nu(t) g over positive norms and sign J_nu(t) =
+        # (-1)^Z(t), so g > 0 is D < 0 for Z(t) + Z(c t) even and D > 0 for
+        # it odd; the rule flipped reads [1, 2, 3, 2]
+        def det(ells, mus, zeros):
+            return np.array([0.5, -0.5, 0.5, -0.5]), np.array([[3, 3, 4, 4], [1, 1, 1, 1]])
+
+        counts, _ = radial._root_counts(det, None, None)
+        assert counts.tolist() == [2, 1, 2, 3]
+
+    def test_a_window_in_every_root_free_zone_counts_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a determinant call for no sampled point")
+
+        monkeypatch.setattr(radial, "_det_grid", refuse)
+        # lambda R^2 = 6e-7 at most: the arrays stop at adaptive_ell_max 2
+        ball = RadialProblem(H, 3, 1e-4, 0.75)
+        counts = te_counts_up_to(ball, [50.0, 60.0], [4, 4])
+        assert [c.tolist() for c in counts] == [[0, 0, 0]] * 2
+
+    def test_other_balls_are_rejected(self):
+        with pytest.raises(ValidationError, match="Helmholtz ball with 0 < v0 < 1"):
+            te_counts_up_to(RadialProblem(S, 3, 1.0, 4.0), [50.0], [2])
 
 
 class TestRootFreeZone:
@@ -604,6 +703,20 @@ class TestRootFreeZone:
         for ell, b in enumerate(bounds.tolist()):
             assert b >= nu0 + ell
             assert (bessel_j(nu0 + ell, b * np.arange(1, 1001) / 1000) > 0.0).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_orders_above_the_adaptive_cutoff_are_root_free(self, dim):
+        # an order above the cutoff has nu >= sqrt(mu) + 2, and its bound
+        # is at least nu^2; D keeps one sign on the order's grid up to mu
+        for mu in np.geomspace(1e-3, 4e4, 60):
+            ell = radial.adaptive_ell_max(dim, mu) + 1
+            assert radial._root_free_below(dim, [ell])[0] >= mu
+        for mu in (10.0, 1000.0, 39000.0):
+            ell = radial.adaptive_ell_max(dim, mu) + 1
+            grid = np.linspace(radial.LAMBDA_FLOOR, mu, 400)
+            values = _det_grid(H, dim, 0.75, np.full(grid.size, float(ell)), grid)
+            assert values[0] != 0.0
+            assert (np.sign(values) == np.sign(values[0])).all()
 
     @pytest.mark.parametrize(
         "kind, dim, radius, v0, windows, steps",
@@ -711,7 +824,8 @@ class TestBatchedFit:
     least-squares solve with a shared Vandermonde matrix."""
 
     def test_matches_the_per_root_fit_on_the_count_stencils(self, monkeypatch):
-        # every stencil the count run fits (hand-offs and both polish rounds)
+        # every stencil the listing of the count's windows fits (hand-offs
+        # and both polish rounds)
         seen = []
         fit_roots = radial._fit_roots
 
@@ -721,7 +835,7 @@ class TestBatchedFit:
             return shift
 
         monkeypatch.setattr(radial, "_fit_roots", recorded)
-        experiments.counting_experiment(3, math.pi, 0.75, [50.0, 100.0, 200.0, 400.0])
+        list_count_windows()
         assert len(seen) >= 20
         for row, h, m, shift in seen:
             want = fit_reference(row, h, m)

@@ -15,6 +15,7 @@ from one_point import (
     bessel_i,
     bessel_j,
     gamma_real,
+    ladder_zeros,
     radial_wave,
 )
 
@@ -230,6 +231,35 @@ class TestArrayKernels:
                     assert alone[:, 0].tolist() == grid[:, k].tolist()
                     assert shift[0] == grid_shift[k]
                     assert np.isfinite(alone).all()
+
+class TestLadderZeros:
+    """The sign changes of a Miller ladder from rung ell up count the zeros
+    of J_{nu0 + ell} below its argument (Ikebe 1975)."""
+
+    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.5])
+    def test_equal_a_fine_sign_scan_of_j(self, nu0):
+        # the zeros of J_nu lie more than 2 apart, so a scan in steps of
+        # 0.02 sees each as one sign change; the points join the scan, so a
+        # zero between the last scan point and a point is seen too
+        rng = np.random.default_rng(11)
+        scan = np.linspace(1e-3, 120.0, 6001)
+        for ell in range(61):
+            t = rng.uniform(0.1, 120.0, 20)
+            grid = np.union1d(scan, t)
+            sign = np.signbit(bessel_j(nu0 + ell, grid))
+            below = np.concatenate(([0], np.cumsum(sign[1:] != sign[:-1])))
+            want = below[np.searchsorted(grid, t)]
+            assert ladder_zeros(nu0, np.full(t.size, float(ell)), t).tolist() == want.tolist()
+
+    def test_counts_cover_every_order_and_survive_the_rescale(self):
+        # J_{1/2}(x) = sqrt(2 / (pi x)) sin x has floor(x / pi) zeros below x;
+        # orders 0-95 at tiny arguments rescale, and have none
+        x = np.array([0.5, 3.0, 3.2, 50.0, 119.0])
+        got = ladder_zeros(0.5, np.zeros(x.size), x)
+        assert got.tolist() == np.floor(x / np.pi).astype(int).tolist()
+        ells = np.arange(96.0)
+        assert not ladder_zeros(0.5, ells, np.full(ells.size, 1e-5)).any()
+
 
 class TestBesselI:
     def test_at_zero(self):
