@@ -41,13 +41,13 @@ S = ProblemKind.SCHRODINGER
 COUNT_XS = [50.0, 100.0, 200.0, 400.0]  # teig count's default windows
 
 
-def list_count_windows(dim=3):
+def list_count_windows():
     """te_lists_up_to on the ball, windows and adaptive_ell_max orders of
-    the default teig count in dimension ``dim``, the work the count did
-    before it read its counts off te_counts_up_to."""
-    base = RadialProblem(H, dim, math.pi, 0.75)
+    teig count --dim 3, the work the count did before it read its counts
+    off te_counts_up_to."""
+    base = RadialProblem(H, 3, math.pi, 0.75)
     _, mus, _ = base.unit_ball(COUNT_XS)
-    return te_lists_up_to(base, COUNT_XS, [radial.adaptive_ell_max(dim, mu) for mu in mus])
+    return te_lists_up_to(base, COUNT_XS, [radial.adaptive_ell_max(3, mu) for mu in mus])
 
 
 class TestInteriorWavenumber:
@@ -615,13 +615,14 @@ class TestSharedWindows:
         assert sum(calls) < 342
 
 
-def listed_counts(base, xs, ell_maxes, length):
+def listed_counts(base, xs, ell_maxes, lengths):
     """Each order's count up to x in te_lists_up_to's listing, per window,
-    over the orders 0 .. length - 1; an entry of a higher order fails."""
+    over at least the orders 0 .. length - 1 of the window's ``lengths``
+    (an entry of a higher order makes the list longer)."""
     lists = te_lists_up_to(base, xs, ell_maxes)
     return [
         np.bincount([ell for lam, ell, *_ in entries if lam <= x], minlength=length).tolist()
-        for x, entries, length in zip(xs, lists, length)
+        for x, entries, length in zip(xs, lists, lengths)
     ]
 
 
@@ -630,10 +631,10 @@ class TestCountFormula:
     (te_counts_up_to) is the count of te_lists_up_to's listing."""
 
     @staticmethod
-    def both_routes(dim, radius, v0, xs, ell_max=None):
+    def both_routes(dim, radius, v0, xs, ell_maxes=None):
         base = RadialProblem(H, dim, radius, v0)
         _, mus, _ = base.unit_ball(xs)
-        ell_maxes = [radial.adaptive_ell_max(dim, mu) if ell_max is None else ell_max for mu in mus]
+        ell_maxes = ell_maxes or [radial.adaptive_ell_max(dim, mu) for mu in mus]
         counts = [c.tolist() for c in te_counts_up_to(base, xs, ell_maxes)]
         return counts, listed_counts(base, xs, ell_maxes, [len(c) for c in counts])
 
@@ -664,9 +665,12 @@ class TestCountFormula:
         assert counts == listed
 
     def test_an_explicit_lmax_counts_only_its_orders(self):
-        counts, listed = self.both_routes(3, math.pi, 0.75, [100.0, 100.0, 400.0], ell_max=3)
+        # two windows share the end 100, a tie of orders 0 and 1, with
+        # different top orders
+        xs, ell_maxes = [100.0, 100.0, 400.0], [0, 3, 3]
+        counts, listed = self.both_routes(3, math.pi, 0.75, xs, ell_maxes)
         assert counts == listed
-        assert [len(c) for c in counts] == [4, 4, 4]
+        assert [len(c) for c in counts] == [1, 4, 4]
 
     def test_the_sign_term_reads_g_through_the_zero_parity(self):
         # D = -J_nu(c t) J_nu(t) g over positive norms and sign J_nu(t) =
