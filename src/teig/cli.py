@@ -24,7 +24,7 @@ from .model import (
     load_problem,
     validate_problem,
 )
-from .radial import DEFAULT_SCAN_STEPS, RadialProblem, te_lists_up_to
+from .radial import DEFAULT_SCAN_STEPS, RadialProblem, te_list_up_to
 
 
 def _float_list(text):
@@ -167,7 +167,7 @@ def _cmd_find(args):
 
 def _cmd_radial(args):
     ball = RadialProblem(ProblemKind(args.problem), args.dim, args.radius, args.v0)
-    entries = te_lists_up_to(ball, [args.lambda_max], [args.lmax], steps=args.steps)[0]
+    entries = te_list_up_to(ball, args.lambda_max, args.lmax, steps=args.steps)
     payload = {
         "problem": args.problem,
         "dim": args.dim,

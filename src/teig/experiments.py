@@ -33,7 +33,7 @@ from .radial import (
     first_tes,
     harmonic_multiplicity,
     te_counts_up_to,
-    te_lists_up_to,
+    te_list_up_to,
     top_order,
 )
 
@@ -365,14 +365,14 @@ def truncation_stability(chain, counts, window, potential, kind, cells):
 def hypothesis_scan(n, radius, v0, lambda_max, steps, ell_max):
     """Scan the Schrodinger radial determinant for sign changes across both
     interior branches (evanescent below v0, oscillatory above), over the
-    orders te_lists_up_to lists for the one window (lambda_max, ell_max).
+    orders te_list_up_to lists up to lambda_max for ell <= ell_max.
 
     Whether such an eigenvalue always exists is an open question, so the
     verdict is always Report-only: the scan reports refined roots, or the
     explicit absence of any sign change in the window.
     """
     ball = RadialProblem(ProblemKind.SCHRODINGER, n, radius, v0)
-    (entries,) = te_lists_up_to(ball, [lambda_max], [ell_max], steps)
+    entries = te_list_up_to(ball, lambda_max, ell_max, steps)
     rows = [(lam, left, right, ell) for lam, ell, _, left, right in entries]
     return {
         "name": "hypothesis",

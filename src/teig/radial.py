@@ -4,15 +4,14 @@ matching determinant between the regular interior and exterior radial
 waves (teig.determinant).
 
 A scan lists each lambda's orders together, so one Bessel ladder per
-(lambda, block of 16 orders) serves the whole grid; the windows of one
-problem are scanned together and share every determinant call.  Nested
-windows scan each order once: on each segment between consecutive window
-ends the grid is that window's own, the joint is one point of both
-segments, and a bracket is solved (ITP, with odd-order roots handed to a
-batched fit) to its segment's window tolerance.  No order is scanned below
-a lower bound of its first Bessel zero, where D has no root
-(_root_free_below).  te_lists_up_to is the one listing: first_tes and
-the radial and hypothesis commands read it, and it alone runs the scan.
+(lambda, block of 16 orders) serves the whole grid, and every order of a
+window shares the grid linspace(LAMBDA_FLOOR, mu, steps) and each
+determinant call; a bracket is solved (ITP, with odd-order roots handed to
+a batched fit) to the window's tolerance.  No order is scanned below a
+lower bound of its first Bessel zero, where D has no root
+(_root_free_below).  te_list_up_to is the one listing, of one window:
+first_tes and the radial and hypothesis commands read it, and it alone
+runs the scan.
 A count needs less than a listing: te_counts_up_to reads each order's
 count of a Helmholtz ball off one determinant sample per (order, window
 end) and the Bessel-zero counts of its ladders, and scans nothing.  Both
@@ -305,7 +304,7 @@ def _root_free_below(n, ells):
 
 
 def _window_table(dim, mus, tops, rows):
-    """The nested windows mu, with top orders tops, as one table over the
+    """The windows mu, with top orders tops, as one table over the
     orders 0 .. rows - 1: the sorted distinct ends, and hi (rows, ends),
     the end where the order is in the window and the end lies above the
     order's _root_free_below, NaN elsewhere."""
@@ -325,37 +324,18 @@ def _check_ends(kind, v0, ells, hi):
     _check_window(kind, v0, ell_ends[known], ends[known])
 
 
-def _window(hi, row, right):
-    """The window of each bracket: the index of the first of its row's
-    ends at or above its right end."""
-    return np.argmax(hi[row] >= right[:, None], axis=1)
-
-
-def _scan_pass(det, ells, hi, tol, steps, floor):
-    """One sign scan of every row r, order ells[r] over its window ends
-    hi[r] (ascending, NaN for a window the row skips).  On each segment
-    (e', e] between consecutive ends the row's grid takes the points of
-    linspace(LAMBDA_FLOOR, e, steps), so a joint e' is one point of both
-    segments.  The row's cells start at its last grid point at or below
-    floor[r] (_root_free_below): each window keeps at most one point at or
-    below it, and a cell that ends there is dropped.  Returns exact grid
-    hits above floor[r] plus one root per sign-change cell, solved to
-    tol[r, j] of the window j of the cell's right end, as the table (row,
+def _scan_pass(det, ells, mu, tol, steps, floor):
+    """One sign scan of every row r, order ells[r], on the grid
+    linspace(LAMBDA_FLOOR, mu, steps).  The row's cells start at its last
+    grid point at or below floor[r] (_root_free_below), and a cell that
+    ends there is dropped.  Returns exact grid hits above floor[r] plus one
+    root per sign-change cell, solved to width tol, as the table (row,
     root, left, right) sorted by row then root; a hit is its own bracket.
-    Points are evaluated window by window, lambda-major, so the rows of a
-    window share ladders."""
-    lam, rid = [], []
-    last = np.full(ells.shape, -np.inf)  # each row's previous window end
-    for end in hi.T:
-        (r,) = np.nonzero(~np.isnan(end))
-        grid = np.linspace(LAMBDA_FLOOR, end[r], steps)  # (steps, rows of this window)
-        keep = grid > last[r]
-        # the last point at or below the floor, and every point above it
-        keep &= grid >= np.max(grid, axis=0, where=keep & (grid <= floor[r]), initial=-np.inf)
-        lam.append(grid[keep])
-        rid.append(np.broadcast_to(r, grid.shape)[keep])
-        last[r] = end[r]
-    lam, rid = np.concatenate(lam), np.concatenate(rid)
+    Points are evaluated lambda-major, so the rows share ladders."""
+    grid = np.repeat(np.linspace(LAMBDA_FLOOR, mu, steps)[:, None], ells.size, axis=1)
+    # the last point at or below the floor, and every point above it
+    keep = grid >= np.max(grid, axis=0, where=grid <= floor, initial=-np.inf)
+    lam, rid = grid[keep], np.broadcast_to(np.arange(ells.size), grid.shape)[keep]
     values = det(ells[rid], lam)
     order = np.argsort(rid, kind="stable")  # row by row, each ascending
     lam, rid, values = lam[order], rid[order], values[order]
@@ -364,9 +344,7 @@ def _scan_pass(det, ells, hi, tol, steps, floor):
     hits &= above
     (cell,) = np.nonzero(cells & (rid[1:] == rid[:-1]) & above[1:])
     row, a, b = rid[cell], lam[cell], lam[cell + 1]
-    found = _bisect_brackets(
-        det, ells[row], a, b, values[cell], values[cell + 1], tol[row, _window(hi, row, b)]
-    )
+    found = _bisect_brackets(det, ells[row], a, b, values[cell], values[cell + 1], tol)
     (hit,) = np.nonzero(hits)
     at = lam[hit]
     row, root, left, right = (
@@ -376,47 +354,37 @@ def _scan_pass(det, ells, hi, tol, steps, floor):
     return row[order], root[order], left[order], right[order]
 
 
-def _scan_determinant(kind, dim, v0, ells, hi, steps):
-    """Sign scan of the determinant of the unit ball (kind, dim, v0), one
-    row per order in ``ells`` from LAMBDA_FLOOR over its window ends hi,
-    each window solved to width 1e-10 max(1, end); returns the table (row,
-    root, left, right) of four arrays, sorted by row then by the root before
-    its polish, with [left, right] the root's bracket.  hi is one end per
-    (row, window), above the row's _root_free_below, ascending and NaN where
-    a row skips a window (_scan_pass), so nested windows scan each order once.
+def _scan_determinant(kind, dim, v0, ells, mu, steps):
+    """Sign scan of the determinant of the unit ball (kind, dim, v0) up to
+    mu, one row per order in ``ells`` (each with its _root_free_below under
+    mu), brackets solved to width 1e-10 max(1, mu) (_scan_pass); returns
+    the table (row, root, left, right) of four arrays, sorted by row then
+    by the root before its polish, with [left, right] the root's bracket.
 
-    All rows share each determinant call: the grids, every solver step and
-    the polish stencils.  Where two roots that a window of a
-    row lists (brackets ending at or below its end) lie within 5 of that
-    window's cells, the roots of the window's segment come from a second
-    pass at twice the steps (alias guard); every root is polished against
-    odd-order degeneracy.  Values do not depend on the batch and each
-    bracket decides alone, so rows scan as if alone.
+    All rows share each determinant call: the grid, every solver step and
+    the polish stencils.  Where two roots of a row lie within 5 cells, the
+    row's roots come from a second pass at twice the steps (alias guard);
+    every root is polished against odd-order degeneracy.  Values do not
+    depend on the batch and each bracket decides alone, so rows scan as
+    if alone.
     """
     ells = np.array(ells, dtype=float)
-    _check_ends(kind, v0, ells, hi)
+    _check_ends(kind, v0, ells, np.full((ells.size, 1), mu))
 
     def det(ell, lam):
         return _det_grid(kind, dim, v0, ell, lam)
 
-    floor, tol = _root_free_below(dim, ells), 1e-10 * np.maximum(1.0, hi)
-    table = _scan_pass(det, ells, hi, tol, steps, floor)
-    row, root, _, right = table
-    pair = np.flatnonzero(row[1:] == row[:-1])  # consecutive roots of one row
-    spacing = (hi - LAMBDA_FLOOR) / (steps - 1)
-    near = (right[pair + 1, None] <= hi[row[pair]]) & (
-        np.diff(root)[pair, None] < _CLOSE_ROOT_CELLS * spacing[row[pair]]
-    )
-    close = np.zeros(hi.shape, dtype=bool)
-    p, w = np.nonzero(near)
-    close[row[pair[p]], w] = True
-    if close.any():
-        (again,) = np.nonzero(close.any(axis=1))
-        new = _scan_pass(det, ells[again], hi[again], tol[again], 2 * steps, floor[again])
+    floor, tol = _root_free_below(dim, ells), 1e-10 * max(1.0, mu)
+    table = _scan_pass(det, ells, mu, tol, steps, floor)
+    row, root, _, _ = table
+    spacing = (mu - LAMBDA_FLOOR) / (steps - 1)
+    close = (row[1:] == row[:-1]) & (np.diff(root) < _CLOSE_ROOT_CELLS * spacing)
+    again = np.unique(row[1:][close])  # the rows with two roots within 5 cells
+    if again.size:
+        new = _scan_pass(det, ells[again], mu, tol, 2 * steps, floor[again])
         new = (again[new[0]], *new[1:])
-        old_keep = ~close[row, _window(hi, row, right)]
-        new_keep = close[new[0], _window(hi, new[0], new[3])]
-        table = [np.concatenate((o[old_keep], n[new_keep])) for o, n in zip(table, new)]
+        keep = ~np.isin(row, again)
+        table = [np.concatenate((o[keep], n)) for o, n in zip(table, new)]
         order = np.lexsort((table[1], table[0]))
         table = [column[order] for column in table]
     row, root, left, right = table
@@ -432,49 +400,43 @@ def top_order(n, ell_max):
     return ell_max if n > 1 else min(ell_max, 1)
 
 
-def te_lists_up_to(base, xs, ell_maxes, steps=DEFAULT_SCAN_STEPS):
-    """One tuple of (lambda, ell, degeneracy, left, right) entries per (x,
-    ell_max), sorted: all transmission eigenvalues of the ball up to x for
-    ell <= top_order(dim, ell_max), each with its bracket [left, right] (a
-    grid hit is its own bracket).  Orders with no root do not stop the
-    sweep; roots are not monotone in ell.
+def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
+    """The sorted tuple of (lambda, ell, degeneracy, left, right) entries:
+    all transmission eigenvalues of the ball up to x for ell <=
+    top_order(dim, ell_max), each with its bracket [left, right] (a grid
+    hit is its own bracket).  Orders with no root do not stop the sweep;
+    roots are not monotone in ell.
 
-    The unit ball (RadialProblem.unit_ball) is scanned over the windows
-    mu = x R^2, and a root mu is listed as mu / R^2.  The windows are
-    nested, so each order is scanned once (_scan_determinant), on each
-    segment (mu', mu] on that window's own grid linspace(LAMBDA_FLOOR, mu,
-    steps), brackets solved to 1e-10 max(1, mu); window (x, ell_max) lists
-    the roots of its orders whose bracket ends at or below mu.  So a root
-    has the bits that scanning alone the smallest window listing it gives,
-    except in the first cell past a joint, which starts at the joint.  No
-    order is scanned in its root-free zone (_root_free_below), nor for a
-    window that ends in it.  steps must be at least 2.
+    The unit ball (RadialProblem.unit_ball) is scanned up to mu = x R^2 on
+    the grid linspace(LAMBDA_FLOOR, mu, steps), brackets solved to 1e-10
+    max(1, mu) (_scan_determinant), and a root mu is listed as mu / R^2.
+    Only the orders whose root-free zone (_root_free_below) ends below mu
+    are scanned; the bound rises with ell, so they are 0 .. k - 1.  steps
+    must be at least 2.
     """
-    unit, mus, r2 = base.unit_ball(xs)
-    tops = [top_order(base.dim, ell_max) for ell_max in ell_maxes]
-    _check_scan_size(sum(top + 1 for top in tops), steps)
+    unit, (mu,), r2 = base.unit_ball([x])
+    top = top_order(base.dim, ell_max)
+    _check_scan_size(top + 1, steps)
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
-    _, hi = _window_table(base.dim, mus, tops, max(tops) + 1)
-    if np.isnan(hi).all():  # every window ends in every order's root-free zone
-        return [()] * len(mus)
-    table = _scan_determinant(unit.kind, unit.dim, unit.v0, range(len(hi)), hi, steps)
+    rows = np.count_nonzero(_root_free_below(base.dim, np.arange(top + 1)) < mu)
+    if not rows:  # the window ends in every order's root-free zone
+        return ()
+    table = _scan_determinant(unit.kind, unit.dim, unit.v0, range(rows), mu, steps)
     row, root, left, right = (column.tolist() for column in table)
     degeneracy = [harmonic_multiplicity(base.dim, ell) for ell in row]
     table = sorted(zip(root, row, degeneracy, left, right))
-    # a window lists its orders' roots whose bracket ends at or below it, as lambda = mu / R^2
-    listed = [[e for e in table if e[1] <= top and e[4] <= mu] for mu, top in zip(mus, tops)]
-    return [tuple((lam / r2, ell, d, a / r2, b / r2) for lam, ell, d, a, b in w) for w in listed]
+    return tuple((lam / r2, ell, d, a / r2, b / r2) for lam, ell, d, a, b in table)
 
 
 def te_counts_up_to(base, xs, ell_maxes):
     """One int array per (x, ell_max): the number of transmission
     eigenvalues up to x of each order ell <= top_order(dim, ell_max) of a
-    Helmholtz ball with 0 < v0 < 1, the count te_lists_up_to's listing
-    gives, from one determinant sample per (order, window end) and no
-    scan.  An array stops at adaptive_ell_max of the largest mu = x R^2,
-    as every order above it has no root up to there, so a count allocates
-    no more than a few hundred orders whatever ell_max asks.
+    Helmholtz ball with 0 < v0 < 1, the count te_list_up_to's listing of
+    the window gives, from one determinant sample per (order, window end)
+    and no scan.  An array stops at adaptive_ell_max of the largest mu =
+    x R^2, as every order above it has no root up to there, so a count
+    allocates no more than a few hundred orders whatever ell_max asks.
 
     With c = sqrt(1 - v0) < 1, t = sqrt(mu), phi(t) = t J_nu'(t) / J_nu(t)
     and g(t) = phi(t) - phi(c t), D's numerator is -J_nu(c t) J_nu(t) g(t)
@@ -492,9 +454,8 @@ def te_counts_up_to(base, xs, ell_maxes):
     listing's grid reads mu as a root (a hit), and at the coincidence
     roots on the default ball's window ends D stays below it within about
     1e-6 of the root.  Such an order keeps the listing's rule: N at the
-    row's grid point before mu (in linspace(LAMBDA_FLOOR, mu,
-    DEFAULT_SCAN_STEPS), or the order's previous window end if that is
-    higher), plus 1 if _polish_roots leaves the hit at or below x.
+    grid point before mu in linspace(LAMBDA_FLOOR, mu, DEFAULT_SCAN_STEPS),
+    plus 1 if _polish_roots leaves the hit at or below x.
 
     Runs on the unit ball of ``base`` (RadialProblem.unit_ball) and raises
     the listing's ArgumentOutOfRange at a window end outside the Bessel
@@ -524,9 +485,6 @@ def te_counts_up_to(base, xs, ell_maxes):
         tie_row, tie_col = row[tie], col[tie]
         end = hi[tie_row, tie_col]
         before = np.linspace(LAMBDA_FLOOR, end, DEFAULT_SCAN_STEPS)[-2]
-        # the order's previous window end (fmax passes over the NaN of a skipped window)
-        earlier = np.where(np.arange(len(ends)) < tie_col[:, None], hi[tie_row], -np.inf)
-        before = np.fmax(before, np.fmax.reduce(earlier, axis=1))
         tie_count, _ = _root_counts(det, ells[tie_row], before)
         tie_root = _polish_roots(det, ells[tie_row], end)
     out = []
@@ -559,7 +517,7 @@ def adaptive_ell_max(n, mu):
 def first_tes(balls):
     """The smallest transmission eigenvalue of angular order 0 of each
     RadialProblem of the iterable ``balls``, in turn: the first entry of
-    te_lists_up_to(unit, [mu], [0]) on its unit ball, over R^2.  mu starts
+    te_list_up_to(unit, mu, 0) on its unit ball, over R^2.  mu starts
     at twice the order-0 _root_free_below and doubles until the window
     lists a root, once per distinct unit ball (balls that differ in their
     radius alone share one).  Each ball is mapped to its unit ball, and
@@ -572,7 +530,7 @@ def first_tes(balls):
         if unit not in found:
             mu, entries = 2.0 * float(_root_free_below(ball.dim, [0])[0]), ()
             while not entries and math.sqrt(mu) <= BESSEL_J_MAX_ARG:
-                (entries,) = te_lists_up_to(unit, [mu], [0])
+                entries = te_list_up_to(unit, mu, 0)
                 mu *= 2.0
             found[unit] = entries[0][0] if entries else math.inf
         if not found[unit] / r2 < math.inf:

@@ -23,7 +23,7 @@ def warm_kernels():
     """Run the radial scan and the eigensolve once so timed tests measure
     steady state."""
     ball = radial.RadialProblem(ProblemKind.HELMHOLTZ, 1, math.pi, 0.75)
-    radial.te_lists_up_to(ball, [5.0], [0], 50)
+    radial.te_list_up_to(ball, 5.0, 0, 50)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))
     spectrum(a + a.T, np.eye(6))

@@ -32,7 +32,7 @@ from teig.model import (
     Unweighted,
     validate_problem,
 )
-from teig.radial import RadialProblem, te_lists_up_to
+from teig.radial import RadialProblem, te_list_up_to
 
 from form_oracle import direct_form_value
 from pencil import spectrum
@@ -76,7 +76,7 @@ def test_criterion_1_radial_oracle_exactness():
     with _Timer(1, 1.0):
         for dim in (1, 3):
             ball = RadialProblem(H, dim, math.pi, 0.75)
-            (entries,) = te_lists_up_to(ball, [4.5], [0])
+            entries = te_list_up_to(ball, 4.5, 0)
             err = min(abs(lam - 4.0) for lam, *_ in entries)
             assert err <= 1e-8, f"dim {dim}: root error {err:.2e}"
 
@@ -87,7 +87,7 @@ def test_criterion_2_oracle_galerkin_agreement():
         report = curves.run_pipeline(problem)
         entries = report["transmission_eigenvalues"]
         assert entries, "no transmission eigenvalues reported"
-        (oracle,) = te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [9.5], [1])
+        oracle = te_list_up_to(RadialProblem(H, 1, math.pi, 0.75), 9.5, 1)
         oracle_lams = [lam for lam, *_ in oracle]
         for entry in entries:
             rel = min(abs(entry["lambda"] - o) / o for o in oracle_lams)

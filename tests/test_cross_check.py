@@ -29,7 +29,7 @@ from teig.model import (
     Unweighted,
     validate_problem,
 )
-from teig.radial import RadialProblem, te_lists_up_to
+from teig.radial import RadialProblem, te_list_up_to
 
 SEED = 2026
 WINDOW = (0.5, 40.0)
@@ -55,7 +55,7 @@ def inside(lams):
 
 
 def oracle_tes(kind, radius, v0):
-    (entries,) = te_lists_up_to(RadialProblem(kind, 1, radius, v0), [WINDOW[1]], [1])
+    entries = te_list_up_to(RadialProblem(kind, 1, radius, v0), WINDOW[1], 1)
     return inside([lam for lam, *_ in entries])
 
 

@@ -5,7 +5,7 @@ radial oracle (``radial.py`` with its determinant ``determinant.py`` and
 Bessel library ``specfun.py``) imports nothing of the Galerkin machinery,
 so it stays an independent check of it; the experiment drivers import no
 private name of ``radial.py``, and the radial scan has one caller, the
-listing ``te_lists_up_to``, so every listed radial root comes from that
+listing ``te_list_up_to``, so every listed radial root comes from that
 one listing, while the count route (``counting_experiment``) reaches
 neither the listing nor the scan; the radius reaches the oracle only
 through the one map to the unit ball, ``RadialProblem.unit_ball``, so
@@ -181,7 +181,7 @@ def test_the_listing_alone_calls_the_scan():
         for path in sorted(SRC.glob("*.py"))
         for owner, _ in callers(path, "_scan_determinant")
     ]
-    assert found == [("radial.py", "te_lists_up_to")]
+    assert found == [("radial.py", "te_list_up_to")]
 
 
 def called_names(top):
@@ -215,7 +215,7 @@ def reachable(start):
 def test_the_count_route_reaches_no_listing():
     route = reachable("counting_experiment")
     assert {"te_counts_up_to", "_root_counts", "_det_grid", "_polish_roots"} <= route
-    assert route.isdisjoint({"te_lists_up_to", "_scan_determinant", "_bisect_brackets"})
+    assert route.isdisjoint({"te_list_up_to", "_scan_determinant", "_bisect_brackets"})
     # and the listing reaches the scan, so the guard follows real calls
     assert "_scan_determinant" in reachable("first_te")
 

@@ -25,7 +25,7 @@ from teig.radial import (
     first_te,
     harmonic_multiplicity,
     te_counts_up_to,
-    te_lists_up_to,
+    te_list_up_to,
 )
 import scalar_oracle
 from one_point import (
@@ -41,13 +41,12 @@ S = ProblemKind.SCHRODINGER
 COUNT_XS = [50.0, 100.0, 200.0, 400.0]  # teig count's default windows
 
 
-def list_count_windows():
-    """te_lists_up_to on the ball, windows and adaptive_ell_max orders of
-    teig count --dim 3, the work the count did before it read its counts
+def list_count_window():
+    """te_list_up_to on the ball, largest window and adaptive_ell_max orders
+    of teig count --dim 3, the work the count did before it read its counts
     off te_counts_up_to."""
     base = RadialProblem(H, 3, math.pi, 0.75)
-    _, mus, _ = base.unit_ball(COUNT_XS)
-    return te_lists_up_to(base, COUNT_XS, [radial.adaptive_ell_max(3, mu) for mu in mus])
+    return te_list_up_to(base, 400.0, radial.adaptive_ell_max(3, 400.0 * math.pi**2))
 
 
 class TestInteriorWavenumber:
@@ -142,10 +141,10 @@ class TestBesselWindow:
     def test_interior_evanescent_past_window(self):
         # Schrodinger below v0: |kappa| R = sqrt(v0 - lambda) R > 60 at the bottom
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            te_lists_up_to(RadialProblem(S, 1, 1.0, 4000.0), [10.0], [0], 50)
+            te_list_up_to(RadialProblem(S, 1, 1.0, 4000.0), 10.0, 0, 50)
         # Helmholtz with v0 > 1: |kappa| R = sqrt(lambda (v0 - 1)) R > 60 at the top
         with pytest.raises(ArgumentOutOfRange, match="interior"):
-            te_lists_up_to(RadialProblem(H, 1, 1.0, 5.0), [1000.0], [0], 50)
+            te_list_up_to(RadialProblem(H, 1, 1.0, 5.0), 1000.0, 0, 50)
 
     def test_below_the_j_ladder_floor(self):
         # the exterior argument sqrt(lambda R^2) passes bessel_j_min_arg(0) =
@@ -155,7 +154,7 @@ class TestBesselWindow:
         # so it lists no root and evaluates no point
         low, high = _det_grid(S, 3, 1.0, 0, [1e-34, 1e-31])
         assert math.isnan(low) and math.isfinite(high)
-        assert te_lists_up_to(RadialProblem(H, 3, 1e-14, 0.75), [1e-3], [0], 10) == [()]
+        assert te_list_up_to(RadialProblem(H, 3, 1e-14, 0.75), 1e-3, 0, 10) == ()
 
 
 # (kind, v0, radius, largest lambda): Helmholtz with an oscillatory (v0 < 1)
@@ -238,8 +237,8 @@ class TestLadderPass:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """The determinant calls of the listing of the count's windows, as
-        (args, ladder passes)."""
+        """The determinant calls of the listing of the count's largest
+        window, as (args, ladder passes)."""
         calls = []
         det_grid, ladders = radial._det_grid, determinant._ladders
 
@@ -253,20 +252,28 @@ class TestLadderPass:
 
         monkeypatch.setattr(radial, "_det_grid", counted_det)
         monkeypatch.setattr(determinant, "_ladders", counted_pass)
-        list_count_windows()
+        list_count_window()
         return calls
 
     def test_count_makes_one_pass_per_determinant_call(self, monkeypatch):
-        # with one ladder loop per 2,048-point slice the 16 calls made 30
+        # with one ladder loop per 2,048-point slice the 16 calls of the
+        # count's four windows made 30
         calls = self.count_calls(monkeypatch)
         assert [passes for _, passes in calls] == [1] * len(calls)
         assert len(calls) <= 16
 
-    def test_count_grid_call_stays_within_its_memory_budget(self, monkeypatch):
-        # the grid's 29,351 points peaked at 1.04 MB traced with one ladder
-        # loop per slice; one pass keeps only the rungs its points read
-        calls = self.count_calls(monkeypatch)
-        grid = max((args for args, _ in calls), key=lambda args: np.size(args[-1]))
+    def test_count_grid_call_stays_within_its_memory_budget(self):
+        # a grid of 29,351 points peaked at 1.04 MB traced with one ladder
+        # loop per slice; one pass keeps only the rungs its points read.
+        # The grid: the count's largest window at twice the default steps
+        # (the alias re-scan's), each order above its root-free zone,
+        # lambda-major as a scan evaluates it
+        mu = 400.0 * math.pi**2
+        ells = np.arange(radial.adaptive_ell_max(3, mu) + 1, dtype=float)
+        lams = np.linspace(radial.LAMBDA_FLOOR, mu, 2 * radial.DEFAULT_SCAN_STEPS)
+        ell, lam = np.broadcast_arrays(ells, lams[:, None])
+        above = lam > radial._root_free_below(3, ell)
+        grid = (H, 3, 0.75, ell[above], lam[above])
         assert np.size(grid[-1]) > 29_000
         tracemalloc.start()
         try:
@@ -327,7 +334,7 @@ class TestScanRoots:
 
     def test_determinant_contains_four(self):
         # lambda = 4 on the radius-pi ball is lambda R^2 = 4 pi^2 on the unit ball
-        _, roots, _, _ = _scan_determinant(H, 1, 0.75, (0,), np.array([[50.0]]), 400)
+        _, roots, _, _ = _scan_determinant(H, 1, 0.75, (0,), 50.0, 400)
         assert any(abs(r - 4.0 * math.pi**2) < 1e-7 for r in roots.tolist())
 
     def test_no_roots(self):
@@ -352,7 +359,7 @@ class TestScanRoots:
     def test_rejects_bad_window(self, x):
         # a window end x R^2 must be a positive finite float
         with pytest.raises(ArgumentOutOfRange, match="is not a positive finite float"):
-            te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [5.0, x], [0, 0], 10)
+            te_list_up_to(RadialProblem(H, 1, math.pi, 0.75), x, 0, 10)
 
     def test_window_below_every_bound_makes_no_determinant_call(self, monkeypatch):
         # lambda R^2 = 1e-6 pi^2 and 2 lie below every order's root-free bound
@@ -362,12 +369,12 @@ class TestScanRoots:
 
         monkeypatch.setattr(radial, "_det_grid", det)
         ball = RadialProblem(H, 1, math.pi, 0.75)
-        windows = [radial.LAMBDA_FLOOR, 2.0 / math.pi**2]
-        assert te_lists_up_to(ball, windows, [1, 1], 10) == [(), ()]
+        for x in (radial.LAMBDA_FLOOR, 2.0 / math.pi**2):
+            assert te_list_up_to(ball, x, 1, 10) == ()
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValidationError, match="steps"):
-            te_lists_up_to(RadialProblem(H, 1, math.pi, 0.75), [1.0], [0], 1)
+            te_list_up_to(RadialProblem(H, 1, math.pi, 0.75), 1.0, 0, 1)
 
     def test_bisection_replays_scalar_decisions(self):
         # NaN probes (nudged), exact zeros and ordinary steps, several bracket
@@ -448,9 +455,9 @@ class TestScanRoots:
 
     def test_multi_order_scan_matches_one_order_per_call(self):
         ells = range(13)
-        row, *together = _scan_determinant(H, 3, 0.75, ells, np.full((13, 1), 600.0), 400)
+        row, *together = _scan_determinant(H, 3, 0.75, ells, 600.0, 400)
         for ell in ells:
-            alone_row, *alone = _scan_determinant(H, 3, 0.75, (ell,), np.array([[600.0]]), 400)
+            alone_row, *alone = _scan_determinant(H, 3, 0.75, (ell,), 600.0, 400)
             assert not alone_row.any()
             assert [column[row == ell].tolist() for column in together] == [
                 column.tolist() for column in alone
@@ -470,7 +477,7 @@ class TestScanRoots:
             return table
 
         monkeypatch.setattr(radial, "_scan_pass", recorded)
-        row, _, left, right = _scan_determinant(S, 3, 30.0, range(5), np.full((5, 1), 100.0), 25)
+        row, _, left, right = _scan_determinant(S, 3, 30.0, range(5), 100.0, 25)
         (_, first), (again, second) = passes
         f_row, f_root = first[0].tolist(), first[1].tolist()
         spacing = (100.0 - 1e-6) / 24
@@ -485,100 +492,10 @@ class TestScanRoots:
             assert left[row == r].tolist() == src[2][src[0] == at].tolist()
             assert right[row == r].tolist() == src[3][src[0] == at].tolist()
 
-    def test_alias_rescan_replaces_exactly_the_close_windows(self, monkeypatch):
-        # at 25 steps, order 1 of this ball has roots near 24 and 43: within
-        # 5 cells of the window that ends at 100 but not of the one that ends
-        # at 30, so its root near 24 is listed from the first pass
-        passes = []
-        scan_pass = radial._scan_pass
-
-        def recorded(det, ells, *args):
-            table = scan_pass(det, ells, *args)
-            passes.append((ells.tolist(), table))
-            return table
-
-        monkeypatch.setattr(radial, "_scan_pass", recorded)
-        ends = np.array([30.0, 100.0])
-        table = _scan_determinant(S, 2, 30.0, range(5), np.tile(ends, (5, 1)), 25)
-        (_, first), (again, second) = passes
-
-        def window(table):  # the first end at or above each bracket's right end
-            return np.searchsorted(ends, table[3])
-
-        row, root, right = first[0], first[1], first[3]
-        close = {
-            (r, j)
-            for r, s, a, b, right_b in zip(row, row[1:], root, root[1:], right[1:])
-            for j, end in enumerate(ends)
-            if r == s and right_b <= end and b - a < 5 * (end - 1e-6) / 24
-        }
-        assert close == {(1, 1)} and again == [1]
-        for r in range(5):
-            for j in range(ends.size):
-                src, at = (second, 0) if (r, j) in close else (first, r)
-                pick = (src[0] == at) & (window(src) == j)
-                mine = (table[0] == r) & (window(table) == j)
-                for column in (2, 3):
-                    assert table[column][mine].tolist() == src[column][pick].tolist()
-        assert window(first)[row == 1].tolist() == [0, 1]
-
 
 class TestSharedWindows:
-    """The nested windows of one problem scan each order once: every root
-    is the one that scanning alone the smallest window listing it gives,
-    but for a root in the cell at a window joint, in fewer determinant
-    calls and points."""
-
-    @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize(
-        "xs",
-        [[50.0, 100.0, 200.0, 400.0], [16.0, 36.0, 64.0, 100.0], [99.0, 100.0, 101.0],
-         [100.0, 50.0, 50.0, 200.0]],
-        ids=["default", "ends-on-tes", "around-100", "unsorted-duplicate"],
-    )
-    def test_each_root_is_its_smallest_window_scanned_alone(self, dim, xs):
-        # 16, 36, 64 and 100 are TEs of this ball (lambda = 4 m^2), so a
-        # window end sits on a root, found as a grid hit or a polished root
-        base = RadialProblem(H, dim, math.pi, 0.75)
-        r2 = math.pi * math.pi
-        ell_maxes = [radial.adaptive_ell_max(dim, x * r2) for x in xs]
-        together = te_lists_up_to(base, xs, ell_maxes)
-        alone = {x: one_window(base, x, lm) for x, lm in zip(xs, ell_maxes)}
-        for x, listed in zip(xs, together):
-            assert len(listed) == len(alone[x])
-            assert weighted_count(listed, x) == weighted_count(alone[x], x)
-        for entry in {e for listed in together for e in listed}:
-            lam, ell, *_ = entry
-            smallest = min(x for x, listed in zip(xs, together) if entry in listed)
-            if entry in alone[smallest]:
-                continue
-            # the one cell a window's grid does not share with the window
-            # alone: from the joint with the window before, which holds the
-            # same order, to the window's first own grid point past it; its
-            # root is bisected from another bracket, to the same tolerance
-            joint = max(x for x, lm in zip(xs, ell_maxes) if x < smallest and ell <= lm)
-            mu = smallest * r2
-            grid = np.linspace(radial.LAMBDA_FLOOR, mu, radial.DEFAULT_SCAN_STEPS) / r2
-            assert joint < lam < grid[grid > joint][0]
-            tol = 1e-10 * max(1.0, mu) / r2
-            assert any(e[1] == ell and abs(e[0] - lam) <= tol for e in alone[smallest])
-        assert all(together)
-
-    def test_count_run_shares_determinant_calls(self, monkeypatch):
-        # listing the windows of teig count --dim 3 made 112 determinant
-        # calls with one scan per window, and 87,219 points with the windows
-        # batched but each scanned from lambda = 1e-6 on its own grid
-        calls = []
-        det_grid = radial._det_grid
-
-        def counted(*args):
-            calls.append(len(args[-1]))
-            return det_grid(*args)
-
-        monkeypatch.setattr(radial, "_det_grid", counted)
-        list_count_windows()
-        assert len(calls) <= 16
-        assert sum(calls) <= 45_000
+    """The windows of one count share its determinant calls: every
+    (order, window end) is sampled in one call."""
 
     def test_counts_do_not_depend_on_the_radius(self):
         # the ball of radius pi 1e-6 with x scaled by 1e12 scans the unit ball
@@ -616,19 +533,20 @@ class TestSharedWindows:
 
 
 def listed_counts(base, xs, ell_maxes, lengths):
-    """Each order's count up to x in te_lists_up_to's listing, per window,
-    over at least the orders 0 .. length - 1 of the window's ``lengths``
-    (an entry of a higher order makes the list longer)."""
-    lists = te_lists_up_to(base, xs, ell_maxes)
+    """Each order's count up to x in te_list_up_to's listing of each
+    window, over at least the orders 0 .. length - 1 of the window's
+    ``lengths`` (an entry of a higher order makes the list longer)."""
     return [
-        np.bincount([ell for lam, ell, *_ in entries if lam <= x], minlength=length).tolist()
-        for x, entries, length in zip(xs, lists, lengths)
+        np.bincount(
+            [ell for lam, ell, *_ in te_list_up_to(base, x, lm) if lam <= x], minlength=length
+        ).tolist()
+        for x, lm, length in zip(xs, ell_maxes, lengths)
     ]
 
 
 class TestCountFormula:
     """Each order's count N = Z(t) - Z(c t) - [(-1)^(Z(t) + Z(c t)) D < 0]
-    (te_counts_up_to) is the count of te_lists_up_to's listing."""
+    (te_counts_up_to) is the count of te_list_up_to's listing."""
 
     @staticmethod
     def both_routes(dim, radius, v0, xs, ell_maxes=None):
@@ -662,6 +580,20 @@ class TestCountFormula:
         # D stays below EXACT_HIT_TOL there: the tie rule gives the listing's
         # count, the root counted where its polish leaves it at or below x
         counts, listed = self.both_routes(dim, math.pi, 0.75, xs)
+        assert counts == listed
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("below", [1e-3, 1e-4])
+    def test_a_count_does_not_depend_on_the_other_windows(self, dim, below):
+        # each tie (lambda = 4 m^2) with an end just below it, where D is
+        # inside the tie band and its sign reads a root too many: a window's
+        # count is its count asked alone, and its listing's
+        xs = [x for m in (2, 6, 8, 10) for x in (4.0 * m * m - below, 4.0 * m * m)]
+        counts, listed = self.both_routes(dim, math.pi, 0.75, xs)
+        base = RadialProblem(H, dim, math.pi, 0.75)
+        ell_maxes = [radial.adaptive_ell_max(dim, x * math.pi**2) for x in xs]
+        alone = [te_counts_up_to(base, [x], [lm])[0].tolist() for x, lm in zip(xs, ell_maxes)]
+        assert counts == alone
         assert counts == listed
 
     def test_an_explicit_lmax_counts_only_its_orders(self):
@@ -758,12 +690,9 @@ class TestPolishPrescreen:
     def test_matches_the_full_stencil_on_every_root(self, dim, not_simple):
         # the polish runs on the unit ball: each root at lambda R^2
         base = RadialProblem(H, dim, math.pi, 0.75)
-        xs = [50.0, 100.0, 200.0, 400.0]
         r2 = math.pi * math.pi
-        ell_maxes = [radial.adaptive_ell_max(dim, x * r2) for x in xs]
-        roots = sorted(
-            {(lam, ell) for tl in te_lists_up_to(base, xs, ell_maxes) for lam, ell, *_ in tl}
-        )
+        listed = te_list_up_to(base, 400.0, radial.adaptive_ell_max(dim, 400.0 * r2))
+        roots = sorted((lam, ell) for lam, ell, *_ in listed)
         mu = np.array([r for r, _ in roots]) * r2
         ells = np.array([ell for _, ell in roots], dtype=float)
         h = 2e-3 * np.maximum(1.0, np.abs(mu))
@@ -828,8 +757,8 @@ class TestBatchedFit:
     least-squares solve with a shared Vandermonde matrix."""
 
     def test_matches_the_per_root_fit_on_the_count_stencils(self, monkeypatch):
-        # every stencil the listing of the count's windows fits (hand-offs
-        # and both polish rounds)
+        # every stencil the listing of the count's largest window fits
+        # (hand-offs and both polish rounds)
         seen = []
         fit_roots = radial._fit_roots
 
@@ -839,7 +768,7 @@ class TestBatchedFit:
             return shift
 
         monkeypatch.setattr(radial, "_fit_roots", recorded)
-        list_count_windows()
+        list_count_window()
         assert len(seen) >= 20
         for row, h, m, shift in seen:
             want = fit_reference(row, h, m)
@@ -888,43 +817,52 @@ class TestHarmonicMultiplicity:
             harmonic_multiplicity(4, 0)
 
 
-def one_window(base, x, ell_max):
-    """The entries of te_lists_up_to on the one window (x, ell_max)."""
-    return te_lists_up_to(base, [x], [ell_max])[0]
-
-
-def weighted_count(entries, x):
-    """N(x): the degeneracy sum of the entries up to x."""
-    return sum(d for lam, _, d, *_ in entries if lam <= x)
-
-
 class TestTEList:
     def test_1d_contains_four(self):
         base = RadialProblem(H, 1, math.pi, 0.75)
-        tl = one_window(base, 4.5, 0)
+        tl = te_list_up_to(base, 4.5, 0)
         assert any(abs(lam - 4.0) < 1e-8 and ell == 0 and deg == 1 for lam, ell, deg, *_ in tl)
 
     def test_3d_contains_four(self):
         base = RadialProblem(H, 3, math.pi, 0.75)
-        tl = one_window(base, 4.5, 0)
+        tl = te_list_up_to(base, 4.5, 0)
         assert any(abs(lam - 4.0) < 1e-8 for lam, *_ in tl)
 
     def test_empty_below_first_root(self):
         base = RadialProblem(H, 1, math.pi, 0.75)
-        assert one_window(base, 2.0, 1) == ()
+        assert te_list_up_to(base, 2.0, 1) == ()
 
     def test_sorted_and_positive(self):
         base = RadialProblem(H, 3, math.pi, 0.75)
-        tl = one_window(base, 40.0, 4)
+        tl = te_list_up_to(base, 40.0, 4)
         lams = [lam for lam, *_ in tl]
         assert lams == sorted(lams)
         assert all(lam > 0 for lam in lams)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind, radius, v0, ell_max, steps",
+        [(H, math.pi, 0.75, 6, 400), (S, 1.0, 30.0, 4, 25)],
+        ids=["helmholtz", "schrodinger-alias-rescan"],
+    )
+    def test_entries_stay_in_their_window(self, dim, kind, radius, v0, ell_max, steps):
+        # every root and the end of its bracket lie above its order's
+        # root-free zone and the bracket ends at or below x; only the
+        # orders up to top_order are listed, each with its degeneracy
+        x = 100.0
+        listed = te_list_up_to(RadialProblem(kind, dim, radius, v0), x, ell_max, steps)
+        assert len(listed) >= 3
+        for lam, ell, deg, left, right in listed:
+            assert ell <= radial.top_order(dim, ell_max)
+            assert deg == harmonic_multiplicity(dim, ell)
+            assert radial._root_free_below(dim, [ell])[0] < min(lam, right) * radius**2
+            assert left <= right <= x * (1.0 + 1e-15)
+
     @pytest.mark.parametrize("eps", [0.5, 0.25])
     @pytest.mark.parametrize("dim,ell_max", [(1, 1), (3, 3)])
     def test_dilation_scaling(self, eps, dim, ell_max):
-        base = one_window(RadialProblem(H, dim, math.pi, 0.75), 40.0, ell_max)
-        scaled = one_window(
+        base = te_list_up_to(RadialProblem(H, dim, math.pi, 0.75), 40.0, ell_max)
+        scaled = te_list_up_to(
             RadialProblem(H, dim, math.pi * eps, 0.75), 40.0 / eps**2, ell_max
         )
         assert scaled
@@ -944,7 +882,7 @@ class TestTEList:
         def scaled(radius):
             v0 = v0r2 if kind is H else v0r2 / radius**2
             ball = RadialProblem(kind, dim, radius, v0)
-            (listed,) = te_lists_up_to(ball, [top / radius**2], [3])
+            listed = te_list_up_to(ball, top / radius**2, 3)
             return sorted((ell, lam * radius**2) for lam, ell, *_ in listed)
 
         unit = scaled(1.0)  # orders 0 and 1 share the root 4 pi^2 in dims 1 and 3
@@ -958,7 +896,7 @@ class TestTEList:
         # 100x the first-root estimate: existence of infinitely many
         for radius, v0 in ((1.0, 0.3), (2.0, 0.6), (math.pi, 0.75)):
             lam1 = first_te(RadialProblem(H, 1, radius, v0))
-            tl = one_window(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
+            tl = te_list_up_to(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
             assert len(tl) > 3
 
     def test_first_te_is_the_first_listed_root(self):
@@ -969,14 +907,14 @@ class TestTEList:
         unit, _, r2 = ball.unit_ball([])
         assert abs(first_te(ball) - 4.0) <= 1e-14
         end = 32.0 * radial._root_free_below(1, [0])[0]
-        assert one_window(unit, end / 2.0, 0) == ()
-        assert first_te(ball) == one_window(unit, end, 0)[0][0] / r2
+        assert te_list_up_to(unit, end / 2.0, 0) == ()
+        assert first_te(ball) == te_list_up_to(unit, end, 0)[0][0] / r2
 
     def test_weighted_count(self):
         # the counting experiment's N(x) is the degeneracy sum of the list up to x
         base = RadialProblem(H, 3, math.pi, 0.75)
         xs = [20.0, 30.0]
-        lists = te_lists_up_to(base, xs, [2, 2])
+        lists = [te_list_up_to(base, x, 2) for x in xs]
         manual = [sum(d for lam, _, d, *_ in tl if lam <= x) for x, tl in zip(xs, lists)]
         result = experiments.counting_experiment(3, math.pi, 0.75, xs, ell_max=2)
         assert [row[1] for row in result["tables"][0]["rows"]] == manual
