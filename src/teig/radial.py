@@ -9,9 +9,9 @@ window shares the grid linspace(LAMBDA_FLOOR, mu, steps) and each
 determinant call; a bracket is solved (ITP, with odd-order roots handed to
 a batched fit) to the window's tolerance.  No order is scanned below a
 lower bound of its first Bessel zero, where D has no root
-(_root_free_below).  te_list_up_to is the one listing, of one window:
-first_tes and the radial and hypothesis commands read it, and it alone
-runs the scan.
+(_root_free_below), and one rule, _orders_below, picks the orders of a
+window.  te_list_up_to is the one listing, of one window: first_tes and
+the radial and hypothesis commands read it, and it alone runs the scan.
 A count needs less than a listing: te_counts_up_to reads each order's
 count of a Helmholtz ball off one determinant sample per (order, window
 end) and the Bessel-zero counts of its ladders, and scans nothing.  Both
@@ -303,25 +303,11 @@ def _root_free_below(n, ells):
     return np.maximum(nu, 2.0 * np.sqrt(nu + 1.0) * (nu + 2.0) ** 0.25) ** 2
 
 
-def _window_table(dim, mus, tops, rows):
-    """The windows mu, with top orders tops, as one table over the
-    orders 0 .. rows - 1: the sorted distinct ends, and hi (rows, ends),
-    the end where the order is in the window and the end lies above the
-    order's _root_free_below, NaN elsewhere."""
-    ends = sorted(set(map(float, mus)))
-    bound = _root_free_below(dim, np.arange(rows))
-    hi = np.full((rows, len(ends)), np.nan)
-    for mu, top in zip(mus, tops):
-        hi[: top + 1, ends.index(mu)] = np.where(mu > bound[: top + 1], mu, np.nan)
-    return ends, hi
-
-
-def _check_ends(kind, v0, ells, hi):
-    """_check_window at LAMBDA_FLOOR and at the window ends hi (one row per
-    order of ``ells``, NaN skipped) of every order, row by row."""
-    ell_ends, ends = np.broadcast_arrays(ells[:, None], np.insert(hi, 0, LAMBDA_FLOOR, axis=1))
-    known = ~np.isnan(ends)
-    _check_window(kind, v0, ell_ends[known], ends[known])
+def _check_ends(kind, v0, ells, mus):
+    """_check_window at LAMBDA_FLOOR and at the window end mus[i] of each
+    order ells[i] (flat arrays of one length), point by point."""
+    ends = np.stack((np.full(len(mus), LAMBDA_FLOOR), mus), axis=1)
+    _check_window(kind, v0, np.repeat(ells, 2), ends.ravel())
 
 
 def _scan_pass(det, ells, mu, tol, steps, floor):
@@ -369,7 +355,7 @@ def _scan_determinant(kind, dim, v0, ells, mu, steps):
     if alone.
     """
     ells = np.array(ells, dtype=float)
-    _check_ends(kind, v0, ells, np.full((ells.size, 1), mu))
+    _check_ends(kind, v0, ells, np.full(ells.size, mu))
 
     def det(ell, lam):
         return _det_grid(kind, dim, v0, ell, lam)
@@ -400,6 +386,15 @@ def top_order(n, ell_max):
     return ell_max if n > 1 else min(ell_max, 1)
 
 
+def _orders_below(n, ell_max, mu):
+    """The number k of orders a window up to the unit-ball lambda mu samples:
+    the orders 0 .. k - 1, up to top_order(n, ell_max), whose
+    _root_free_below (rising with ell) lies below mu.  None past
+    adaptive_ell_max of mu (or of the Bessel window's edge) is looked at."""
+    top = min(top_order(n, ell_max), adaptive_ell_max(n, min(mu, BESSEL_J_MAX_ARG**2)))
+    return int(np.count_nonzero(_root_free_below(n, np.arange(top + 1)) < mu))
+
+
 def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
     """The sorted tuple of (lambda, ell, degeneracy, left, right) entries:
     all transmission eigenvalues of the ball up to x for ell <=
@@ -410,16 +405,14 @@ def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
     The unit ball (RadialProblem.unit_ball) is scanned up to mu = x R^2 on
     the grid linspace(LAMBDA_FLOOR, mu, steps), brackets solved to 1e-10
     max(1, mu) (_scan_determinant), and a root mu is listed as mu / R^2.
-    Only the orders whose root-free zone (_root_free_below) ends below mu
-    are scanned; the bound rises with ell, so they are 0 .. k - 1.  steps
-    must be at least 2.
+    Only the orders 0 .. k - 1 of _orders_below are scanned, and the scan
+    budget counts those rows alone.  steps must be at least 2.
     """
     unit, (mu,), r2 = base.unit_ball([x])
-    top = top_order(base.dim, ell_max)
-    _check_scan_size(top + 1, steps)
+    rows = _orders_below(base.dim, ell_max, mu)
+    _check_scan_size(rows, steps)
     if steps < 2:
         raise ValidationError(f"scan needs steps >= 2, got {steps}")
-    rows = np.count_nonzero(_root_free_below(base.dim, np.arange(top + 1)) < mu)
     if not rows:  # the window ends in every order's root-free zone
         return ()
     table = _scan_determinant(unit.kind, unit.dim, unit.v0, range(rows), mu, steps)
@@ -431,12 +424,11 @@ def te_list_up_to(base, x, ell_max, steps=DEFAULT_SCAN_STEPS):
 
 def te_counts_up_to(base, xs, ell_maxes):
     """One int array per (x, ell_max): the number of transmission
-    eigenvalues up to x of each order ell <= top_order(dim, ell_max) of a
-    Helmholtz ball with 0 < v0 < 1, the count te_list_up_to's listing of
-    the window gives, from one determinant sample per (order, window end)
-    and no scan.  An array stops at adaptive_ell_max of the largest mu =
-    x R^2, as every order above it has no root up to there, so a count
-    allocates no more than a few hundred orders whatever ell_max asks.
+    eigenvalues up to x of a Helmholtz ball with 0 < v0 < 1 in each order
+    0 .. k - 1 the listing of the window scans (k = _orders_below of mu =
+    x R^2), from one determinant sample per (order, window end) and no
+    scan.  Every order past k has no root up to x, as its bound is at
+    least mu.
 
     With c = sqrt(1 - v0) < 1, t = sqrt(mu), phi(t) = t J_nu'(t) / J_nu(t)
     and g(t) = phi(t) - phi(c t), D's numerator is -J_nu(c t) J_nu(t) g(t)
@@ -448,12 +440,13 @@ def te_counts_up_to(base, xs, ell_maxes):
     falls in it and none otherwise, and an order holds N = Z(t) - Z(c t) -
     [g(t) > 0] roots in (0, mu], Z(t) the number of zeros of J_nu in (0,
     t) and [g > 0] = [(-1)^(Z(t) + Z(c t)) D < 0].  Z is read off the
-    ladders of the same determinant call (teig.specfun._read).
+    ladders of the one determinant call, whose points (order, mu) run
+    window after window, so a window's orders share their ladders.
 
     Where |D(mu)| < EXACT_HIT_TOL the sign of D says nothing: the
     listing's grid reads mu as a root (a hit), and at the coincidence
     roots on the default ball's window ends D stays below it within about
-    1e-6 of the root.  Such an order keeps the listing's rule: N at the
+    1e-6 of the root.  Such a point keeps the listing's rule: N at the
     grid point before mu in linspace(LAMBDA_FLOOR, mu, DEFAULT_SCAN_STEPS),
     plus 1 if _polish_roots leaves the hit at or below x.
 
@@ -464,38 +457,24 @@ def te_counts_up_to(base, xs, ell_maxes):
     unit, mus, r2 = base.unit_ball(xs)
     if unit.kind is not ProblemKind.HELMHOLTZ or not 0.0 < unit.v0 < 1.0:
         raise ValidationError(f"a count needs a Helmholtz ball with 0 < v0 < 1, got {base}")
-    tops = [top_order(base.dim, ell_max) for ell_max in ell_maxes]
-    # no order above the cutoff has a root, and an end past the Bessel
-    # window fails _check_ends at order 0
-    cutoff = adaptive_ell_max(base.dim, min(max(mus), BESSEL_J_MAX_ARG**2))
-    rows = min(max(tops), cutoff) + 1
-    ends, hi = _window_table(base.dim, mus, tops, rows)
-    count = np.zeros(hi.shape, dtype=int)  # per (order, window end)
-    row, col = np.nonzero(~np.isnan(hi))
-    tie_row, tie_col, tie_count, tie_root = np.zeros((4, 0), dtype=int)
-    if row.size:
-        ells = np.arange(rows, dtype=float)
-        _check_ends(unit.kind, unit.v0, ells, hi)
+    sizes = [_orders_below(base.dim, ell_max, mu) for ell_max, mu in zip(ell_maxes, mus)]
+    ells = np.concatenate([np.arange(k, dtype=float) for k in sizes])
+    ends, at = np.repeat(mus, sizes), np.repeat(xs, sizes)
+    count = np.zeros(ells.size, dtype=int)
+    if ells.size:
+        _check_ends(unit.kind, unit.v0, ells, ends)
 
         def det(ell, lam, zeros=False):
             return _det_grid(unit.kind, unit.dim, unit.v0, ell, lam, zeros)
 
-        count[row, col], d = _root_counts(det, ells[row], hi[row, col])
-        tie = np.abs(d) < EXACT_HIT_TOL
-        tie_row, tie_col = row[tie], col[tie]
-        end = hi[tie_row, tie_col]
-        before = np.linspace(LAMBDA_FLOOR, end, DEFAULT_SCAN_STEPS)[-2]
-        tie_count, _ = _root_counts(det, ells[tie_row], before)
-        tie_root = _polish_roots(det, ells[tie_row], end)
-    out = []
-    for x, mu, top in zip(xs, mus, tops):
-        j = ends.index(mu)
-        n = count[: top + 1, j].copy()
-        at = (tie_col == j) & (tie_row <= top)
-        # the listing's tie rule; counting a root at x in would read tie_count[at] + 1
-        n[tie_row[at]] = tie_count[at] + (tie_root[at] / r2 <= x)
-        out.append(n)
-    return out
+        count, d = _root_counts(det, ells, ends)
+        (tie,) = np.nonzero(np.abs(d) < EXACT_HIT_TOL)
+        if tie.size:
+            before = np.linspace(LAMBDA_FLOOR, ends[tie], DEFAULT_SCAN_STEPS)[-2]
+            tie_count, _ = _root_counts(det, ells[tie], before)
+            # the listing's tie rule; counting a root at x in would read tie_count + 1
+            count[tie] = tie_count + (_polish_roots(det, ells[tie], ends[tie]) / r2 <= at[tie])
+    return np.split(count, np.cumsum(sizes)[:-1])
 
 
 def _root_counts(det, ells, mus):

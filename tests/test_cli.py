@@ -519,11 +519,9 @@ class TestExperimentCommands:
         [
             ("radial", "--problem", "helmholtz", "--dim", "1", "--radius", "1", "--v0", "0.75",
              "--lmax", "0", "--lambda-max", "5", "--steps", "1000000000"),
-            ("radial", "--problem", "helmholtz", "--dim", "3", "--radius", "1", "--v0", "0.75",
-             "--lmax", "100000000", "--lambda-max", "5"),
             ("hypothesis", "--steps", "1000000000"),
         ],
-        ids=["radial-steps", "radial-lmax", "hypothesis-steps"],
+        ids=["radial-steps", "hypothesis-steps"],
     )
     def test_scan_past_memory_budget_exits_two(self, argv):
         # rejected before the grid is allocated, so this runs in milliseconds
@@ -531,6 +529,20 @@ class TestExperimentCommands:
         assert res.returncode == 2, res.stderr
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "ProblemTooLarge"
+
+    @pytest.mark.parametrize("lmax", ["100000", "100000000"])
+    def test_radial_lmax_past_the_orders_below_the_window_lists(self, lmax):
+        # the listing scans only the orders whose root-free zone ends below
+        # the window, so an --lmax past them lists what --lmax 40 lists
+        # (it exited 2 with ProblemTooLarge while the budget counted lmax + 1 rows)
+        argv = ("radial", "--problem", "helmholtz", "--dim", "3", "--radius", "1",
+                "--v0", "0.75", "--lambda-max", "400", "--lmax")
+        res, ref = run_cli(*argv, lmax), run_cli(*argv, "40")
+        assert res.returncode == 0 == ref.returncode, res.stderr
+        listed, expected = json.loads(res.stdout), json.loads(ref.stdout)
+        assert listed["ell_max"] == int(lmax)
+        assert listed["transmission_eigenvalues"] == expected["transmission_eigenvalues"]
+        assert len(listed["transmission_eigenvalues"]) == 29
 
     def test_count_lmax_past_the_scan_budget_counts(self):
         # the --lmax that the radial scan above rejects: a count samples one

@@ -7,7 +7,8 @@ so it stays an independent check of it; the experiment drivers import no
 private name of ``radial.py``, and the radial scan has one caller, the
 listing ``te_list_up_to``, so every listed radial root comes from that
 one listing, while the count route (``counting_experiment``) reaches
-neither the listing nor the scan; the radius reaches the oracle only
+neither the listing nor the scan, and both pick their orders by one rule,
+``_orders_below``; the radius reaches the oracle only
 through the one map to the unit ball, ``RadialProblem.unit_ball``, so
 the determinant, the scan and the first-TE search work in lambda R^2
 alone; every error type
@@ -182,6 +183,20 @@ def test_the_listing_alone_calls_the_scan():
         for owner, _ in callers(path, "_scan_determinant")
     ]
     assert found == [("radial.py", "te_list_up_to")]
+
+
+def test_one_rule_picks_the_orders_of_both_radial_routes():
+    # the listing and the count sample the orders _orders_below picks;
+    # counting_experiment reads the cutoffs only for its ell_max_used column
+    for name in ("top_order", "adaptive_ell_max"):
+        found = {
+            (path.name, owner)
+            for path in sorted(SRC.glob("*.py"))
+            for owner, _ in callers(path, name)
+        }
+        assert found == {("radial.py", "_orders_below"), ("experiments.py", "counting_experiment")}
+    for route in ("te_list_up_to", "counting_experiment"):
+        assert "_orders_below" in reachable(route)
 
 
 def called_names(top):

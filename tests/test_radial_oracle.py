@@ -371,6 +371,8 @@ class TestScanRoots:
         ball = RadialProblem(H, 1, math.pi, 0.75)
         for x in (radial.LAMBDA_FLOOR, 2.0 / math.pi**2):
             assert te_list_up_to(ball, x, 1, 10) == ()
+        # and a scan of no order needs no memory, at any steps
+        assert te_list_up_to(ball, 2.0 / math.pi**2, 10**8, 10**9) == ()
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValidationError, match="steps"):
@@ -619,10 +621,45 @@ class TestCountFormula:
             raise AssertionError("a determinant call for no sampled point")
 
         monkeypatch.setattr(radial, "_det_grid", refuse)
-        # lambda R^2 = 6e-7 at most: the arrays stop at adaptive_ell_max 2
+        # lambda R^2 = 6e-7 at most, below order 0's root-free bound: a
+        # window's array holds the orders it samples, none here
         ball = RadialProblem(H, 3, 1e-4, 0.75)
         counts = te_counts_up_to(ball, [50.0, 60.0], [4, 4])
-        assert [c.tolist() for c in counts] == [[0, 0, 0]] * 2
+        assert [c.tolist() for c in counts] == [[], []]
+
+    @staticmethod
+    def count_calls(monkeypatch, dim):
+        """The determinant calls of teig count --dim ``dim``, as (points,
+        ladders of its _ladders pass)."""
+        calls = []
+        det_grid, ladders = radial._det_grid, determinant._ladders
+
+        def counted_det(*args):
+            calls.append([np.size(args[4]), 0])
+            return det_grid(*args)
+
+        def counted_pass(nu0, x, *args):
+            calls[-1][1] += x.size
+            return ladders(nu0, x, *args)
+
+        monkeypatch.setattr(radial, "_det_grid", counted_det)
+        monkeypatch.setattr(determinant, "_ladders", counted_pass)
+        experiments.counting_experiment(dim, math.pi, 0.75, COUNT_XS)
+        return calls
+
+    def test_a_count_without_a_tie_makes_one_determinant_call(self, monkeypatch):
+        # no window end of the default dim-2 count is a root to within
+        # EXACT_HIT_TOL, so there is no tie to count again and no polish
+        # (the tie count was a second call over 0 points)
+        assert [points for points, _ in self.count_calls(monkeypatch, 2)] == [163]
+
+    def test_the_orders_of_a_window_share_their_ladders(self, monkeypatch):
+        # the sample call lists its points window after window, so the
+        # orders of one window end share a ladder per block of 16 orders
+        # and wave: 22 ladders (284, one per point and wave, order by order)
+        (points, ladders), *_ = self.count_calls(monkeypatch, 3)
+        assert points == 160
+        assert ladders <= 24
 
     def test_other_balls_are_rejected(self):
         with pytest.raises(ValidationError, match="Helmholtz ball with 0 < v0 < 1"):
