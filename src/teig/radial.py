@@ -96,26 +96,23 @@ DEFAULT_SCAN_STEPS = 400
 _CLOSE_ROOT_CELLS = 5
 _CLEAN_DET = 1e-11  # samples below this are inside the fp noise band
 _POLISH_STENCIL = tuple(j for j in range(-8, 9) if j != 0)
-_PRESCREEN = (-2, -1, 1, 2)  # the stencil's inner offsets, sampled first
 _POLISH_H = 2e-3  # the polish stencil's first spacing, relative to max(1, |lambda|)
 _STENCIL = np.array(_POLISH_STENCIL, dtype=float)
 _VANDERMONDE = np.vander(_STENCIL / 8.0, 5, increasing=True)  # in u = offset / 8h, for every fit
 
 
-def _multiplicity(samples, offsets):
-    """Root order per row of samples of D at ``offsets`` * h around a root.
+def _multiplicity(samples):
+    """Root order per row of samples of D on the stencil _POLISH_STENCIL * h
+    around a root.
 
     0 where a sample is non-finite or inside the noise band (< _CLEAN_DET);
-    otherwise the odd m >= 3 when D changes sign across the root and every
-    dyadic ratio D(2jh)/D(jh) (j = +-1, +-2, +-4, both offsets sampled) is
-    positive with log2 within 0.45 of m, the rounded mean log2; else 1.
-    On the four inner samples it is 1 wherever the full stencil's would
-    be: six log2 ratios within 0.45 of an odd m put the two inner ones
-    within 0.45 of m too.
+    otherwise the odd m >= 3 when D changes sign across the root and each
+    of the six dyadic ratios D(2jh)/D(jh) (j = +-1, +-2, +-4) is positive
+    with log2 within 0.45 of m, the rounded mean log2; else 1.
     """
     s = np.asarray(samples, dtype=float)
-    col = list(offsets).index
-    pairs = [(col(j), col(2 * j)) for j in (1, 2, 4, -1, -2, -4) if 2 * j in offsets]
+    col = _POLISH_STENCIL.index
+    pairs = [(col(j), col(2 * j)) for j in (1, 2, 4, -1, -2, -4)]
     clean = np.isfinite(s).all(axis=1) & (np.abs(s).min(axis=1) >= _CLEAN_DET)
     with np.errstate(divide="ignore", invalid="ignore"):  # unclean rows only
         ratios = np.stack([s[:, b] / s[:, a] for a, b in pairs], axis=1)
@@ -168,25 +165,21 @@ def _polish_roots(det, ells, lams):
     for the root (_fit_roots, all roots of a round at once).  Simple roots
     are detected and left untouched.
 
-    Each root gets up to two rounds.  A round samples D on a 16-point
-    stencil of spacing h, doubling h (at most 11 times) until the innermost
-    samples clear the noise band; h starts at 2e-3 max(1, |lambda|) and
-    shrinks by 0.35 after each fit.  The first round starts from the four
-    inner samples at +-h and +-2h alone, and a root they show simple
-    (_multiplicity 1) is left untouched without the other twelve.  The
-    samples of all pending roots share one determinant call per step, and
-    no roots make no call.
+    Each root gets up to two rounds.  Every step samples D on the 16-point
+    stencil _POLISH_STENCIL * h of each pending root, doubling h (at most
+    11 times) until the innermost samples clear the noise band; h starts
+    at 2e-3 max(1, |lambda|) and shrinks by 0.35 after each fit.  The
+    samples of all pending roots share one determinant call per step, so
+    roots the stencil reads simple (_multiplicity 1) cost one call, and no
+    roots make no call.
     """
     lam = np.array(lams, dtype=float)
-    if not lam.size:
-        return lam
     h = _POLISH_H * np.maximum(1.0, np.abs(lam))
     rounds, grows = np.zeros((2, lam.size), dtype=int)
-    samples = _stencil_samples(det, ells, lam, h, np.arange(lam.size), _PRESCREEN)
-    todo = np.flatnonzero(_multiplicity(samples, _PRESCREEN) != 1)
+    todo = np.arange(lam.size)
     while todo.size:
-        samples = _stencil_samples(det, ells, lam, h, todo, _POLISH_STENCIL)
-        m = _multiplicity(samples, _POLISH_STENCIL)
+        samples = _stencil_samples(det, ells, lam, h, todo)
+        m = _multiplicity(samples)
         # widen a noisy stencil until its innermost samples clear the noise band
         noisy = (m == 0) & np.isfinite(samples).all(axis=1)
         h[todo[noisy]] *= 2.0
@@ -205,11 +198,11 @@ def _polish_roots(det, ells, lams):
     return lam
 
 
-def _stencil_samples(det, ells, lam, h, todo, offsets):
-    """D at lam[i] + offsets * h[i] for the roots i in ``todo``, one row
-    each, all in one determinant call."""
-    points = lam[todo, None] + np.array(offsets, dtype=float) * h[todo, None]
-    return det(np.repeat(ells[todo], len(offsets)), points.ravel()).reshape(points.shape)
+def _stencil_samples(det, ells, lam, h, todo):
+    """D at lam[i] + _POLISH_STENCIL * h[i] for the roots i in ``todo``, one
+    row each, all in one determinant call."""
+    points = lam[todo, None] + _STENCIL * h[todo, None]
+    return det(np.repeat(ells[todo], _STENCIL.size), points.ravel()).reshape(points.shape)
 
 
 def _bisect_brackets(det, ells, a, b, fa, fb, tol):
@@ -224,16 +217,17 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
     D(b_i) are nonzero, of opposite signs.  Probes lie strictly inside, and
     a bracket ends in ceil(log2((b - a) / tol)) + 1 steps.  A non-finite
     probe falls back to the midpoint nudged by 1e-6 of a quarter bracket,
-    and if still non-finite ends the bracket at its midpoint; an exact zero
-    is the root.  Interpolation crawls at odd-order coincidence roots: a
-    bracket whose last two steps shrank it no more than two halvings has
-    the polish stencil sampled at its midpoint in its next call, and stops
-    there for _polish_roots if that reads odd order >= 3 with a fit root.
+    and if still non-finite ends the bracket at its midpoint.  A bracket
+    ends at a point p by closing to a = b = p, whose midpoint is p: at an
+    exact zero, p is the probe.  Interpolation crawls at odd-order
+    coincidence roots: a bracket whose last two steps shrank it no more
+    than two halvings has the polish stencil sampled at its midpoint in
+    its next call, and closes at that midpoint for _polish_roots if the
+    stencil reads odd order >= 3 with a fit root.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     tol = np.broadcast_to(tol, a.shape)
     kappa, left = 0.2 / (b - a), np.ceil(np.log2((b - a) / tol)) + 1.0  # left: n_max - j
-    handed = np.full(a.shape, np.nan)  # the midpoint a bracket stopped at
     widths = np.full((2,) + a.shape, np.inf)  # two steps ago, one step ago
     live = np.flatnonzero(b - a > tol)
     while live.size:
@@ -261,14 +255,14 @@ def _bisect_brackets(det, ells, a, b, fa, fb, tol):
         a[live], fa[live] = np.where(to_a, x, lo), np.where(to_a, fx, f_lo)
         a[live[zero]] = b[live[zero]] = x[zero]
         if c.size:
-            m = _multiplicity(samples, _POLISH_STENCIL)
+            m = _multiplicity(samples)
             (odd,) = np.nonzero(m > 1)
             stop = c[odd[~np.isnan(_fit_roots(samples[odd], h[odd], m[odd]))]]
-            handed[live[stop]], go[stop] = mid[stop], False
+            a[live[stop]] = b[live[stop]] = mid[stop]
         left[live] -= 1.0
         widths[:, live] = widths[1, live], w
         live = live[go & (b[live] - a[live] > tol[live]) & (left[live] > 0.0)]
-    return np.where(np.isnan(handed), 0.5 * (a + b), handed)
+    return 0.5 * (a + b)
 
 
 def _check_scan_size(rows, steps):
@@ -301,13 +295,6 @@ def _root_free_below(n, ells):
     """
     nu = np.asarray(ells, dtype=float) + 0.5 * (n - 2)
     return np.maximum(nu, 2.0 * np.sqrt(nu + 1.0) * (nu + 2.0) ** 0.25) ** 2
-
-
-def _check_ends(kind, v0, ells, mus):
-    """_check_window at LAMBDA_FLOOR and at the window end mus[i] of each
-    order ells[i] (flat arrays of one length), point by point."""
-    ends = np.stack((np.full(len(mus), LAMBDA_FLOOR), mus), axis=1)
-    _check_window(kind, v0, np.repeat(ells, 2), ends.ravel())
 
 
 def _scan_pass(det, ells, mu, tol, steps, floor):
@@ -355,7 +342,7 @@ def _scan_determinant(kind, dim, v0, ells, mu, steps):
     if alone.
     """
     ells = np.array(ells, dtype=float)
-    _check_ends(kind, v0, ells, np.full(ells.size, mu))
+    _check_window(kind, v0, np.repeat(ells, 2), np.tile((LAMBDA_FLOOR, mu), ells.size))
 
     def det(ell, lam):
         return _det_grid(kind, dim, v0, ell, lam)
@@ -462,7 +449,7 @@ def te_counts_up_to(base, xs, ell_maxes):
     ends, at = np.repeat(mus, sizes), np.repeat(xs, sizes)
     count = np.zeros(ells.size, dtype=int)
     if ells.size:
-        _check_ends(unit.kind, unit.v0, ells, ends)
+        _check_window(unit.kind, unit.v0, ells, ends)
 
         def det(ell, lam, zeros=False):
             return _det_grid(unit.kind, unit.dim, unit.v0, ell, lam, zeros)

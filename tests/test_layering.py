@@ -230,7 +230,11 @@ def reachable(start):
 def test_the_count_route_reaches_no_listing():
     route = reachable("counting_experiment")
     assert {"te_counts_up_to", "_root_counts", "_det_grid", "_polish_roots"} <= route
-    assert route.isdisjoint({"te_list_up_to", "_scan_determinant", "_bisect_brackets"})
+    # the tie rule: the count's window-end ties are polished on the stencil
+    assert {"_multiplicity", "_fit_roots"} <= route
+    assert route.isdisjoint(
+        {"te_list_up_to", "_scan_determinant", "_scan_pass", "_bisect_brackets"}
+    )
     # and the listing reaches the scan, so the guard follows real calls
     assert "_scan_determinant" in reachable("first_te")
 

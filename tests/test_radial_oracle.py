@@ -514,7 +514,8 @@ class TestSharedWindows:
         # the listing made 16 determinant calls over 34,226 points; the count
         # samples each (order, window end) once, and a window end that is a
         # root of orders 0 and 1 (x = 100, 400) costs its row's previous grid
-        # point and the polish of that root
+        # point and the polish of that root: one call of the four ties'
+        # stencils, then one of the two odd-order ones
         def refuse(*args):
             raise AssertionError("a count scanned or solved a bracket")
 
@@ -530,7 +531,7 @@ class TestSharedWindows:
         monkeypatch.setattr(radial, "_det_grid", counted)
         result = experiments.counting_experiment(3, math.pi, 0.75, COUNT_XS)
         assert [row[1] for row in result["tables"][0]["rows"]] == [481, 1437, 4472, 13371]
-        assert len(calls) <= 5
+        assert len(calls) <= 4
         assert sum(calls) < 342
 
 
@@ -719,29 +720,44 @@ class TestRootFreeZone:
         assert lams.size
 
 
-class TestPolishPrescreen:
-    """The four inner stencil samples decide simple roots alone; the
-    decision must be the full 16-point stencil's at the same h."""
+def listed_unit_roots(dim):
+    """The unit-ball roots (lambda R^2) and orders of the listing of the
+    count's largest window on the dim-``dim`` ball, in ascending order."""
+    base = RadialProblem(H, dim, math.pi, 0.75)
+    r2 = math.pi * math.pi
+    listed = te_list_up_to(base, 400.0, radial.adaptive_ell_max(dim, 400.0 * r2))
+    roots = sorted((lam, ell) for lam, ell, *_ in listed)
+    return np.array([r for r, _ in roots]) * r2, np.array([ell for _, ell in roots], dtype=float)
+
+
+class TestPolishStencil:
+    """Every root is polished on the one 16-point stencil from its first
+    round: the stencil alone decides which roots are simple."""
 
     @pytest.mark.parametrize("dim, not_simple", [(1, 10), (2, 0), (3, 10)])
-    def test_matches_the_full_stencil_on_every_root(self, dim, not_simple):
+    def test_non_simple_roots_of_each_listing(self, dim, not_simple):
         # the polish runs on the unit ball: each root at lambda R^2
-        base = RadialProblem(H, dim, math.pi, 0.75)
-        r2 = math.pi * math.pi
-        listed = te_list_up_to(base, 400.0, radial.adaptive_ell_max(dim, 400.0 * r2))
-        roots = sorted((lam, ell) for lam, ell, *_ in listed)
-        mu = np.array([r for r, _ in roots]) * r2
-        ells = np.array([ell for _, ell in roots], dtype=float)
+        mu, ells = listed_unit_roots(dim)
         h = 2e-3 * np.maximum(1.0, np.abs(mu))
         stencil = np.array(radial._POLISH_STENCIL, dtype=float)
         points = (mu[:, None] + stencil * h[:, None]).ravel()
         samples = _det_grid(H, dim, 0.75, np.repeat(ells, stencil.size), points)
         samples = samples.reshape(mu.size, stencil.size)
-        full = radial._multiplicity(samples, radial._POLISH_STENCIL) == 1
-        inner = [radial._POLISH_STENCIL.index(j) for j in radial._PRESCREEN]
-        prescreen = radial._multiplicity(samples[:, inner], radial._PRESCREEN) == 1
-        assert prescreen.tolist() == full.tolist()
-        assert full.tolist().count(False) == not_simple
+        assert (radial._multiplicity(samples) != 1).sum() == not_simple
+
+    def test_simple_roots_cost_one_call_and_stay(self):
+        # the dim-2 listing's roots are all simple: one call samples their
+        # 16-point stencils, and no root moves
+        mu, ells = listed_unit_roots(2)
+        sizes = []
+
+        def det(ell, lam):
+            sizes.append(lam.size)
+            return _det_grid(H, 2, 0.75, ell, lam)
+
+        polished = radial._polish_roots(det, ells, mu)
+        assert sizes == [16 * mu.size]
+        assert polished.tolist() == mu.tolist()
 
     def test_no_roots_make_no_determinant_call(self, monkeypatch):
         def det(ells, lam):
@@ -762,18 +778,18 @@ class TestPolishPrescreen:
         assert min(sizes) > 0
 
     def test_unclean_or_non_finite_rows_are_not_simple(self):
-        rows = np.array([[1.0, 0.5, -0.5, -1.0], [1.0, 1e-12, -0.5, -1.0], [1.0, np.nan, 2.0, 3.0]])
-        assert radial._multiplicity(rows, radial._PRESCREEN).tolist() == [1, 0, 0]
+        t = 0.1 * np.array(radial._POLISH_STENCIL, dtype=float)
+        noisy, holed = t.copy(), t.copy()
+        noisy[0], holed[9] = 1e-12, np.nan
+        rows = np.array([t, noisy, holed])
+        assert radial._multiplicity(rows).tolist() == [1, 0, 0]
 
     def test_odd_order_from_dyadic_ratios(self):
         # sign(t)|t|^p sampled around its root: odd p >= 3 is the order, an
-        # even p or no sign change is simple, on the stencil and the prescreen
+        # even p or no sign change is simple
         t = 0.1 * np.array(radial._POLISH_STENCIL, dtype=float)
         rows = np.array([t, t**3, t**5, np.sign(t) * t**4, t**2, -(t**3)])
-        inner = [radial._POLISH_STENCIL.index(j) for j in radial._PRESCREEN]
-        want = [1, 3, 5, 1, 1, 3]
-        assert radial._multiplicity(rows, radial._POLISH_STENCIL).tolist() == want
-        assert radial._multiplicity(rows[:, inner], radial._PRESCREEN).tolist() == want
+        assert radial._multiplicity(rows).tolist() == [1, 3, 5, 1, 1, 3]
 
 
 def fit_reference(row, h, m):
