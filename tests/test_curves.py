@@ -1,15 +1,16 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from teig import cli, curves
+from teig import cli, curves, model
 from teig.assembly import FormMatrices, assemble_A, quadratic_coefficients
 from teig.curves import refine, report, run_pipeline, sweep
 from teig.eigensolve import eigvalsh, reduce
-from teig.errors import InertiaMismatch, NoConvergence
+from teig.errors import InertiaMismatch, NoConvergence, ProblemTooLarge
 from teig.model import (
     Constant,
     DiscretizationConfig,
@@ -80,9 +81,9 @@ class TestSweep:
         assert values[0].min() > 0
 
 
-def chain_problem():
+def chain_spec():
     """The six-interval shrinking chain of the truncation study (dim 186)."""
-    spec = ProblemSpec(
+    return ProblemSpec(
         kind=ProblemKind.SCHRODINGER,
         domain=ShrinkingChain(6, 0.0, 1.0, math.pi, 0.5),
         potential=PowerDecay(60.0, 4.0),
@@ -90,7 +91,10 @@ def chain_problem():
         discretization=DiscretizationConfig(32, 8, 16),
         sweep=SweepConfig(0.5, 50.0, 250, 1e-8, 1e-6),
     )
-    return validate_problem(spec)
+
+
+def chain_problem():
+    return validate_problem(chain_spec())
 
 
 def block_diagonal(blocks):
@@ -269,8 +273,8 @@ def equal_intervals_problem():
 
 
 def helmholtz_chain_problem():
-    """The chain with a constant Helmholtz contrast; at k = 1 some chunks
-    need the block-by-block fallback of the skip certificate."""
+    """The chain with a constant Helmholtz contrast; at k = 1 the skip
+    certificate fails in some chunks."""
     spec = ProblemSpec(
         kind=ProblemKind.HELMHOLTZ,
         domain=ShrinkingChain(6, 0.0, 1.0, math.pi, 0.5),
@@ -302,20 +306,20 @@ class TestBlockSkipping:
             want = every_block_rows(prob.kind, m, lambdas, k)
             assert np.array_equal(curves._curves(prob.kind, m, lambdas, k), want), k
 
-    def test_failed_group_certificate_falls_back_block_by_block(self, monkeypatch):
+    def test_failed_group_certificate_solves_every_other_block(self, monkeypatch):
         prob = chain_problem()
         m = curves.prepare_matrices(prob)
         lambdas = np.linspace(0.5, 50.0, 40)
-        above_, calls = curves.above, []
+        calls = []
 
-        def only_single_blocks(c, mu, labels):
+        def refuse(c, mu, labels):
             calls.append(c.shape[1])
-            return c.shape[1] == 1 and above_(c, mu, labels)
+            return False
 
-        monkeypatch.setattr(curves, "above", only_single_blocks)
+        monkeypatch.setattr(curves, "above", refuse)
         values = curves._curves(prob.kind, m, lambdas, 16)
         assert np.array_equal(values, every_block_rows(prob.kind, m, lambdas, 16))
-        assert calls == [3, 1, 1, 1] * 7
+        assert calls == [3] * 7
 
     def test_chain_solves_only_the_three_longest_intervals(self, monkeypatch):
         # the chain's 16th curve stays below 228 on the grid, while the
@@ -349,6 +353,33 @@ class TestBlockSkipping:
         assert solved[1:] == [[0, 1, 2]] * (chunks - 1)
         assert certified == [True] * (chunks - 1)
         assert values.max() < 228.0
+
+
+class TestMemoryBudget:
+    """model._check_storage rejects a problem before anything is allocated;
+    its estimate must cover what the form matrices and the sweep take."""
+
+    @pytest.mark.parametrize("certify", [True, False], ids=["certified", "solve-the-rest"])
+    def test_sweep_peak_lies_inside_the_estimate(self, monkeypatch, certify):
+        # the criterion-11 chain traced about 1.08 MB against an estimate
+        # of 1.21 MB; a certificate refused after it has run sends every
+        # chunk down the solve-the-rest path too
+        above_ = curves.above
+
+        def certify_or_refuse(c, mu, labels):
+            return above_(c, mu, labels) and certify
+
+        monkeypatch.setattr(curves, "above", certify_or_refuse)
+        prob = chain_problem()
+        tracemalloc.start()
+        try:
+            sweep(prob, curves.prepare_matrices(prob))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(model, "MEMORY_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ProblemTooLarge):
+            validate_problem(chain_spec())
 
 
 def sweep_sign_changes(v):
