@@ -13,7 +13,7 @@ import numpy as np
 
 from .eigensolve import eigvalsh
 from .errors import OrderOutOfRange, ValidationError
-from .model import ProblemKind, potential_value, weight_value
+from .model import MAX_QUAD_POINTS, ProblemKind, potential_value, weight_value
 
 SPLINE_DEGREE = 3
 
@@ -28,8 +28,8 @@ def gauss_legendre(q):
     bits, without importing numpy.polynomial.  The nodes are the eigenvalues
     of the Jacobi matrix (Golub-Welsch) after one Newton step, the weights
     1 / (P_q' P_{q-1}) at them, normalized to sum to 2."""
-    if q < 1 or q > 64:
-        raise OrderOutOfRange(f"quadrature order must lie in [1, 64], got {q}")
+    if q < 1 or q > MAX_QUAD_POINTS:
+        raise OrderOutOfRange(f"quadrature order must lie in [1, {MAX_QUAD_POINTS}], got {q}")
     scl = 1.0 / np.sqrt(2 * np.arange(q) + 1)
     off = np.arange(1, q) * scl[:-1] * scl[1:]  # as legcompanion builds it
     x = eigvalsh((np.diag(off, 1) + np.diag(off, -1))[None], ["gauss_legendre"])[0]

@@ -41,7 +41,7 @@ from .serialize import config_hash
 
 def prepare_matrices(problem):
     """The per-interval form matrices of a validated problem."""
-    basis = ClampedBasis(problem.intervals, problem.discretization.cells_per_interval)
+    basis = ClampedBasis(problem.domain.intervals, problem.discretization.cells_per_interval)
     quad = gauss_legendre(problem.discretization.quad_points)
     return assemble(basis, problem.potential, problem.weight, quad)
 
@@ -139,8 +139,8 @@ def _mirrored(problem):
     interval's centre: a constant potential, or the power decay on an
     interval centred at 0.  The weight enters Mw alone, never A(lambda)."""
     if isinstance(problem.potential, Constant):
-        return [True] * len(problem.intervals)
-    return [a == -b for a, b in problem.intervals]
+        return [True] * len(problem.domain.intervals)
+    return [a == -b for a, b in problem.domain.intervals]
 
 
 def _mirror_halves(A):

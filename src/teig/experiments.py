@@ -29,7 +29,6 @@ from .model import (
 from .radial import (
     RadialProblem,
     adaptive_ell_max,
-    first_te,
     first_tes,
     harmonic_multiplicity,
     te_counts_up_to,
@@ -218,7 +217,7 @@ def packing_prediction(length, v0, x):
     free because first TEs scale like radius^-2.
     """
     r_base = 0.25 * length
-    lam1 = first_te(RadialProblem(ProblemKind.HELMHOLTZ, 1, r_base, v0))
+    (lam1,) = first_tes([RadialProblem(ProblemKind.HELMHOLTZ, 1, r_base, v0)])
     eps = math.sqrt(lam1 / x)
     width = 2.0 * eps * r_base
     return int(math.floor(length / width + 1e-9)), lam1, eps

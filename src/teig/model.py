@@ -1,14 +1,14 @@
 """Problem definition: scattering kind, domains, potentials, weights, and
 the discretization/sweep configuration, plus validation and JSON ingestion.
 
-All types are immutable values; validation either returns a normalized
-problem (chains materialized, intervals sorted) or raises a typed
-ValidationError whose ``code`` names the violated rule.
+All types are immutable values; validation either returns the problem in
+normal form (chains materialized, intervals sorted, weight resolved) or
+raises a typed ValidationError whose ``code`` names the violated rule.
 """
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 
 from .errors import (
@@ -31,6 +31,8 @@ SWEEP_CHUNK_BYTES = 1 << 18
 # Smallest refine_tol, in float spacings at the sweep window's larger |end|;
 # bisection cannot resolve a finer one.
 REFINE_TOL_ULPS = 4
+# Highest Gauss-Legendre order assembly.gauss_legendre builds.
+MAX_QUAD_POINTS = 64
 
 
 class ProblemKind(Enum):
@@ -157,6 +159,10 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A problem as built or parsed.  validate_problem returns it in normal
+    form: the domain an IntervalUnion of explicit, sorted intervals and the
+    weight an Agmon or Unweighted object, its string spelling resolved."""
+
     kind: ProblemKind
     domain: object
     potential: object
@@ -165,31 +171,16 @@ class ProblemSpec:
     sweep: SweepConfig = field(default_factory=lambda: SweepConfig(0.5, 10.0, 400))
 
 
-@dataclass(frozen=True)
-class ValidatedProblem:
-    """Normalized problem ready for assembly: explicit sorted intervals,
-    resolved weight, verified configuration."""
-
-    kind: ProblemKind
-    intervals: tuple
-    potential: object
-    weight: object
-    discretization: DiscretizationConfig
-    sweep: SweepConfig
-
-
 def validate_problem(spec):
-    """Check every declared invariant and return the normalized problem."""
-    if isinstance(spec.domain, ShrinkingChain):
-        _check_storage(spec.domain.count, spec.discretization, spec.sweep)
-        intervals = materialize_domain(spec.domain)
-        unbounded_model = True
-    elif isinstance(spec.domain, IntervalUnion):
-        _check_storage(len(spec.domain.intervals), spec.discretization, spec.sweep)
-        intervals = sorted(spec.domain.intervals)
-        unbounded_model = False
-    else:
-        raise ValidationError(f"unknown domain type {type(spec.domain).__name__}")
+    """Check every declared invariant and return the problem in normal form;
+    a problem in normal form comes back equal."""
+    domain = spec.domain
+    if not isinstance(domain, (ShrinkingChain, IntervalUnion)):
+        raise ValidationError(f"unknown domain type {type(domain).__name__}")
+    unbounded_model = isinstance(domain, ShrinkingChain)
+    blocks = domain.count if unbounded_model else len(domain.intervals)
+    _check_storage(blocks, spec.discretization, spec.sweep)
+    intervals = materialize_domain(domain) if unbounded_model else sorted(domain.intervals)
 
     if not intervals:
         raise ValidationError("domain has no intervals")
@@ -231,6 +222,8 @@ def validate_problem(spec):
         raise ValidationError(f"cells_per_interval must be >= 4, got {disc.cells_per_interval}")
     if disc.quad_points < 8:
         raise ValidationError(f"quad_points must be >= 8, got {disc.quad_points}")
+    if disc.quad_points > MAX_QUAD_POINTS:
+        raise ValidationError(f"quad_points must be <= {MAX_QUAD_POINTS}, got {disc.quad_points}")
     dim_total = (disc.cells_per_interval - 1) * len(intervals)
     if not 1 <= disc.num_curves <= dim_total:
         raise ValidationError(
@@ -259,14 +252,7 @@ def validate_problem(spec):
     if not sw.cluster_tol > 0:
         raise ValidationError("cluster_tol must be > 0")
 
-    return ValidatedProblem(
-        kind=spec.kind,
-        intervals=tuple(intervals),
-        potential=pot,
-        weight=weight,
-        discretization=disc,
-        sweep=sw,
-    )
+    return replace(spec, domain=IntervalUnion(intervals), weight=weight)
 
 
 def _check_storage(blocks, disc, sw):
@@ -446,7 +432,7 @@ def canonical_config(problem):
     (used for hashing and for echoing inputs into reports)."""
     return {
         "problem": problem.kind.value,
-        "domain": _tagged(IntervalUnion(problem.intervals)),
+        "domain": _tagged(problem.domain),
         "potential": _tagged(problem.potential),
         "weight": _tagged(problem.weight),
         "discretization": asdict(problem.discretization),

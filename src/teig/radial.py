@@ -505,9 +505,3 @@ def first_tes(balls):
             )
         tes.append(found[unit] / r2)
     return tes
-
-
-def first_te(ball):
-    """first_tes of the one RadialProblem ``ball``."""
-    (te,) = first_tes([ball])
-    return te

@@ -438,7 +438,7 @@ class TestExperimentCommands:
         assert payload["margins"]["tolerance"] == 1e-8
 
     def test_scaling_of_a_large_ball_passes(self, tmp_path):
-        # first_te's window used to start at max(4/R^2, 2 v0, 1), already past
+        # the first-TE search's window used to start at max(4/R^2, 2 v0, 1), already past
         # the Bessel window sqrt(lambda) R <= 200 for every R above about 163
         out_path = tmp_path / "scaling.json"
         res = run_cli(

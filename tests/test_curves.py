@@ -610,7 +610,9 @@ class TestMirrorSplit:
     def test_reports_the_same_tes_as_the_full_companion(self, mirrored, monkeypatch):
         prob, m = mirrored
         split = run_pipeline(prob, m)
-        monkeypatch.setattr(curves, "_mirrored", lambda problem: [False] * len(problem.intervals))
+        monkeypatch.setattr(
+            curves, "_mirrored", lambda problem: [False] * len(problem.domain.intervals)
+        )
         full = run_pipeline(prob, m)
         got, want = split["transmission_eigenvalues"], full["transmission_eigenvalues"]
         assert got

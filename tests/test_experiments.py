@@ -76,7 +76,7 @@ class TestScaling:
         ex.scaling_check(1, math.pi, 0.75, [0.5, 0.25])
         together = len(det_calls)
         det_calls.clear()
-        radial.first_te(radial.RadialProblem(ProblemKind.HELMHOLTZ, 1, math.pi, 0.75))
+        radial.first_tes([radial.RadialProblem(ProblemKind.HELMHOLTZ, 1, math.pi, 0.75)])
         assert together == len(det_calls) == 13
 
 

@@ -236,7 +236,7 @@ def test_the_count_route_reaches_no_listing():
         {"te_list_up_to", "_scan_determinant", "_scan_pass", "_bisect_brackets"}
     )
     # and the listing reaches the scan, so the guard follows real calls
-    assert "_scan_determinant" in reachable("first_te")
+    assert "_scan_determinant" in reachable("first_tes")
 
 
 def test_the_call_guard_sees_names_and_attributes(tmp_path):

@@ -24,6 +24,7 @@ from teig.model import (
     ShrinkingChain,
     SweepConfig,
     Unweighted,
+    canonical_config,
     materialize_domain,
     parse_problem,
     potential_value,
@@ -97,7 +98,7 @@ class TestWeights:
 class TestValidation:
     def test_accepts_basic(self):
         prob = validate_problem(make_spec())
-        assert prob.intervals == ((-math.pi, math.pi),)
+        assert prob.domain.intervals == ((-math.pi, math.pi),)
 
     def test_alpha_too_small_on_chain(self):
         spec = make_spec(
@@ -118,7 +119,7 @@ class TestValidation:
 
     def test_touching_intervals_allowed(self):
         spec = make_spec(domain=IntervalUnion([(0.0, 1.0), (1.0, 2.0)]))
-        assert len(validate_problem(spec).intervals) == 2
+        assert len(validate_problem(spec).domain.intervals) == 2
 
     def test_nonpositive_potential(self):
         with pytest.raises(NonPositivePotential):
@@ -140,7 +141,7 @@ class TestValidation:
     def test_sorted_normalization(self):
         spec = make_spec(domain=IntervalUnion([(2.0, 3.0), (0.0, 1.0)]))
         prob = validate_problem(spec)
-        assert prob.intervals == ((0.0, 1.0), (2.0, 3.0))
+        assert prob.domain.intervals == ((0.0, 1.0), (2.0, 3.0))
 
     @pytest.mark.parametrize(
         "kw",
@@ -197,10 +198,11 @@ class TestValidation:
         [
             ("cells_per_interval", 3, "cells_per_interval must be >= 4, got 3"),
             ("quad_points", 7, "quad_points must be >= 8, got 7"),
+            ("quad_points", 65, "quad_points must be <= 64, got 65"),
         ],
     )
     def test_discretization_floors(self, key, value, message, tmp_path, capsys):
-        # validation is the one owner of both floors: the basis and the
+        # validation is the one owner of these bounds: the basis and the
         # quadrature rule are only built for a validated problem
         disc = {"cells_per_interval": 8, "quad_points": 8, "num_curves": 2, key: value}
         with pytest.raises(ValidationError, match=message):
@@ -219,11 +221,79 @@ class TestValidation:
         assert json.loads(line) == {"error": "ValidationError", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kw, error, message",
+        [
+            (dict(domain=ShrinkingChain(0, 0.0, 1.0, 1.0, 0.5)), ValidationError,
+             "chain count must be >= 1, got 0"),
+            (dict(domain=ShrinkingChain(2, 0.0, 0.0, 1.0, 0.5)), ValidationError,
+             "chain gap must be > 0, got 0.0"),
+            (dict(domain=ShrinkingChain(2, 0.0, 1.0, -1.0, 0.5)), ValidationError,
+             "chain first_length must be > 0, got -1.0"),
+            (dict(domain=ShrinkingChain(2, 0.0, 1.0, 1.0, 1.0)), ValidationError,
+             "chain decay_ratio must lie in (0,1), got 1.0"),
+            (dict(domain=ShrinkingChain(2, 0.0, 1.0, 1.0, 0.0)), ValidationError,
+             "chain decay_ratio must lie in (0,1), got 0.0"),
+            (dict(domain=IntervalUnion([])), ValidationError, "domain has no intervals"),
+            (dict(domain=IntervalUnion([(1.0, 1.0)])), OverlappingIntervals,
+             "interval (1.0, 1.0) is empty or reversed"),
+            (dict(domain=IntervalUnion([(0.0, 1.0), (3.0, 2.0)])), OverlappingIntervals,
+             "interval (3.0, 2.0) is empty or reversed"),
+            (dict(potential=PowerDecay(0.0, 4.0)), NonPositivePotential,
+             "power-decay coefficient must be > 0, got 0.0"),
+            (dict(weight=Agmon(0.0)), ValidationError,
+             "Agmon weight exponent must be > 0, got 0.0"),
+            (dict(weight="gaussian"), ValidationError,
+             "unknown weight 'gaussian' (expected 'agmon' or 'unweighted')"),
+            (dict(weight=Constant(1.0)), ValidationError, "unknown weight type Constant"),
+            (dict(potential=Agmon(4.0)), ValidationError, "unknown potential type Agmon"),
+            (dict(sweep=SweepConfig(5.0, 5.0, 10)), ValidationError,
+             "sweep requires lambda_max > lambda_min"),
+            (dict(sweep=SweepConfig(0.5, 5.0, 10, refine_tol=0.0)), ValidationError,
+             "refine_tol must be > 0"),
+            (dict(sweep=SweepConfig(0.5, 5.0, 10, cluster_tol=0.0)), ValidationError,
+             "cluster_tol must be > 0"),
+        ],
+        ids=["chain-count", "chain-gap", "chain-first-length", "chain-ratio-1",
+             "chain-ratio-0", "no-intervals", "empty-interval", "reversed-interval",
+             "power-decay-c", "agmon-alpha", "weight-string", "weight-object",
+             "potential-object", "lambda-window", "refine-tol", "cluster-tol"],
+    )
+    def test_invariant_rejected(self, kw, error, message):
+        with pytest.raises(error) as raised:
+            validate_problem(make_spec(**kw))
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
     def test_potential_positive_everywhere(self):
         prob = validate_problem(make_spec(potential=PowerDecay(2.0, 5.0)))
-        for a, b in prob.intervals:
+        for a, b in prob.domain.intervals:
             for t in (a, 0.5 * (a + b), b):
                 assert potential_value(prob.potential, t) > 0
+
+
+class TestNormalForm:
+    """validate_problem returns the ProblemSpec it normalized: explicit,
+    sorted intervals and a weight object."""
+
+    @pytest.mark.parametrize(
+        "domain",
+        [IntervalUnion([(2.0, 3.0), (-1.0, 1.0)]), ShrinkingChain(3, 0.0, 1.0, 1.0, 0.5)],
+        ids=["union", "chain"],
+    )
+    @pytest.mark.parametrize(
+        "weight", ["agmon", Agmon(2.5), "unweighted", Unweighted()],
+        ids=["agmon-string", "agmon-object", "unweighted-string", "unweighted-object"],
+    )
+    def test_validation_is_idempotent(self, domain, weight):
+        p = validate_problem(make_spec(domain=domain, potential=PowerDecay(1.0, 4.0),
+                                       weight=weight))
+        assert type(p) is ProblemSpec
+        assert type(p.domain) is IntervalUnion
+        assert list(p.domain.intervals) == sorted(p.domain.intervals)
+        assert isinstance(p.weight, (Agmon, Unweighted))
+        assert validate_problem(p) == p
+        assert validate_problem(parse_problem(canonical_config(p))) == p
 
 
 class TestParseProblem:
@@ -262,7 +332,7 @@ class TestParseProblem:
             "decay_ratio": 0.5,
         }
         prob = validate_problem(parse_problem(cfg))
-        assert prob.intervals == ((0.0, 1.0), (2.0, 2.5))
+        assert prob.domain.intervals == ((0.0, 1.0), (2.0, 2.5))
 
     @pytest.mark.parametrize(
         "mutate",
@@ -348,6 +418,17 @@ class TestParseProblem:
         prob = validate_problem(parse_problem(json.loads(example)))
         assert prob.kind is ProblemKind.HELMHOLTZ
         assert prob.discretization == DiscretizationConfig(64, 8, 12)
+
+    def test_readme_library_example_runs(self):
+        # the documented library call of validate_problem
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library", 1)[1]
+        code = section.split("```python", 1)[1].split("```", 1)[0]
+        namespace = {"print": lambda *args: None}
+        exec(compile(code, "README.md", "exec"), namespace)
+        (entry,) = namespace["report"]["transmission_eigenvalues"]
+        assert entry["multiplicity_estimate"] == 2
+        assert entry["lambda"] == pytest.approx(4.0, rel=1e-2)  # 4.0211... at 64 cells
 
     def test_ball_is_an_unknown_domain_type(self):
         # balls are served by the radial oracle, which reads no problem file

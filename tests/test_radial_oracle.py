@@ -22,7 +22,7 @@ from teig.radial import (
     _det_grid,
     _scan_determinant,
     _sign_brackets,
-    first_te,
+    first_tes,
     harmonic_multiplicity,
     te_counts_up_to,
     te_list_up_to,
@@ -764,7 +764,7 @@ class TestPolishStencil:
             raise AssertionError("a determinant call without a root")
 
         assert radial._polish_roots(det, np.zeros(0), np.zeros(0)).size == 0
-        # so first_te's windows without a root (lambda R^2 up to 4.9, 9.8,
+        # so first_tes's windows without a root (lambda R^2 up to 4.9, 9.8,
         # 19.6 and 39.2 here) cost their grid call alone
         sizes = []
         det_grid = radial._det_grid
@@ -774,7 +774,7 @@ class TestPolishStencil:
             return det_grid(*args)
 
         monkeypatch.setattr(radial, "_det_grid", counted)
-        assert radial.first_te(RadialProblem(H, 1, math.pi, 0.75)) == pytest.approx(4.0)
+        assert radial.first_tes([RadialProblem(H, 1, math.pi, 0.75)])[0] == pytest.approx(4.0)
         assert min(sizes) > 0
 
     def test_unclean_or_non_finite_rows_are_not_simple(self):
@@ -948,20 +948,20 @@ class TestTEList:
     def test_helmholtz_list_nonempty_when_window_large(self):
         # 100x the first-root estimate: existence of infinitely many
         for radius, v0 in ((1.0, 0.3), (2.0, 0.6), (math.pi, 0.75)):
-            lam1 = first_te(RadialProblem(H, 1, radius, v0))
+            (lam1,) = first_tes([RadialProblem(H, 1, radius, v0)])
             tl = te_list_up_to(RadialProblem(H, 1, radius, v0), 100.0 * lam1, 1)
             assert len(tl) > 3
 
     def test_first_te_is_the_first_listed_root(self):
         # the default dim-1 ball's first TE is exactly 4 (lambda = 4 m^2, m = 1);
-        # first_te's unit-ball windows double from twice the order-0 bound
+        # first_tes's unit-ball windows double from twice the order-0 bound
         # 2.449 and list no root up to 39.19, then the root 4 pi^2 up to 78.38
         ball = RadialProblem(H, 1, math.pi, 0.75)
         unit, _, r2 = ball.unit_ball([])
-        assert abs(first_te(ball) - 4.0) <= 1e-14
+        assert abs(first_tes([ball])[0] - 4.0) <= 1e-14
         end = 32.0 * radial._root_free_below(1, [0])[0]
         assert te_list_up_to(unit, end / 2.0, 0) == ()
-        assert first_te(ball) == te_list_up_to(unit, end, 0)[0][0] / r2
+        assert first_tes([ball])[0] == te_list_up_to(unit, end, 0)[0][0] / r2
 
     def test_weighted_count(self):
         # the counting experiment's N(x) is the degeneracy sum of the list up to x
